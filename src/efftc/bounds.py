@@ -19,7 +19,17 @@ from functools import partial
 import numpy as np
 
 from . import _kernels
-from .complexes import Cochain, cohomology, coboundary_space, cup_length, f2_cd
+from .complexes import (
+    Cochain,
+    coboundary_space,
+    cohomology,
+    cohomology_ring,
+    cup_length,
+    cup_product,
+    f2_cd,
+    product_length,
+)
+from .f2 import F2Matrix
 from .errors import ContradictionError
 from .planners import PlannerCover
 from .symmetry import (
@@ -252,36 +262,49 @@ def verify_cat_cover(cover: PlannerCover, basepoint=None, **params) -> Certifica
 
 # ------------------------------------------------------------ lower bounds
 
-def _restriction_index(ambient, sub, d):
-    return np.array([ambient.index(s) for s in sub.simplices(d)], dtype=np.intp)
-
-
 def effective_zero_divisors(action: GroupAction):
-    """Kernel classes of H^+(X x X) -> H^+(saturated diagonal), as cocycles."""
+    """Kernel of H^+(X x X; F2) -> H^+(T), T the saturated diagonal.
+
+    X x X is never built.  By the Kunneth theorem H*(X x X) is
+    H*(X) (x) H*(X), with e_i (x) e_j the cross product p1*e_i u p2*e_j, and
+    its restriction to T is (p1|T)*e_i u (p2|T)*e_j: both coordinates
+    strictly increase along every simplex of T, so the projections restrict
+    to simplicial maps T -> X that keep the vertex order.  Returns
+    (diagonal, ring, kernel): `ring` is H*(X) of the (possibly subdivided)
+    base and `kernel` a basis of the zero divisors, as coordinate rows over
+    the basis e_i (x) e_j of `ring.tensor_multiply`.
+    """
     diag = saturated_diagonal(action)
-    P = diag.ambient
-    T = diag.union_complex
-    summary = cohomology(P)
-    from .f2 import F2Matrix
-    kernel_classes: list[Cochain] = []
-    for d in range(1, P.dimension + 1):
-        reps = summary.representatives[d] if d < len(summary.representatives) else []
-        if not reps:
+    K, T = diag.base.complex, diag.union_complex
+    ring = cohomology_ring(K)
+    n = len(ring.basis)
+
+    def pullbacks(coord: int) -> list[Cochain]:
+        # every basis class pulled back along the projection p_coord|T
+        index = {d: [K.index(tuple(v[coord] for v in s)) for s in T.simplices(d)]
+                 for d in set(ring.degrees.tolist())}
+        return [Cochain(c.degree, c.coeffs[index[c.degree]]) for c in ring.basis]
+
+    first, second = pullbacks(0), pullbacks(1)
+    kernel = [np.zeros((0, n * n), dtype=np.uint8)]
+    for d in range(1, 2 * K.dimension + 1):
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if ring.degrees[i] + ring.degrees[j] == d]
+        if not pairs:
             continue
+        flat = np.array([i * n + j for i, j in pairs], dtype=np.intp)
         if d > T.dimension:
-            kernel_classes.extend(reps)
-            continue
-        idx = _restriction_index(P, T, d)
-        cb = coboundary_space(T, d)
-        reduced = [cb.reduce(rep.coeffs[idx]) for rep in reps]
-        columns = np.stack(reduced, axis=1)
-        combos = F2Matrix.from_dense(columns).kernel_basis()
-        for combo in combos:
-            vec = np.zeros(P.n_simplices(d), dtype=np.uint8)
-            for k in np.nonzero(combo)[0]:
-                vec ^= reps[int(k)].coeffs
-            kernel_classes.append(Cochain(d, vec))
-    return diag, P, kernel_classes
+            combos = np.eye(len(pairs), dtype=np.uint8)
+        else:
+            restricted = np.array([cup_product(T, first[i], second[j]).coeffs
+                                   for i, j in pairs])
+            reduced = coboundary_space(T, d).reduce_batch(restricted)
+            combos = np.array(F2Matrix.from_dense(reduced.T).kernel_basis(),
+                              dtype=np.uint8).reshape(-1, len(pairs))
+        classes = np.zeros((len(combos), n * n), dtype=np.uint8)
+        classes[:, flat] = combos
+        kernel.append(classes)
+    return diag, ring, np.vstack(kernel)
 
 
 def zero_divisor_cup_length(action: GroupAction) -> int:
@@ -290,10 +313,8 @@ def zero_divisor_cup_length(action: GroupAction) -> int:
     A lower bound for the stage-2 effective topological complexity; for a
     free action it also bounds the stabilized value.
     """
-    diag, P, kernel_classes = effective_zero_divisors(action)
-    if not kernel_classes:
-        return 0
-    return cup_length(P, kernel_classes)
+    _, ring, kernel = effective_zero_divisors(action)
+    return product_length(kernel, ring.tensor_multiply)
 
 
 @dataclass

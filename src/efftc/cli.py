@@ -6,7 +6,9 @@
     efftc list-builtins
 
 Exit codes: 0 all reports consistent and expectations met; 1 contradiction,
-refutation or expectation miss; 2 unparseable input.
+refutation or expectation miss; 2 a scenario that cannot be loaded; 3 a
+pipeline step that failed while the scenario ran (reported with the
+exception's type and message).
 """
 from __future__ import annotations
 
@@ -15,7 +17,14 @@ import json
 import sys
 
 from .errors import ContradictionError
-from .scenarios import BUILTINS, emit_table, format_table, run_scenario, table_csv
+from .scenarios import (
+    BUILTINS,
+    emit_table,
+    format_table,
+    load_scenario,
+    run_scenario,
+    table_csv,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,13 +64,19 @@ def main(argv=None) -> int:
             if value is not None:
                 overrides[key] = value
         try:
-            result = run_scenario(args.scenario, overrides)
+            scenario = load_scenario(args.scenario)
         except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:
             print(f"error: cannot load scenario: {exc}", file=sys.stderr)
             return 2
+        try:
+            result = run_scenario(scenario, overrides)
         except ContradictionError as exc:
             print(f"contradiction: {exc}", file=sys.stderr)
             return 1
+        except (KeyError, OSError, RuntimeError, ValueError) as exc:
+            print(f"error: scenario run failed: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 3
         payload = result.to_json()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -29,6 +29,7 @@ class SimplicialComplex:
         self._faces: dict[int, np.ndarray] = {}
         self._coboundary_spaces: dict[int, F2RowSpace] = {}
         self._cohomology = None
+        self._ring = None
 
     @property
     def dimension(self) -> int:
@@ -254,57 +255,135 @@ def cup_product(K: SimplicialComplex, a: Cochain, b: Cochain) -> Cochain:
     return Cochain(p + q, a.coeffs[front] & b.coeffs[back])
 
 
+def _level_rows(level: list[Cochain], n: int) -> np.ndarray:
+    return np.array([c.coeffs for c in level], dtype=np.uint8).reshape(-1, n)
+
+
+class CohomologyRing:
+    """H*(K; F2) on the basis e_0, e_1, ... of the representatives that
+    `cohomology(K)` lists, degree by degree, with its structure constants:
+    table[i, k] holds the coordinates of e_i ∪ e_k.
+    """
+
+    def __init__(self, K: SimplicialComplex):
+        reps = cohomology(K).representatives
+        self.complex = K
+        self.basis = [c for level in reps for c in level]
+        self.degrees = np.array([c.degree for c in self.basis], dtype=np.intp)
+        self.offsets = np.cumsum([0] + [len(level) for level in reps])
+        # rows [e | unit tag]: reducing [v | 0] against them leaves [0 | x]
+        # for v = sum x_l e_l, as the representatives are independent
+        self._tagged = [
+            F2RowSpace.from_matrix(F2Matrix.from_dense(np.hstack(
+                [_level_rows(level, K.n_simplices(d)),
+                 np.eye(len(level), dtype=np.uint8)])))
+            for d, level in enumerate(reps)]
+        n = len(self.basis)
+        self.table = np.zeros((n, n, n), dtype=np.uint8)
+        for p, a in enumerate(reps):
+            for q, b in enumerate(reps):
+                if not a or not b or p + q > K.dimension:
+                    continue
+                front, back = _cup_faces(K, p, q)
+                prods = (_level_rows(a, K.n_simplices(p))[:, None, front]
+                         & _level_rows(b, K.n_simplices(q))[None, :, back])
+                self.table[self.offsets[p]:self.offsets[p + 1],
+                           self.offsets[q]:self.offsets[q + 1]] = self.coordinates(
+                    p + q, prods.reshape(len(a) * len(b), -1)).reshape(len(a), len(b), n)
+
+    def coordinates(self, d: int, cocycles: np.ndarray) -> np.ndarray:
+        """Coordinates of the classes of degree-d cocycles, as (k, n) rows."""
+        n_d = self.complex.n_simplices(d)
+        residues = coboundary_space(self.complex, d).reduce_batch(cocycles)
+        b_d = self.offsets[d + 1] - self.offsets[d]
+        tagged = self._tagged[d].reduce_batch(
+            np.hstack([residues, np.zeros((len(residues), b_d), dtype=np.uint8)]))
+        if tagged[:, :n_d].any():
+            raise ValueError("class outside the span of the representatives")
+        out = np.zeros((len(residues), len(self.basis)), dtype=np.uint8)
+        out[:, self.offsets[d]:self.offsets[d + 1]] = tagged[:, n_d:]
+        return out
+
+    def tensor_multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Every product of a row of x with a row of y, as rows, in
+        H*(K) ⊗ H*(K) on the basis e_i ⊗ e_j at index i n + j:
+        (a ⊗ b)(c ⊗ d) = ac ⊗ bd, with no sign mod 2."""
+        n = len(self.basis)
+        t = self.table.astype(np.int64)
+        z = np.einsum("aij,bkl,ikm,jlo->abmo", x.reshape(-1, n, n).astype(np.int64),
+                      y.reshape(-1, n, n).astype(np.int64), t, t, optimize=True)
+        return (z & 1).astype(np.uint8).reshape(-1, n * n)
+
+
+def cohomology_ring(K: SimplicialComplex) -> CohomologyRing:
+    """The cohomology ring of K (cached on K)."""
+    if K._ring is None:
+        K._ring = CohomologyRing(K)
+    return K._ring
+
+
+def _row_basis(rows: np.ndarray) -> np.ndarray:
+    """The rows independent of the rows before them."""
+    span = F2RowSpace(rows.shape[1])
+    return rows[[bool(span.add(r)) for r in rows]]
+
+
+def product_length(generators: np.ndarray, multiply) -> int:
+    """Largest k with a nonzero k-fold product from the span of `generators`.
+
+    Rows are elements of a graded F2 algebra, each of one degree, written
+    in a canonical form (rows are independent exactly when the elements
+    are); `multiply(x, y)` returns every product of a row of x with a row of
+    y in that form.  Level k + 1 is a basis of level k times the
+    generators, so level k spans the k-th power of their span.  Returns 0
+    if they span 0.
+    """
+    gens = _row_basis(generators)
+    level = gens
+    length = 0
+    while level.shape[0]:
+        length += 1
+        level = _row_basis(multiply(level, gens))
+    return length
+
+
 def cup_length(K: SimplicialComplex, classes) -> int:
     """Longest nonzero product of positive-degree classes from the span.
 
     `classes` are cocycle representatives; a non-cocycle is rejected.
-    Returns 0 for an empty family or when every product of two classes
-    already vanishes and every class itself is a coboundary.
+    Returns 0 for an empty family or when every class is a coboundary.
+    Classes are rows over the cochains of all degrees, reduced modulo
+    coboundaries degree by degree, so H*(K) itself is never computed.
     """
-    cocycles = []
+    offsets = np.cumsum([0] + [K.n_simplices(d) for d in range(K.dimension + 1)])
+
+    def reduced(d: int, coeffs: np.ndarray) -> np.ndarray:
+        row = np.zeros(offsets[-1], dtype=np.uint8)
+        if d <= K.dimension:
+            row[offsets[d]:offsets[d + 1]] = coboundary_space(K, d).reduce(coeffs)
+        return row
+
+    def cochain(row: np.ndarray) -> Cochain:
+        d = int(np.searchsorted(offsets, np.flatnonzero(row)[0], side="right")) - 1
+        return Cochain(d, row[offsets[d]:offsets[d + 1]])
+
+    def multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        rows = []
+        for a in map(cochain, x):
+            for b in map(cochain, y):
+                prod = cup_product(K, a, b)
+                rows.append(reduced(prod.degree, prod.coeffs))
+        return np.array(rows, dtype=np.uint8).reshape(-1, offsets[-1])
+
+    rows = []
     for c in classes:
         if c.degree <= 0:
             raise ValueError("cup_length expects positive-degree classes")
         if not is_cocycle(K, c):
             raise ValueError("representative is not a cocycle")
-        cocycles.append(c)
-    if not cocycles:
-        return 0
-    cobound = {d: coboundary_space(K, d) for d in range(1, K.dimension + 1)}
-
-    def reduce_class(c: Cochain) -> Cochain:
-        if c.degree > K.dimension:
-            return Cochain(c.degree, np.zeros(0, dtype=np.uint8))
-        return Cochain(c.degree, cobound[c.degree].reduce(c.coeffs))
-
-    generators = []
-    gen_spans: dict[int, F2RowSpace] = {}
-    for c in cocycles:
-        r = reduce_class(c)
-        if r.is_zero():
-            continue
-        span = gen_spans.setdefault(r.degree, F2RowSpace(K.n_simplices(r.degree)))
-        if span.add(r.coeffs):
-            generators.append(r)
-    if not generators:
-        return 0
-    length = 1
-    level = generators
-    while True:
-        next_level = []
-        spans: dict[int, F2RowSpace] = {}
-        for a in level:
-            for g in generators:
-                prod = reduce_class(cup_product(K, a, g))
-                if prod.is_zero():
-                    continue
-                span = spans.setdefault(prod.degree, F2RowSpace(K.n_simplices(prod.degree)))
-                if span.add(prod.coeffs):
-                    next_level.append(prod)
-        if not next_level:
-            return length
-        length += 1
-        level = next_level
+        rows.append(reduced(c.degree, c.coeffs))
+    return product_length(np.array(rows, dtype=np.uint8).reshape(-1, offsets[-1]),
+                          multiply)
 
 
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:

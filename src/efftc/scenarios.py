@@ -39,6 +39,10 @@ def default_seed() -> int:
     return sampling_seed()
 
 
+# pipeline ops that run on the simplicial model
+_MODEL_OPS = ("lower", "cat-lower", "check")
+
+
 @dataclass
 class Scenario:
     id: str
@@ -52,12 +56,22 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        if not isinstance(data, dict):
+            raise ValueError("a scenario is a JSON object")
         known = {"id", "space", "action", "complex", "simplicial_action",
                  "basepoint", "pipeline", "expected"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        return cls(**data)
+        missing = {"id", "space", "action"} - set(data)
+        if missing:
+            raise ValueError(f"missing scenario fields: {sorted(missing)}")
+        scenario = cls(**data)
+        if scenario.complex is None and any(
+                step.get("op") in _MODEL_OPS for step in scenario.pipeline):
+            raise ValueError("exact lower bounds and checks need a simplicial "
+                             "model: the scenario names no complex")
+        return scenario
 
 
 @dataclass
@@ -620,14 +634,17 @@ def _builtin_list() -> list[Scenario]:
 BUILTINS = {s.id: s for s in _builtin_list()}
 
 
-def load_scenario(path_or_name: str) -> Scenario:
+def load_scenario(path_or_name) -> Scenario:
+    """A builtin by name, a scenario JSON file by path; a Scenario as is."""
+    if isinstance(path_or_name, Scenario):
+        return path_or_name
     if path_or_name in BUILTINS:
         return BUILTINS[path_or_name]
     with open(path_or_name, "r", encoding="utf-8") as fh:
         return Scenario.from_dict(json.load(fh))
 
 
-def run_scenario(path_or_name: str, overrides=None) -> ScenarioResult:
+def run_scenario(path_or_name, overrides=None) -> ScenarioResult:
     return run_scenario_obj(load_scenario(path_or_name), overrides)
 
 

@@ -73,27 +73,44 @@ class FiniteGroup:
         return all(self.mul(a, b) in s and self.inv(a) in s for a in s for b in s)
 
     def subgroup_closure(self, indices) -> frozenset[int]:
-        s = {0} | set(indices)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(s):
-                for b in list(s):
-                    c = self.mul(a, b)
-                    if c not in s:
-                        s.add(c)
-                        changed = True
-        return frozenset(s)
+        """The subgroup generated by the indices: in a finite group, every
+        product of generators, found breadth first from the identity."""
+        gens = sorted(set(indices))
+        found = {0}
+        queue = [0]
+        for x in queue:
+            for g in gens:
+                y = self.table[x][g]
+                if y not in found:
+                    found.add(y)
+                    queue.append(y)
+        return frozenset(found)
 
     def subgroups(self) -> list[frozenset[int]]:
-        """All subgroups, by closing generator subsets (|G| <= 16 in scope)."""
-        n = self.order
-        found = {frozenset([0])}
-        elements = list(range(1, n))
-        max_gens = max(1, n.bit_length())
-        for k in range(1, min(len(elements), max_gens) + 1):
-            for gens in itertools.combinations(elements, k):
-                found.add(self.subgroup_closure(gens))
+        """All subgroups, ordered by (size, sorted elements).
+
+        Every subgroup is the join of the cyclic subgroups of its elements,
+        so joining each subgroup found with every cyclic subgroup until
+        nothing new appears reaches all of them, at one closure per
+        (subgroup, cyclic subgroup) pair.
+        """
+        cyclic: dict[frozenset[int], int] = {}
+        for g in range(1, self.order):
+            cyclic.setdefault(self.subgroup_closure([g]), g)
+        trivial = frozenset([0])
+        found = {trivial}
+        frontier = [(trivial, ())]
+        while frontier:
+            joined = []
+            for H, gens in frontier:
+                for C, g in cyclic.items():
+                    if C <= H:
+                        continue
+                    J = self.subgroup_closure(gens + (g,))
+                    if J not in found:
+                        found.add(J)
+                        joined.append((J, gens + (g,)))
+            frontier = joined
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -372,11 +389,10 @@ def product_projections(product: SimplicialComplex):
 
 @dataclass
 class SaturatedDiagonal:
-    """Slices {(gx, x)} inside the staircase product of the (possibly
-    subdivided) base with itself, and their union."""
+    """Slices {(gx, x)} of the (possibly subdivided) base and their union,
+    a subcomplex of the staircase product that is never built."""
 
     base: GroupAction
-    ambient: SimplicialComplex
     elements: list[int]
     slices: dict[int, frozenset]
     union_complex: SimplicialComplex
@@ -397,12 +413,19 @@ def _monotone_on_simplices(action: GroupAction, g: int) -> bool:
     return True
 
 
+def _is_chain(pairs: tuple) -> bool:
+    """Both coordinates strictly increase: a simplex of the staircase product."""
+    return all(a[0] < b[0] and a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
+
+
 def saturated_diagonal(action: GroupAction, elements=None) -> SaturatedDiagonal:
     """Slices for the listed elements (default: all of G) and their union.
 
     Each slice is the graph of a group element; graphs embed simplicially in
     the staircase product exactly when the element is order-monotone on every
-    simplex, which one subdivision (dimension-primary order) guarantees.
+    simplex, which one subdivision (dimension-primary order) guarantees.  A
+    slice simplex lies in the product when both its coordinate tuples
+    strictly increase, which is checked simplex by simplex.
     """
     if elements is None:
         elements = list(range(action.group.order))
@@ -414,18 +437,16 @@ def saturated_diagonal(action: GroupAction, elements=None) -> SaturatedDiagonal:
             raise RegularityError("slices not simplicial after two subdivisions")
         current = current.subdivided()
         subdivisions += 1
-    ambient = product_complex(current.complex, current.complex)
     slices: dict[int, frozenset] = {}
     for g in elements:
         vm = current.vertex_maps[g]
         slice_simplices = set()
         for s in current.complex.all_simplices():
             pair = tuple(sorted((vm[v], v) for v in s))
-            if not ambient.contains(pair):
+            if not _is_chain(pair):
                 raise RegularityError(f"slice simplex {pair} missing from product")
             slice_simplices.add(pair)
         slices[g] = frozenset(slice_simplices)
     union = from_simplex_set(set().union(*slices.values()))
-    return SaturatedDiagonal(base=current, ambient=ambient, elements=elements,
-                             slices=slices, union_complex=union,
-                             subdivisions=subdivisions)
+    return SaturatedDiagonal(base=current, elements=elements, slices=slices,
+                             union_complex=union, subdivisions=subdivisions)

@@ -1,14 +1,21 @@
 """Independent oracles used across the test suite.
 
-Everything here is deliberately written from scratch (dense mod-2 row
-reduction, explicit simplex combinatorics) so it shares no code path with
-the package implementation it checks.
+The linear algebra and subgroup enumeration here are deliberately written
+from scratch (dense mod-2 row reduction, explicit simplex combinatorics,
+generator-subset closures) so they share no code path with the package
+implementation they check.  The zero-divisor oracle takes the other route
+through the package instead: it builds the staircase product X x X and
+computes its cohomology, where the package works in H*(X) (x) H*(X).
 """
 from __future__ import annotations
 
 from itertools import combinations
 
 import numpy as np
+
+from efftc.complexes import Cochain, coboundary_space, cohomology, cup_length
+from efftc.f2 import F2Matrix
+from efftc.symmetry import product_complex, saturated_diagonal
 
 
 def dense_rank_mod2(M) -> int:
@@ -123,3 +130,56 @@ def oracle_cd(maximal) -> int:
     betti = oracle_betti(maximal)
     nz = [d for d, b in enumerate(betti) if b > 0]
     return max(nz) if nz else -1
+
+
+def subgroups_by_generator_subsets(G) -> list[frozenset]:
+    """Every subgroup of G, as the closures of all generator subsets of size
+    up to log2 |G| (a subgroup of order m has a generating set of at most
+    log2 m elements), ordered by (size, sorted elements)."""
+    n = G.order
+
+    def closure(gens):
+        s = {0} | set(gens)
+        while True:
+            grown = s | {G.table[a][b] for a in s for b in s}
+            if grown == s:
+                return frozenset(s)
+            s = grown
+
+    found = {frozenset([0])}
+    for k in range(1, min(n - 1, max(1, n.bit_length())) + 1):
+        for gens in combinations(range(1, n), k):
+            found.add(closure(gens))
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def product_zero_divisors(action):
+    """(X x X, kernel cocycles) of H^+(X x X) -> H^+(saturated diagonal),
+    computed on the materialised staircase product of the base with itself."""
+    diag = saturated_diagonal(action)
+    P = product_complex(diag.base.complex, diag.base.complex)
+    T = diag.union_complex
+    reps = cohomology(P).representatives
+    kernel = []
+    for d in range(1, P.dimension + 1):
+        if not reps[d]:
+            continue
+        if d > T.dimension:
+            kernel.extend(reps[d])
+            continue
+        # raises KeyError if a slice simplex is missing from the product
+        idx = np.array([P.index(s) for s in T.simplices(d)], dtype=np.intp)
+        cb = coboundary_space(T, d)
+        columns = np.stack([cb.reduce(rep.coeffs[idx]) for rep in reps[d]], axis=1)
+        for combo in F2Matrix.from_dense(columns).kernel_basis():
+            vec = np.zeros(P.n_simplices(d), dtype=np.uint8)
+            for k in np.nonzero(combo)[0]:
+                vec ^= reps[d][int(k)].coeffs
+            kernel.append(Cochain(d, vec))
+    return P, kernel
+
+
+def product_zero_divisor_cup_length(action) -> int:
+    """Zero-divisor cup length on the materialised product X x X."""
+    P, kernel = product_zero_divisors(action)
+    return cup_length(P, kernel) if kernel else 0

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from efftc import bounds
+from efftc import bounds, symmetry
 from efftc.bounds import (
     BoundValue,
     cd_bound_check,
@@ -50,7 +50,9 @@ from efftc.planners import (
     point_cover,
     torus_cut_cover,
 )
-from efftc.symmetry import trivial_action
+from efftc.symmetry import action_from_generator_perms, trivial_action
+
+from oracles import product_zero_divisor_cup_length, product_zero_divisors
 
 
 # ------------------------------------------------------------ verification
@@ -204,8 +206,8 @@ def test_zero_divisor_point():
 
 def test_zero_divisor_trivial_torus_is_two():
     act = trivial_action(torus9_complex())
-    # independent oracle: exhaustive products of a kernel basis
-    diag, P, kernel = effective_zero_divisors(act)
+    # independent oracle: exhaustive products of a kernel basis on X x X
+    P, kernel = product_zero_divisors(act)
     cb = {d: coboundary_space(P, d) for d in range(1, P.dimension + 1)}
     deg1 = [c for c in kernel if c.degree == 1]
     assert any(not cb[2].contains(cup_product(P, a, b).coeffs)
@@ -223,6 +225,59 @@ def test_zero_divisor_trivial_torus_is_two():
                     triple_zero = False
     assert triple_zero
     assert zero_divisor_cup_length(act) == 2
+
+
+def _kernel_degrees(ring, kernel):
+    degrees = np.add.outer(ring.degrees, ring.degrees).ravel()
+    return sorted(int(degrees[np.argmax(row)]) for row in kernel)
+
+
+@pytest.mark.parametrize("action", [
+    lambda: trivial_action(point_complex()),
+    hexagon_antipodal_action,
+    hexagon_reflection_action,
+    octahedron_antipodal_action,
+    octahedron_rotation_action,
+    lambda: wedge_swap_action(2),
+    lambda: wedge_swap_action(3),
+])
+def test_zero_divisors_match_product_oracle(action):
+    act = action()
+    _, ring, kernel = effective_zero_divisors(act)
+    _, oracle_kernel = product_zero_divisors(act)
+    assert _kernel_degrees(ring, kernel) == sorted(c.degree for c in oracle_kernel)
+    assert zero_divisor_cup_length(act) == product_zero_divisor_cup_length(act)
+
+
+def test_zero_divisors_and_cd_bound_never_build_the_product(monkeypatch):
+    def refuse(K, L):
+        raise AssertionError("staircase product built")
+
+    monkeypatch.setattr(symmetry, "product_complex", refuse)
+    assert zero_divisor_cup_length(torus43_halfturn_action()) == 2
+    assert cd_bound_check(sphere_swap_action()).passed
+
+
+def _torus9_translations(*generators):
+    K = torus9_complex()
+    return action_from_generator_perms(
+        K, [{(i, j): ((i + di) % 3, (j + dj) % 3) for i, j in K.vertices}
+            for di, dj in generators])
+
+
+@pytest.mark.parametrize("generators,order", [
+    ([(1, 0)], 3),
+    ([(1, 0), (0, 1)], 9),
+])
+def test_free_torus_translations(generators, order):
+    # not order-monotone, so the torus is subdivided; the staircase product
+    # of the subdivision with itself is never built
+    act = _torus9_translations(*generators)
+    assert act.group.order == order and act.is_free()
+    assert zero_divisor_cup_length(act) == 2
+    r = cd_bound_check(act)
+    assert r.cd_diagonal == 2
+    assert r.passed
 
 
 def test_zero_divisor_hexagon_antipodal_at_least_one():

@@ -7,7 +7,9 @@ from efftc.complexes import (
     build_complex,
     coboundary_apply,
     coboundary_matrix,
+    coboundary_space,
     cohomology,
+    cohomology_ring,
     cone,
     cup_length,
     cup_product,
@@ -263,3 +265,44 @@ def test_coboundary_apply_matches_matrix():
     for _ in range(5):
         v = rng.integers(0, 2, size=K.n_simplices(1)).astype(np.uint8)
         assert np.array_equal(coboundary_apply(K, Cochain(1, v)).coeffs, M.apply(v))
+
+
+@pytest.mark.parametrize("K", [build_complex(torus_grid()), build_complex(SPHERE2)],
+                         ids=["torus", "sphere"])
+def test_ring_structure_constants_are_cup_products(K):
+    ring = cohomology_ring(K)
+    for i, a in enumerate(ring.basis):
+        for k, b in enumerate(ring.basis):
+            d = a.degree + b.degree
+            if d > K.dimension:
+                continue
+            coords = ring.table[i, k]
+            assert not coords[ring.degrees != d].any()
+            combo = np.zeros(K.n_simplices(d), dtype=np.uint8)
+            for m in np.flatnonzero(coords):
+                combo ^= ring.basis[m].coeffs
+            assert coboundary_space(K, d).contains(
+                combo ^ cup_product(K, a, b).coeffs)
+
+
+def test_ring_torus_product_is_the_top_class():
+    ring = cohomology_ring(build_complex(torus_grid()))
+    a, b = np.flatnonzero(ring.degrees == 1)
+    top = np.flatnonzero(ring.degrees == 2)
+    assert not ring.table[a, a].any() and not ring.table[b, b].any()
+    assert ring.table[a, b].tolist() == ring.table[b, a].tolist()
+    assert np.flatnonzero(ring.table[a, b]).tolist() == top.tolist()
+
+
+def test_tensor_square_multiplies_factorwise():
+    # (x (x) y)(z (x) w) = xz (x) yw on pure tensors, index i n + j
+    ring = cohomology_ring(build_complex(torus_grid()))
+    n = len(ring.basis)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x, y, z, w = rng.integers(0, 2, size=(4, 1, n)).astype(np.uint8)
+        got = ring.tensor_multiply(np.kron(x, y), np.kron(z, w))
+        xz, yw = (np.einsum("ai,bk,ikm->abm", u, v, ring.table).reshape(1, n) % 2
+                  for u, v in ((x, z), (y, w)))
+        expected = np.kron(xz, yw)
+        assert got.tolist() == expected.tolist()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from efftc.bounds import zero_divisor_cup_length
 from efftc.complexes import (
     Cochain,
     barycentric_subdivision,
@@ -34,7 +35,7 @@ from efftc.symmetry import (
     saturated_diagonal,
 )
 
-from oracles import oracle_betti
+from oracles import oracle_betti, product_zero_divisor_cup_length
 
 
 @st.composite
@@ -138,6 +139,21 @@ def test_cycle_rotation_slice_identity(n, shift):
             expected = {tuple(sorted((base.apply_vertex(g, v), v) for v in s))
                         for s in fixed.all_simplices()}
             assert diag.slices[g] & diag.slices[h] == frozenset(expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=3, max_value=8), st.integers(min_value=0, max_value=7),
+       st.booleans())
+def test_zero_divisors_kunneth_match_product(n, shift, reflect):
+    """The Kunneth zero-divisor cup length equals the one computed on the
+    materialised product X x X, for cycle rotations and reflections."""
+    K = build_complex([[i, (i + 1) % n] for i in range(n)])
+    if reflect:
+        perm = {i: (shift - i) % n for i in range(n)}
+    else:
+        perm = {i: (i + shift) % n for i in range(n)}
+    act = action_from_generator_perms(K, [perm])
+    assert zero_divisor_cup_length(act) == product_zero_divisor_cup_length(act)
 
 
 @settings(max_examples=20, deadline=None)

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from efftc.cli import main
+from efftc.errors import (
+    DegreeError,
+    GeodesicDegeneracyError,
+    LiftError,
+    RegularityError,
+)
 from efftc.scenarios import (
     BUILTINS,
     Scenario,
@@ -167,3 +173,37 @@ def test_missing_simplicial_model_is_a_load_error(tmp_path):
     p = tmp_path / "no-model.json"
     p.write_text(json.dumps(spec))
     assert main(["run", str(p)]) == 2
+
+
+@pytest.mark.parametrize("error", [
+    GeodesicDegeneracyError("antipodal pair"),
+    DegreeError("degree 3 out of range"),
+    RegularityError("quotient irregular after two subdivisions"),
+    LiftError("lift diverged"),
+])
+def test_cli_run_failure_exit(monkeypatch, capsys, error):
+    # a step that raises while the scenario runs is a run failure (exit 3),
+    # whether it raises a ValueError or a RuntimeError, not a load error
+    from efftc import bounds
+
+    def boom(action):
+        raise error
+
+    monkeypatch.setattr(bounds, "zero_divisor_cup_length", boom)
+    assert main(["run", "point"]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: scenario run failed: {type(error).__name__}: "
+                   f"{error}\n")
+
+
+@pytest.mark.parametrize("text", [
+    None,                                               # no such file
+    "[1, 2]",                                           # not an object
+    '{"space": {"kind": "point"}, "action": "trivial"}',  # no id
+])
+def test_cli_load_error_exit(capsys, tmp_path, text):
+    path = tmp_path / "scenario.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot load scenario: ")

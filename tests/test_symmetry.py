@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from efftc import symmetry
 from efftc.complexes import build_complex, cohomology, f2_cd, from_simplex_set
 from efftc.errors import GroupClosureError, RegularityError
 from efftc.symmetry import (
@@ -18,7 +21,7 @@ from efftc.symmetry import (
     write_action_text,
 )
 
-from oracles import oracle_betti
+from oracles import oracle_betti, subgroups_by_generator_subsets
 
 
 def hexagon():
@@ -87,6 +90,56 @@ def test_subgroups_of_klein_four():
     G, _ = group_from_permutations([[1, 0, 3, 2], [2, 3, 0, 1]])
     assert G.order == 4
     assert len(G.subgroups()) == 5  # trivial, three Z2s, full
+
+
+def _dihedral(n):
+    rotation = [(i + 1) % n for i in range(n)]
+    reflection = [(-i) % n for i in range(n)]
+    return group_from_permutations([rotation, reflection])[0]
+
+
+def _elementary_abelian(k):
+    # Z2^k as translations of the hypercube vertices 0..2^k - 1
+    return group_from_permutations(
+        [[v ^ (1 << b) for v in range(1 << k)] for b in range(k)])[0]
+
+
+def _catalog_groups():
+    from efftc.scenarios import BUILTINS, build_bundle
+    groups = []
+    for scenario in BUILTINS.values():
+        bundle = build_bundle(scenario)
+        groups.append(bundle.space_action.group)
+        if bundle.group_action is not None:
+            groups.append(bundle.group_action.group)
+    return groups
+
+
+def test_subgroups_match_generator_subset_closures():
+    groups = ([FiniteGroup.trivial()]
+              + [FiniteGroup.cyclic(n) for n in range(2, 17)]
+              + [_dihedral(n) for n in (3, 4, 5, 6, 8)]
+              + [_elementary_abelian(k) for k in (2, 3, 4)]
+              + [group_from_permutations([[1, 2, 0, 3, 4, 5],
+                                          [0, 1, 2, 4, 5, 3]])[0]]  # Z3 x Z3
+              + _catalog_groups())
+    for G in groups:
+        assert G.order <= 16
+        assert G.subgroups() == subgroups_by_generator_subsets(G), G.order
+
+
+def test_subgroups_of_order_64_groups_are_fast():
+    G = FiniteGroup.cyclic(64)
+    t0 = time.monotonic()
+    subs = G.subgroups()
+    assert time.monotonic() - t0 < 1.0
+    # one subgroup per divisor of 64, ordered by size
+    assert [len(s) for s in subs] == [1, 2, 4, 8, 16, 32, 64]
+    assert subs[3] == frozenset(range(0, 64, 8))
+    # the dihedral group of order 2n has tau(n) + sigma(n) subgroups
+    t0 = time.monotonic()
+    assert len(_dihedral(32).subgroups()) == 6 + 63
+    assert time.monotonic() - t0 < 1.0
 
 
 # ---------------------------------------------------------------- actions
@@ -293,6 +346,15 @@ def test_diagonal_slice_intersection_identity_z3():
             expected = {tuple(sorted((diag.base.apply_vertex(g, v), v) for v in s))
                         for s in fixed.all_simplices()}
             assert inter == frozenset(expected)
+
+
+def test_diagonal_rejects_slice_simplices_outside_the_product(monkeypatch):
+    # the antipodal hexagon map is not order-monotone: without the
+    # subdivision, the slice of edge (2, 3) is ((0, 3), (5, 2)), which is not
+    # a chain of the staircase product
+    monkeypatch.setattr(symmetry, "_monotone_on_simplices", lambda action, g: True)
+    with pytest.raises(RegularityError):
+        saturated_diagonal(hexagon_antipodal())
 
 
 def test_diagonal_free_component_count():
