@@ -1,83 +1,20 @@
-"""Optional numba kernels for the verification hot loops.
+"""Slerp kernels for the verification hot loops, in numpy.
 
-Everything here has a numpy fallback; the kernels remove temporary
-allocations from slerp evaluation, half-circle sweeps and the adjacent-pair
-sup-distance scans, which dominate grid certification on spheres.
+Legs along great circles are filled by the Chebyshev recurrence
+p_(j+1) = 2 cos(step) p_j - p_(j-1), so that each arc costs O(1)
+transcendentals; all rows advance together in a sample-major buffer.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - environment without numba
-    HAVE_NUMBA = False
-    prange = range
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-@njit(cache=True, parallel=True)
-def _slerp_fill(P, Q, out):
-    # Chebyshev recurrence along each arc: only O(1) transcendentals per row
-    m, d = P.shape
-    n = out.shape[1]
-    for i in prange(m):
-        dot = 0.0
-        for c in range(d):
-            dot += P[i, c] * Q[i, c]
-        if dot > 1.0:
-            dot = 1.0
-        elif dot < -1.0:
-            dot = -1.0
-        theta = math.acos(dot)
-        s = math.sin(theta)
-        if s < 1e-9:
-            for j in range(n):
-                t = j / (n - 1.0)
-                norm = 0.0
-                for c in range(d):
-                    v = (1.0 - t) * P[i, c] + t * Q[i, c]
-                    out[i, j, c] = v
-                    norm += v * v
-                norm = math.sqrt(norm)
-                if norm > 0.0:
-                    for c in range(d):
-                        out[i, j, c] /= norm
-        else:
-            step = theta / (n - 1.0)
-            a1 = math.sin(theta - step) / s
-            b1 = math.sin(step) / s
-            k = 2.0 * math.cos(step)
-            for c in range(d):
-                out[i, 0, c] = P[i, c]
-                out[i, 1, c] = a1 * P[i, c] + b1 * Q[i, c]
-            for j in range(2, n):
-                for c in range(d):
-                    out[i, j, c] = k * out[i, j - 1, c] - out[i, j - 2, c]
-        for c in range(d):
-            out[i, 0, c] = P[i, c]
-            out[i, n - 1, c] = Q[i, c]
 
 
 def slerp_into(P, Q, out):
     """Fill out[:, j] with the slerp from P to Q; returns out."""
     P = np.ascontiguousarray(P, dtype=np.float64)
     Q = np.ascontiguousarray(Q, dtype=np.float64)
-    if HAVE_NUMBA:
-        _slerp_fill(P, Q, out)
-        return out
-    # the recurrence of _slerp_fill, vectorised over rows in a sample-major
-    # (n, d, M) buffer so every step is one pass over contiguous memory
+    # the recurrence, vectorised over rows in a sample-major (n, d, M)
+    # buffer so every step is one pass over contiguous memory
     m, n = out.shape[0], out.shape[1]
     theta = np.arccos(np.clip((P * Q).sum(axis=1), -1.0, 1.0))
     s = np.sin(theta)
@@ -113,51 +50,6 @@ def slerp_batch(P, Q, n):
     return slerp_into(P, Q, out)
 
 
-@njit(cache=True, parallel=True)
-def _slerp_chain_fill(P, Q, n, out):
-    # P, Q: (K, M, d) waypoint pairs; out: (M, K*n, d), piece k in its slab
-    pieces, m, d = P.shape
-    for i in prange(m):
-        for k in range(pieces):
-            base = k * n
-            dot = 0.0
-            for c in range(d):
-                dot += P[k, i, c] * Q[k, i, c]
-            if dot > 1.0:
-                dot = 1.0
-            elif dot < -1.0:
-                dot = -1.0
-            theta = math.acos(dot)
-            s = math.sin(theta)
-            if s < 1e-9:
-                for j in range(n):
-                    t = j / (n - 1.0)
-                    norm = 0.0
-                    for c in range(d):
-                        v = (1.0 - t) * P[k, i, c] + t * Q[k, i, c]
-                        out[i, base + j, c] = v
-                        norm += v * v
-                    norm = math.sqrt(norm)
-                    if norm > 0.0:
-                        for c in range(d):
-                            out[i, base + j, c] /= norm
-            else:
-                step = theta / (n - 1.0)
-                a1 = math.sin(theta - step) / s
-                b1 = math.sin(step) / s
-                kk = 2.0 * math.cos(step)
-                for c in range(d):
-                    out[i, base, c] = P[k, i, c]
-                    out[i, base + 1, c] = a1 * P[k, i, c] + b1 * Q[k, i, c]
-                for j in range(2, n):
-                    for c in range(d):
-                        out[i, base + j, c] = (kk * out[i, base + j - 1, c]
-                                               - out[i, base + j - 2, c])
-            for c in range(d):
-                out[i, base, c] = P[k, i, c]
-                out[i, base + n - 1, c] = Q[k, i, c]
-
-
 def slerp_chain(waypoint_pairs, samples):
     """Concatenated slerp arcs: [(P1,Q1),...] -> (M, >=samples, d).
 
@@ -171,72 +63,6 @@ def slerp_chain(waypoint_pairs, samples):
                   for _, q in waypoint_pairs])
     m, d = P.shape[1], P.shape[2]
     out = np.empty((m, pieces * n, d))
-    if HAVE_NUMBA:
-        _slerp_chain_fill(P, Q, n, out)
-        return out
     for k in range(pieces):
         slerp_into(P[k], Q[k], out[:, k * n:(k + 1) * n])
     return out
-
-
-@njit(cache=True, parallel=True)
-def _max_chord2(leg, ia, ib, out):
-    n, d = leg.shape[1], leg.shape[2]
-    for e in prange(ia.shape[0]):
-        best = 0.0
-        A, B = ia[e], ib[e]
-        for j in range(n):
-            s = 0.0
-            for c in range(d):
-                diff = leg[A, j, c] - leg[B, j, c]
-                s += diff * diff
-            if s > best:
-                best = s
-        out[e] = best
-
-
-def max_chord2_pairs(leg, ia, ib):
-    if not HAVE_NUMBA:
-        return None
-    leg = np.ascontiguousarray(leg, dtype=np.float64)
-    out = np.empty(ia.shape[0])
-    _max_chord2(leg, np.ascontiguousarray(ia), np.ascontiguousarray(ib), out)
-    return out
-
-
-@njit(cache=True, parallel=True)
-def _max_torus2(leg, ia, ib, out):
-    n, d = leg.shape[1], leg.shape[2]
-    for e in prange(ia.shape[0]):
-        best = 0.0
-        A, B = ia[e], ib[e]
-        for j in range(n):
-            s = 0.0
-            for c in range(d):
-                diff = leg[A, j, c] - leg[B, j, c]
-                diff = diff - round(diff)
-                s += diff * diff
-            if s > best:
-                best = s
-        out[e] = best
-
-
-def max_torus2_pairs(leg, ia, ib):
-    if not HAVE_NUMBA:
-        return None
-    leg = np.ascontiguousarray(leg, dtype=np.float64)
-    out = np.empty(ia.shape[0])
-    _max_torus2(leg, np.ascontiguousarray(ia), np.ascontiguousarray(ib), out)
-    return out
-
-
-def warmup():
-    """Trigger JIT compilation once (cached across processes)."""
-    if not HAVE_NUMBA:
-        return
-    p = np.eye(3)[:2]
-    q = np.eye(3)[1:]
-    slerp_batch(p, q, 4)
-    slerp_chain([(p, q)], 4)
-    max_chord2_pairs(np.zeros((2, 4, 3)), np.array([0]), np.array([1]))
-    max_torus2_pairs(np.zeros((2, 4, 2)), np.array([0]), np.array([1]))

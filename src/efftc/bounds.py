@@ -10,15 +10,15 @@ depend on sampling parameters.
 """
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from . import _kernels
 from .complexes import (
     Cochain,
     coboundary_space,
@@ -31,6 +31,7 @@ from .complexes import (
 )
 from .f2 import F2Matrix
 from .errors import ContradictionError
+from .pathspace import ENDPOINT_TOL
 from .planners import PlannerCover
 from .symmetry import (
     GroupAction,
@@ -59,10 +60,30 @@ class Certification:
         return f"refuted: {self.failure}"
 
 
+# rows of (pair, sample) per leg array a certification block may hold
+SAMPLE_BUDGET = 2_000_000
+
+
 def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
                  delta: float = 1e-6, modulus: float = 10.0,
                  samples: int = 64) -> Certification:
-    """Certify or refute a planner cover on the deterministic grid."""
+    """Certify or refute a planner cover on the deterministic grid.
+
+    Pairs (x, y) are swept in blocks of x rows, in grid order, and every
+    accepted (pair, set) is evaluated once.  Each block checks coverage,
+    validation and continuity along y within its rows, and continuity along
+    x on the neighbour edges it closes, from its own legs and from a halo:
+    the legs of earlier rows that still have a neighbour ahead.
+
+    A refutation names the failure the two-pass sweep would meet first.
+    That sweep visits x chunks of `chunk_rows` rows, each checking set by
+    set (orbit joints, endpoints, y-continuity), then coverage; then y
+    chunks, each checking x-continuity set by set.  So any failure of the
+    first kind comes before any x-continuity failure, the least key
+    (y // chunk_rows, set, y, edge) wins among the latter, and a block
+    smaller than its chunk that fails is answered by checking its whole
+    chunk again.
+    """
     action = cover.action
     space = action.space
     params = {"grid": grid, "epsilon": epsilon, "delta": delta,
@@ -77,117 +98,263 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
     else:
         xpts = ypts
         xnbr = ynbr
-
-    m_y = ypts.shape[0]
-    m_x = xpts.shape[0]
-    endpoint_tol = 1e-6
-    chunk_rows = max(1, 2_000_000 // (m_y * samples))
-
-    def failure(reason, **detail):
-        return {"reason": reason, **detail}
-
-    def continuity(cs, X, Y, legs, pos, a, b, indist):
-        supdiff = np.zeros(a.size)
-        for leg in legs:
-            supdiff = np.maximum(
-                supdiff, space.supdiff_pairs(leg, pos[a], pos[b]))
-        bad = supdiff > modulus * indist
-        if bad.any():
-            w = int(np.argmax(bad))
-            return failure("continuity", set=cs.name,
-                           pair=[X[a[w]].tolist(), Y[a[w]].tolist()],
-                           neighbor=[X[b[w]].tolist(), Y[b[w]].tolist()],
-                           supdiff=float(supdiff[w]),
-                           allowed=float(modulus * indist[w]))
-        return None
-
-    def x_chunk(start):
-        # coverage + validation + y-direction continuity on x rows
-        xidx = np.arange(start, min(start + chunk_rows, m_x))
-        k = xidx.size
-        X = np.repeat(xpts[xidx], m_y, axis=0)
-        Y = np.tile(ypts, (k, 1))
-        total = k * m_y
-        base = np.arange(k) * m_y
-        nbr_a = (base[:, None] + ynbr[None, :, 0]).ravel()
-        nbr_b = (base[:, None] + ynbr[None, :, 1]).ravel()
-        nbr_dist = np.tile(space.dist(ypts[ynbr[:, 0]], ypts[ynbr[:, 1]]), k)
-        covered = np.zeros(total, dtype=bool)
-        for cs in cover.sets:
-            margins = cs.margin(X, Y)
-            acc = margins >= epsilon
-            covered |= acc
-            if not acc.any():
-                continue
-            rows = np.nonzero(acc)[0]
-            legs = cs.build_legs(X[rows], Y[rows], samples)
-            for i in range(len(legs) - 1):
-                joint = action.orbit_dist(legs[i][:, -1], legs[i + 1][:, 0])
-                bad = joint > delta
-                if bad.any():
-                    r = rows[int(np.argmax(bad))]
-                    return failure("validation", set=cs.name,
-                                   pair=[X[r].tolist(), Y[r].tolist()],
-                                   joint_residual=float(joint.max()))
-            res0 = space.dist(legs[0][:, 0], X[rows])
-            res1 = space.dist(legs[-1][:, -1], Y[rows])
-            bad = (res0 > endpoint_tol) | (res1 > endpoint_tol)
-            if bad.any():
-                r = rows[int(np.argmax(bad))]
-                return failure("validation", set=cs.name,
-                               pair=[X[r].tolist(), Y[r].tolist()],
-                               endpoint_residual=float(max(res0.max(), res1.max())))
-            pos = np.full(total, -1, dtype=np.intp)
-            pos[rows] = np.arange(rows.size)
-            both = acc[nbr_a] & acc[nbr_b]
-            if both.any():
-                found = continuity(cs, X, Y, legs, pos, nbr_a[both],
-                                   nbr_b[both], nbr_dist[both])
-                if found:
-                    return found
-        if not covered.all():
-            r = int(np.argmax(~covered))
-            return failure("coverage", pair=[X[r].tolist(), Y[r].tolist()])
-        return None
-
-    def y_chunk(start):
-        # continuity along the x factor on y rows
-        yidx = np.arange(start, min(start + chunk_rows, m_y))
-        k = yidx.size
-        Y = np.repeat(ypts[yidx], m_x, axis=0)
-        X = np.tile(xpts, (k, 1))
-        total = k * m_x
-        base = np.arange(k) * m_x
-        nbr_a = (base[:, None] + xnbr[None, :, 0]).ravel()
-        nbr_b = (base[:, None] + xnbr[None, :, 1]).ravel()
-        nbr_dist = np.tile(space.dist(xpts[xnbr[:, 0]], xpts[xnbr[:, 1]]), k)
-        for cs in cover.sets:
-            margins = cs.margin(X, Y)
-            acc = margins >= epsilon
-            both = acc[nbr_a] & acc[nbr_b]
-            if not both.any():
-                continue
-            rows = np.nonzero(acc)[0]
-            legs = cs.build_legs(X[rows], Y[rows], samples)
-            pos = np.full(total, -1, dtype=np.intp)
-            pos[rows] = np.arange(rows.size)
-            found = continuity(cs, X, Y, legs, pos, nbr_a[both], nbr_b[both],
-                               nbr_dist[both])
-            if found:
-                return found
-        return None
-
-    # every x chunk before any y chunk: the serial order of the two passes
-    jobs = [partial(x_chunk, start) for start in range(0, m_x, chunk_rows)]
-    if xnbr.size:
-        jobs += [partial(y_chunk, start) for start in range(0, m_y, chunk_rows)]
-    found = first_failure(jobs)
+    sweep = _Sweep(cover, xpts, xnbr, ypts, ynbr, epsilon, delta, modulus,
+                   samples, usable_cpus())
+    found = first_failure(sweep.jobs())
     if found:
         return Certification(certified=False, bound=None, params=params,
                              sets=len(cover.sets), stage=cover.stage,
                              failure=found)
     return Certification(certified=True, bound=cover.claimed_bound, params=params,
                          sets=len(cover.sets), stage=cover.stage)
+
+
+@dataclass(frozen=True, order=True)
+class Deferred:
+    """A failure that yields to every plain failure of every job; among
+    deferred failures the least key wins (see first_failure)."""
+
+    key: tuple
+    failure: dict = field(compare=False)
+
+
+@dataclass
+class _Rows:
+    """Grid rows x with their acceptance (len(x), m_y) in one cover set and
+    that set's legs for the accepted pairs, in row-major order."""
+
+    x: np.ndarray
+    acc: np.ndarray
+    legs: list
+
+
+def _failure(reason, **detail):
+    return {"reason": reason, **detail}
+
+
+def _continuity_failure(cs, pair, neighbor, supdiff, allowed):
+    return _failure("continuity", set=cs.name,
+                    pair=[pair[0].tolist(), pair[1].tolist()],
+                    neighbor=[neighbor[0].tolist(), neighbor[1].tolist()],
+                    supdiff=float(supdiff), allowed=float(allowed))
+
+
+class _Sweep:
+    """The block sweep of one verify_cover call, split into runs (jobs)."""
+
+    def __init__(self, cover, xpts, xnbr, ypts, ynbr, epsilon, delta, modulus,
+                 samples, cpus):
+        self.cover, self.action = cover, cover.action
+        self.space = cover.action.space
+        self.xpts, self.xnbr, self.ypts, self.ynbr = xpts, xnbr, ypts, ynbr
+        self.epsilon, self.delta, self.modulus = epsilon, delta, modulus
+        self.samples = samples
+        m_x, m_y = self.m_x, self.m_y = len(xpts), len(ypts)
+        self.chunk_rows = max(1, SAMPLE_BUDGET // (m_y * samples))
+        self.ydist = self.space.dist(ypts[ynbr[:, 0]], ypts[ynbr[:, 1]])
+        self.xdist = self.space.dist(xpts[xnbr[:, 0]], xpts[xnbr[:, 1]])
+        # the edge (a, b) is checked by the block holding max(a, b); row x
+        # stays in the halo while x < boundary <= reach[x]
+        self.closer = xnbr.max(axis=1)
+        self.reach = np.full(m_x, -1, dtype=np.intp)
+        np.maximum.at(self.reach, xnbr.min(axis=1), self.closer)
+        held = self.reach >= 0
+        opened = np.bincount(np.flatnonzero(held) + 1, minlength=m_x + 1)
+        closed = np.bincount(self.reach[held] + 1, minlength=m_x + 1)
+        most_open = int(np.cumsum(opened - closed).max())
+        # the halo counts against the sample budget, down to a quarter
+        # chunk; and there is a block for every CPU
+        rows = max(self.chunk_rows // 4, self.chunk_rows - most_open, 1)
+        rows = min(rows, -(-m_x // cpus))
+        self.cpus = cpus
+        self.blocks = []
+        for c0 in range(0, m_x, self.chunk_rows):
+            c1 = min(c0 + self.chunk_rows, m_x)
+            cuts = np.linspace(c0, c1, -(-(c1 - c0) // rows) + 1).round()
+            self.blocks += list(zip(cuts[:-1].astype(int).tolist(),
+                                    cuts[1:].astype(int).tolist()))
+
+    def jobs(self):
+        """One job per CPU, each a contiguous run of blocks.  A run that
+        fails marks its flag, which ends the runs after it (fork-shared)."""
+        count = max(1, min(self.cpus, len(self.blocks)))
+        cut = np.linspace(0, len(self.blocks), count + 1).round().astype(int)
+        failed = mmap.mmap(-1, count)
+        return [partial(self.run, int(lo), int(hi), index, failed)
+                for index, (lo, hi) in enumerate(zip(cut[:-1], cut[1:]))]
+
+    def run(self, first, last, index, failed):
+        """Blocks [first, last): their first failure of the first kind, else
+        a Deferred for their least x-continuity failure, else None."""
+        start = self.blocks[first][0]
+        halo: dict[int, list[_Rows]] = {}     # set index -> blocks held
+        best = None
+        for b in range(first, last):
+            if any(failed[:index]):
+                return None
+            x0, x1 = self.blocks[b]
+            # a later run builds its halo only once its first block passed
+            stash = [] if b == first and start > 0 else None
+
+            def on_legs(s, acc, legs):
+                nonlocal best
+                if stash is not None:
+                    stash.append((s, acc, legs))
+                    return
+                found = self.advance(halo, s, x0, x1, acc, legs, start)
+                if found and (best is None or found < best):
+                    best = found
+
+            found = self.rows_failure(x0, x1, on_legs)
+            if found:
+                failed[index] = 1
+                halo, stash = None, None     # free their legs for the replay
+                c0 = x0 - x0 % self.chunk_rows
+                c1 = min(c0 + self.chunk_rows, self.m_x)
+                if (x0, x1) == (c0, c1):
+                    return found
+                return None if any(failed[:index]) else self.rows_failure(c0, c1)
+            if stash:
+                if any(failed[:index]):
+                    return None
+                stashed, stash = stash, None
+                for args in stashed:
+                    on_legs(*args)
+        return best
+
+    def rows_failure(self, x0, x1, on_legs=None):
+        """Coverage, validation and y-continuity on the x rows [x0, x1): the
+        first failure in the order of the two-pass sweep's x chunks.
+        `on_legs(set index, acceptance, legs)` sees every set that passed."""
+        space, action, m_y = self.space, self.action, self.m_y
+        k = x1 - x0
+        X = np.repeat(self.xpts[x0:x1], m_y, axis=0)
+        Y = np.tile(self.ypts, (k, 1))
+        total = k * m_y
+        base = np.arange(k) * m_y
+        nbr_a = (base[:, None] + self.ynbr[None, :, 0]).ravel()
+        nbr_b = (base[:, None] + self.ynbr[None, :, 1]).ravel()
+        nbr_dist = np.tile(self.ydist, k)
+        covered = np.zeros(total, dtype=bool)
+        for s, cs in enumerate(self.cover.sets):
+            acc = cs.margin(X, Y) >= self.epsilon
+            covered |= acc
+            if not acc.any():
+                continue
+            rows = np.nonzero(acc)[0]
+            legs = cs.build_legs(X[rows], Y[rows], self.samples)
+            for i in range(len(legs) - 1):
+                joint = action.orbit_dist(legs[i][:, -1], legs[i + 1][:, 0])
+                bad = joint > self.delta
+                if bad.any():
+                    r = rows[int(np.argmax(bad))]
+                    return _failure("validation", set=cs.name,
+                                    pair=[X[r].tolist(), Y[r].tolist()],
+                                    joint_residual=float(joint.max()))
+            res0 = space.dist(legs[0][:, 0], X[rows])
+            res1 = space.dist(legs[-1][:, -1], Y[rows])
+            bad = (res0 > ENDPOINT_TOL) | (res1 > ENDPOINT_TOL)
+            if bad.any():
+                r = rows[int(np.argmax(bad))]
+                return _failure("validation", set=cs.name,
+                                pair=[X[r].tolist(), Y[r].tolist()],
+                                endpoint_residual=float(max(res0.max(), res1.max())))
+            pos = np.full(total, -1, dtype=np.intp)
+            pos[rows] = np.arange(rows.size)
+            both = acc[nbr_a] & acc[nbr_b]
+            if both.any():
+                a, b = pos[nbr_a[both]], pos[nbr_b[both]]
+                supdiff = np.zeros(a.size)
+                for leg in legs:
+                    supdiff = np.maximum(supdiff, space.supdiff_pairs(leg, a, b))
+                allowed = self.modulus * nbr_dist[both]
+                bad = supdiff > allowed
+                if bad.any():
+                    w = int(np.argmax(bad))
+                    p, q = nbr_a[both][w], nbr_b[both][w]
+                    return _continuity_failure(
+                        cs, (X[p], Y[p]), (X[q], Y[q]), supdiff[w], allowed[w])
+            if on_legs is not None:
+                on_legs(s, acc.reshape(k, m_y), legs)
+            del legs
+        if not covered.all():
+            r = int(np.argmax(~covered))
+            return _failure("coverage", pair=[X[r].tolist(), Y[r].tolist()])
+        return None
+
+    def advance(self, halo, s, x0, x1, acc, legs, start):
+        """x-continuity of set s on the edges block [x0, x1) closes, as a
+        Deferred or None; then the block joins the set's halo, from which
+        every block whose rows have no neighbour ahead any more drops."""
+        parts = halo.get(s)
+        if parts is None:
+            parts = [self.open_rows(s, start, x0, legs)]
+        parts = parts + [_Rows(np.arange(x0, x1), acc, legs)]
+        found = self.x_continuity(s, parts, x0, x1)
+        halo[s] = [part for part in parts
+                   if part.x.size and self.reach[part.x].max() >= x1]
+        return found
+
+    def open_rows(self, s, start, x0, like):
+        """Set s on the rows before `start` still open at x0: the halo a run
+        that starts at `start` rebuilds (`like` gives empty legs their shape)."""
+        cs, m_y = self.cover.sets[s], self.m_y
+        xs = np.flatnonzero(self.reach[:start] >= x0)
+        acc = np.zeros((xs.size, m_y), dtype=bool)
+        legs = [leg[:0] for leg in like]
+        if xs.size:
+            X = np.repeat(self.xpts[xs], m_y, axis=0)
+            Y = np.tile(self.ypts, (xs.size, 1))
+            flat = cs.margin(X, Y) >= self.epsilon
+            if flat.any():
+                rows = np.nonzero(flat)[0]
+                legs = cs.build_legs(X[rows], Y[rows], self.samples)
+            acc = flat.reshape(xs.size, m_y)
+        return _Rows(xs, acc, legs)
+
+    def x_continuity(self, s, parts, x0, x1):
+        """The least-key x-continuity failure of set s on the edges that
+        block [x0, x1) closes; the block and the halo are `parts`."""
+        edges = np.flatnonzero((self.closer >= x0) & (self.closer < x1))
+        if not edges.size:
+            return None
+        m_y = self.m_y
+        # window rows: the parts' rows, then an all-rejecting row for
+        # endpoints in none (rows whose pairs this set never accepted)
+        window = np.vstack([part.acc for part in parts]
+                           + [np.zeros((1, m_y), dtype=bool)])
+        loc = np.full(self.m_x, -1, dtype=np.intp)
+        loc[np.concatenate([part.x for part in parts])] = np.arange(window.shape[0] - 1)
+        la, lb = loc[self.xnbr[edges, 0]], loc[self.xnbr[edges, 1]]
+        y, j = np.nonzero((window[la] & window[lb]).T)
+        if not y.size:
+            return None
+        # each accepted pair's part, and its row in that part's legs
+        pos = np.cumsum(window.ravel()) - 1
+        pa, pb = pos[la[j] * m_y + y], pos[lb[j] * m_y + y]
+        offsets = np.cumsum([0] + [int(part.acc.sum()) for part in parts])
+        part_a = np.searchsorted(offsets, pa, side="right") - 1
+        part_b = np.searchsorted(offsets, pb, side="right") - 1
+        combo = part_a * len(parts) + part_b
+        supdiff = np.zeros(y.size)
+        for c in np.unique(combo):
+            sel = np.flatnonzero(combo == c)
+            ka, kb = divmod(int(c), len(parts))
+            ia, ib = pa[sel] - offsets[ka], pb[sel] - offsets[kb]
+            for leg_a, leg_b in zip(parts[ka].legs, parts[kb].legs):
+                supdiff[sel] = np.maximum(
+                    supdiff[sel], self.space.supdiff_pairs(leg_a, ia, ib, leg_b))
+        allowed = self.modulus * self.xdist[edges[j]]
+        bad = supdiff > allowed
+        if not bad.any():
+            return None
+        w = int(np.argmax(bad))
+        e, yw = int(edges[j[w]]), int(y[w])
+        a, b = self.xnbr[e]
+        return Deferred(
+            (yw // self.chunk_rows, s, yw, e),
+            _continuity_failure(self.cover.sets[s], (self.xpts[a], self.ypts[yw]),
+                                (self.xpts[b], self.ypts[yw]), supdiff[w], allowed[w]))
 
 
 _WORKER_JOBS: list = []
@@ -211,38 +378,41 @@ def usable_cpus() -> int:
 
 
 def first_failure(jobs, workers: int | None = None):
-    """The first non-None result of the zero-argument jobs, in job order.
+    """The first failure of the zero-argument jobs.
 
-    Jobs run on min(workers, len(jobs)) worker processes, serially when that
-    is one.  By default workers is usable_cpus(), or 1 when the numba
-    kernels are in use: they already run on every core, and their threading
-    layers are not safe to fork once a parallel region has run.  Covers hold
-    closures, which cannot be pickled, so the job table reaches the workers
-    by fork inheritance; only job indices and results cross the process
-    boundary.  Results are taken in job order and the first failure stops
-    the run, so the outcome is exactly that of the serial loop.
+    A job returns None, a failure or a Deferred failure.  The first plain
+    failure in job order wins and stops the run; without one, the Deferred
+    with the least key does.  Jobs run on min(workers, len(jobs)) worker
+    processes, usable_cpus() by default, and serially when that is one.
+    Covers hold closures, which cannot be pickled, so the job table reaches
+    the workers by fork inheritance; only job indices and results cross the
+    process boundary.  Results are taken in job order, so the outcome is
+    exactly that of the serial loop.
     """
     if workers is None:
-        workers = 1 if _kernels.HAVE_NUMBA else usable_cpus()
+        workers = usable_cpus()
     workers = min(workers, len(jobs))
     if workers <= 1 or "fork" not in mp.get_all_start_methods():
-        for job in jobs:
-            found = job()
-            if found:
-                return found
-        return None
+        return _first(job() for job in jobs)
     pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
                                initializer=_set_worker_jobs, initargs=(jobs,))
     try:
         futures = [pool.submit(_run_worker_job, i) for i in range(len(jobs))]
-        for future in futures:
-            found = future.result()
-            if found:
-                return found
-        return None
+        return _first(future.result() for future in futures)
     finally:
         # drop queued jobs; a worker that died raises BrokenProcessPool above
         pool.shutdown(cancel_futures=True)
+
+
+def _first(results):
+    deferred = None
+    for found in results:
+        if isinstance(found, Deferred):
+            if deferred is None or found < deferred:
+                deferred = found
+        elif found:
+            return found
+    return None if deferred is None else deferred.failure
 
 
 def verify_cat_cover(cover: PlannerCover, basepoint=None, **params) -> Certification:

@@ -62,17 +62,29 @@ class Space:
         """Max over the sample axis of dist(a, b); a, b shaped (..., n, d)."""
         return self.dist(a, b).max(axis=-1)
 
-    def supdiff_pairs(self, leg, ia, ib):
-        """supdiff(leg[ia], leg[ib]) without materializing the gathers."""
+    def supdiff_pairs(self, leg, ia, ib, other=None):
+        """supdiff(leg[ia], other[ib]) without materializing the gathers;
+        `other` defaults to `leg`."""
+        leg, other = _moving_samples(leg, other)
         out = np.empty(ia.shape[0])
         for lo in range(0, ia.shape[0], EDGE_CHUNK):
             hi = lo + EDGE_CHUNK
-            out[lo:hi] = self.supdiff(leg[ia[lo:hi]], leg[ib[lo:hi]])
+            out[lo:hi] = self.supdiff(leg[ia[lo:hi]], other[ib[lo:hi]])
         return out
 
     def constant_path(self, p, n):
         p = np.asarray(p, dtype=float)
         return np.repeat(p[..., None, :], n, axis=-2)
+
+
+def _moving_samples(leg, other):
+    """Both leg arrays, cut to their first sample when neither moves along
+    the sample axis (zero stride: every sample is the same point), which
+    leaves every sup over samples bit-identical."""
+    other = leg if other is None else other
+    if leg.strides[1] == 0 and other.strides[1] == 0:
+        return leg[:, :1], other[:, :1]
+    return leg, other
 
 
 def _as_batch(p):
@@ -136,21 +148,19 @@ class Sphere(Space):
         chord2 = ((a - b) ** 2).sum(axis=-1).max(axis=-1)
         return 2.0 * np.arcsin(np.clip(np.sqrt(chord2) / 2.0, 0.0, 1.0))
 
-    def supdiff_pairs(self, leg, ia, ib):
-        from ._kernels import max_chord2_pairs
-        chord2 = max_chord2_pairs(leg, ia, ib)
-        if chord2 is None:
-            chord2 = np.empty(ia.shape[0])
-            for lo in range(0, ia.shape[0], EDGE_CHUNK):
-                hi = lo + EDGE_CHUNK
-                sq = leg[ia[lo:hi]]
-                sq -= leg[ib[lo:hi]]
-                sq *= sq
-                # coordinates added in order, bit-identical to supdiff's sum
-                total = sq[..., 0]
-                for c in range(1, sq.shape[-1]):
-                    total = total + sq[..., c]
-                chord2[lo:hi] = total.max(axis=-1)
+    def supdiff_pairs(self, leg, ia, ib, other=None):
+        leg, other = _moving_samples(leg, other)
+        chord2 = np.empty(ia.shape[0])
+        for lo in range(0, ia.shape[0], EDGE_CHUNK):
+            hi = lo + EDGE_CHUNK
+            sq = leg[ia[lo:hi]]
+            sq -= other[ib[lo:hi]]
+            sq *= sq
+            # coordinates added in order, bit-identical to supdiff's sum
+            total = sq[..., 0]
+            for c in range(1, sq.shape[-1]):
+                total = total + sq[..., c]
+            chord2[lo:hi] = total.max(axis=-1)
         return 2.0 * np.arcsin(np.clip(np.sqrt(chord2) / 2.0, 0.0, 1.0))
 
     def _ring_sizes(self, resolution):
@@ -235,13 +245,6 @@ class FlatTorus(Space):
     def supdiff(self, a, b):
         rep = self._min_rep(b - a)
         return np.sqrt((rep ** 2).sum(axis=-1).max(axis=-1))
-
-    def supdiff_pairs(self, leg, ia, ib):
-        from ._kernels import max_torus2_pairs
-        d2 = max_torus2_pairs(leg, ia, ib)
-        if d2 is None:
-            return super().supdiff_pairs(leg, ia, ib)
-        return np.sqrt(d2)
 
     def geodesic(self, p, q, n):
         p, single = _as_batch(p)

@@ -41,8 +41,8 @@ class CoverSet:
         X = np.asarray(x, float)[None, :]
         Y = np.asarray(y, float)[None, :]
         legs = self.build_legs(X, Y, n)
-        return BrokenPath(legs=[SampledPath(action.space, leg[0]) for leg in legs],
-                          action=action)
+        return BrokenPath(legs=[SampledPath(action.space, np.array(leg[0]))
+                                for leg in legs], action=action)
 
 
 @dataclass
@@ -73,7 +73,8 @@ class PlannerCover:
 # --------------------------------------------------------------- helpers
 
 def _const_legs(points, n):
-    return np.repeat(points[:, None, :], n, axis=1)
+    """Constant legs as a read-only view: every sample is the row's point."""
+    return np.broadcast_to(points[:, None, :], (points.shape[0], n, points.shape[1]))
 
 
 def _guard_arc(space, P, Q):
@@ -518,8 +519,7 @@ def embed_cover(cover: PlannerCover, name: str | None = None) -> PlannerCover:
     for cs in cover.sets:
         def legs(X, Y, m, cs=cs):
             base = cs.build_legs(X, Y, m)
-            tail = np.repeat(base[-1][:, -1:, :], m, axis=1)
-            return base + [tail]
+            return base + [_const_legs(base[-1][:, -1, :], m)]
 
         sets.append(CoverSet(cs.name, cs.stage + 1, cs.margin, legs))
     return PlannerCover(action=cover.action, sets=sets, stage=cover.stage + 1,

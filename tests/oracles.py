@@ -5,7 +5,9 @@ from scratch (dense mod-2 row reduction, explicit simplex combinatorics,
 generator-subset closures) so they share no code path with the package
 implementation they check.  The zero-divisor oracle takes the other route
 through the package instead: it builds the staircase product X x X and
-computes its cohomology, where the package works in H*(X) (x) H*(X).
+computes its cohomology, where the package works in H*(X) (x) H*(X).  The
+certification oracle is the two-pass grid sweep that the one-pass sweep of
+`verify_cover` replaced: it evaluates every section twice, once per pass.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from efftc.bounds import Certification
 from efftc.complexes import Cochain, coboundary_space, cohomology, cup_length
 from efftc.f2 import F2Matrix
 from efftc.symmetry import product_complex, saturated_diagonal
@@ -183,3 +186,131 @@ def product_zero_divisor_cup_length(action) -> int:
     """Zero-divisor cup length on the materialised product X x X."""
     P, kernel = product_zero_divisors(action)
     return cup_length(P, kernel) if kernel else 0
+
+
+def two_pass_verify_cover(cover, grid: int = 32, epsilon: float = 0.05,
+                          delta: float = 1e-6, modulus: float = 10.0,
+                          samples: int = 64,
+                          budget: int = 2_000_000) -> Certification:
+    """verify_cover as two serial passes: x-row chunks (coverage, validation,
+    continuity along y), then y-row chunks (continuity along x), each chunk
+    checking set by set and building its own legs.  `budget` is the
+    sample budget of a chunk (verify_cover's SAMPLE_BUDGET)."""
+    action = cover.action
+    space = action.space
+    params = {"grid": grid, "epsilon": epsilon, "delta": delta,
+              "modulus": modulus, "samples": samples}
+    ypts = space.grid(grid)
+    ynbr = space.grid_neighbor_pairs(grid)
+    if cover.kind == "cat":
+        xpts = np.asarray(cover.basepoint, float)[None, :]
+        xnbr = np.zeros((0, 2), dtype=np.intp)
+    else:
+        xpts = ypts
+        xnbr = ynbr
+
+    m_y = ypts.shape[0]
+    m_x = xpts.shape[0]
+    endpoint_tol = 1e-6
+    chunk_rows = max(1, budget // (m_y * samples))
+
+    def failure(reason, **detail):
+        return {"reason": reason, **detail}
+
+    def continuity(cs, X, Y, legs, pos, a, b, indist):
+        supdiff = np.zeros(a.size)
+        for leg in legs:
+            supdiff = np.maximum(
+                supdiff, space.supdiff_pairs(leg, pos[a], pos[b]))
+        bad = supdiff > modulus * indist
+        if bad.any():
+            w = int(np.argmax(bad))
+            return failure("continuity", set=cs.name,
+                           pair=[X[a[w]].tolist(), Y[a[w]].tolist()],
+                           neighbor=[X[b[w]].tolist(), Y[b[w]].tolist()],
+                           supdiff=float(supdiff[w]),
+                           allowed=float(modulus * indist[w]))
+        return None
+
+    def x_chunk(start):
+        xidx = np.arange(start, min(start + chunk_rows, m_x))
+        k = xidx.size
+        X = np.repeat(xpts[xidx], m_y, axis=0)
+        Y = np.tile(ypts, (k, 1))
+        total = k * m_y
+        base = np.arange(k) * m_y
+        nbr_a = (base[:, None] + ynbr[None, :, 0]).ravel()
+        nbr_b = (base[:, None] + ynbr[None, :, 1]).ravel()
+        nbr_dist = np.tile(space.dist(ypts[ynbr[:, 0]], ypts[ynbr[:, 1]]), k)
+        covered = np.zeros(total, dtype=bool)
+        for cs in cover.sets:
+            acc = cs.margin(X, Y) >= epsilon
+            covered |= acc
+            if not acc.any():
+                continue
+            rows = np.nonzero(acc)[0]
+            legs = cs.build_legs(X[rows], Y[rows], samples)
+            for i in range(len(legs) - 1):
+                joint = action.orbit_dist(legs[i][:, -1], legs[i + 1][:, 0])
+                bad = joint > delta
+                if bad.any():
+                    r = rows[int(np.argmax(bad))]
+                    return failure("validation", set=cs.name,
+                                   pair=[X[r].tolist(), Y[r].tolist()],
+                                   joint_residual=float(joint.max()))
+            res0 = space.dist(legs[0][:, 0], X[rows])
+            res1 = space.dist(legs[-1][:, -1], Y[rows])
+            bad = (res0 > endpoint_tol) | (res1 > endpoint_tol)
+            if bad.any():
+                r = rows[int(np.argmax(bad))]
+                return failure("validation", set=cs.name,
+                               pair=[X[r].tolist(), Y[r].tolist()],
+                               endpoint_residual=float(max(res0.max(), res1.max())))
+            pos = np.full(total, -1, dtype=np.intp)
+            pos[rows] = np.arange(rows.size)
+            both = acc[nbr_a] & acc[nbr_b]
+            if both.any():
+                found = continuity(cs, X, Y, legs, pos, nbr_a[both],
+                                   nbr_b[both], nbr_dist[both])
+                if found:
+                    return found
+        if not covered.all():
+            r = int(np.argmax(~covered))
+            return failure("coverage", pair=[X[r].tolist(), Y[r].tolist()])
+        return None
+
+    def y_chunk(start):
+        yidx = np.arange(start, min(start + chunk_rows, m_y))
+        k = yidx.size
+        Y = np.repeat(ypts[yidx], m_x, axis=0)
+        X = np.tile(xpts, (k, 1))
+        total = k * m_x
+        base = np.arange(k) * m_x
+        nbr_a = (base[:, None] + xnbr[None, :, 0]).ravel()
+        nbr_b = (base[:, None] + xnbr[None, :, 1]).ravel()
+        nbr_dist = np.tile(space.dist(xpts[xnbr[:, 0]], xpts[xnbr[:, 1]]), k)
+        for cs in cover.sets:
+            acc = cs.margin(X, Y) >= epsilon
+            both = acc[nbr_a] & acc[nbr_b]
+            if not both.any():
+                continue
+            rows = np.nonzero(acc)[0]
+            legs = cs.build_legs(X[rows], Y[rows], samples)
+            pos = np.full(total, -1, dtype=np.intp)
+            pos[rows] = np.arange(rows.size)
+            found = continuity(cs, X, Y, legs, pos, nbr_a[both], nbr_b[both],
+                               nbr_dist[both])
+            if found:
+                return found
+        return None
+
+    jobs = [lambda s=start: x_chunk(s) for start in range(0, m_x, chunk_rows)]
+    if xnbr.size:
+        jobs += [lambda s=start: y_chunk(s) for start in range(0, m_y, chunk_rows)]
+    found = next((f for f in (job() for job in jobs) if f), None)
+    if found:
+        return Certification(certified=False, bound=None, params=params,
+                             sets=len(cover.sets), stage=cover.stage,
+                             failure=found)
+    return Certification(certified=True, bound=cover.claimed_bound, params=params,
+                         sets=len(cover.sets), stage=cover.stage)

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-import efftc._kernels
 from efftc.bounds import (
     cd_bound_check,
     orbit_nilpotency_lower_bound,
@@ -35,8 +34,6 @@ from efftc.symmetry import (
 )
 
 from oracles import oracle_betti
-
-efftc._kernels.warmup()
 
 _RESULTS: dict = {}
 _TIMES: dict = {}

@@ -132,17 +132,28 @@ def test_first_failure_takes_job_order(monkeypatch):
 
 
 def test_first_failure_defaults_to_usable_cpus(monkeypatch):
-    import efftc._kernels as K
     monkeypatch.setattr(bounds, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(K, "HAVE_NUMBA", False)
     parent = os.getpid()
     jobs = [lambda: os.getpid(), lambda: os.getpid()]
     if "fork" in multiprocessing.get_all_start_methods():
         assert first_failure(jobs) != parent
-    # the numba kernels already use every core: no worker processes then
-    monkeypatch.setattr(K, "HAVE_NUMBA", True)
+    # one usable CPU: the jobs run in this process
+    monkeypatch.setattr(bounds, "usable_cpus", lambda: 1)
     assert first_failure(jobs) == parent
     assert 1 <= bounds.usable_cpus() <= (os.cpu_count() or 1)
+
+
+def test_first_failure_defers_to_plain_failures():
+    # a plain failure of any job beats every Deferred; among Deferred
+    # failures the least key wins, whatever the job order
+    late = bounds.Deferred((0, 1), {"x": "late"})
+    early = bounds.Deferred((0, 0), {"x": "early"})
+    for workers in (1, 2):
+        assert first_failure([lambda: late, lambda: None, lambda: early],
+                             workers) == {"x": "early"}
+        assert first_failure([lambda: early, lambda: {"plain": 1}, lambda: None],
+                             workers) == {"plain": 1}
+        assert first_failure([lambda: None, lambda: None], workers) is None
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -241,9 +241,8 @@ def test_path_csv(tmp_path):
     assert data.shape == (8, 2)
 
 
-def test_kernel_fallbacks_match_numba(monkeypatch):
-    # every available slerp path (numpy always, numba when installed)
-    # against the closed form (sin((1-t)a) P + sin(ta) Q) / sin(a)
+def test_slerp_matches_closed_form():
+    # the Chebyshev recurrence against (sin((1-t)a) P + sin(ta) Q) / sin(a)
     import efftc._kernels as K
     s = Sphere(2)
     rng = np.random.default_rng(4)
@@ -259,16 +258,11 @@ def test_kernel_fallbacks_match_numba(monkeypatch):
                    + np.sin(t * theta) * Q[:, None, :]) / np.sin(theta)
         return np.where(theta > 0, out, P[:, None, :])
 
-    for have_numba in sorted({False, K.HAVE_NUMBA}):
-        monkeypatch.setattr(K, "HAVE_NUMBA", have_numba)
-        assert np.allclose(K.slerp_batch(P, Q, 17), closed_form(P, Q, 17),
-                           atol=1e-9)
-        chain = K.slerp_chain([(P, Q), (Q, P)], 16)
-        expected = np.concatenate([closed_form(P, Q, 8), closed_form(Q, P, 8)],
-                                  axis=1)
-        assert np.allclose(chain, expected, atol=1e-9)
-    monkeypatch.setattr(K, "HAVE_NUMBA", False)
-    assert K.max_chord2_pairs(chain, np.array([0]), np.array([1])) is None
+    assert np.allclose(K.slerp_batch(P, Q, 17), closed_form(P, Q, 17), atol=1e-9)
+    chain = K.slerp_chain([(P, Q), (Q, P)], 16)
+    expected = np.concatenate([closed_form(P, Q, 8), closed_form(Q, P, 8)],
+                              axis=1)
+    assert np.allclose(chain, expected, atol=1e-9)
 
 
 def test_rowspace_python_fallback():
@@ -293,11 +287,9 @@ def test_rowspace_python_fallback():
     assert not space.reduce_batch(vecs).any()
 
 
-def test_chunked_sup_scans_match_full_gather(monkeypatch):
+def test_chunked_sup_scans_match_full_gather():
     # an edge count that is not a multiple of the scan chunk
-    import efftc._kernels as K
     from efftc.pathspace import EDGE_CHUNK
-    monkeypatch.setattr(K, "HAVE_NUMBA", False)
     rng = np.random.default_rng(11)
     edges = 3 * EDGE_CHUNK + 17
     for space in (Sphere(2), FlatTorus(2)):
@@ -306,3 +298,27 @@ def test_chunked_sup_scans_match_full_gather(monkeypatch):
         ib = rng.integers(0, 50, size=edges)
         assert np.array_equal(space.supdiff_pairs(leg, ia, ib),
                               space.supdiff(leg[ia], leg[ib]))
+
+
+def test_sup_scans_on_constant_views_match_copies():
+    # a constant leg pair is compared on its first sample only; the result
+    # must equal the full scan of contiguous copies, bit for bit
+    from efftc.planners import _const_legs
+    rng = np.random.default_rng(12)
+    for space in (Sphere(2), FlatTorus(2)):
+        pts = space.random_points(rng, 60)
+        moving = np.stack([space.random_points(rng, 9) for _ in range(60)])
+        const = _const_legs(pts, 9)
+        other = _const_legs(space.random_points(rng, 60), 9)
+        ia = rng.integers(0, 60, size=600)
+        ib = rng.integers(0, 60, size=600)
+        for leg, second in ((const, None), (const, other), (const, moving),
+                            (moving, const)):
+            dense = np.ascontiguousarray(leg)
+            dense_second = None if second is None else np.ascontiguousarray(second)
+            expected = space.supdiff_pairs(dense, ia, ib, dense_second)
+            assert np.array_equal(space.supdiff_pairs(leg, ia, ib, second),
+                                  expected)
+            full = space.supdiff(dense[ia], (dense if second is None
+                                             else dense_second)[ib])
+            assert np.array_equal(expected, full)

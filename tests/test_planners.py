@@ -305,3 +305,42 @@ def test_farber_sections_validate_on_s3():
     pts = act.space.random_points(rng, 10)
     for i in range(5):
         plan_and_validate(cover, pts[2 * i], pts[2 * i + 1])
+
+
+def test_constant_legs_are_read_only_views():
+    from efftc.planners import _const_legs
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(7, 3))
+    leg = _const_legs(pts, 64)
+    assert leg.shape == (7, 64, 3) and leg.strides[1] == 0
+    assert np.shares_memory(leg, pts) and not leg.flags.writeable
+    assert np.array_equal(leg, np.repeat(pts[:, None, :], 64, axis=1))
+
+    space = sphere_codim1(2).space
+    X, Y = space.random_points(rng, 5), space.random_points(rng, 5)
+    first, _, last = involution_three_stage_planner(
+        sphere_codim1(2)).sets[0].build_legs(X, Y, 64)
+    for leg, end in ((first, X), (last, Y)):
+        assert leg.strides[1] == 0 and not leg.flags.writeable
+        assert np.array_equal(leg, np.repeat(end[:, None, :], 64, axis=1))
+    # the tail an embedding appends is a view of the last leg's endpoints
+    base = farber_sphere_cover(sphere_codim1(2))
+    legs = embed_cover(base).sets[0].build_legs(X, Y, 64)
+    assert len(legs) == 2 and legs[1].strides[1] == 0
+    assert np.shares_memory(legs[1], legs[0]) and not legs[1].flags.writeable
+    assert np.array_equal(legs[1], np.repeat(legs[0][:, -1:, :], 64, axis=1))
+
+
+def test_section_one_and_plan_return_valid_paths():
+    cover = involution_three_stage_planner(sphere_codim1(2))
+    rng = np.random.default_rng(6)
+    x, y = cover.action.space.random_points(rng, 2)
+    bp = cover.sets[0].section_one(cover.action, x, y)
+    assert [leg.points.shape for leg in bp.legs] == [(64, 3)] * 3
+    assert all(leg.points.flags.writeable for leg in bp.legs)
+    assert np.array_equal(bp.legs[0].points, np.repeat(x[None, :], 64, axis=0))
+    assert validate_broken_path(bp, request=(x, y)).valid
+    name, bp = plan_and_validate(embed_cover(cover), x, y)
+    assert name == "U" and bp.stage == 4
+    assert np.array_equal(bp.legs[-1].points, np.repeat(y[None, :], 64, axis=0))
+    assert bp.legs[-1].max_gap() == 0.0

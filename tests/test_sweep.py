@@ -1,0 +1,207 @@
+"""The one-pass certification sweep against the two-pass oracle.
+
+`verify_cover` evaluates every accepted (pair, set) once and checks the
+continuity along x from a halo of earlier rows; `two_pass_verify_cover`
+(tests/oracles.py) is the sweep it replaced.  Their Certifications, failure
+dicts included, must be identical on one CPU and on two.
+"""
+
+import time
+from unittest import mock
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from efftc import bounds, models, planners
+from efftc.bounds import verify_cover
+from efftc.pathspace import FlatTorus, Sphere, trivial_space_action
+from efftc.planners import CoverSet, PlannerCover, embed_cover
+from efftc.scenarios import BUILTINS, build_bundle, build_planner
+
+from oracles import two_pass_verify_cover
+
+# the criterion-7b catalog covers, at their grids
+CATALOG_COVERS = [
+    ("point", "point", 16),
+    ("s1-antipodal", "covering-lift", 32),
+    ("s1-flip", "strict-section", 32),
+    ("s1-flip", "involution2", 32),
+    ("s2-involution", "farber", 16),
+    ("s2-involution", "involution2", 16),
+    ("s2-involution", "involution3", 16),
+    ("s2-involution", "cat-strict-section", 16),
+    ("s2-antipodal", "involution2", 16),
+    ("s2-antipodal", "cat-covering-lift", 16),
+    ("s2-antipodal", "cat-geodesic", 16),
+    ("t2-trivial", "torus-cut", 32),
+    ("t2-halfturn", "covering-lift", 32),
+    ("wedge-z2", "wedge", 32),
+    ("wedge-z3", "wedge", 32),
+]
+
+
+def assert_matches_oracle(cover, grid, budget=bounds.SAMPLE_BUDGET, **params):
+    expected = two_pass_verify_cover(cover, grid=grid, budget=budget, **params)
+    for cpus in (1, 2):
+        with mock.patch.object(bounds, "usable_cpus", lambda n=cpus: n), \
+                mock.patch.object(bounds, "SAMPLE_BUDGET", budget):
+            got = verify_cover(cover, grid=grid, **params)
+        assert got == expected, (cover.name, grid, cpus, got, expected)
+    return expected
+
+
+def with_jump(cover, jump, end_error=None):
+    """The cover with the interior samples of set s's first leg shifted by
+    jump(s, X, Y), and its last leg's end by end_error(s, X, Y): a
+    discontinuous jump breaks continuity and nothing else."""
+    def wrap(s, cs):
+        def legs(X, Y, m):
+            out = [np.array(leg) for leg in cs.build_legs(X, Y, m)]
+            out[0][:, 1:-1] += jump(s, X, Y)[:, None, :]
+            if end_error is not None:
+                out[-1][:, -1] += end_error(s, X, Y)
+            return out
+        return CoverSet(cs.name, cs.stage, cs.margin, legs)
+    return PlannerCover(action=cover.action,
+                        sets=[wrap(s, cs) for s, cs in enumerate(cover.sets)],
+                        stage=cover.stage, kind=cover.kind,
+                        basepoint=cover.basepoint, name=cover.name + "+jump")
+
+
+def test_sweep_matches_oracle_on_catalog_and_embedded_covers():
+    for scenario, planner, grid in CATALOG_COVERS:
+        bundle = build_bundle(BUILTINS[scenario])
+        cover = build_planner(planner, bundle)
+        for c in (cover, embed_cover(cover)):
+            assert assert_matches_oracle(c, grid).certified, (scenario, planner)
+
+
+def test_sweep_matches_oracle_on_adversarial_covers():
+    for make in (models.sphere_antipodal, models.sphere_codim1,
+                 models.sphere_rotation, models.sphere_trivial):
+        action = make(2)
+        for honest in (False, True):
+            cover = planners.adversarial_sphere_cover(action, honest_membership=honest)
+            for grid in (16, 24, 32, 40):
+                assert not assert_matches_oracle(cover, grid).certified
+
+
+def test_sweep_finds_failures_on_wrap_edges():
+    # a jump as the first coordinate of x wraps: only the continuity along
+    # x fails, on the wrap-around edges, which the last block closes
+    circle = planners.circle_cover(trivial_space_action(Sphere(1)))
+
+    def angle_jump(s, X, Y):
+        return (np.arctan2(X[:, 1], X[:, 0]) % (2 * np.pi))[:, None] * [0.5, 0.0]
+
+    cert = assert_matches_oracle(with_jump(circle, angle_jump), 32)
+    assert cert.failure["reason"] == "continuity"
+    assert cert.failure["pair"][0] != cert.failure["neighbor"][0]
+
+    # T^2 on a 10 x 10 grid with L = 4, where L h = 0.4 < diam T^2 (at the
+    # default L no continuity check on T^2 can fail)
+    torus = with_jump(planners.torus_cut_cover(trivial_space_action(FlatTorus(2))),
+                      lambda s, X, Y: X[:, :1] * [[0.45, 0.45]])
+    cert = assert_matches_oracle(torus, 100, modulus=4.0)
+    assert cert.failure["reason"] == "continuity"
+    (x, y), (nx, ny) = cert.failure["pair"], cert.failure["neighbor"]
+    assert y == ny and abs(x[0] - nx[0]) > 0.5      # a wrap edge along x
+    # the same with chunks of three rows, split over blocks and runs
+    assert assert_matches_oracle(torus, 100, budget=3 * 100 * 64,
+                                 modulus=4.0) == cert
+
+
+def test_sweep_finds_x_failures_across_blocks():
+    # a jump between two latitude rings of S^2: edges from one block to an
+    # earlier one fail; small budgets put block and chunk edges everywhere
+    cover = planners.farber_sphere_cover(models.sphere_codim1(2))
+    jumpy = with_jump(cover, lambda s, X, Y: (X[:, :1] > 0.3) * [[0.0, 0.0, 3.0]])
+    for budget in (bounds.SAMPLE_BUDGET, 40 * 172 * 64, 7 * 172 * 64):
+        cert = assert_matches_oracle(jumpy, 16, budget=budget)
+        assert cert.failure["reason"] == "continuity"
+        assert cert.failure["pair"][0] != cert.failure["neighbor"][0]
+    # among x failures the earlier y chunk wins over the earlier set: U1
+    # jumps only on the southern y rows (ramped in, so that nothing fails
+    # along y), U3 (accepted from y0 < 0.9 on) everywhere
+    def gated_jump(s, X, Y):
+        ramp = np.clip(1.5 * (-0.3 - Y[:, :1]), 0.0, 1.0) if s == 0 else (s == 2)
+        return (X[:, :1] > 0.3) * ramp * [[0.0, 0.0, 3.0]]
+
+    gated = with_jump(cover, gated_jump)
+    cert = assert_matches_oracle(gated, 16, budget=20 * 172 * 64)
+    assert cert.failure["set"] == "U3"
+
+
+def test_sweep_reports_the_first_failure_of_the_whole_chunk():
+    # in the first chunk (45 rows at grid 32), U1 jumps along y on the first
+    # rings (rows 0-9, the first block) and misses its endpoints on the
+    # fourth ring (rows 20 on, a later block); the chunk reports the
+    # endpoints first, with the largest residual of the whole chunk
+    cover = planners.farber_sphere_cover(models.sphere_codim1(2))
+
+    def jump(s, X, Y):
+        return ((s == 0) & (X[:, 0] > 0.97) & (Y[:, 0] > 0.0))[:, None] * [[0.0, 3.0, 0.0]]
+
+    def end_error(s, X, Y):
+        ring = (s == 0) & (X[:, 0] > 0.9) & (X[:, 0] < 0.94)
+        return (ring * 1e-3 * (1.0 + 10.0 * (0.94 - X[:, 0])))[:, None] * [[1.0, 0.0, 0.0]]
+
+    cert = assert_matches_oracle(with_jump(cover, jump, end_error), 32)
+    assert cert.failure["reason"] == "validation" and cert.failure["set"] == "U1"
+
+
+def test_sweep_with_more_runs_than_cpus():
+    # four runs on this machine's CPUs share the fork-inherited failure flags:
+    # an early refutation ends the later runs, and every answer is the
+    # oracle's, within a time bound
+    cover = planners.farber_sphere_cover(models.sphere_codim1(2))
+    jumpy = with_jump(cover, lambda s, X, Y: (X[:, :1] > 0.3) * [[0.0, 0.0, 3.0]])
+    adversarial = planners.adversarial_sphere_cover(models.sphere_antipodal(2),
+                                                    honest_membership=True)
+    for c, grid in ((adversarial, 32), (jumpy, 16), (cover, 16)):
+        expected = two_pass_verify_cover(c, grid=grid)
+        with mock.patch.object(bounds, "usable_cpus", lambda: 4):
+            start = time.monotonic()
+            assert verify_cover(c, grid=grid) == expected
+            assert time.monotonic() - start < 60.0
+
+
+SPACES = {
+    "circle": (Sphere(1), lambda a: planners.farber_sphere_cover(a)),
+    "sphere": (Sphere(2), lambda a: planners.farber_sphere_cover(a)),
+    "torus": (FlatTorus(2), lambda a: planners.torus_cut_cover(a)),
+}
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(sorted(SPACES)), grid=st.integers(6, 14),
+       chunk_rows=st.integers(1, 40), modulus=st.floats(0.5, 12.0),
+       seed=st.integers(0, 2**16), bad_ends=st.booleans())
+def test_sweep_matches_oracle_on_random_jumps(kind, grid, chunk_rows, modulus,
+                                              seed, bad_ends):
+    # per set, jumps along x gated by y and along y gated by x, at random
+    # cuts; optional endpoint errors of varying size; and a chunk size that
+    # splits the grid anywhere
+    space, make = SPACES[kind]
+    rng = np.random.default_rng(seed)
+    d = space.point_dim
+    cuts = rng.normal(size=(3, 4, d)), rng.uniform(-0.6, 0.6, size=(3, 4))
+    sizes = rng.uniform(-0.6, 0.6, size=(3, 2, d))
+
+    def side(s, k, P):
+        return P @ cuts[0][s, k] > cuts[1][s, k]
+
+    def jump(s, X, Y):
+        along_x = side(s, 0, X) & side(s, 1, Y)
+        along_y = side(s, 2, Y) & side(s, 3, X)
+        return np.outer(along_x, sizes[s, 0]) + np.outer(along_y, sizes[s, 1])
+
+    def end_error(s, X, Y):
+        return np.outer(side(s, 3, X) & side(s, 0, Y), sizes[s, 0]) * 1e-2
+
+    cover = with_jump(make(trivial_space_action(space)), jump,
+                      end_error if bad_ends else None)
+    m_y = len(space.grid(grid))
+    assert_matches_oracle(cover, grid, budget=chunk_rows * m_y * 8,
+                          modulus=modulus, samples=8)
