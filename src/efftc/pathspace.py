@@ -87,6 +87,15 @@ def _moving_samples(leg, other):
     return leg, other
 
 
+def wrapped_lines(p, rep, n, period):
+    """Samples t = 0..1 of the lines p + t rep, taken mod period in place:
+    (M, d), (M, d) -> (M, n, d), holding no array beyond the result."""
+    t = np.linspace(0.0, 1.0, n)
+    pts = t[None, :, None] * rep[:, None, :]
+    pts += p[:, None, :]
+    return np.mod(pts, period, out=pts)
+
+
 def _as_batch(p):
     p = np.asarray(p, dtype=float)
     return (p[None, :], True) if p.ndim == 1 else (p, False)
@@ -194,26 +203,33 @@ class Sphere(Space):
         raise NotImplementedError("verification grids implemented for S^1, S^2")
 
     def grid_neighbor_pairs(self, resolution):
+        """Ring edges (i, next on the ring), so each ring's wrap edge runs
+        from its last point to its first; edges between consecutive rings,
+        from each point of either ring to the nearest longitude of the
+        other, as (lower index, higher index).  Distinct, in lexicographic
+        order."""
         if self.n == 1:
-            r = resolution + (resolution % 2)
-            return np.array([(k, (k + 1) % r) for k in range(r)], dtype=np.intp)
+            k = np.arange(resolution + (resolution % 2))
+            return np.stack([k, np.roll(k, -1)], axis=1).astype(np.intp)
         if self.n == 2:
-            theta, sizes = self._ring_sizes(resolution)
+            _, sizes = self._ring_sizes(resolution)
             offsets = np.concatenate([[0], np.cumsum(sizes)])
-            pairs = set()
-            for j, nl in enumerate(sizes):
-                base = offsets[j]
-                for k in range(nl):
-                    pairs.add((base + k, base + (k + 1) % nl))
-                if j + 1 < len(sizes):
-                    nxt, base2 = sizes[j + 1], offsets[j + 1]
-                    for k in range(nl):
-                        k2 = int(np.round(k * nxt / nl)) % nxt
-                        pairs.add(tuple(sorted((base + k, base2 + k2))))
-                    for k2 in range(nxt):
-                        k1 = int(np.round(k2 * nl / nxt)) % nl
-                        pairs.add(tuple(sorted((base + k1, base2 + k2))))
-            return np.array(sorted(pairs), dtype=np.intp)
+            ring = np.repeat(np.arange(sizes.size), sizes)
+            k = np.arange(offsets[-1]) - offsets[ring]
+            nl = sizes[ring]
+            along = [offsets[ring] + k, offsets[ring] + (k + 1) % nl]
+            # from ring j down to ring j + 1, and from ring j + 1 up to ring j
+            down = ring < sizes.size - 1
+            nxt = sizes[ring[down] + 1]
+            k2 = np.round(k[down] * nxt / nl[down]).astype(np.intp) % nxt
+            to_next = [np.flatnonzero(down), offsets[ring[down] + 1] + k2]
+            up = ring > 0
+            prev = sizes[ring[up] - 1]
+            k1 = np.round(k[up] * prev / nl[up]).astype(np.intp) % prev
+            to_prev = [offsets[ring[up] - 1] + k1, np.flatnonzero(up)]
+            edges = np.stack([np.concatenate(side)
+                              for side in zip(along, to_next, to_prev)], axis=1)
+            return np.ascontiguousarray(np.unique(edges, axis=0), dtype=np.intp)
         raise NotImplementedError
 
     def random_points(self, rng, m):
@@ -250,9 +266,7 @@ class FlatTorus(Space):
         p, single = _as_batch(p)
         q, _ = _as_batch(q)
         p, q = np.broadcast_arrays(p, q)
-        rep = self._min_rep(q - p)
-        t = np.linspace(0.0, 1.0, n)
-        pts = np.mod(p[:, None, :] + t[None, :, None] * rep[:, None, :], 1.0)
+        pts = wrapped_lines(p, self._min_rep(q - p), n, 1.0)
         pts[:, -1, :] = np.mod(q, 1.0)
         return pts[0] if single and pts.shape[0] == 1 else pts
 
@@ -302,9 +316,7 @@ class Circle(Space):
         p, single = _as_batch(p)
         q, _ = _as_batch(q)
         p, q = np.broadcast_arrays(p, q)
-        rep = self._rep(q - p)
-        t = np.linspace(0.0, 1.0, n)
-        pts = np.mod(p[:, None, :] + t[None, :, None] * rep[:, None, :], self.length)
+        pts = wrapped_lines(p, self._rep(q - p), n, self.length)
         pts[:, -1, :] = np.mod(q, self.length)
         return pts[0] if single and pts.shape[0] == 1 else pts
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import slerp_chain
+from ._kernels import slerp_batch, slerp_chain
 from .errors import LiftError
 from .pathspace import (
     BrokenPath,
@@ -25,6 +25,7 @@ from .pathspace import (
     Space,
     SpaceAction,
     Sphere,
+    wrapped_lines,
 )
 
 
@@ -311,12 +312,10 @@ def adversarial_sphere_cover(action: SpaceAction, honest_membership: bool = Fals
         return np.full(X.shape[0], np.inf)
 
     def legs(X, Y, m):
-        out = np.empty((X.shape[0], m, space.point_dim))
-        ang = space.dist(X, Y)
-        good = ang <= np.pi - 1e-6
-        if good.any():
-            out[good] = space.geodesic(X[good], Y[good], m)
-        bad = ~good
+        # every row's shortest arc in place; a row without a unique arc
+        # first gets the harmless target X, then the tie-break below
+        bad = space.dist(X, Y) > np.pi - 1e-6
+        out = slerp_batch(X, np.where(bad[:, None], X, Y), m)
         if bad.any():
             # deterministic tie-break: half circle through a fixed direction
             dirs = _tangent_unit(X[bad], np.broadcast_to(w, X[bad].shape).copy())
@@ -359,9 +358,7 @@ def circle_cover(action: SpaceAction, name: str = "circle") -> PlannerCover:
         return space.dist(X, Y)
 
     def legs_u2(X, Y, m):
-        delta = np.mod(Y - X, length)
-        t = np.linspace(0.0, 1.0, m)
-        pts = np.mod(X[:, None, :] + t[None, :, None] * delta[:, None, :], length)
+        pts = wrapped_lines(X, np.mod(Y - X, length), m, length)
         pts[:, -1, :] = np.mod(Y, length)
         return [pts]
 
@@ -445,8 +442,7 @@ def torus_cut_cover(action: SpaceAction, name: str = "torus-cut") -> PlannerCove
             rep = np.empty_like(d)
             for ax in range(2):
                 rep[:, ax] = np.mod(d[:, ax] - cuts[ax], 1.0) + cuts[ax] - 1.0
-            t = np.linspace(0.0, 1.0, m)
-            pts = np.mod(X[:, None, :] + t[None, :, None] * rep[:, None, :], 1.0)
+            pts = wrapped_lines(X, rep, m, 1.0)
             pts[:, -1, :] = np.mod(Y, 1.0)
             return [pts]
 
@@ -455,6 +451,39 @@ def torus_cut_cover(action: SpaceAction, name: str = "torus-cut") -> PlannerCove
 
 
 # ------------------------------------------------------ cover transfer
+
+# rows per block of a leg built from a quotient leg or an action: a block
+# holds several arrays of its size at once (the quotient leg, its image,
+# the lift check), so blocks are about a quarter of the slerp's
+LIFT_ROWS = 1024
+
+
+def _by_blocks(total, block):
+    """One (total, ...) array from block(rows) on row slices of LIFT_ROWS
+    rows (one empty slice when total is 0): beside the result only one
+    block's arrays are alive."""
+    out = None
+    for lo in range(0, max(total, 1), LIFT_ROWS):
+        rows = slice(lo, lo + LIFT_ROWS)
+        part = block(rows)
+        if out is None:
+            out = np.empty((total,) + part.shape[1:])
+        out[rows] = part
+    return out
+
+
+def _section_legs(model: QuotientModel, qset: CoverSet, X, Y, m):
+    """The strict section of quotient set qset's first leg on the projected
+    pairs, sample by sample."""
+    pX, pY = model.project(X), model.project(Y)
+
+    def block(rows):
+        qleg = qset.build_legs(pX[rows], pY[rows], m)[0]
+        flat = model.section(qleg.reshape(-1, qleg.shape[-1]))
+        return flat.reshape(qleg.shape[0], qleg.shape[1], -1)
+
+    return _by_blocks(X.shape[0], block)
+
 
 def cover_from_strict_section(model: QuotientModel, quotient_cover: PlannerCover,
                               name: str = "strict-section") -> PlannerCover:
@@ -473,9 +502,7 @@ def cover_from_strict_section(model: QuotientModel, quotient_cover: PlannerCover
             return qset.margin(model.project(X), model.project(Y))
 
         def legs(X, Y, m, qset=qset):
-            qlegs = qset.build_legs(model.project(X), model.project(Y), m)
-            lifted = model.section(qlegs[0].reshape(-1, qlegs[0].shape[-1]))
-            lifted = lifted.reshape(qlegs[0].shape[0], qlegs[0].shape[1], -1)
+            lifted = _section_legs(model, qset, X, Y, m)
             return [_const_legs(X, m), lifted, _const_legs(Y, m)]
 
         sets.append(CoverSet(qset.name, 3, margin, legs))
@@ -496,9 +523,17 @@ def cover_from_covering_lift(model: QuotientModel, quotient_cover: PlannerCover,
             return qset.margin(model.project(X), model.project(Y))
 
         def legs(X, Y, m, qset=qset):
-            qlegs = qset.build_legs(model.project(X), model.project(Y), m)
-            lifted = model.lift_path(qlegs[0], X)
-            err = np.max(model.quotient_space.dist(model.project(lifted), qlegs[0]))
+            pX, pY, errs = model.project(X), model.project(Y), []
+
+            def block(rows):
+                qleg = qset.build_legs(pX[rows], pY[rows], m)[0]
+                lifted = model.lift_path(qleg, X[rows])
+                errs.append(np.max(model.quotient_space.dist(
+                    model.project(lifted), qleg)))
+                return lifted
+
+            lifted = _by_blocks(X.shape[0], block)
+            err = max(errs)
             if err > 1e-6:
                 raise LiftError(f"lift diverged by {err:.2e}")
             return [lifted, _const_legs(Y, m)]
@@ -546,9 +581,7 @@ def cat_cover_from_strict_section(model: QuotientModel,
             return qset.margin(model.project(X), model.project(Y))
 
         def legs(X, Y, m, qset=qset):
-            qlegs = qset.build_legs(model.project(X), model.project(Y), m)
-            lifted = model.section(qlegs[0].reshape(-1, qlegs[0].shape[-1]))
-            lifted = lifted.reshape(qlegs[0].shape[0], qlegs[0].shape[1], -1)
+            lifted = _section_legs(model, qset, X, Y, m)
             return [lifted, _const_legs(Y, m)]
 
         sets.append(CoverSet(qset.name, 2, margin, legs))
@@ -584,10 +617,13 @@ def cat_cover_covering_lift(action: SpaceAction, basepoint, centers,
             return radius - space.dist(np.broadcast_to(center, Y.shape), Y)
 
         def legs(X, Y, m, center=center, deck=deck):
-            arc = space.geodesic(np.broadcast_to(center, Y.shape), Y, m)
-            flat = arc.reshape(-1, arc.shape[-1])
-            lifted = action.act(deck, flat).reshape(arc.shape)
-            return [lifted, _const_legs(Y, m)]
+            def block(rows):
+                Yb = Y[rows]
+                arc = space.geodesic(np.broadcast_to(center, Yb.shape), Yb, m)
+                flat = arc.reshape(-1, arc.shape[-1])
+                return action.act(deck, flat).reshape(arc.shape)
+
+            return [_by_blocks(Y.shape[0], block), _const_legs(Y, m)]
 
         sets.append(CoverSet(f"B{i}", 2, margin, legs))
     return PlannerCover(action=action, sets=sets, stage=2, kind="cat",
@@ -653,8 +689,7 @@ def cat_torus_cut_cover(action: SpaceAction, basepoint, cuts=TORUS_CUTS,
             rep = np.empty_like(d)
             for ax in range(2):
                 rep[:, ax] = np.mod(d[:, ax] - cut[ax], 1.0) + cut[ax] - 1.0
-            t = np.linspace(0.0, 1.0, m)
-            pts = np.mod(basepoint[None, None, :] + t[None, :, None] * rep[:, None, :], 1.0)
+            pts = wrapped_lines(basepoint[None, :], rep, m, 1.0)
             pts[:, -1, :] = np.mod(Y, 1.0)
             return [pts]
 

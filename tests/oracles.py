@@ -8,6 +8,10 @@ through the package instead: it builds the staircase product X x X and
 computes its cohomology, where the package works in H*(X) (x) H*(X).  The
 certification oracle is the two-pass grid sweep that the one-pass sweep of
 `verify_cover` replaced: it evaluates every section twice, once per pass.
+The leg oracles are the whole-array forms of builders that now work in row
+blocks or in place: the slerp recurrence over all rows in one buffer, the
+adversarial legs assembled from a separate geodesic of the rows with a
+unique arc, and the Python-set neighbour loop of the sphere grids.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from efftc.bounds import Certification
+from efftc.planners import CoverSet, PlannerCover, _tangent_unit
 from efftc.complexes import Cochain, coboundary_space, cohomology, cup_length
 from efftc.f2 import F2Matrix
 from efftc.symmetry import product_complex, saturated_diagonal
@@ -314,3 +319,92 @@ def two_pass_verify_cover(cover, grid: int = 32, epsilon: float = 0.05,
                              failure=found)
     return Certification(certified=True, bound=cover.claimed_bound, params=params,
                          sets=len(cover.sets), stage=cover.stage)
+
+
+def whole_slerp_into(P, Q, out):
+    """The Chebyshev slerp recurrence over all rows at once, in one
+    sample-major (n, d, M) buffer."""
+    P = np.ascontiguousarray(P, dtype=np.float64)
+    Q = np.ascontiguousarray(Q, dtype=np.float64)
+    m, n = out.shape[0], out.shape[1]
+    theta = np.arccos(np.clip((P * Q).sum(axis=1), -1.0, 1.0))
+    s = np.sin(theta)
+    arc = s >= 1e-9
+    step = theta / max(n - 1.0, 1.0)
+    inv_s = 1.0 / np.where(arc, s, 1.0)
+    a1 = np.sin(theta - step) * inv_s
+    b1 = np.sin(step) * inv_s
+    k = 2.0 * np.cos(step)
+    Pt, Qt = P.T, Q.T
+    buf = np.empty((n, P.shape[1], m))
+    buf[0] = Pt
+    if n > 2:
+        buf[1] = a1 * Pt + b1 * Qt
+    for j in range(2, n - 1):
+        np.multiply(k, buf[j - 1], out=buf[j])
+        buf[j] -= buf[j - 2]
+    if not arc.all():
+        rows = np.flatnonzero(~arc)
+        t = np.linspace(0.0, 1.0, n)[:, None, None]
+        lerp = (1.0 - t) * Pt[:, rows] + t * Qt[:, rows]
+        norm = np.sqrt((lerp * lerp).sum(axis=1, keepdims=True))
+        buf[:, :, rows] = lerp / np.where(norm > 0.0, norm, 1.0)
+    out[:] = buf.transpose(2, 0, 1)
+    out[:, 0] = P
+    out[:, -1] = Q
+    return out
+
+
+def adversarial_cover_by_parts(action, honest_membership: bool = False):
+    """adversarial_sphere_cover with its legs assembled from parts: an
+    empty (M, m, d) array, the geodesic of the rows with a unique arc
+    scattered into it, then the half-circle tie-break on the others."""
+    space = action.space
+    w = np.zeros(space.point_dim)
+    w[1] = 1.0
+
+    def margin(X, Y):
+        if honest_membership:
+            return space.dist(Y, -X)
+        return np.full(X.shape[0], np.inf)
+
+    def legs(X, Y, m):
+        out = np.empty((X.shape[0], m, space.point_dim))
+        good = space.dist(X, Y) <= np.pi - 1e-6
+        if good.any():
+            out[good] = space.geodesic(X[good], Y[good], m)
+        bad = ~good
+        if bad.any():
+            dirs = _tangent_unit(X[bad], np.broadcast_to(w, X[bad].shape).copy())
+            t = np.linspace(0.0, 1.0, m)
+            out[bad] = (np.cos(np.pi * t)[None, :, None] * X[bad][:, None, :]
+                        + np.sin(np.pi * t)[None, :, None] * dirs[:, None, :])
+        return [out]
+
+    return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, legs)],
+                        stage=1, name="adversarial")
+
+
+def neighbor_pairs_by_sets(sphere, resolution) -> np.ndarray:
+    """The neighbour edges of an S^1 or S^2 grid, collected point by point
+    in a Python set and sorted: ring edges (i, next on the ring), edges
+    between consecutive rings as sorted tuples."""
+    if sphere.n == 1:
+        r = resolution + (resolution % 2)
+        return np.array([(k, (k + 1) % r) for k in range(r)], dtype=np.intp)
+    theta, sizes = sphere._ring_sizes(resolution)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    pairs = set()
+    for j, nl in enumerate(sizes):
+        base = offsets[j]
+        for k in range(nl):
+            pairs.add((base + k, base + (k + 1) % nl))
+        if j + 1 < len(sizes):
+            nxt, base2 = sizes[j + 1], offsets[j + 1]
+            for k in range(nl):
+                k2 = int(np.round(k * nxt / nl)) % nxt
+                pairs.add(tuple(sorted((base + k, base2 + k2))))
+            for k2 in range(nxt):
+                k1 = int(np.round(k2 * nl / nxt)) % nl
+                pairs.add(tuple(sorted((base + k1, base2 + k2))))
+    return np.array(sorted(pairs), dtype=np.intp)

@@ -322,3 +322,70 @@ def test_sup_scans_on_constant_views_match_copies():
             full = space.supdiff(dense[ia], (dense if second is None
                                              else dense_second)[ib])
             assert np.array_equal(expected, full)
+
+
+def _arcs_across_block_edges(rng, m, edges):
+    """m random arcs on S^2; on each side of every block edge, one row each
+    is degenerate (P = Q), exactly antipodal, and near-antipodal just
+    above and just below the degeneracy cutoff sin(theta) = 1e-9."""
+    s = Sphere(2)
+    P, Q = s.random_points(rng, m), s.random_points(rng, m)
+    kinds = ("same", "anti", 1e-7, 1e-10)
+    for edge in edges:
+        for offset in range(-4, 4):
+            r, kind = edge + offset, kinds[offset % 4]
+            if not 0 <= r < m:
+                continue
+            if kind == "same":
+                Q[r] = P[r]
+            elif kind == "anti":
+                Q[r] = -P[r]
+            else:
+                tilt = np.cross(P[r], [0.0, 0.0, 1.0])
+                Q[r] = -P[r] + kind * tilt / np.linalg.norm(tilt)
+                Q[r] /= np.linalg.norm(Q[r])
+    return P, Q
+
+
+def test_blocked_slerp_is_bit_identical_to_whole_recurrence(monkeypatch):
+    import efftc._kernels as K
+    from oracles import whole_slerp_into
+    rng = np.random.default_rng(21)
+    block = K.BLOCK_ROWS
+    cases = [(2 * block + 37, 64, block),   # not a multiple of the block
+             (100, 64, block),              # fewer rows than one block
+             (61, 17, 8), (64, 5, 8), (3, 2, 8), (0, 9, 8)]
+    for m, n, rows in cases:
+        monkeypatch.setattr(K, "BLOCK_ROWS", rows)
+        P, Q = _arcs_across_block_edges(rng, m, range(rows, m, rows))
+        got = K.slerp_batch(P, Q, n)
+        expected = whole_slerp_into(P, Q, np.empty((m, n, 3)))
+        assert np.array_equal(got, expected), (m, n, rows)
+        assert np.isfinite(got).all()
+
+
+def test_blocked_slerp_into_strided_chain_pieces(monkeypatch):
+    import efftc._kernels as K
+    from oracles import whole_slerp_into
+    monkeypatch.setattr(K, "BLOCK_ROWS", 8)
+    rng = np.random.default_rng(22)
+    P, Q = _arcs_across_block_edges(rng, 45, (8, 16, 40))
+    W = Sphere(2).random_points(rng, 45)
+    chain = K.slerp_chain([(P, Q), (Q, W), (W, P)], 20)
+    expected = np.empty((45, 21, 3))
+    for k, (a, b) in enumerate(((P, Q), (Q, W), (W, P))):
+        whole_slerp_into(a, b, expected[:, 7 * k:7 * (k + 1)])
+    assert np.array_equal(chain, expected)
+
+
+def test_neighbor_pairs_match_set_loop():
+    # the same edges, orientation and order as the Python-set loop: ring
+    # wrap edges keep (last, first), continuity failures name them so
+    from oracles import neighbor_pairs_by_sets
+    for n in (1, 2):
+        sphere = Sphere(n)
+        for grid in range(1, 81):
+            got = sphere.grid_neighbor_pairs(grid)
+            expected = neighbor_pairs_by_sets(sphere, grid)
+            assert got.dtype == expected.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, expected), (n, grid)

@@ -344,3 +344,23 @@ def test_section_one_and_plan_return_valid_paths():
     assert name == "U" and bp.stage == 4
     assert np.array_equal(bp.legs[-1].points, np.repeat(y[None, :], 64, axis=0))
     assert bp.legs[-1].max_gap() == 0.0
+
+
+def test_adversarial_legs_match_the_legs_built_by_parts():
+    # the legs, built in place, bit for bit against the former assembly
+    # from a separate geodesic; S^2 grids are closed under sign flips, so
+    # every x row holds its antipode, the rows without a unique arc; the
+    # 5,776 pairs of grid 10 span a slerp block edge
+    from efftc.planners import adversarial_sphere_cover
+    from oracles import adversarial_cover_by_parts
+    act = sphere_codim1(2)
+    grid = act.space.grid(10)
+    X = np.repeat(grid, len(grid), axis=0)
+    Y = np.tile(grid, (len(grid), 1))
+    antipodal = act.space.dist(X, Y) > np.pi - 1e-6
+    assert antipodal.sum() == len(grid)
+    for honest in (False, True):
+        got, = adversarial_sphere_cover(act, honest).sets[0].build_legs(X, Y, 64)
+        expected, = adversarial_cover_by_parts(act, honest).sets[0].build_legs(X, Y, 64)
+        assert np.array_equal(got[antipodal], expected[antipodal])
+        assert np.array_equal(got, expected)

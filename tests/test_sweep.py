@@ -18,7 +18,7 @@ from efftc.pathspace import FlatTorus, Sphere, trivial_space_action
 from efftc.planners import CoverSet, PlannerCover, embed_cover
 from efftc.scenarios import BUILTINS, build_bundle, build_planner
 
-from oracles import two_pass_verify_cover
+from oracles import adversarial_cover_by_parts, two_pass_verify_cover
 
 # the criterion-7b catalog covers, at their grids
 CATALOG_COVERS = [
@@ -84,6 +84,21 @@ def test_sweep_matches_oracle_on_adversarial_covers():
             cover = planners.adversarial_sphere_cover(action, honest_membership=honest)
             for grid in (16, 24, 32, 40):
                 assert not assert_matches_oracle(cover, grid).certified
+
+
+def test_refutations_of_adversarial_legs_built_in_place():
+    # the 24 sphere-refute claims: the legs built in place and the legs
+    # assembled from parts are refuted with equal failure dicts
+    for make in (models.sphere_antipodal, models.sphere_codim1,
+                 models.sphere_rotation, models.sphere_trivial):
+        action = make(2)
+        for honest in (False, True):
+            cover = planners.adversarial_sphere_cover(action, honest_membership=honest)
+            parts = adversarial_cover_by_parts(action, honest_membership=honest)
+            for grid in (24, 32, 40):
+                got = verify_cover(cover, grid=grid)
+                assert not got.certified
+                assert got == verify_cover(parts, grid=grid), (make, honest, grid)
 
 
 def test_sweep_finds_failures_on_wrap_edges():
