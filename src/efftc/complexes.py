@@ -224,10 +224,6 @@ def cohomology(K: SimplicialComplex) -> CohomologySummary:
     return summary
 
 
-def betti_numbers(K: SimplicialComplex) -> tuple[int, ...]:
-    return cohomology(K).betti
-
-
 def f2_cd(K: SimplicialComplex) -> int:
     """Cohomological dimension over constant F2 coefficients (-1 if empty)."""
     return cohomology(K).cd

@@ -55,9 +55,6 @@ class Space:
     def random_points(self, rng, m):
         raise NotImplementedError
 
-    def check_point(self, p, tol=1e-9) -> bool:
-        return True
-
     def supdiff(self, a, b):
         """Max over the sample axis of dist(a, b); a, b shaped (..., n, d)."""
         return self.dist(a, b).max(axis=-1)
@@ -149,9 +146,6 @@ class Sphere(Space):
         from ._kernels import slerp_batch
         pts = slerp_batch(p, q, n)
         return pts[0] if single_p and pts.shape[0] == 1 else pts
-
-    def check_point(self, p, tol=1e-9) -> bool:
-        return bool(abs(np.linalg.norm(np.asarray(p, float)) - 1.0) <= tol)
 
     def supdiff(self, a, b):
         chord2 = ((a - b) ** 2).sum(axis=-1).max(axis=-1)
@@ -481,9 +475,6 @@ class SpaceAction:
 
     def act(self, g: int, p):
         return self.point_maps[g](np.asarray(p, dtype=float))
-
-    def orbit(self, p):
-        return [self.act(g, p) for g in range(self.group.order)]
 
     def orbit_dist(self, p, q):
         """min over g of dist(g p, q); broadcasts over leading axes."""

@@ -9,6 +9,7 @@ actions.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -39,12 +40,11 @@ def default_seed() -> int:
     return sampling_seed()
 
 
-# pipeline ops that run on the simplicial model
-_MODEL_OPS = ("lower", "cat-lower", "check")
-
-
 @dataclass
 class Scenario:
+    """A scenario; every name in it is checked against the tables below
+    when it is made, so an unknown one is a load error."""
+
     id: str
     space: dict
     action: str
@@ -53,6 +53,29 @@ class Scenario:
     basepoint: str | None = None
     pipeline: list = field(default_factory=list)
     expected: list = field(default_factory=list)
+
+    def __post_init__(self):
+        kind = self.space.get("kind")
+        if (kind, self.action) not in _SPACE_ACTIONS:
+            raise ValueError(f"no action {self.action!r} on space kind {kind!r}")
+        if self.complex is not None:
+            if not _is_file(self.complex, ".cx") and self.complex not in _COMPLEXES:
+                raise ValueError(f"unknown complex {self.complex!r}")
+            act = self.simplicial_action or "trivial"
+            if act != "trivial" and not _is_file(act, ".act") \
+                    and (self.complex, act) not in _SIMPLICIAL_ACTIONS:
+                raise ValueError(f"no simplicial action {act!r} on {self.complex!r}")
+        for step in self.pipeline:
+            op, method = step.get("op"), step.get("method")
+            if (op, method) not in _STEPS:
+                raise ValueError(f"unknown pipeline step: op {op!r}, "
+                                 f"method {method!r}")
+            if method is None and step.get("planner") not in _PLANNERS:
+                raise ValueError(f"unknown planner {step.get('planner')!r}")
+            needs_model, _ = _STEPS[op, method]
+            if needs_model and self.complex is None:
+                raise ValueError("exact lower bounds and checks need a simplicial "
+                                 "model: the scenario names no complex")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -66,12 +89,7 @@ class Scenario:
         missing = {"id", "space", "action"} - set(data)
         if missing:
             raise ValueError(f"missing scenario fields: {sorted(missing)}")
-        scenario = cls(**data)
-        if scenario.complex is None and any(
-                step.get("op") in _MODEL_OPS for step in scenario.pipeline):
-            raise ValueError("exact lower bounds and checks need a simplicial "
-                             "model: the scenario names no complex")
-        return scenario
+        return cls(**data)
 
 
 @dataclass
@@ -85,31 +103,44 @@ class Bundle:
 
 # ----------------------------------------------------------- construction
 
-def _build_space_action(spec: dict, action_name: str):
-    kind = spec.get("kind")
-    if kind == "point":
-        return M.point_trivial()
-    if kind == "sphere":
-        n = int(spec["n"])
-        return {
-            "trivial": lambda: M.sphere_trivial(n),
-            "antipodal": lambda: M.sphere_antipodal(n),
-            "flip": lambda: M.sphere_codim1(n),
-            "codim1-involution": lambda: M.sphere_codim1(n),
-            "rotation": lambda: M.sphere_rotation(n),
-        }[action_name]()
-    if kind == "torus":
-        return {
-            "trivial": lambda: M.torus_trivial(),
-            "torus-halfturn": lambda: M.torus_halfturn(),
-        }[action_name]()
-    if kind == "wedge":
-        branches = int(spec["branches"])
-        if action_name != "wedge-swap":
-            raise ValueError(f"unsupported wedge action {action_name}")
-        return M.wedge_swap(branches)
-    raise ValueError(f"unknown space kind {kind!r}")
+def _sphere(make, quotients=None):
+    """A sphere entry: the action on S^n, and its quotient model for the
+    dimensions n that have one."""
+    quotients = quotients or {}
+    return (lambda spec: make(int(spec["n"])),
+            lambda act: quotients.get(act.space.n, _no_quotient)(act))
 
+
+def _no_quotient(space_action):
+    return None
+
+
+_CODIM1_QUOTIENTS = {1: M.circle_flip_quotient, 2: M.sphere2_codim1_quotient}
+
+# (space kind, action) -> (SpaceAction of the space spec, quotient model of
+# that action, or None)
+_SPACE_ACTIONS = {
+    ("point", "trivial"): (lambda spec: M.point_trivial(), _no_quotient),
+    ("sphere", "trivial"): _sphere(M.sphere_trivial),
+    ("sphere", "antipodal"): _sphere(M.sphere_antipodal,
+                                     {1: M.circle_antipodal_quotient}),
+    ("sphere", "flip"): _sphere(M.sphere_codim1, _CODIM1_QUOTIENTS),
+    ("sphere", "codim1-involution"): _sphere(M.sphere_codim1, _CODIM1_QUOTIENTS),
+    ("sphere", "rotation"): _sphere(M.sphere_rotation),
+    ("torus", "trivial"): (lambda spec: M.torus_trivial(), _no_quotient),
+    ("torus", "torus-halfturn"): (lambda spec: M.torus_halfturn(),
+                                  M.torus_halfturn_quotient),
+    ("wedge", "wedge-swap"): (lambda spec: M.wedge_swap(int(spec["branches"])),
+                              M.wedge_quotient),
+}
+
+# space class -> (default basepoint, radius of the cat-covering-lift balls)
+_BASEPOINTS = {
+    Sphere: (lambda space: np.eye(space.point_dim)[0], np.pi / 2 + 0.3),
+    FlatTorus: (lambda space: np.zeros(space.point_dim), 0.7),
+    WedgeCircles: (lambda space: np.zeros(2), 0.7),
+    PointSpace: (lambda space: np.zeros(1), 0.7),
+}
 
 _COMPLEXES = {
     "point": M.point_complex,
@@ -134,133 +165,173 @@ _SIMPLICIAL_ACTIONS = {
 }
 
 
+def _is_file(name: str, suffix: str) -> bool:
+    return name.endswith(suffix) or "/" in name
+
+
 def _build_group_action(scenario: Scenario):
     name = scenario.complex
     if name is None:
         return None
-    if name.endswith(".cx") or "/" in name:
-        K = read_complex_text(name)
-    else:
-        K = _COMPLEXES[name]()
+    K = read_complex_text(name) if _is_file(name, ".cx") else _COMPLEXES[name]()
     act_name = scenario.simplicial_action or "trivial"
     if act_name == "trivial":
         return trivial_action(K)
-    if act_name.endswith(".act") or "/" in act_name:
+    if _is_file(act_name, ".act"):
         return read_action_text(K, act_name)
     return _SIMPLICIAL_ACTIONS[(name, act_name)]()
 
 
-def _build_quotient_model(scenario: Scenario, space_action):
-    space = space_action.space
-    name = scenario.action
-    if isinstance(space, Sphere) and space.n == 1 and name == "antipodal":
-        return M.circle_antipodal_quotient(space_action)
-    if isinstance(space, Sphere) and space.n == 1 and name in ("flip", "codim1-involution"):
-        return M.circle_flip_quotient(space_action)
-    if isinstance(space, Sphere) and space.n == 2 and name in ("flip", "codim1-involution"):
-        return M.sphere2_codim1_quotient(space_action)
-    if isinstance(space, FlatTorus) and name == "torus-halfturn":
-        return M.torus_halfturn_quotient(space_action)
-    if isinstance(space, WedgeCircles):
-        return M.wedge_quotient(space_action)
-    return None
-
-
-def _default_basepoint(space):
-    if isinstance(space, Sphere):
-        base = np.zeros(space.point_dim)
-        base[0] = 1.0
-        return base
-    if isinstance(space, FlatTorus):
-        return np.zeros(space.point_dim)
-    if isinstance(space, WedgeCircles):
-        return np.zeros(2)
-    if isinstance(space, PointSpace):
-        return np.zeros(1)
-    return None
-
-
 def build_bundle(scenario: Scenario) -> Bundle:
-    space_action = _build_space_action(scenario.space, scenario.action)
-    bundle = Bundle(scenario=scenario, space_action=space_action,
-                    group_action=_build_group_action(scenario),
-                    quotient_model=_build_quotient_model(scenario, space_action),
-                    basepoint=_default_basepoint(space_action.space))
-    return bundle
+    make_action, make_quotient = _SPACE_ACTIONS[(scenario.space.get("kind"),
+                                                 scenario.action)]
+    space_action = make_action(scenario.space)
+    space = space_action.space
+    return Bundle(scenario=scenario, space_action=space_action,
+                  group_action=_build_group_action(scenario),
+                  quotient_model=make_quotient(space_action),
+                  basepoint=_BASEPOINTS[type(space)][0](space))
 
 
 # ------------------------------------------------------- planner registry
 
-def _quotient_tc_cover(model):
-    q = model.quotient_space
-    if isinstance(q, Circle):
-        return P.circle_cover(trivial_space_action(q))
-    if isinstance(q, Arc):
-        return P.arc_cover(trivial_space_action(q))
-    if isinstance(q, M.Hemisphere):
-        return P.hemisphere_cover(trivial_space_action(q))
-    if isinstance(q, FlatTorus):
-        return P.torus_cut_cover(trivial_space_action(q))
-    raise ValueError(f"no quotient cover for {q.name}")
+# quotient-space class -> tc cover of the quotient, on its trivial action
+_QUOTIENT_TC_COVERS = {
+    Circle: lambda q: P.circle_cover(q),
+    Arc: lambda q: P.arc_cover(q),
+    M.Hemisphere: lambda q: P.hemisphere_cover(q),
+    FlatTorus: lambda q: P.torus_cut_cover(q),
+}
+
+# quotient-space class -> cat cover of the quotient, on its trivial action
+_QUOTIENT_CAT_COVERS = {
+    Circle: lambda q: P.circle_cover(q),
+    Arc: lambda q: P.arc_cover(q),
+    M.Hemisphere: lambda q: P.hemisphere_cat_cover(q),
+}
 
 
-def _quotient_cat_cover(model):
+def _quotient_cover(covers, what: str, bundle: Bundle):
+    model = bundle.quotient_model
+    if model is None:
+        raise ValueError(f"no quotient model of {bundle.scenario.action} "
+                         f"on {bundle.space_action.space.name}")
     q = model.quotient_space
-    if isinstance(q, Circle):
-        return P.circle_cover(trivial_space_action(q))
-    if isinstance(q, Arc):
-        return P.arc_cover(trivial_space_action(q))
-    if isinstance(q, M.Hemisphere):
-        return P.hemisphere_cat_cover(trivial_space_action(q))
-    raise ValueError(f"no quotient cat cover for {q.name}")
+    if type(q) not in covers:
+        raise ValueError(f"no quotient {what} for {q.name}")
+    return covers[type(q)](trivial_space_action(q))
+
+
+def _tc_quotient_cover(bundle: Bundle):
+    return _quotient_cover(_QUOTIENT_TC_COVERS, "cover", bundle)
+
+
+def _cat_covering_lift(bundle: Bundle):
+    act = bundle.space_action
+    centers = [act.act(g, bundle.basepoint) for g in range(act.group.order)]
+    return P.cat_cover_covering_lift(act, bundle.basepoint, centers,
+                                     _BASEPOINTS[type(act.space)][1])
+
+
+# planner name -> cover built from a Bundle
+_PLANNERS = {
+    "farber": lambda b: P.farber_sphere_cover(b.space_action),
+    "involution2": lambda b: P.involution_two_stage_cover(b.space_action),
+    "involution3": lambda b: P.involution_three_stage_planner(b.space_action),
+    "strict-section": lambda b: P.cover_from_strict_section(
+        b.quotient_model, _tc_quotient_cover(b)),
+    "covering-lift": lambda b: P.cover_from_covering_lift(
+        b.quotient_model, _tc_quotient_cover(b)),
+    "wedge": lambda b: P.wedge_planner(b.quotient_model, _tc_quotient_cover(b)),
+    "torus-cut": lambda b: P.torus_cut_cover(b.space_action),
+    "point": lambda b: P.point_cover(b.space_action),
+    "adversarial": lambda b: P.adversarial_sphere_cover(b.space_action),
+    "cat-strict-section": lambda b: P.cat_cover_from_strict_section(
+        b.quotient_model, _quotient_cover(_QUOTIENT_CAT_COVERS, "cat cover", b),
+        b.basepoint),
+    "cat-covering-lift": _cat_covering_lift,
+    "cat-geodesic": lambda b: P.cat_geodesic_cover(b.space_action, b.basepoint),
+    "cat-torus-cut": lambda b: P.cat_torus_cut_cover(b.space_action, b.basepoint),
+    "cat-point": lambda b: P.restrict_to_cat(P.point_cover(b.space_action),
+                                             b.basepoint),
+}
 
 
 def build_planner(name: str, bundle: Bundle):
-    act = bundle.space_action
-    if name == "farber":
-        return P.farber_sphere_cover(act)
-    if name == "involution2":
-        return P.involution_two_stage_cover(act)
-    if name == "involution3":
-        return P.involution_three_stage_planner(act)
-    if name == "strict-section":
-        return P.cover_from_strict_section(bundle.quotient_model,
-                                           _quotient_tc_cover(bundle.quotient_model))
-    if name == "covering-lift":
-        return P.cover_from_covering_lift(bundle.quotient_model,
-                                          _quotient_tc_cover(bundle.quotient_model))
-    if name == "wedge":
-        return P.wedge_planner(bundle.quotient_model,
-                               _quotient_tc_cover(bundle.quotient_model))
-    if name == "torus-cut":
-        return P.torus_cut_cover(act)
-    if name == "point":
-        return P.point_cover(act)
-    if name == "adversarial":
-        return P.adversarial_sphere_cover(act)
-    if name == "cat-strict-section":
-        return P.cat_cover_from_strict_section(
-            bundle.quotient_model, _quotient_cat_cover(bundle.quotient_model),
-            bundle.basepoint)
-    if name == "cat-covering-lift":
-        space = act.space
-        radius = (np.pi / 2 + 0.3) if isinstance(space, Sphere) else 0.7
-        centers = [act.act(g, bundle.basepoint)
-                   for g in range(act.group.order)]
-        return P.cat_cover_covering_lift(act, bundle.basepoint, centers, radius)
-    if name == "cat-geodesic":
-        return P.cat_geodesic_cover(act, bundle.basepoint)
-    if name == "cat-torus-cut":
-        return P.cat_torus_cut_cover(act, bundle.basepoint)
-    if name == "cat-point":
-        return P.restrict_to_cat(P.point_cover(act), bundle.basepoint)
-    raise ValueError(f"unknown planner {name!r}")
+    if name not in _PLANNERS:
+        raise ValueError(f"unknown planner {name!r}")
+    return _PLANNERS[name](bundle)
+
+
+# ---------------------------------------------------------- pipeline steps
+
+@dataclass
+class _Findings:
+    """What the pipeline steps found.  `uppers` holds (stage, BoundValue)
+    and `lowers` (scope, BoundValue) per invariant ("tc", "cat"); `stages`
+    the stages the steps spoke about; `checks` the report's check entries."""
+
+    uppers: dict = field(default_factory=lambda: {"tc": [], "cat": []})
+    lowers: dict = field(default_factory=lambda: {"tc": [], "cat": []})
+    stages: dict = field(default_factory=lambda: {"tc": set(), "cat": set()})
+    checks: list = field(default_factory=list)
+
+
+def _upper(invariant, step, bundle, params, found):
+    cover = build_planner(step["planner"], bundle)
+    if invariant == "cat" and cover.kind != "cat":
+        cover = P.restrict_to_cat(cover, bundle.basepoint)
+    cert = B.verify_cover(cover, **params)
+    found.checks.append({"name": f"{invariant}-cover:{step['planner']}",
+                         "ok": cert.certified, "detail": cert.describe()})
+    if cert.certified:
+        source = f"{step['planner']}@stage{cover.stage}"
+        found.uppers[invariant].append((cover.stage,
+                                        B.BoundValue(cert.bound, source)))
+    found.stages[invariant].add(cover.stage)
+
+
+def _zero_divisor(step, bundle, params, found):
+    value = B.zero_divisor_cup_length(bundle.group_action)
+    found.lowers["tc"].append(("stage2", B.BoundValue(value, "zero-divisor")))
+    found.stages["tc"].add(2)
+
+
+def _cd_criterion(step, bundle, params, found):
+    rep = B.cd_positivity_criterion(bundle.group_action)
+    found.checks.append({"name": "cd-criterion", "ok": True, "hard": False,
+                         "verdict": rep.verdict, "hypothesis_ok": rep.hypothesis_ok,
+                         "cd": rep.cd_x, "group_order": rep.group_order})
+    if rep.verdict == "positive":
+        found.lowers["tc"].append(("stage2", B.BoundValue(1, "cd-criterion")))
+    found.stages["tc"].add(2)
+
+
+def _orbit_nilpotency(step, bundle, params, found):
+    value = B.orbit_nilpotency_lower_bound(bundle.group_action)
+    found.lowers["cat"].append(("all", B.BoundValue(value, "orbit-nilpotency")))
+
+
+def _cd_bound(step, bundle, params, found):
+    r = B.cd_bound_check(bundle.group_action, step.get("elements"))
+    found.checks.append({"name": "cd-bound", "ok": r.passed,
+                         "cd_diagonal": r.cd_diagonal, "bound": r.bound,
+                         "hypothesis_ok": r.hypothesis_ok})
+
+
+# (op, method) -> (needs the simplicial model, step); the cover steps have
+# no method and name a planner
+_STEPS = {
+    ("upper", None): (False, functools.partial(_upper, "tc")),
+    ("cat-upper", None): (False, functools.partial(_upper, "cat")),
+    ("lower", "zero-divisor"): (True, _zero_divisor),
+    ("lower", "cd-criterion"): (True, _cd_criterion),
+    ("cat-lower", "orbit-nilpotency"): (True, _orbit_nilpotency),
+    ("check", "cd-bound"): (True, _cd_bound),
+}
 
 
 # ------------------------------------------------------------ the runner
-
-_STAGES = (1, 2, 3, "inf")
-
 
 def _stage_leq(a, b) -> bool:
     if b == "inf":
@@ -332,77 +403,22 @@ def run_scenario_obj(scenario: Scenario, overrides=None) -> ScenarioResult:
     bundle = build_bundle(scenario)
     free = bundle.group_action.is_free() if bundle.group_action else None
 
-    uppers = {"tc": [], "cat": []}      # (stage, BoundValue)
-    lowers = {"tc": [], "cat": []}      # (stage-applicability fn, BoundValue)
-    checks: list[dict] = []
-    stages_seen = {"tc": set(), "cat": set()}
-
+    found = _Findings()
     for step in scenario.pipeline:
-        op = step["op"]
-        if op in ("upper", "cat-upper"):
-            invariant = "tc" if op == "upper" else "cat"
-            cover = build_planner(step["planner"], bundle)
-            if invariant == "cat" and cover.kind != "cat":
-                cover = P.restrict_to_cat(cover, bundle.basepoint)
-            cert = (B.verify_cover(cover, **verify_params) if invariant == "tc"
-                    else B.verify_cat_cover(cover, basepoint=bundle.basepoint,
-                                            **verify_params))
-            detail = cert.describe()
-            checks.append({"name": f"{invariant}-cover:{step['planner']}",
-                           "ok": cert.certified, "detail": detail})
-            if cert.certified:
-                source = f"{step['planner']}@stage{cover.stage}"
-                uppers[invariant].append((cover.stage, B.BoundValue(cert.bound, source)))
-            stages_seen[invariant].add(cover.stage)
-        elif op == "lower":
-            method = step["method"]
-            if bundle.group_action is None:
-                raise ValueError("lower bounds need a simplicial model")
-            if method == "zero-divisor":
-                value = B.zero_divisor_cup_length(bundle.group_action)
-                lowers["tc"].append(("stage2", B.BoundValue(value, "zero-divisor")))
-                stages_seen["tc"].add(2)
-            elif method == "cd-criterion":
-                rep = B.cd_positivity_criterion(bundle.group_action)
-                checks.append({"name": "cd-criterion", "ok": True, "hard": False,
-                               "verdict": rep.verdict,
-                               "hypothesis_ok": rep.hypothesis_ok,
-                               "cd": rep.cd_x, "group_order": rep.group_order})
-                if rep.verdict == "positive":
-                    lowers["tc"].append(("stage2", B.BoundValue(1, "cd-criterion")))
-                stages_seen["tc"].add(2)
-            else:
-                raise ValueError(f"unknown lower method {method!r}")
-        elif op == "cat-lower":
-            if step["method"] != "orbit-nilpotency":
-                raise ValueError(f"unknown cat lower {step['method']!r}")
-            if bundle.group_action is None:
-                raise ValueError("lower bounds need a simplicial model")
-            value = B.orbit_nilpotency_lower_bound(bundle.group_action)
-            lowers["cat"].append(("all", B.BoundValue(value, "orbit-nilpotency")))
-        elif op == "check":
-            if step["method"] != "cd-bound":
-                raise ValueError(f"unknown check {step['method']!r}")
-            if bundle.group_action is None:
-                raise ValueError("exact checks need a simplicial model")
-            r = B.cd_bound_check(bundle.group_action, step.get("elements"))
-            checks.append({"name": "cd-bound", "ok": r.passed,
-                           "cd_diagonal": r.cd_diagonal, "bound": r.bound,
-                           "hypothesis_ok": r.hypothesis_ok})
-        else:
-            raise ValueError(f"unknown pipeline op {op!r}")
+        _, run = _STEPS[step["op"], step.get("method")]
+        run(step, bundle, verify_params, found)
 
     reports = []
     for invariant in ("tc", "cat"):
-        if not uppers[invariant] and not lowers[invariant] \
-                and not stages_seen[invariant]:
+        if not found.uppers[invariant] and not found.lowers[invariant] \
+                and not found.stages[invariant]:
             continue
-        stage_list = sorted(s for s in stages_seen[invariant] if s != "inf")
+        stage_list = sorted(s for s in found.stages[invariant] if s != "inf")
         stage_list.append("inf")
         for stage in stage_list:
-            ups = [bv for s, bv in uppers[invariant] if _stage_leq(s, stage)]
+            ups = [bv for s, bv in found.uppers[invariant] if _stage_leq(s, stage)]
             lows = [B.BoundValue(0, "trivial")]
-            for scope, bv in lowers[invariant]:
+            for scope, bv in found.lowers[invariant]:
                 if scope == "all":
                     lows.append(bv)
                 elif scope == "stage2":
@@ -417,14 +433,14 @@ def run_scenario_obj(scenario: Scenario, overrides=None) -> ScenarioResult:
     if tc_inf and cat_inf:
         for c in B.chain_checks(tc_inf, cat_inf):
             c["name"] = "chain:" + c["name"]
-            checks.append(c)
+            found.checks.append(c)
 
     expected_results = []
     for exp in scenario.expected:
-        expected_results.append(_evaluate_expectation(exp, reports, checks))
+        expected_results.append(_evaluate_expectation(exp, reports, found.checks))
 
     result = ScenarioResult(scenario=scenario, params=params, reports=reports,
-                            checks=checks, expected_results=expected_results)
+                            checks=found.checks, expected_results=expected_results)
     B.require_consistent(reports)
     return result
 
@@ -662,9 +678,6 @@ TABLE_ROWS = [
     {"action_class": "orientation-preserving", "n": 2, "scenario": "s2-rotation",
      "stage": 1, "reference": 2},
 ]
-
-TABLE_SCENARIOS = sorted({row["scenario"] for row in TABLE_ROWS})
-
 
 def emit_table(report_dir: str):
     """Assemble the desk-scale sphere table from stored scenario reports.

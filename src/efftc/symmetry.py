@@ -213,9 +213,6 @@ class GroupAction:
             maps.append(vm)
         return GroupAction(self.group, K2, maps)
 
-    def restrict_elements(self, indices) -> list[int]:
-        return sorted(set(indices))
-
 
 def trivial_action(K: SimplicialComplex) -> GroupAction:
     return GroupAction(FiniteGroup.trivial(), K, [{v: v for v in K.vertices}])

@@ -5,6 +5,8 @@ pinned parameters are grid=32, epsilon=0.05, delta=1e-6, modulus=10 with 64
 samples per leg; exact computations carry no sampling parameters at all.
 """
 
+import os
+import pathlib
 import time
 
 import numpy as np
@@ -247,6 +249,16 @@ def test_criterion_7d_chain_checks_never_flag():
                 flagged.append((name, check))
     _announce("7d", not flagged, f"chain checks clean on {len(_CATALOG_ACTIONS)} "
                                  f"scenarios {flagged or ''}")
+
+
+@pytest.mark.skipif("EFFTC_SEED" in os.environ,
+                    reason="the seed is recorded in the report params")
+@pytest.mark.parametrize("name", _CATALOG_ACTIONS)
+def test_builtin_reports_match_golden(name):
+    # tests/golden holds each builtin's report bytes at the default seed; a
+    # change meant to alter a report rewrites its file and says which bytes moved
+    golden = pathlib.Path(__file__).parent / "golden" / f"{name}.json"
+    assert scenario_result(name).to_json().encode("utf-8") == golden.read_bytes()
 
 
 def test_criterion_7e_adversarial_cover_refuted():

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from efftc.errors import (
     LiftError,
     RegularityError,
 )
+from efftc import scenarios
 from efftc.scenarios import (
     BUILTINS,
     Scenario,
@@ -207,3 +210,101 @@ def test_cli_load_error_exit(capsys, tmp_path, text):
         path.write_text(text)
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot load scenario: ")
+
+
+_POINT = {"id": "bad", "space": {"kind": "point"}, "action": "trivial",
+          "complex": "point"}
+
+
+@pytest.mark.parametrize("fields", [
+    {"pipeline": [{"op": "nope"}]},
+    {"pipeline": [{"op": "lower", "method": "nope"}]},
+    {"pipeline": [{"op": "lower", "method": "zero-divisor"},
+                  {"op": "upper", "planner": "nope"}]},
+    {"space": {"kind": "klein"}},
+    {"space": {"kind": "sphere", "n": 2}, "action": "nope"},
+    {"complex": "nope"},
+    {"complex": "hexagon", "simplicial_action": "rotation"},
+], ids=["op", "method", "planner-after-a-step", "space-kind", "action",
+        "complex", "simplicial-action"])
+def test_unknown_names_are_load_errors(capsys, tmp_path, fields):
+    # every name is checked when the scenario loads, before any step runs
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_POINT, **fields}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot load scenario: ")
+
+
+@pytest.mark.parametrize("fields, error", [
+    ({"complex": "no-such-dir/missing.cx"}, "FileNotFoundError"),
+    ({"space": {"kind": "sphere", "n": 2}, "action": "antipodal",
+      "pipeline": [{"op": "upper", "planner": "strict-section"}]},
+     "ValueError: no quotient model of antipodal on sphere2"),
+], ids=["missing-complex-file", "no-quotient-model"])
+def test_scenario_run_failures(capsys, tmp_path, fields, error):
+    # files are opened, and quotient models looked up, when the run needs them
+    path = tmp_path / "fails.json"
+    path.write_text(json.dumps({**_POINT, **fields}))
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: scenario run failed: {error}")
+
+
+def test_cat_upper_restricts_a_tc_cover(monkeypatch):
+    from efftc import bounds
+
+    verified = []
+    verify = bounds.verify_cover
+
+    def spy(cover, **params):
+        verified.append(cover)
+        return verify(cover, **params)
+
+    monkeypatch.setattr(bounds, "verify_cover", spy)
+    res = run_scenario(Scenario(id="p", space={"kind": "point"}, action="trivial",
+                                pipeline=[{"op": "cat-upper", "planner": "point"}]))
+    assert [(c.kind, c.name) for c in verified] == [("cat", "point@base")]
+    assert np.array_equal(verified[0].basepoint, np.zeros(1))
+    assert res.report_for("cat", "inf").upper.value == 0
+
+
+def _readme_part(start: str, end: str) -> str:
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    begin = text.index(start)
+    return text[begin:text.index(end, begin)]
+
+
+def _names(text: str) -> list[str]:
+    return re.findall(r"`([^`]+)`", text)
+
+
+def _bullets(text: str) -> list[tuple[list[str], list[str]]]:
+    """(names before the colon, names after it) of each '- ' line."""
+    return [(_names(head), _names(tail)) for head, tail in
+            re.findall(r"^- (.*?): (.*)$", text, re.M)]
+
+
+def test_readme_lists_the_scenario_names():
+    steps = set()
+    for op, methods in re.findall(r"^\| `([a-z-]+)` \| ([^|]*) \|",
+                                  _readme_part("Pipeline steps", "Planner names"),
+                                  re.M):
+        steps |= {(op, m) for m in
+                  [m for m in _names(methods) if m != "planner"] or [None]}
+    assert steps == set(scenarios._STEPS)
+
+    planners = _names(_readme_part("Planner names", "Actions, by space kind"))
+    assert sorted(planners) == sorted(scenarios._PLANNERS)
+
+    actions = {(kinds[0], a) for kinds, names in
+               _bullets(_readme_part("Actions, by space kind", "Builtin complexes"))
+               for a in names}
+    assert actions == set(scenarios._SPACE_ACTIONS)
+
+    carried = _bullets(_readme_part("Builtin complexes", "`complex` may also"))
+    assert {cx for complexes, _ in carried for cx in complexes} \
+        == set(scenarios._COMPLEXES)
+    assert {(cx, a) for complexes, names in carried
+            for cx in complexes for a in names} \
+        == set(scenarios._SIMPLICIAL_ACTIONS)
