@@ -35,6 +35,7 @@ from .pathspace import ENDPOINT_TOL
 from .planners import PlannerCover
 from .symmetry import (
     GroupAction,
+    SimplexIndex,
     fixed_subcomplex,
     quotient_complex,
     saturated_diagonal,
@@ -551,16 +552,16 @@ def orbit_map_pullback(action: GroupAction):
     Q, vmap, base = quotient_complex(action)
     summary = cohomology(Q)
     K = base.complex
+    q_index = SimplexIndex(Q)
+    to_q = np.array([q_index.vertex_index[vmap[v]] for v in K.vertices], dtype=np.intp)
     pullbacks: list[Cochain] = []
-    for d in range(1, Q.dimension + 1):
-        if d > K.dimension:
-            break
+    for d in range(1, min(Q.dimension, K.dimension) + 1):
+        # a simplex the orbit map collapses (not found in Q) pulls back to 0
+        image = q_index.find(d, np.sort(to_q[base.index.rows[d]], axis=1))
+        hit = image >= 0
         for rep in summary.representatives[d]:
             vec = np.zeros(K.n_simplices(d), dtype=np.uint8)
-            for i, s in enumerate(K.simplices(d)):
-                image = tuple(sorted({vmap[v] for v in s}))
-                if len(image) == len(s):
-                    vec[i] = rep.coeffs[Q.index(image)]
+            vec[hit] = rep.coeffs[image[hit]]
             pullbacks.append(Cochain(d, vec))
     return Q, base, pullbacks
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,11 +50,12 @@ class Scenario:
     action: str
     complex: str | None = None
     simplicial_action: str | None = None
-    basepoint: str | None = None
     pipeline: list = field(default_factory=list)
     expected: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not isinstance(self.space, dict):
+            raise ValueError("the scenario's space is not a JSON object")
         kind = self.space.get("kind")
         if (kind, self.action) not in _SPACE_ACTIONS:
             raise ValueError(f"no action {self.action!r} on space kind {kind!r}")
@@ -65,7 +66,11 @@ class Scenario:
             if act != "trivial" and not _is_file(act, ".act") \
                     and (self.complex, act) not in _SIMPLICIAL_ACTIONS:
                 raise ValueError(f"no simplicial action {act!r} on {self.complex!r}")
+        if not isinstance(self.pipeline, list):
+            raise ValueError("the scenario's pipeline is not a JSON list")
         for step in self.pipeline:
+            if not isinstance(step, dict):
+                raise ValueError(f"a pipeline step is not a JSON object: {step!r}")
             op, method = step.get("op"), step.get("method")
             if (op, method) not in _STEPS:
                 raise ValueError(f"unknown pipeline step: op {op!r}, "
@@ -81,9 +86,7 @@ class Scenario:
     def from_dict(cls, data: dict) -> "Scenario":
         if not isinstance(data, dict):
             raise ValueError("a scenario is a JSON object")
-        known = {"id", "space", "action", "complex", "simplicial_action",
-                 "basepoint", "pipeline", "expected"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         missing = {"id", "space", "action"} - set(data)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .complexes import SimplicialComplex, barycentric_subdivision, from_simplex_set
 from .errors import GroupClosureError, RegularityError
 
@@ -152,37 +154,118 @@ def group_from_permutations(generators: list[list[int]],
     return group, perms
 
 
+class SimplexIndex:
+    """The simplices of a complex as rows of vertex indices, and the lookup
+    of such rows among them.
+
+    Vertex i is `K.vertices[i]`.  Indices follow identifier order, so the
+    rows of each degree are sorted lexicographically, as K's simplices are.
+    A d-simplex is keyed by (index of its face without the last vertex,
+    last vertex); those keys increase along each degree, so a sorted
+    search finds a row.
+    """
+
+    def __init__(self, K: SimplicialComplex):
+        self.complex = K
+        self.vertex_index = {v: i for i, v in enumerate(K.vertices)}
+        self.rows: list[np.ndarray] = []
+        self._keys: list[np.ndarray] = []
+        for d in range(K.dimension + 1):
+            n_d = K.n_simplices(d)
+            rows = np.fromiter((self.vertex_index[v] for s in K.simplices(d) for v in s),
+                               dtype=np.intp, count=n_d * (d + 1)).reshape(n_d, d + 1)
+            self.rows.append(rows)
+            self._keys.append(self._key(d, rows))
+
+    def _key(self, d: int, rows: np.ndarray) -> np.ndarray:
+        """Keys of rows of d + 1 vertices; a row whose front face is no
+        simplex (index -1) gets a negative key, which matches none."""
+        if d == 0:
+            return rows[..., 0]
+        return self.find(d - 1, rows[..., :-1]) * len(self.vertex_index) + rows[..., -1]
+
+    def find(self, d: int, rows: np.ndarray) -> np.ndarray:
+        """Index among the d-simplices of each row of d + 1 increasing vertex
+        indices, or -1 where the row is not a simplex."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if d > self.complex.dimension:
+            return np.full(rows.shape[:-1], -1, dtype=np.intp)
+        if d == 0:
+            return rows[..., 0]
+        key, keys = self._key(d, rows), self._keys[d]
+        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where(keys[pos] == key, pos, -1)
+
+
 class GroupAction:
-    """A finite group realized as simplicial automorphisms of a complex."""
+    """A finite group realized as simplicial automorphisms of a complex.
+
+    The action is held as integer tables over `index = SimplexIndex(K)`:
+    `perm[g, i]` is the index of g·vᵢ and `tables[d][g, i]` the index of
+    g·σᵢ among the d-simplices.  `vertex_maps` gives the same action as one
+    {vertex: image} dict per element.
+    """
 
     def __init__(self, group: FiniteGroup, complex: SimplicialComplex,
                  vertex_maps: list[dict]):
+        index = SimplexIndex(complex)
+        verts, where = complex.vertices, index.vertex_index
+        # a map whose keys are not the vertices gets a row that is no permutation
+        rows = [[where.get(vm[v], -1) for v in verts] if vm.keys() == where.keys()
+                else [-1] * len(verts) for vm in vertex_maps]
+        self._setup(group, index,
+                    np.array(rows, dtype=np.intp).reshape(len(rows), len(verts)),
+                    vertex_maps)
+
+    @classmethod
+    def _from_perm(cls, group: FiniteGroup, complex: SimplicialComplex,
+                   perm: np.ndarray) -> "GroupAction":
+        action = cls.__new__(cls)
+        action._setup(group, SimplexIndex(complex), perm, None)
+        return action
+
+    def _setup(self, group, index, perm, vertex_maps) -> None:
         self.group = group
-        self.complex = complex
-        self.vertex_maps = vertex_maps
+        self.complex = index.complex
+        self.index = index
+        self.perm = perm
+        self._vertex_maps = vertex_maps
+        self._subdivided: GroupAction | None = None
+        self._fixed: dict[tuple, SimplicialComplex] = {}
         self._validate()
 
     def _validate(self) -> None:
-        verts = set(self.complex.vertices)
-        if len(self.vertex_maps) != self.group.order:
+        """Check that the maps are a simplicial action, building the tables
+        on the way; raise ValueError naming the first failure."""
+        n, identity = self.group.order, np.arange(self.perm.shape[1])
+        if self.perm.shape[0] != n:
             raise ValueError("one vertex map per group element required")
-        for g, vm in enumerate(self.vertex_maps):
-            if set(vm.keys()) != verts or set(vm.values()) != verts:
-                raise ValueError(f"element {g}: not a vertex permutation")
-        ident = self.vertex_maps[0]
-        if any(ident[v] != v for v in verts):
+        moved = np.flatnonzero((np.sort(self.perm, axis=1) != identity).any(axis=1))
+        if moved.size:
+            raise ValueError(f"element {moved[0]}: not a vertex permutation")
+        if (self.perm[0] != identity).any():
             raise ValueError("identity element must act as the identity map")
-        for g, vm in enumerate(self.vertex_maps):
-            for s in self.complex.all_simplices():
-                if not self.complex.contains(self.apply(g, s)):
-                    raise ValueError(
-                        f"element {g} does not map simplex {s} to a simplex")
-        for a in range(self.group.order):
-            for b in range(self.group.order):
-                ab = self.group.mul(a, b)
-                for v in verts:
-                    if self.vertex_maps[a][self.vertex_maps[b][v]] != self.vertex_maps[ab][v]:
-                        raise ValueError("vertex maps are not a homomorphism")
+        self.tables = [self.index.find(d, np.sort(self.perm[:, rows], axis=2))
+                       for d, rows in enumerate(self.index.rows)]
+        for g in range(n):
+            for d, table in enumerate(self.tables):
+                lost = np.flatnonzero(table[g] < 0)
+                if lost.size:
+                    raise ValueError(f"element {g} does not map simplex "
+                                     f"{self.complex.simplices(d)[lost[0]]} to a simplex")
+        mul = np.array(self.group.table, dtype=np.intp)
+        for a in range(n):
+            # row b: a(b(v)) against (ab)(v)
+            if (self.perm[a][self.perm] != self.perm[mul[a]]).any():
+                raise ValueError("vertex maps are not a homomorphism")
+
+    @property
+    def vertex_maps(self) -> list[dict]:
+        if self._vertex_maps is None:
+            verts = self.complex.vertices
+            self._vertex_maps = [dict(zip(verts, map(verts.__getitem__, row)))
+                                 for row in self.perm.tolist()]
+        return self._vertex_maps
 
     def apply(self, g: int, simplex: tuple) -> tuple:
         vm = self.vertex_maps[g]
@@ -192,30 +275,32 @@ class GroupAction:
         return self.vertex_maps[g][v]
 
     def vertex_orbit(self, v) -> frozenset:
-        return frozenset(vm[v] for vm in self.vertex_maps)
+        verts = self.complex.vertices
+        return frozenset(verts[j] for j in self.perm[:, self.index.vertex_index[v]])
 
     def is_free(self) -> bool:
         """No nontrivial element fixes any simplex setwise (hence no point)."""
-        for g in range(1, self.group.order):
-            for s in self.complex.all_simplices():
-                if self.apply(g, s) == s:
-                    return False
-        return True
+        return not any((t[1:] == np.arange(t.shape[1])).any() for t in self.tables)
 
     def subdivided(self) -> "GroupAction":
-        K2 = barycentric_subdivision(self.complex)
-        maps = []
-        for g in range(self.group.order):
-            vm = {}
-            for bary in K2.vertices:
-                d, sigma = bary
-                vm[bary] = (d, self.apply(g, sigma))
-            maps.append(vm)
-        return GroupAction(self.group, K2, maps)
+        """The action on the barycentric subdivision, made once and kept.
+
+        The subdivision's vertices (d, σ) are sorted dimension first, so
+        (d, σᵢ) has index offset_d + i and g sends it to offset_d +
+        tables[d][g, i].
+        """
+        if self._subdivided is None:
+            K2 = barycentric_subdivision(self.complex)
+            offsets = np.cumsum([0] + [t.shape[1] for t in self.tables])
+            perm = np.hstack([np.zeros((self.group.order, 0), dtype=np.intp)]
+                             + [t + o for t, o in zip(self.tables, offsets)])
+            self._subdivided = GroupAction._from_perm(self.group, K2, perm)
+        return self._subdivided
 
 
 def trivial_action(K: SimplicialComplex) -> GroupAction:
-    return GroupAction(FiniteGroup.trivial(), K, [{v: v for v in K.vertices}])
+    return GroupAction._from_perm(FiniteGroup.trivial(), K,
+                                  np.arange(len(K.vertices))[None, :])
 
 
 def action_from_generator_perms(K: SimplicialComplex,
@@ -225,8 +310,8 @@ def action_from_generator_perms(K: SimplicialComplex,
     vert_index = {v: i for i, v in enumerate(verts)}
     gen_perms = [[vert_index[vm[v]] for v in verts] for vm in generator_maps]
     group, perms = group_from_permutations(gen_perms)
-    maps = [{verts[i]: verts[p[i]] for i in range(len(verts))} for p in perms]
-    return GroupAction(group, K, maps)
+    return GroupAction._from_perm(
+        group, K, np.array(perms, dtype=np.intp).reshape(len(perms), len(verts)))
 
 
 def read_action_text(K: SimplicialComplex, path) -> GroupAction:
@@ -266,19 +351,26 @@ def write_action_text(action: GroupAction, path) -> None:
 
 def pointwise_fixed_subcomplex(action: GroupAction, elements) -> SimplicialComplex:
     """Simplices fixed vertex-by-vertex by every listed element (no repair)."""
-    fixed = []
-    for s in action.complex.all_simplices():
-        if all(action.apply_vertex(g, v) == v for g in elements for v in s):
-            fixed.append(s)
-    return from_simplex_set(fixed)
+    perm = action.perm[list(elements)]
+    fixed = (perm == np.arange(perm.shape[1])).all(axis=0)
+    levels = []
+    for d, rows in enumerate(action.index.rows):
+        # the kept simplices are closed under faces: none kept, none above
+        kept = np.flatnonzero(fixed[rows].all(axis=1))
+        if not kept.size:
+            break
+        level = action.complex.simplices(d)
+        levels.append([level[i] for i in kept])
+    return SimplicialComplex(levels)
 
 
 def _setwise_implies_pointwise(action: GroupAction, elements) -> bool:
-    for g in elements:
-        for s in action.complex.all_simplices():
-            if action.apply(g, s) == s and any(
-                    action.apply_vertex(g, v) != v for v in s):
-                return False
+    g = list(elements)
+    for rows, table in zip(action.index.rows, action.tables):
+        setwise = table[g] == np.arange(table.shape[1])
+        pointwise = (action.perm[g][:, rows] == rows).all(axis=2)
+        if (setwise & ~pointwise).any():
+            return False
     return True
 
 
@@ -288,38 +380,44 @@ def fixed_subcomplex(action: GroupAction, subgroup) -> SimplicialComplex:
     Requires setwise-invariant simplices to be pointwise fixed so that the
     subcomplex realizes |X|^H; one barycentric subdivision always repairs
     this, a second is allowed for symmetry with the other constructions.
+    The result is kept on the action, one per subgroup.
     """
     subgroup = sorted(set(subgroup))
     if not action.group.is_subgroup(subgroup):
         raise ValueError("element set is not a subgroup")
-    current = action
-    for subdivisions in range(3):
-        if _setwise_implies_pointwise(current, subgroup):
-            return pointwise_fixed_subcomplex(current, subgroup)
-        if subdivisions == 2:
-            break
-        current = current.subdivided()
-    raise RegularityError("fixed subcomplex irregular after two subdivisions")
+    key = tuple(subgroup)
+    if key not in action._fixed:
+        current = action
+        for subdivisions in range(3):
+            if _setwise_implies_pointwise(current, subgroup):
+                action._fixed[key] = pointwise_fixed_subcomplex(current, subgroup)
+                break
+            if subdivisions == 2:
+                raise RegularityError("fixed subcomplex irregular after two subdivisions")
+            current = current.subdivided()
+    return action._fixed[key]
 
 
-def _quotient_regular(action: GroupAction) -> bool:
-    # (a) the orbit map is injective on every simplex
-    for s in action.complex.all_simplices():
-        orbits = [action.vertex_orbit(v) for v in s]
-        if len(set(orbits)) != len(orbits):
-            return False
-    # (b) simplices with the same orbit image lie in one G-orbit
-    by_image: dict[frozenset, tuple] = {}
-    for s in action.complex.all_simplices():
-        image = frozenset(action.vertex_orbit(v) for v in s)
-        if image in by_image:
-            rep = by_image[image]
-            if not any(action.apply(g, s) == rep
-                       for g in range(action.group.order)):
-                return False
-        else:
-            by_image[image] = s
-    return True
+def _orbit_images(action: GroupAction) -> list[np.ndarray] | None:
+    """Per degree, the image under the orbit map of each G-orbit of
+    simplices, as rows of orbit ids (an orbit's id is its least member) in
+    lexicographic order; None when the action is not regular enough to
+    quotient."""
+    orbit = action.perm.min(axis=0)
+    levels = []
+    for rows, table in zip(action.index.rows, action.tables):
+        image = np.sort(orbit[rows], axis=1)
+        # (a) the orbit map is injective on every simplex
+        if (image[:, 1:] == image[:, :-1]).any():
+            return None
+        # one simplex per G-orbit: the one whose least image is itself
+        image = image[table.min(axis=0) == np.arange(len(rows))]
+        image = image[np.lexsort(image.T[::-1])]
+        # (b) simplices with the same orbit image lie in one G-orbit
+        if (image[1:] == image[:-1]).all(axis=1).any():
+            return None
+        levels.append(image)
+    return levels
 
 
 def quotient_complex(action: GroupAction):
@@ -330,14 +428,16 @@ def quotient_complex(action: GroupAction):
     """
     current = action
     for subdivisions in range(3):
-        if _quotient_regular(current):
-            orbit_of = {v: current.vertex_orbit(v) for v in current.complex.vertices}
+        images = _orbit_images(current)
+        if images is not None:
+            verts = current.complex.vertices
             # deterministic quotient vertex labels: minimal orbit member
-            label = {orb: min(orb) for orb in set(orbit_of.values())}
-            vmap = {v: label[orbit_of[v]] for v in current.complex.vertices}
-            simplices = {tuple(sorted(vmap[v] for v in s))
-                         for s in current.complex.all_simplices()}
-            return from_simplex_set(simplices), vmap, current
+            orbit = current.perm.min(axis=0)
+            vmap = dict(zip(verts, map(verts.__getitem__, orbit.tolist())))
+            # the images are closed under faces, a simplex of X/G each
+            levels = [[tuple(map(verts.__getitem__, row)) for row in level.tolist()]
+                      for level in images]
+            return SimplicialComplex(levels), vmap, current
         if subdivisions == 2:
             break
         current = current.subdivided()
@@ -400,19 +500,9 @@ class SaturatedDiagonal:
 
 
 def _monotone_on_simplices(action: GroupAction, g: int) -> bool:
-    vm = action.vertex_maps[g]
-    for s in action.complex.all_simplices():
-        if len(s) < 2:
-            continue
-        images = [vm[v] for v in s]
-        if any(images[i] >= images[i + 1] for i in range(len(images) - 1)):
-            return False
-    return True
-
-
-def _is_chain(pairs: tuple) -> bool:
-    """Both coordinates strictly increase: a simplex of the staircase product."""
-    return all(a[0] < b[0] and a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
+    image = action.perm[g]
+    return all((image[rows[:, 1:]] > image[rows[:, :-1]]).all()
+               for rows in action.index.rows[1:])
 
 
 def saturated_diagonal(action: GroupAction, elements=None) -> SaturatedDiagonal:
@@ -434,16 +524,34 @@ def saturated_diagonal(action: GroupAction, elements=None) -> SaturatedDiagonal:
             raise RegularityError("slices not simplicial after two subdivisions")
         current = current.subdivided()
         subdivisions += 1
-    slices: dict[int, frozenset] = {}
+    verts, rows_by_dim = current.complex.vertices, current.index.rows
+    # the slice simplex of σ pairs its vertices v with g(v) in the order of
+    # g(v); it is a chain of the product when that order is the order of v
     for g in elements:
-        vm = current.vertex_maps[g]
-        slice_simplices = set()
-        for s in current.complex.all_simplices():
-            pair = tuple(sorted((vm[v], v) for v in s))
-            if not _is_chain(pair):
+        image = current.perm[g]
+        for d, rows in enumerate(rows_by_dim):
+            broken = np.flatnonzero((image[rows[:, 1:]] <= image[rows[:, :-1]]).any(axis=1))
+            if broken.size:
+                s = current.complex.simplices(d)[broken[0]]
+                pair = tuple(sorted((current.apply_vertex(g, v), v) for v in s))
                 raise RegularityError(f"slice simplex {pair} missing from product")
-            slice_simplices.add(pair)
-        slices[g] = frozenset(slice_simplices)
-    union = from_simplex_set(set().union(*slices.values()))
+    # every slice simplex as a row (g(v0), v0, g(v1), v1, ...); the union is
+    # closed under faces, and its unique rows come out in tuple order
+    parts: dict[int, list] = {g: [] for g in elements}
+    levels = []
+    for rows in rows_by_dim:
+        graph = np.stack([current.perm[elements][:, rows],
+                          np.broadcast_to(rows, (len(elements),) + rows.shape)], axis=3)
+        unique, inverse = np.unique(graph.reshape(-1, 2 * rows.shape[1]), axis=0,
+                                    return_inverse=True)
+        level = [tuple(zip(map(verts.__getitem__, row[0::2]),
+                           map(verts.__getitem__, row[1::2])))
+                 for row in unique.tolist()]
+        if level:
+            levels.append(level)
+        for g, picks in zip(elements, inverse.reshape(len(elements), len(rows)).tolist()):
+            parts[g] += map(level.__getitem__, picks)
+    slices = {g: frozenset(part) for g, part in parts.items()}
     return SaturatedDiagonal(base=current, elements=elements, slices=slices,
-                             union_complex=union, subdivisions=subdivisions)
+                             union_complex=SimplicialComplex(levels),
+                             subdivisions=subdivisions)

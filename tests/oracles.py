@@ -12,6 +12,8 @@ The leg oracles are the whole-array forms of builders that now work in row
 blocks or in place: the slerp recurrence over all rows in one buffer, the
 adversarial legs assembled from a separate geodesic of the rows with a
 unique arc, and the Python-set neighbour loop of the sphere grids.
+The group-action oracles are the tuple-and-dict forms of what `symmetry`
+now does on integer tables: they apply vertex maps simplex by simplex.
 """
 from __future__ import annotations
 
@@ -21,9 +23,17 @@ import numpy as np
 
 from efftc.bounds import Certification
 from efftc.planners import CoverSet, PlannerCover, _tangent_unit
-from efftc.complexes import Cochain, coboundary_space, cohomology, cup_length
+from efftc.complexes import (
+    Cochain,
+    barycentric_subdivision,
+    coboundary_space,
+    cohomology,
+    cup_length,
+    from_simplex_set,
+)
+from efftc.errors import RegularityError
 from efftc.f2 import F2Matrix
-from efftc.symmetry import product_complex, saturated_diagonal
+from efftc.symmetry import GroupAction, product_complex, saturated_diagonal
 
 
 def dense_rank_mod2(M) -> int:
@@ -408,3 +418,170 @@ def neighbor_pairs_by_sets(sphere, resolution) -> np.ndarray:
                 k1 = int(np.round(k2 * nl / nxt)) % nl
                 pairs.add(tuple(sorted((base + k1, base2 + k2))))
     return np.array(sorted(pairs), dtype=np.intp)
+
+
+# ------------------------------------------------------ group-action oracles
+
+def apply_by_map(action, g: int, simplex: tuple) -> tuple:
+    vm = action.vertex_maps[g]
+    return tuple(sorted(vm[v] for v in simplex))
+
+
+def validate_by_maps(group, K, vertex_maps) -> None:
+    """The checks of an action, vertex by vertex and simplex by simplex;
+    raises the ValueError that GroupAction raises."""
+    verts = set(K.vertices)
+    if len(vertex_maps) != group.order:
+        raise ValueError("one vertex map per group element required")
+    for g, vm in enumerate(vertex_maps):
+        if set(vm.keys()) != verts or set(vm.values()) != verts:
+            raise ValueError(f"element {g}: not a vertex permutation")
+    ident = vertex_maps[0]
+    if any(ident[v] != v for v in verts):
+        raise ValueError("identity element must act as the identity map")
+    for g, vm in enumerate(vertex_maps):
+        for s in K.all_simplices():
+            if not K.contains(tuple(sorted(vm[v] for v in s))):
+                raise ValueError(
+                    f"element {g} does not map simplex {s} to a simplex")
+    for a in range(group.order):
+        for b in range(group.order):
+            ab = group.mul(a, b)
+            for v in verts:
+                if vertex_maps[a][vertex_maps[b][v]] != vertex_maps[ab][v]:
+                    raise ValueError("vertex maps are not a homomorphism")
+
+
+def is_free_by_maps(action) -> bool:
+    return not any(apply_by_map(action, g, s) == s
+                   for g in range(1, action.group.order)
+                   for s in action.complex.all_simplices())
+
+
+def vertex_orbit_by_maps(action, v) -> frozenset:
+    return frozenset(vm[v] for vm in action.vertex_maps)
+
+
+def subdivided_by_maps(action):
+    """The action on the barycentric subdivision, from dicts: (d, σ) goes
+    to (d, g·σ)."""
+    K2 = barycentric_subdivision(action.complex)
+    maps = [{bary: (bary[0], apply_by_map(action, g, bary[1])) for bary in K2.vertices}
+            for g in range(action.group.order)]
+    return GroupAction(action.group, K2, maps)
+
+
+def pointwise_fixed_by_maps(action, elements):
+    return from_simplex_set(
+        [s for s in action.complex.all_simplices()
+         if all(action.vertex_maps[g][v] == v for g in elements for v in s)])
+
+
+def _setwise_implies_pointwise_by_maps(action, elements) -> bool:
+    for g in elements:
+        for s in action.complex.all_simplices():
+            if apply_by_map(action, g, s) == s and any(
+                    action.vertex_maps[g][v] != v for v in s):
+                return False
+    return True
+
+
+def fixed_subcomplex_by_maps(action, subgroup):
+    subgroup = sorted(set(subgroup))
+    current = action
+    for subdivisions in range(3):
+        if _setwise_implies_pointwise_by_maps(current, subgroup):
+            return pointwise_fixed_by_maps(current, subgroup)
+        if subdivisions == 2:
+            break
+        current = subdivided_by_maps(current)
+    raise RegularityError("fixed subcomplex irregular after two subdivisions")
+
+
+def quotient_regular_by_maps(action) -> bool:
+    # (a) the orbit map is injective on every simplex
+    for s in action.complex.all_simplices():
+        orbits = [vertex_orbit_by_maps(action, v) for v in s]
+        if len(set(orbits)) != len(orbits):
+            return False
+    # (b) simplices with the same orbit image lie in one G-orbit
+    by_image = {}
+    for s in action.complex.all_simplices():
+        image = frozenset(vertex_orbit_by_maps(action, v) for v in s)
+        if image in by_image:
+            rep = by_image[image]
+            if not any(apply_by_map(action, g, s) == rep
+                       for g in range(action.group.order)):
+                return False
+        else:
+            by_image[image] = s
+    return True
+
+
+def quotient_by_maps(action):
+    """(quotient complex, vertex orbit map, base action), as quotient_complex."""
+    current = action
+    for subdivisions in range(3):
+        if quotient_regular_by_maps(current):
+            orbit_of = {v: vertex_orbit_by_maps(current, v)
+                        for v in current.complex.vertices}
+            label = {orb: min(orb) for orb in set(orbit_of.values())}
+            vmap = {v: label[orbit_of[v]] for v in current.complex.vertices}
+            simplices = {tuple(sorted(vmap[v] for v in s))
+                         for s in current.complex.all_simplices()}
+            return from_simplex_set(simplices), vmap, current
+        if subdivisions == 2:
+            break
+        current = subdivided_by_maps(current)
+    raise RegularityError("quotient irregular after two subdivisions")
+
+
+def _monotone_by_maps(action, g) -> bool:
+    vm = action.vertex_maps[g]
+    return all(vm[a] < vm[b] for s in action.complex.all_simplices()
+               for a, b in zip(s, s[1:]))
+
+
+def saturated_diagonal_by_maps(action, elements=None):
+    """(slices, union complex, subdivisions, base action), as
+    saturated_diagonal: each slice simplex sorted and checked to be a
+    chain of the staircase product."""
+    elements = sorted(set(range(action.group.order) if elements is None else elements))
+    current = action
+    subdivisions = 0
+    while not all(_monotone_by_maps(current, g) for g in elements):
+        if subdivisions >= 2:
+            raise RegularityError("slices not simplicial after two subdivisions")
+        current = subdivided_by_maps(current)
+        subdivisions += 1
+    slices = {}
+    for g in elements:
+        vm = current.vertex_maps[g]
+        pairs = set()
+        for s in current.complex.all_simplices():
+            pair = tuple(sorted((vm[v], v) for v in s))
+            if not all(a[0] < b[0] and a[1] < b[1] for a, b in zip(pair, pair[1:])):
+                raise RegularityError(f"slice simplex {pair} missing from product")
+            pairs.add(pair)
+        slices[g] = frozenset(pairs)
+    union = from_simplex_set(set().union(*slices.values()))
+    return slices, union, subdivisions, current
+
+
+def orbit_map_pullback_by_maps(action):
+    """(Q, base, pullbacks) as bounds.orbit_map_pullback, image by image."""
+    Q, vmap, base = quotient_by_maps(action)
+    summary = cohomology(Q)
+    K = base.complex
+    pullbacks = []
+    for d in range(1, Q.dimension + 1):
+        if d > K.dimension:
+            break
+        for rep in summary.representatives[d]:
+            vec = np.zeros(K.n_simplices(d), dtype=np.uint8)
+            for i, s in enumerate(K.simplices(d)):
+                image = tuple(sorted({vmap[v] for v in s}))
+                if len(image) == len(s):
+                    vec[i] = rep.coeffs[Q.index(image)]
+            pullbacks.append(Cochain(d, vec))
+    return Q, base, pullbacks

@@ -20,7 +20,7 @@ from efftc.bounds import (
     verify_cover,
     zero_divisor_cup_length,
 )
-from efftc.complexes import coboundary_space, cohomology, cup_product
+from efftc.complexes import build_complex, coboundary_space, cohomology, cup_product
 from efftc.errors import ContradictionError
 from efftc.models import (
     circle_antipodal_quotient,
@@ -414,3 +414,61 @@ def test_cd_bound_holds_on_all_catalog_actions():
         rep = cd_bound_check(bundle.group_action)
         if rep.hypothesis_ok:
             assert rep.passed, (name, rep)
+
+
+def _hexagon_dihedral():
+    K = build_complex([[i, (i + 1) % 6] for i in range(6)])
+    return action_from_generator_perms(K, [{i: (i + 1) % 6 for i in range(6)},
+                                           {i: (5 - i) % 6 for i in range(6)}])
+
+
+def test_cd_bound_reuses_the_fixed_sets_of_the_criterion(monkeypatch):
+    # D6 on the hexagon: 15 nontrivial subgroups, some of whose fixed sets
+    # need the subdivision; each is built once, for the criterion
+    act = _hexagon_dihedral()
+    built = []
+    pointwise = symmetry.pointwise_fixed_subcomplex
+
+    def counted(action, elements):
+        built.append(tuple(elements))
+        return pointwise(action, elements)
+
+    monkeypatch.setattr(symmetry, "pointwise_fixed_subcomplex", counted)
+    first = cd_positivity_criterion(act)
+    report = cd_bound_check(act)
+    nontrivial = sorted(tuple(sorted(H)) for H in act.group.subgroups() if len(H) > 1)
+    assert len(nontrivial) == 15
+    assert sorted(built) == nontrivial
+    assert report.hypothesis_ok == first.hypothesis_ok
+
+
+def _grid_torus_translations(a, b, steps, seed=0):
+    """The a x b grid torus, vertices relabelled at random, with the group
+    of translations by the given (di, dj) steps."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(a * b).tolist()
+
+    def v(i, j):
+        return label[(i % a) * b + j % b]
+
+    K = build_complex([t for i in range(a) for j in range(b)
+                       for t in ([v(i, j), v(i + 1, j), v(i + 1, j + 1)],
+                                 [v(i, j), v(i, j + 1), v(i + 1, j + 1)])])
+    return action_from_generator_perms(
+        K, [{v(i, j): v(i + di, j + dj) for i in range(a) for j in range(b)}
+            for di, dj in steps])
+
+
+@pytest.mark.parametrize("steps, order, nilpotency", [
+    ([(3, 0), (0, 3)], 4, 0),       # Z2 x Z2: both H^1 generators doubled
+    ([(2, 0), (0, 3)], 6, 1),       # Z3 x Z2: one generator tripled
+], ids=["Z2xZ2", "Z3xZ2"])
+def test_exact_steps_on_6x6_tori(steps, order, nilpotency):
+    act = _grid_torus_translations(6, 6, steps)
+    assert act.group.order == order and act.is_free()
+    criterion = cd_positivity_criterion(act)
+    assert (criterion.cd_x, criterion.hypothesis_ok, criterion.verdict) == (
+        2, True, "inconclusive")
+    assert orbit_nilpotency_lower_bound(act) == nilpotency
+    report = cd_bound_check(act)
+    assert (report.cd_diagonal, report.passed) == (2, True)

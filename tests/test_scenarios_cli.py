@@ -235,6 +235,19 @@ def test_unknown_names_are_load_errors(capsys, tmp_path, fields):
     assert capsys.readouterr().err.startswith("error: cannot load scenario: ")
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"space": [1]}, "the scenario's space is not a JSON object"),
+    ({"pipeline": ["upper"]}, "a pipeline step is not a JSON object: 'upper'"),
+    ({"pipeline": "upper"}, "the scenario's pipeline is not a JSON list"),
+    ({"basepoint": "anything at all"}, "unknown scenario fields: ['basepoint']"),
+], ids=["space", "pipeline-step", "pipeline", "basepoint"])
+def test_malformed_scenarios_are_load_errors(capsys, tmp_path, fields, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_POINT, **fields}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot load scenario: {message}\n"
+
+
 @pytest.mark.parametrize("fields, error", [
     ({"complex": "no-such-dir/missing.cx"}, "FileNotFoundError"),
     ({"space": {"kind": "sphere", "n": 2}, "action": "antipodal",

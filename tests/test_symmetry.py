@@ -423,3 +423,44 @@ def test_halfturn_quotient_is_torus():
     from efftc.models import torus43_halfturn_action
     Q, _, _ = quotient_complex(torus43_halfturn_action())
     assert cohomology(Q).betti == (1, 2, 1)
+
+
+def test_exact_steps_subdivide_each_level_once(monkeypatch, tmp_path):
+    # the 3x3 torus under the half turn and a translation (a group of order
+    # 6): fixed sets of the half turns, the quotient and the slices all
+    # need subdivisions, which the three steps share through the action
+    from efftc import scenarios
+    from efftc.complexes import write_complex_text
+
+    def v(i, j):
+        return (i % 3) * 3 + j % 3
+
+    K = build_complex([t for i in range(3) for j in range(3)
+                       for t in ([v(i, j), v(i + 1, j), v(i + 1, j + 1)],
+                                 [v(i, j), v(i, j + 1), v(i + 1, j + 1)])])
+    act = action_from_generator_perms(
+        K, [{v(i, j): v(-i, -j) for i in range(3) for j in range(3)},
+            {v(i, j): v(i + 1, j) for i in range(3) for j in range(3)}])
+    assert act.group.order == 6
+    write_complex_text(K, tmp_path / "t.cx")
+    write_action_text(act, tmp_path / "t.act")
+    scenario = scenarios.Scenario.from_dict({
+        "id": "t3x3", "space": {"kind": "torus", "n": 2}, "action": "trivial",
+        "complex": str(tmp_path / "t.cx"), "simplicial_action": str(tmp_path / "t.act"),
+        "pipeline": [{"op": "lower", "method": "cd-criterion"},
+                     {"op": "cat-lower", "method": "orbit-nilpotency"},
+                     {"op": "check", "method": "cd-bound"}]})
+    subdivided = []
+    subdivide = symmetry.barycentric_subdivision
+
+    def counted(complex):
+        subdivided.append(complex)
+        return subdivide(complex)
+
+    monkeypatch.setattr(symmetry, "barycentric_subdivision", counted)
+    result = scenarios.run_scenario_obj(scenario).as_dict()
+    checks = {c["name"]: c for c in result["checks"]}
+    assert checks["cd-bound"]["ok"] and checks["cd-bound"]["cd_diagonal"] == 2
+    # the first subdivision, then the second for the quotient
+    assert len(subdivided) == 2
+    assert subdivided[1] is not subdivided[0]
