@@ -28,6 +28,7 @@ from .complexes import (
     cup_product,
     f2_cd,
     product_length,
+    simplex_index,
 )
 from .f2 import F2Matrix
 from .errors import ContradictionError
@@ -35,7 +36,6 @@ from .pathspace import ENDPOINT_TOL
 from .planners import PlannerCover
 from .symmetry import (
     GroupAction,
-    SimplexIndex,
     fixed_subcomplex,
     quotient_complex,
     saturated_diagonal,
@@ -552,7 +552,7 @@ def orbit_map_pullback(action: GroupAction):
     Q, vmap, base = quotient_complex(action)
     summary = cohomology(Q)
     K = base.complex
-    q_index = SimplexIndex(Q)
+    q_index = simplex_index(Q)
     to_q = np.array([q_index.vertex_index[vmap[v]] for v in K.vertices], dtype=np.intp)
     pullbacks: list[Cochain] = []
     for d in range(1, min(Q.dimension, K.dimension) + 1):

@@ -7,8 +7,8 @@
 
 Exit codes: 0 all reports consistent and expectations met; 1 contradiction,
 refutation or expectation miss; 2 a scenario that cannot be loaded; 3 a
-pipeline step that failed while the scenario ran (reported with the
-exception's type and message).
+run that failed (reported with the exception's type and message, and the
+index, op, and method or planner of the pipeline step that raised it).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import ContradictionError
+from .errors import RUN_ERRORS, ContradictionError, PipelineStepError
 from .scenarios import (
     BUILTINS,
     emit_table,
@@ -73,9 +73,10 @@ def main(argv=None) -> int:
         except ContradictionError as exc:
             print(f"contradiction: {exc}", file=sys.stderr)
             return 1
-        except (KeyError, OSError, RuntimeError, ValueError) as exc:
-            print(f"error: scenario run failed: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
+        except RUN_ERRORS as exc:
+            detail = exc if isinstance(exc, PipelineStepError) else (
+                f"{type(exc).__name__}: {exc}")
+            print(f"error: scenario run failed: {detail}", file=sys.stderr)
             return 3
         payload = result.to_json()
         if args.out:

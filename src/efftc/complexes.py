@@ -9,6 +9,7 @@ dimension) is exact mod 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -27,6 +28,7 @@ class SimplicialComplex:
         ]
         self._cup_faces: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._faces: dict[int, np.ndarray] = {}
+        self._simplex_index: SimplexIndex | None = None
         self._coboundary_spaces: dict[int, F2RowSpace] = {}
         self._cohomology = None
         self._ring = None
@@ -67,6 +69,57 @@ class SimplicialComplex:
     def __repr__(self):
         counts = tuple(len(level) for level in self.simplices_by_dim)
         return f"SimplicialComplex(counts={counts})"
+
+
+class SimplexIndex:
+    """The simplices of a complex as rows of vertex indices, and the lookup
+    of such rows among them.
+
+    Vertex i is `K.vertices[i]`.  Indices follow identifier order, so the
+    rows of each degree are sorted lexicographically, as K's simplices are.
+    A d-simplex is keyed by (index of its face without the last vertex,
+    last vertex); those keys increase along each degree, so a sorted
+    search finds a row.  `rows`, when given, are those rows already built.
+    """
+
+    def __init__(self, K: SimplicialComplex, rows: list[np.ndarray] | None = None):
+        self.complex = K
+        self.vertex_index = {v: i for i, v in enumerate(K.vertices)}
+        if rows is None:
+            rows = [np.fromiter((self.vertex_index[v] for s in level for v in s),
+                                dtype=np.intp, count=len(level) * (d + 1)
+                                ).reshape(len(level), d + 1)
+                    for d, level in enumerate(K.simplices_by_dim)]
+        self.rows = rows
+        self._keys: list[np.ndarray] = []
+        for d, level in enumerate(rows):
+            self._keys.append(self._key(d, level))
+
+    def _key(self, d: int, rows: np.ndarray) -> np.ndarray:
+        """Keys of rows of d + 1 vertices; a row whose front face is no
+        simplex (index -1) gets a negative key, which matches none."""
+        if d == 0:
+            return rows[..., 0]
+        return self.find(d - 1, rows[..., :-1]) * len(self.vertex_index) + rows[..., -1]
+
+    def find(self, d: int, rows: np.ndarray) -> np.ndarray:
+        """Index among the d-simplices of each row of d + 1 increasing vertex
+        indices, or -1 where the row is not a simplex."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if d > self.complex.dimension:
+            return np.full(rows.shape[:-1], -1, dtype=np.intp)
+        if d == 0:
+            return rows[..., 0]
+        key, keys = self._key(d, rows), self._keys[d]
+        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where(keys[pos] == key, pos, -1)
+
+
+def simplex_index(K: SimplicialComplex) -> SimplexIndex:
+    """The SimplexIndex of K (cached on K)."""
+    if K._simplex_index is None:
+        K._simplex_index = SimplexIndex(K)
+    return K._simplex_index
 
 
 @dataclass
@@ -141,12 +194,19 @@ def build_complex(maximal_simplices) -> SimplicialComplex:
 
 
 def _faces(K: SimplicialComplex, d: int) -> np.ndarray:
-    """(n_d, d + 1) indices of the codimension-1 faces of each d-simplex."""
+    """(n_d, d + 1) indices of the codimension-1 faces of each d-simplex
+    (d >= 1)."""
     if d not in K._faces:
-        K._faces[d] = np.array(
-            [[K.index(tau[:j] + tau[j + 1:]) for j in range(d + 1)]
-             for tau in K.simplices(d)], dtype=np.intp).reshape(-1, d + 1)
+        K._faces[d] = _face_table(K, d, d - 1)
     return K._faces[d]
+
+
+def _face_table(K: SimplicialComplex, d: int, e: int) -> np.ndarray:
+    """(n_d, C(d + 1, e + 1)) indices of the e-faces of each d-simplex, in
+    the order of `combinations` over its vertex positions."""
+    index = simplex_index(K)
+    positions = np.array(list(combinations(range(d + 1), e + 1)), dtype=np.intp)
+    return index.find(e, index.rows[d][:, positions])
 
 
 def _set_bits(m: F2Matrix, rows: np.ndarray, cols: np.ndarray) -> F2Matrix:
@@ -225,20 +285,24 @@ def cohomology(K: SimplicialComplex) -> CohomologySummary:
 
 
 def f2_cd(K: SimplicialComplex) -> int:
-    """Cohomological dimension over constant F2 coefficients (-1 if empty)."""
-    return cohomology(K).cd
+    """Cohomological dimension over constant F2 coefficients (-1 if empty).
+
+    Read off ranks, from the top degree down: b_d = n_d - dim B^{d+1} -
+    dim B^d with the cached coboundary spaces, so no kernel basis or
+    representative is computed.
+    """
+    for d in range(K.dimension, -1, -1):
+        if K.n_simplices(d) > coboundary_space(K, d + 1).dim + coboundary_space(K, d).dim:
+            return d
+    return -1
 
 
 def _cup_faces(K: SimplicialComplex, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     key = (p, q)
     if key not in K._cup_faces:
-        front = []
-        back = []
-        for tau in K.simplices(p + q):
-            front.append(K.index(tau[:p + 1]))
-            back.append(K.index(tau[p:]))
-        K._cup_faces[key] = (np.array(front, dtype=np.intp),
-                             np.array(back, dtype=np.intp))
+        index = simplex_index(K)
+        rows = index.rows[p + q]
+        K._cup_faces[key] = (index.find(p, rows[:, :p + 1]), index.find(q, rows[:, p:]))
     return K._cup_faces[key]
 
 
@@ -388,32 +452,50 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     The subdivision vertex for a simplex sigma is (dim sigma, sigma); the
     identifier order is therefore dimension-primary, which makes every
     simplicial automorphism of K order-monotone on the subdivided simplices.
+
+    (d, σᵢ) has index offset_d + i, so a simplex of the subdivision, a chain
+    of faces, is a row of increasing indices.  The chains are grown from
+    the bottom: a chain whose smallest simplex has dimension d gains each
+    proper face of it, read off the face tables.
     """
-    chains: set[tuple] = set()
-    maximal = _maximal_simplices(K)
-    import itertools
-    for sigma in maximal:
-        for perm in itertools.permutations(sigma):
-            chain = []
-            for i in range(len(perm)):
-                face = tuple(sorted(perm[:i + 1]))
-                chain.append((len(face) - 1, face))
-            chains.add(tuple(sorted(chain)))
-    return from_simplex_set(chains)
+    if K.is_empty():
+        return SimplicialComplex([])
+    counts = [K.n_simplices(d) for d in range(K.dimension + 1)]
+    offsets = np.cumsum([0] + counts)
+    faces = {(d, e): _face_table(K, d, e) + offsets[e]
+             for d in range(1, len(counts)) for e in range(d)}
+    # chains[d]: the chains of the current length whose bottom has dimension d
+    chains = [(offsets[d] + np.arange(n, dtype=np.intp))[:, None]
+              for d, n in enumerate(counts)]
+    rows = []
+    while True:
+        level = np.concatenate(chains)
+        if not len(level):
+            break
+        rows.append(level[np.lexsort(level.T[::-1])])
+        grown = [[np.zeros((0, level.shape[1] + 1), dtype=np.intp)] for _ in counts]
+        for (d, e), table in faces.items():
+            chain = chains[d]
+            below = table[chain[:, 0] - offsets[d]]
+            grown[e].append(np.column_stack(
+                [below.ravel(), np.repeat(chain, below.shape[1], axis=0)]))
+        chains = [np.concatenate(g) for g in grown]
+    names = np.fromiter(((d, s) for d, level in enumerate(K.simplices_by_dim)
+                         for s in level), dtype=object, count=offsets[-1])
+    K2 = SimplicialComplex([list(zip(*names[r].T.tolist())) for r in rows])
+    K2._simplex_index = SimplexIndex(K2, rows)
+    return K2
 
 
 def _maximal_simplices(K: SimplicialComplex) -> list[tuple]:
+    """The simplices that are no face of another, top dimension first."""
     maximal = []
     for d in range(K.dimension, -1, -1):
-        for s in K.simplices(d):
-            sset = set(s)
-            is_face = False
-            for t in K.simplices(d + 1):
-                if sset <= set(t):
-                    is_face = True
-                    break
-            if not is_face:
-                maximal.append(s)
+        is_face = np.zeros(K.n_simplices(d), dtype=bool)
+        if d < K.dimension:
+            is_face[_faces(K, d + 1).ravel()] = True
+        level = K.simplices(d)
+        maximal.extend(level[i] for i in np.flatnonzero(~is_face))
     return maximal
 
 

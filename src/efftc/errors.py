@@ -27,3 +27,17 @@ class GroupClosureError(ValueError):
 
 class ContradictionError(RuntimeError):
     """A reconciled lower bound exceeded an upper bound; the scenario must abort."""
+
+
+# the errors a scenario run reports as a run failure (CLI exit 3)
+RUN_ERRORS = (KeyError, OSError, RuntimeError, ValueError)
+
+
+class PipelineStepError(RuntimeError):
+    """A pipeline step failed while the scenario ran: `step` names it (its
+    index, op, and method or planner) and `cause` is the error it raised."""
+
+    def __init__(self, step: str, cause: Exception):
+        super().__init__(f"{type(cause).__name__}: {cause} (pipeline step {step})")
+        self.step = step
+        self.cause = cause

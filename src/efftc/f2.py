@@ -1,9 +1,12 @@
 """Exact linear algebra over the two-element field.
 
 Vectors are numpy uint8 arrays of 0/1 entries.  Matrices pack their rows
-into uint64 words so Gaussian elimination stays fast on the product
-complexes (tens of thousands of rows), which keeps every rank, kernel and
-reduction in the package exact.
+into uint64 words.  Elimination (`F2Matrix.rref`) works on each row as one
+Python integer, bit c for column c, and keeps a dictionary from pivot
+columns to rows: a reduction step is one XOR of whole rows, and the sparse
+coboundary rows (d + 2 ones each) meet few pivots.  Reduction modulo a row
+space (`F2RowSpace`) XORs the packed rows a batch of vectors hits.  Every
+rank, kernel and reduction in the package is exact.
 """
 from __future__ import annotations
 
@@ -46,14 +49,14 @@ class F2Matrix:
 
     @classmethod
     def from_rows(cls, rows, ncols: int) -> "F2Matrix":
+        """Rows of nonzero (1) and zero entries, each of length ncols."""
         rows = list(rows)
-        m = cls.zeros(len(rows), ncols)
-        for i, r in enumerate(rows):
-            r = np.asarray(r, dtype=np.uint8)
-            if r.shape[0] != ncols:
-                raise ValueError(f"row length {r.shape[0]} != ncols {ncols}")
-            m.packed[i] = _pack(r, m.packed.shape[1])
-        return m
+        lengths = {len(r) for r in rows} - {ncols}
+        if lengths:
+            raise ValueError(f"row length {min(lengths)} != ncols {ncols}")
+        dense = np.asarray(rows, dtype=np.uint8).reshape(len(rows), ncols)
+        nwords = max(1, (ncols + _WORD - 1) // _WORD)
+        return cls(_pack_rows(dense, nwords), ncols)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "F2Matrix":
@@ -71,8 +74,8 @@ class F2Matrix:
         return (self.nrows, self.ncols)
 
     def to_dense(self) -> np.ndarray:
-        return np.array([_unpack_fast(row, self.ncols) for row in self.packed],
-                        dtype=np.uint8).reshape(self.nrows, self.ncols)
+        bits = np.unpackbits(self.packed.view(np.uint8), axis=1, bitorder="little")
+        return bits[:, :self.ncols]
 
     def copy(self) -> "F2Matrix":
         return F2Matrix(self.packed.copy(), self.ncols)
@@ -87,28 +90,39 @@ class F2Matrix:
         return (parities & 1).astype(np.uint8)
 
     def rref(self) -> tuple["F2Matrix", list[int]]:
-        """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-        rows = self.packed.copy()
-        nrows = rows.shape[0]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            if r == nrows:
-                break
-            hit = ((rows[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)).astype(bool)
-            nz = np.flatnonzero(hit[r:])
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                rows[[r, i]] = rows[[i, r]]
-                hit[i] = hit[r]
-            hit[r] = False
-            if hit.any():
-                rows[hit] ^= rows[r]
-            pivots.append(c)
-            r += 1
-        return F2Matrix(rows[:r].copy(), self.ncols), pivots
+        """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+        Each row is a Python integer.  The forward pass reduces a row by the
+        stored row whose lowest set bit it shares until that bit is a new
+        pivot; the back pass, from the highest pivot down, clears the other
+        pivot bits of each row with the finished rows of those pivots.
+        """
+        nwords = self.packed.shape[1]
+        nbytes = nwords * 8
+        data = self.packed.tobytes()
+        by_low: dict[int, int] = {}
+        for start in range(0, len(data), nbytes):
+            row = int.from_bytes(data[start:start + nbytes], "little")
+            while row:
+                low = (row & -row).bit_length() - 1
+                if low not in by_low:
+                    by_low[low] = row
+                    break
+                row ^= by_low[low]
+        pivots = sorted(by_low)
+        mask = 0
+        for p in reversed(pivots):
+            row = by_low[p]
+            hits = row & mask
+            while hits:
+                bit = hits & -hits
+                row ^= by_low[bit.bit_length() - 1]
+                hits ^= bit
+            by_low[p] = row
+            mask |= 1 << p
+        rows = b"".join(by_low[p].to_bytes(nbytes, "little") for p in pivots)
+        packed = np.frombuffer(rows, dtype=np.uint64).reshape(len(pivots), nwords).copy()
+        return F2Matrix(packed, self.ncols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -20,6 +20,7 @@ from . import bounds as B
 from . import models as M
 from . import planners as P
 from .complexes import read_complex_text
+from .errors import RUN_ERRORS, PipelineStepError
 from .pathspace import (
     Arc,
     Circle,
@@ -336,6 +337,12 @@ _STEPS = {
 
 # ------------------------------------------------------------ the runner
 
+def _step_name(index: int, step: dict) -> str:
+    """"2: op 'lower', method 'zero-divisor'"; a cover step names its planner."""
+    kind = "method" if step.get("method") else "planner"
+    return f"{index}: op {step['op']!r}, {kind} {step[kind]!r}"
+
+
 def _stage_leq(a, b) -> bool:
     if b == "inf":
         return True
@@ -407,9 +414,12 @@ def run_scenario_obj(scenario: Scenario, overrides=None) -> ScenarioResult:
     free = bundle.group_action.is_free() if bundle.group_action else None
 
     found = _Findings()
-    for step in scenario.pipeline:
+    for index, step in enumerate(scenario.pipeline):
         _, run = _STEPS[step["op"], step.get("method")]
-        run(step, bundle, verify_params, found)
+        try:
+            run(step, bundle, verify_params, found)
+        except RUN_ERRORS as exc:
+            raise PipelineStepError(_step_name(index, step), exc) from exc
 
     reports = []
     for invariant in ("tc", "cat"):

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SimplicialComplex, barycentric_subdivision, from_simplex_set
+from .complexes import (
+    SimplicialComplex,
+    barycentric_subdivision,
+    from_simplex_set,
+    simplex_index,
+)
 from .errors import GroupClosureError, RegularityError
 
 MAX_GROUP_ORDER = 64
@@ -154,53 +159,10 @@ def group_from_permutations(generators: list[list[int]],
     return group, perms
 
 
-class SimplexIndex:
-    """The simplices of a complex as rows of vertex indices, and the lookup
-    of such rows among them.
-
-    Vertex i is `K.vertices[i]`.  Indices follow identifier order, so the
-    rows of each degree are sorted lexicographically, as K's simplices are.
-    A d-simplex is keyed by (index of its face without the last vertex,
-    last vertex); those keys increase along each degree, so a sorted
-    search finds a row.
-    """
-
-    def __init__(self, K: SimplicialComplex):
-        self.complex = K
-        self.vertex_index = {v: i for i, v in enumerate(K.vertices)}
-        self.rows: list[np.ndarray] = []
-        self._keys: list[np.ndarray] = []
-        for d in range(K.dimension + 1):
-            n_d = K.n_simplices(d)
-            rows = np.fromiter((self.vertex_index[v] for s in K.simplices(d) for v in s),
-                               dtype=np.intp, count=n_d * (d + 1)).reshape(n_d, d + 1)
-            self.rows.append(rows)
-            self._keys.append(self._key(d, rows))
-
-    def _key(self, d: int, rows: np.ndarray) -> np.ndarray:
-        """Keys of rows of d + 1 vertices; a row whose front face is no
-        simplex (index -1) gets a negative key, which matches none."""
-        if d == 0:
-            return rows[..., 0]
-        return self.find(d - 1, rows[..., :-1]) * len(self.vertex_index) + rows[..., -1]
-
-    def find(self, d: int, rows: np.ndarray) -> np.ndarray:
-        """Index among the d-simplices of each row of d + 1 increasing vertex
-        indices, or -1 where the row is not a simplex."""
-        rows = np.asarray(rows, dtype=np.intp)
-        if d > self.complex.dimension:
-            return np.full(rows.shape[:-1], -1, dtype=np.intp)
-        if d == 0:
-            return rows[..., 0]
-        key, keys = self._key(d, rows), self._keys[d]
-        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        return np.where(keys[pos] == key, pos, -1)
-
-
 class GroupAction:
     """A finite group realized as simplicial automorphisms of a complex.
 
-    The action is held as integer tables over `index = SimplexIndex(K)`:
+    The action is held as integer tables over `index = simplex_index(K)`:
     `perm[g, i]` is the index of g·vᵢ and `tables[d][g, i]` the index of
     g·σᵢ among the d-simplices.  `vertex_maps` gives the same action as one
     {vertex: image} dict per element.
@@ -208,7 +170,7 @@ class GroupAction:
 
     def __init__(self, group: FiniteGroup, complex: SimplicialComplex,
                  vertex_maps: list[dict]):
-        index = SimplexIndex(complex)
+        index = simplex_index(complex)
         verts, where = complex.vertices, index.vertex_index
         # a map whose keys are not the vertices gets a row that is no permutation
         rows = [[where.get(vm[v], -1) for v in verts] if vm.keys() == where.keys()
@@ -221,7 +183,7 @@ class GroupAction:
     def _from_perm(cls, group: FiniteGroup, complex: SimplicialComplex,
                    perm: np.ndarray) -> "GroupAction":
         action = cls.__new__(cls)
-        action._setup(group, SimplexIndex(complex), perm, None)
+        action._setup(group, simplex_index(complex), perm, None)
         return action
 
     def _setup(self, group, index, perm, vertex_maps) -> None:

@@ -14,10 +14,14 @@ adversarial legs assembled from a separate geodesic of the rows with a
 unique arc, and the Python-set neighbour loop of the sphere grids.
 The group-action oracles are the tuple-and-dict forms of what `symmetry`
 now does on integer tables: they apply vertex maps simplex by simplex.
+The elimination and subdivision oracles are the forms that `f2` and
+`complexes` replaced: the F2 row reduction that reads one pivot column per
+numpy step, and the subdivision that enumerates the chains of every maximal
+simplex through permutations of its vertices and closes them under faces.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from efftc.bounds import Certification
 from efftc.planners import CoverSet, PlannerCover, _tangent_unit
 from efftc.complexes import (
     Cochain,
-    barycentric_subdivision,
+    SimplicialComplex,
     coboundary_space,
     cohomology,
     cup_length,
@@ -90,6 +94,32 @@ def dense_reduce_mod2(M, vec) -> np.ndarray:
     return v.astype(np.uint8)
 
 
+def column_loop_rref(M: F2Matrix) -> tuple[F2Matrix, list[int]]:
+    """Reduced row echelon form of a packed matrix, one pivot column per
+    numpy step: (nonzero rows, pivot columns)."""
+    rows = M.packed.copy()
+    nrows = rows.shape[0]
+    pivots: list[int] = []
+    r = 0
+    for c in range(M.ncols):
+        if r == nrows:
+            break
+        hit = ((rows[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)).astype(bool)
+        nz = np.flatnonzero(hit[r:])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            rows[[r, i]] = rows[[i, r]]
+            hit[i] = hit[r]
+        hit[r] = False
+        if hit.any():
+            rows[hit] ^= rows[r]
+        pivots.append(c)
+        r += 1
+    return F2Matrix(rows[:r].copy(), M.ncols), pivots
+
+
 def closure_of(simplices) -> set[tuple]:
     closed: set[tuple] = set()
     for s in simplices:
@@ -142,6 +172,22 @@ def oracle_betti(maximal) -> tuple[int, ...]:
         betti.append(n_d - rank_d - prev_rank)
         prev_rank = rank_d
     return tuple(betti)
+
+
+def maximal_by_subsets(K) -> list[tuple]:
+    """The simplices of K contained in no simplex one dimension up, top
+    dimension first, each degree in K's order."""
+    return [s for d in range(K.dimension, -1, -1) for s in K.simplices(d)
+            if not any(set(s) <= set(t) for t in K.simplices(d + 1))]
+
+
+def subdivision_by_chains(K) -> SimplicialComplex:
+    """The barycentric subdivision with vertices (dim σ, σ): the chains of
+    faces read off each ordering of the vertices of each maximal simplex,
+    closed under faces."""
+    chains = {tuple(sorted((i, tuple(sorted(perm[:i + 1]))) for i in range(len(perm))))
+              for sigma in maximal_by_subsets(K) for perm in permutations(sigma)}
+    return SimplicialComplex(simplices_by_dim(closure_of(chains)))
 
 
 def oracle_cd(maximal) -> int:
@@ -465,7 +511,7 @@ def vertex_orbit_by_maps(action, v) -> frozenset:
 def subdivided_by_maps(action):
     """The action on the barycentric subdivision, from dicts: (d, σ) goes
     to (d, g·σ)."""
-    K2 = barycentric_subdivision(action.complex)
+    K2 = subdivision_by_chains(action.complex)
     maps = [{bary: (bary[0], apply_by_map(action, g, bary[1])) for bary in K2.vertices}
             for g in range(action.group.order)]
     return GroupAction(action.group, K2, maps)

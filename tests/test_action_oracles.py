@@ -165,6 +165,8 @@ def cross_polytope_sign_action(k, labels):
 @given(cycle_actions())
 def test_cycle_actions_match_oracles(action):
     assert_matches_oracles(action)
+    _same_action(action.subdivided().subdivided(),
+                 oracles.subdivided_by_maps(oracles.subdivided_by_maps(action)))
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from efftc import scenarios
 from efftc.complexes import (
     Cochain,
+    SimplexIndex,
+    SimplicialComplex,
+    _maximal_simplices,
     barycentric_subdivision,
     build_complex,
     coboundary_apply,
@@ -17,11 +22,18 @@ from efftc.complexes import (
     f2_cd,
     is_cocycle,
     read_complex_text,
+    simplex_index,
     write_complex_text,
 )
 from efftc.errors import DegreeError
 
-from oracles import oracle_betti, dense_rank_mod2
+from oracles import (
+    dense_rank_mod2,
+    maximal_by_subsets,
+    oracle_betti,
+    oracle_cd,
+    subdivision_by_chains,
+)
 
 CIRCLE = [[0, 1], [1, 2], [0, 2]]
 POINT = [[0]]
@@ -235,6 +247,52 @@ def test_subdivision_counts_circle():
     K = barycentric_subdivision(build_complex(CIRCLE))
     assert K.n_simplices(0) == 6
     assert K.n_simplices(1) == 6
+
+
+def assert_subdivision_matches_oracle(K):
+    """The subdivision from face tables is the tuple subdivision, and the
+    index it keeps is the one its simplices give."""
+    K2 = barycentric_subdivision(K)
+    assert K2 == subdivision_by_chains(K)
+    kept, fresh = simplex_index(K2), SimplexIndex(K2)
+    assert len(kept.rows) == len(fresh.rows)
+    for got, want in zip(kept.rows, fresh.rows):
+        assert np.array_equal(got, want)
+    return K2
+
+
+@pytest.mark.parametrize("name", sorted(scenarios._COMPLEXES))
+def test_catalog_exact_side_matches_oracles(name):
+    K = scenarios._COMPLEXES[name]()
+    maximal = maximal_by_subsets(K)
+    assert _maximal_simplices(K) == maximal
+    assert f2_cd(K) == cohomology(K).cd == oracle_cd(maximal)
+    K2 = assert_subdivision_matches_oracle(K)
+    assert barycentric_subdivision(K2) == subdivision_by_chains(subdivision_by_chains(K))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_full_simplex_subdivision_matches_oracle(n):
+    K = build_complex([list(range(n + 1))])
+    K2 = assert_subdivision_matches_oracle(K)
+    factorial = int(np.prod(np.arange(1, n + 2)))
+    assert K2.n_simplices(n) == factorial
+    assert f2_cd(K2) == 0
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(3, 6), st.integers(3, 6))
+def test_torus_subdivision_matches_oracle(m, n):
+    K = build_complex(torus_grid(m, n))
+    assert _maximal_simplices(K) == maximal_by_subsets(K)
+    assert f2_cd(assert_subdivision_matches_oracle(K)) == f2_cd(K) == 2
+
+
+def test_empty_complex_exact_side():
+    K = SimplicialComplex([])
+    assert f2_cd(K) == cohomology(K).cd == -1
+    assert _maximal_simplices(K) == []
+    assert barycentric_subdivision(K).is_empty()
 
 
 def test_complex_text_round_trip(tmp_path):

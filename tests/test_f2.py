@@ -1,9 +1,72 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efftc.f2 import F2Matrix, F2RowSpace
 
-from oracles import dense_rank_mod2
+from oracles import column_loop_rref, dense_rank_mod2, dense_rref_mod2
+
+NCOLS = [1, 63, 64, 65, 128]
+
+
+def _random_matrix(seed, nrows, ncols, kind):
+    """A 0/1 matrix: "dense" (fair bits), "coboundary" (each row has d + 2
+    ones, as a row of delta_d has), "sparse" (a few ones a row, some rows
+    repeated), or "zero"."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return rng.integers(0, 2, size=(nrows, ncols), dtype=np.uint8)
+    dense = np.zeros((nrows, ncols), dtype=np.uint8)
+    if kind == "coboundary":
+        ones = min(ncols, int(rng.integers(2, 6)))
+        for row in dense:
+            row[rng.choice(ncols, size=ones, replace=False)] = 1
+    elif kind == "sparse":
+        for row in dense:
+            row[rng.integers(0, ncols, size=int(rng.integers(0, 4)))] = 1
+        if nrows > 1:
+            dense[rng.integers(0, nrows, size=nrows // 3)] = dense[0]
+    return dense
+
+
+def _assert_rref_matches_oracles(dense):
+    ncols = dense.shape[1]
+    M = F2Matrix.from_dense(dense)
+    reduced, pivots = M.rref()
+    loop, loop_pivots = column_loop_rref(M)
+    want, want_pivots = dense_rref_mod2(dense) if len(dense) else (
+        np.zeros((0, ncols)), [])
+    assert pivots == loop_pivots == want_pivots
+    assert reduced.shape == (len(pivots), ncols)
+    assert np.array_equal(reduced.packed, loop.packed)
+    assert np.array_equal(reduced.to_dense(), want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 70),
+       st.sampled_from(NCOLS) | st.integers(1, 200),
+       st.sampled_from(["dense", "coboundary", "sparse", "zero"]))
+def test_rref_is_bit_identical_to_the_oracles(seed, nrows, ncols, kind):
+    _assert_rref_matches_oracles(_random_matrix(seed, nrows, ncols, kind))
+
+
+@pytest.mark.parametrize("ncols", NCOLS)
+def test_rref_of_empty_zero_and_identity_matrices(ncols):
+    for nrows in (0, 1, 5):
+        _assert_rref_matches_oracles(np.zeros((nrows, ncols), dtype=np.uint8))
+    _assert_rref_matches_oracles(np.eye(ncols, dtype=np.uint8)[::-1])
+    _assert_rref_matches_oracles(np.ones((3, ncols), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("ncols", NCOLS)
+def test_row_conversions_round_trip(ncols):
+    dense = _random_matrix(ncols, 7, ncols, "dense")
+    M = F2Matrix.from_rows(list(dense), ncols)
+    assert np.array_equal(M.packed, F2Matrix.from_dense(dense).packed)
+    assert np.array_equal(M.to_dense(), dense)
+    assert F2Matrix.from_rows([], ncols).to_dense().shape == (0, ncols)
+    with pytest.raises(ValueError, match="row length"):
+        F2Matrix.from_rows([dense[0], dense[1][:-1]], ncols)
 
 
 def test_rank_small_known():

@@ -14,6 +14,7 @@ from efftc.complexes import (
     cohomology,
     cone,
     cup_product,
+    _maximal_simplices,
     f2_cd,
     is_cocycle,
 )
@@ -35,7 +36,13 @@ from efftc.symmetry import (
     saturated_diagonal,
 )
 
-from oracles import oracle_betti, product_zero_divisor_cup_length
+from oracles import (
+    maximal_by_subsets,
+    oracle_betti,
+    oracle_cd,
+    product_zero_divisor_cup_length,
+    subdivision_by_chains,
+)
 
 
 @st.composite
@@ -115,6 +122,15 @@ def test_cup_products_of_cocycles(maximal, seed):
     assert is_cocycle(K, ab)
     ba = cup_product(K, b, a)
     assert coboundary_space(K, 2).contains(ab.coeffs ^ ba.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complex(max_vertices=7, max_simplices=6))
+def test_exact_side_matches_oracles_on_random_complexes(maximal):
+    K = build_complex(maximal)
+    assert f2_cd(K) == cohomology(K).cd == oracle_cd(maximal)
+    assert _maximal_simplices(K) == maximal_by_subsets(K)
+    assert barycentric_subdivision(K) == subdivision_by_chains(K)
 
 
 @settings(max_examples=10, deadline=None)

@@ -10,6 +10,7 @@ from efftc.errors import (
     DegreeError,
     GeodesicDegeneracyError,
     LiftError,
+    PipelineStepError,
     RegularityError,
 )
 from efftc import scenarios
@@ -196,7 +197,30 @@ def test_cli_run_failure_exit(monkeypatch, capsys, error):
     assert main(["run", "point"]) == 3
     err = capsys.readouterr().err
     assert err == (f"error: scenario run failed: {type(error).__name__}: "
-                   f"{error}\n")
+                   f"{error} (pipeline step 2: op 'lower', method 'zero-divisor')\n")
+
+
+def test_run_failure_names_the_cover_step(monkeypatch, capsys):
+    # a cover step is named by its planner; the report goes nowhere, and the
+    # error the step raised stays reachable from the one the run raises
+    build = scenarios.build_planner
+
+    def failing(name, bundle):
+        if name == "cat-point":
+            raise RuntimeError("planner gave up")
+        return build(name, bundle)
+
+    monkeypatch.setattr(scenarios, "build_planner", failing)
+    assert main(["run", "point"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: scenario run failed: RuntimeError: planner gave up "
+                   "(pipeline step 1: op 'cat-upper', planner 'cat-point')\n")
+    with pytest.raises(PipelineStepError) as raised:
+        run_scenario("point")
+    assert raised.value.step == "1: op 'cat-upper', planner 'cat-point'"
+    assert raised.value.__cause__ is raised.value.cause
+    assert str(raised.value.cause) == "planner gave up"
 
 
 @pytest.mark.parametrize("text", [
