@@ -28,7 +28,6 @@ from .complexes import (
     cup_product,
     f2_cd,
     product_length,
-    simplex_index,
 )
 from .f2 import F2Matrix
 from .errors import ContradictionError
@@ -452,7 +451,7 @@ def effective_zero_divisors(action: GroupAction):
 
     def pullbacks(coord: int) -> list[Cochain]:
         # every basis class pulled back along the projection p_coord|T
-        index = {d: [K.index(tuple(v[coord] for v in s)) for s in T.simplices(d)]
+        index = {d: K.simplex_index.find(d, diag.pairs[T.rows[d]][..., coord])
                  for d in set(ring.degrees.tolist())}
         return [Cochain(c.degree, c.coeffs[index[c.degree]]) for c in ring.basis]
 
@@ -549,15 +548,16 @@ def cd_bound_check(action: GroupAction, elements=None) -> CdBoundReport:
 
 def orbit_map_pullback(action: GroupAction):
     """The quotient complex, its cohomology pulled back along the orbit map."""
-    Q, vmap, base = quotient_complex(action)
+    Q, _, base = quotient_complex(action)
     summary = cohomology(Q)
     K = base.complex
-    q_index = simplex_index(Q)
-    to_q = np.array([q_index.vertex_index[vmap[v]] for v in K.vertices], dtype=np.intp)
+    # Q's vertices are the orbits, in the order of their least members
+    orbit = base.perm.min(axis=0)
+    to_q = np.searchsorted(np.unique(orbit), orbit)
     pullbacks: list[Cochain] = []
     for d in range(1, min(Q.dimension, K.dimension) + 1):
         # a simplex the orbit map collapses (not found in Q) pulls back to 0
-        image = q_index.find(d, np.sort(to_q[base.index.rows[d]], axis=1))
+        image = Q.simplex_index.find(d, np.sort(to_q[base.index.rows[d]], axis=1))
         hit = image >= 0
         for rep in summary.representatives[d]:
             vec = np.zeros(K.n_simplices(d), dtype=np.uint8)

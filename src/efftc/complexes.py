@@ -1,7 +1,9 @@
 """Finite simplicial complexes with exact F2 cohomology.
 
-Vertices carry a global total order (their identifier order); simplices are
-stored as increasing tuples and enumerated deterministically per dimension.
+Vertices carry a global total order (their identifier order), and vertex i
+is the i-th vertex in it.  A complex stores each degree's simplices as
+rows of increasing vertex indices in lexicographic order; the tuples of
+vertex identifiers are a view built from those rows when first asked for.
 Cup products use the front-face/back-face rule relative to that order, so
 everything downstream (cup lengths, zero-divisor kernels, cohomological
 dimension) is exact mod 2.
@@ -9,6 +11,7 @@ dimension) is exact mod 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -18,24 +21,55 @@ from .f2 import F2Matrix, F2RowSpace
 
 
 class SimplicialComplex:
-    """A downward-closed family of simplices over totally ordered vertices."""
+    """A downward-closed family of simplices over totally ordered vertices.
+
+    Built from lists of increasing vertex tuples, one sorted list per
+    degree, or by `from_rows` from the vertices and the rows of vertex
+    indices.  `simplices_by_dim` and `vertex_index` are built on first use.
+    """
 
     def __init__(self, simplices_by_dim: list[list[tuple]]):
-        self.simplices_by_dim = simplices_by_dim
-        self.vertices = tuple(s[0] for s in simplices_by_dim[0]) if simplices_by_dim else ()
-        self._index = [
-            {s: i for i, s in enumerate(level)} for level in simplices_by_dim
-        ]
+        vertices = tuple(s[0] for s in simplices_by_dim[0]) if simplices_by_dim else ()
+        where = {v: i for i, v in enumerate(vertices)}
+        rows = [np.fromiter((where[v] for s in level for v in s), dtype=np.intp,
+                            count=len(level) * (d + 1)).reshape(len(level), d + 1)
+                for d, level in enumerate(simplices_by_dim)]
+        self._setup(vertices, rows)
+        self.simplices_by_dim, self.vertex_index = simplices_by_dim, where
+
+    @classmethod
+    def from_rows(cls, vertices, rows: list[np.ndarray]) -> "SimplicialComplex":
+        """The complex on `vertices` (in identifier order) whose d-simplices
+        are the rows of `rows[d]`: increasing vertex indices, rows sorted
+        lexicographically, closed under faces, no degree empty."""
+        K = cls.__new__(cls)
+        K._setup(tuple(vertices), rows)
+        return K
+
+    def _setup(self, vertices: tuple, rows: list[np.ndarray]) -> None:
+        self.vertices = vertices
+        self.rows = rows
+        self.simplex_index = SimplexIndex(rows, len(vertices))
         self._cup_faces: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._faces: dict[int, np.ndarray] = {}
-        self._simplex_index: SimplexIndex | None = None
         self._coboundary_spaces: dict[int, F2RowSpace] = {}
         self._cohomology = None
         self._ring = None
 
+    @cached_property
+    def simplices_by_dim(self) -> list[list[tuple]]:
+        """The simplices as increasing vertex tuples, per degree."""
+        names = np.fromiter(self.vertices, dtype=object, count=len(self.vertices))
+        return [list(zip(*names[level].T.tolist())) for level in self.rows]
+
+    @cached_property
+    def vertex_index(self) -> dict:
+        """{vertex: its index}."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
     @property
     def dimension(self) -> int:
-        return len(self.simplices_by_dim) - 1
+        return len(self.rows) - 1
 
     def simplices(self, d: int) -> list[tuple]:
         if 0 <= d <= self.dimension:
@@ -43,83 +77,78 @@ class SimplicialComplex:
         return []
 
     def n_simplices(self, d: int) -> int:
-        return len(self.simplices(d))
+        return len(self.rows[d]) if 0 <= d <= self.dimension else 0
 
     def total_simplices(self) -> int:
-        return sum(len(level) for level in self.simplices_by_dim)
+        return sum(len(level) for level in self.rows)
+
+    def _find(self, simplex: tuple) -> int:
+        where = self.vertex_index
+        row = [where.get(v, -1) for v in simplex]
+        if not row or -1 in row:
+            return -1
+        return int(self.simplex_index.find(len(row) - 1, row))
 
     def index(self, simplex: tuple) -> int:
-        return self._index[len(simplex) - 1][simplex]
+        i = self._find(simplex)
+        if i < 0:
+            raise KeyError(simplex)
+        return i
 
     def contains(self, simplex: tuple) -> bool:
-        d = len(simplex) - 1
-        return 0 <= d <= self.dimension and simplex in self._index[d]
+        return self._find(simplex) >= 0
 
     def all_simplices(self):
         for level in self.simplices_by_dim:
             yield from level
 
     def is_empty(self) -> bool:
-        return not self.simplices_by_dim
+        return not self.rows
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
-                and self.simplices_by_dim == other.simplices_by_dim)
+                and self.vertices == other.vertices
+                and len(self.rows) == len(other.rows)
+                and all(np.array_equal(a, b) for a, b in zip(self.rows, other.rows)))
 
     def __repr__(self):
-        counts = tuple(len(level) for level in self.simplices_by_dim)
+        counts = tuple(len(level) for level in self.rows)
         return f"SimplicialComplex(counts={counts})"
 
 
 class SimplexIndex:
-    """The simplices of a complex as rows of vertex indices, and the lookup
-    of such rows among them.
+    """Rows of vertex indices, one (n_d, d + 1) array per degree, each
+    sorted lexicographically, and the lookup of such rows among them.
 
-    Vertex i is `K.vertices[i]`.  Indices follow identifier order, so the
-    rows of each degree are sorted lexicographically, as K's simplices are.
     A d-simplex is keyed by (index of its face without the last vertex,
-    last vertex); those keys increase along each degree, so a sorted
-    search finds a row.  `rows`, when given, are those rows already built.
+    last vertex); those keys increase along each degree, so a sorted search
+    finds a row.
     """
 
-    def __init__(self, K: SimplicialComplex, rows: list[np.ndarray] | None = None):
-        self.complex = K
-        self.vertex_index = {v: i for i, v in enumerate(K.vertices)}
-        if rows is None:
-            rows = [np.fromiter((self.vertex_index[v] for s in level for v in s),
-                                dtype=np.intp, count=len(level) * (d + 1)
-                                ).reshape(len(level), d + 1)
-                    for d, level in enumerate(K.simplices_by_dim)]
+    def __init__(self, rows: list[np.ndarray], n_vertices: int):
         self.rows = rows
+        self.n_vertices = n_vertices
         self._keys: list[np.ndarray] = []
         for d, level in enumerate(rows):
-            self._keys.append(self._key(d, level))
-
-    def _key(self, d: int, rows: np.ndarray) -> np.ndarray:
-        """Keys of rows of d + 1 vertices; a row whose front face is no
-        simplex (index -1) gets a negative key, which matches none."""
-        if d == 0:
-            return rows[..., 0]
-        return self.find(d - 1, rows[..., :-1]) * len(self.vertex_index) + rows[..., -1]
+            self._keys.append(level[:, 0] if d == 0 else
+                              self.find(d - 1, level[:, :-1]) * n_vertices + level[:, -1])
 
     def find(self, d: int, rows: np.ndarray) -> np.ndarray:
         """Index among the d-simplices of each row of d + 1 increasing vertex
-        indices, or -1 where the row is not a simplex."""
+        indices, or -1 where the row is not a simplex.
+
+        The rows are looked up one vertex at a time: a row whose front face
+        is no simplex (index -1) gets a negative key, which matches none.
+        """
         rows = np.asarray(rows, dtype=np.intp)
-        if d > self.complex.dimension:
+        if d >= len(self.rows):
             return np.full(rows.shape[:-1], -1, dtype=np.intp)
-        if d == 0:
-            return rows[..., 0]
-        key, keys = self._key(d, rows), self._keys[d]
-        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        return np.where(keys[pos] == key, pos, -1)
-
-
-def simplex_index(K: SimplicialComplex) -> SimplexIndex:
-    """The SimplexIndex of K (cached on K)."""
-    if K._simplex_index is None:
-        K._simplex_index = SimplexIndex(K)
-    return K._simplex_index
+        found = rows[..., 0]
+        for e in range(1, d + 1):
+            key, keys = found * self.n_vertices + rows[..., e], self._keys[e]
+            pos = np.minimum(keys.searchsorted(key), len(keys) - 1)
+            found = np.where(keys[pos] == key, pos, -1)
+        return found
 
 
 @dataclass
@@ -204,7 +233,7 @@ def _faces(K: SimplicialComplex, d: int) -> np.ndarray:
 def _face_table(K: SimplicialComplex, d: int, e: int) -> np.ndarray:
     """(n_d, C(d + 1, e + 1)) indices of the e-faces of each d-simplex, in
     the order of `combinations` over its vertex positions."""
-    index = simplex_index(K)
+    index = K.simplex_index
     positions = np.array(list(combinations(range(d + 1), e + 1)), dtype=np.intp)
     return index.find(e, index.rows[d][:, positions])
 
@@ -273,8 +302,8 @@ def cohomology(K: SimplicialComplex) -> CohomologySummary:
         # kept residues: keep each residue independent of those before it.
         kernel = coboundary_matrix(K, d).kernel_basis()
         residues = coboundary_space(K, d).reduce_batch(kernel)
-        kept = F2RowSpace(K.n_simplices(d))
-        level = [Cochain(d, r) for r in residues if r.any() and kept.add(r)]
+        kept = F2Matrix.from_dense(residues).independent_rows()
+        level = [Cochain(d, r) for r in residues[kept]]
         betti.append(len(level))
         reps.append(level)
     nonzero = [d for d, b in enumerate(betti) if b > 0]
@@ -300,7 +329,7 @@ def f2_cd(K: SimplicialComplex) -> int:
 def _cup_faces(K: SimplicialComplex, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     key = (p, q)
     if key not in K._cup_faces:
-        index = simplex_index(K)
+        index = K.simplex_index
         rows = index.rows[p + q]
         K._cup_faces[key] = (index.find(p, rows[:, :p + 1]), index.find(q, rows[:, p:]))
     return K._cup_faces[key]
@@ -384,8 +413,7 @@ def cohomology_ring(K: SimplicialComplex) -> CohomologyRing:
 
 def _row_basis(rows: np.ndarray) -> np.ndarray:
     """The rows independent of the rows before them."""
-    span = F2RowSpace(rows.shape[1])
-    return rows[[bool(span.add(r)) for r in rows]]
+    return rows[F2Matrix.from_dense(rows).independent_rows()]
 
 
 def product_length(generators: np.ndarray, multiply) -> int:
@@ -480,11 +508,8 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
             grown[e].append(np.column_stack(
                 [below.ravel(), np.repeat(chain, below.shape[1], axis=0)]))
         chains = [np.concatenate(g) for g in grown]
-    names = np.fromiter(((d, s) for d, level in enumerate(K.simplices_by_dim)
-                         for s in level), dtype=object, count=offsets[-1])
-    K2 = SimplicialComplex([list(zip(*names[r].T.tolist())) for r in rows])
-    K2._simplex_index = SimplexIndex(K2, rows)
-    return K2
+    return SimplicialComplex.from_rows(
+        [(d, s) for d, level in enumerate(K.simplices_by_dim) for s in level], rows)
 
 
 def _maximal_simplices(K: SimplicialComplex) -> list[tuple]:

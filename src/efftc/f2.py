@@ -15,18 +15,6 @@ import numpy as np
 _WORD = 64
 
 
-def _pack(vec: np.ndarray, nwords: int) -> np.ndarray:
-    out = np.zeros(nwords, dtype=np.uint64)
-    idx = np.nonzero(vec)[0]
-    np.bitwise_or.at(out, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
-    return out
-
-
-def _unpack_fast(words: np.ndarray, ncols: int) -> np.ndarray:
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return bits[:ncols].astype(np.uint8)
-
-
 def _pack_rows(dense: np.ndarray, nwords: int) -> np.ndarray:
     """Pack the 0/1 rows of a (k, ncols) array into (k, nwords) words."""
     packed = np.packbits(dense, axis=1, bitorder="little")
@@ -54,16 +42,15 @@ class F2Matrix:
         lengths = {len(r) for r in rows} - {ncols}
         if lengths:
             raise ValueError(f"row length {min(lengths)} != ncols {ncols}")
-        dense = np.asarray(rows, dtype=np.uint8).reshape(len(rows), ncols)
-        nwords = max(1, (ncols + _WORD - 1) // _WORD)
-        return cls(_pack_rows(dense, nwords), ncols)
+        return cls.from_dense(np.asarray(rows, dtype=bool).reshape(len(rows), ncols))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "F2Matrix":
         dense = np.asarray(dense, dtype=np.uint8) & 1
         if dense.ndim != 2:
             raise ValueError("expected a 2-d array")
-        return cls.from_rows(dense, dense.shape[1])
+        nwords = max(1, (dense.shape[1] + _WORD - 1) // _WORD)
+        return cls(_pack_rows(dense, nwords), dense.shape[1])
 
     @property
     def nrows(self) -> int:
@@ -85,30 +72,47 @@ class F2Matrix:
         vec = np.asarray(vec, dtype=np.uint8) & 1
         if vec.shape[0] != self.ncols:
             raise ValueError("vector length mismatch")
-        packed_v = _pack(vec, self.packed.shape[1])
+        packed_v = _pack_rows(vec[None, :], self.packed.shape[1])[0]
         parities = np.bitwise_count(self.packed & packed_v).sum(axis=1)
         return (parities & 1).astype(np.uint8)
 
-    def rref(self) -> tuple["F2Matrix", list[int]]:
-        """Reduced row echelon form; returns (nonzero rows, pivot columns).
+    def _forward_pass(self) -> tuple[dict[int, int], np.ndarray]:
+        """Echelon rows keyed by their lowest set bit, and which rows of the
+        matrix are independent of the rows before them.
 
-        Each row is a Python integer.  The forward pass reduces a row by the
-        stored row whose lowest set bit it shares until that bit is a new
-        pivot; the back pass, from the highest pivot down, clears the other
-        pivot bits of each row with the finished rows of those pivots.
+        Each row is a Python integer, reduced by the stored row whose lowest
+        set bit it shares until that bit is a new pivot; a row that reduces
+        to 0 is a sum of rows before it.
         """
-        nwords = self.packed.shape[1]
-        nbytes = nwords * 8
+        nbytes = self.packed.shape[1] * 8
         data = self.packed.tobytes()
         by_low: dict[int, int] = {}
-        for start in range(0, len(data), nbytes):
+        independent = np.zeros(self.nrows, dtype=bool)
+        for i, start in enumerate(range(0, len(data), nbytes)):
             row = int.from_bytes(data[start:start + nbytes], "little")
             while row:
                 low = (row & -row).bit_length() - 1
                 if low not in by_low:
                     by_low[low] = row
+                    independent[i] = True
                     break
                 row ^= by_low[low]
+        return by_low, independent
+
+    def independent_rows(self) -> np.ndarray:
+        """Mask of the rows independent of the rows before them."""
+        return self._forward_pass()[1]
+
+    def rref(self) -> tuple["F2Matrix", list[int]]:
+        """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+        After the forward pass, the back pass, from the highest pivot down,
+        clears the other pivot bits of each row with the finished rows of
+        those pivots.
+        """
+        nwords = self.packed.shape[1]
+        nbytes = nwords * 8
+        by_low = self._forward_pass()[0]
         pivots = sorted(by_low)
         mask = 0
         for p in reversed(pivots):
@@ -130,22 +134,15 @@ class F2Matrix:
     def kernel_basis(self) -> list[np.ndarray]:
         """Basis of {v : M v = 0}, as uint8 vectors of length ncols."""
         reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        dense = reduced.to_dense() if pivots else None
-        piv_idx = np.array(pivots, dtype=np.intp)
-        basis = []
-        for fc in free_cols:
-            v = np.zeros(self.ncols, dtype=np.uint8)
-            v[fc] = 1
-            if dense is not None:
-                v[piv_idx] = dense[:, fc]
-            basis.append(v)
-        return basis
+        free = np.setdiff1d(np.arange(self.ncols), pivots)
+        basis = np.zeros((len(free), self.ncols), dtype=np.uint8)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = reduced.to_dense()[:, free].T
+        return list(basis)
 
 
 class F2RowSpace:
-    """Incrementally built row space in reduced echelon form.
+    """A row space in reduced echelon form.
 
     Supports canonical reduction of vectors modulo the space, which is how
     cocycles get reduced modulo coboundaries everywhere in the package.
@@ -169,63 +166,27 @@ class F2RowSpace:
     def dim(self) -> int:
         return len(self._pivots)
 
-    def _pivot_hits(self, vecs: np.ndarray) -> np.ndarray:
-        """(k, dim) booleans: which pivot bits each packed vector has set."""
-        bits = np.unpackbits(vecs.view(np.uint8), axis=1, bitorder="little")
-        return bits[:, self._pivots].astype(bool)
-
-    def _reduce_packed_batch(self, packed: np.ndarray) -> np.ndarray:
-        # The rows stay fully reduced (a pivot bit is set in its own row
-        # only), so the residue of v is v XOR the rows whose pivots v hits;
-        # the hits are read off v directly, with no sequential dependency.
-        vecs = packed.copy()
-        if not self._rows.shape[0]:
-            return vecs
-        hits = self._pivot_hits(vecs)
-        if vecs.shape[0] == 1:
-            if hits[0].any():
-                vecs[0] ^= np.bitwise_xor.reduce(self._rows[hits[0]], axis=0)
-            return vecs
-        for i in np.nonzero(hits.any(axis=0))[0]:
-            vecs[hits[:, i]] ^= self._rows[i]
-        return vecs
-
-    def reduce_packed(self, packed_vec: np.ndarray) -> np.ndarray:
-        return self._reduce_packed_batch(packed_vec[None, :])[0]
-
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         """Canonical representative of vec modulo the row space."""
-        vec = np.asarray(vec, dtype=np.uint8) & 1
-        return _unpack_fast(self.reduce_packed(_pack(vec, self.nwords)), self.ncols)
+        return self.reduce_batch(vec)[0]
 
     def reduce_batch(self, vecs) -> np.ndarray:
-        """Canonical representatives of many vectors, as (k, ncols) rows."""
+        """Canonical representatives of many vectors, as (k, ncols) rows.
+
+        The rows stay fully reduced (a pivot bit is set in its own row
+        only), so the residue of v is v XOR the rows whose pivots v hits;
+        the hits are read off v directly, with no sequential dependency.
+        """
         dense = np.asarray(vecs, dtype=np.uint8).reshape(-1, self.ncols) & 1
-        reduced = self._reduce_packed_batch(_pack_rows(dense, self.nwords))
-        bits = np.unpackbits(reduced.view(np.uint8), axis=1, bitorder="little")
+        hits = dense[:, self._pivots].astype(bool)
+        packed = _pack_rows(dense, self.nwords)
+        if len(packed) == 1:
+            packed[0] ^= np.bitwise_xor.reduce(self._rows[hits[0]], axis=0)
+        else:
+            for i in np.flatnonzero(hits.any(axis=0)):
+                packed[hits[:, i]] ^= self._rows[i]
+        bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
         return bits[:, :self.ncols]
 
     def contains(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
-
-    def add_packed(self, packed_vec: np.ndarray) -> bool:
-        v = self.reduce_packed(packed_vec)
-        if not v.any():
-            return False
-        bits = np.unpackbits(v.view(np.uint8), bitorder="little")
-        p = int(np.nonzero(bits)[0][0])
-        if self._rows.shape[0]:
-            # keep reduced form: clear the new pivot bit from existing rows
-            mask = ((self._rows[:, p >> 6] >> np.uint64(p & 63))
-                    & np.uint64(1)).astype(bool)
-            if mask.any():
-                self._rows[mask] ^= v
-        pos = int(np.searchsorted(self._pivots, p))
-        self._rows = np.insert(self._rows, pos, v, axis=0)
-        self._pivots = np.insert(self._pivots, pos, p)
-        return True
-
-    def add(self, vec: np.ndarray) -> bool:
-        """Insert vec; returns True if it enlarged the space."""
-        vec = np.asarray(vec, dtype=np.uint8) & 1
-        return self.add_packed(_pack(vec, self.nwords))

@@ -8,7 +8,8 @@ explicitly; a wrong complex is never returned silently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from .complexes import (
     SimplicialComplex,
     barycentric_subdivision,
     from_simplex_set,
-    simplex_index,
 )
 from .errors import GroupClosureError, RegularityError
 
@@ -162,7 +162,7 @@ def group_from_permutations(generators: list[list[int]],
 class GroupAction:
     """A finite group realized as simplicial automorphisms of a complex.
 
-    The action is held as integer tables over `index = simplex_index(K)`:
+    The action is held as integer tables over `index = K.simplex_index`:
     `perm[g, i]` is the index of g·vᵢ and `tables[d][g, i]` the index of
     g·σᵢ among the d-simplices.  `vertex_maps` gives the same action as one
     {vertex: image} dict per element.
@@ -170,12 +170,11 @@ class GroupAction:
 
     def __init__(self, group: FiniteGroup, complex: SimplicialComplex,
                  vertex_maps: list[dict]):
-        index = simplex_index(complex)
-        verts, where = complex.vertices, index.vertex_index
+        verts, where = complex.vertices, complex.vertex_index
         # a map whose keys are not the vertices gets a row that is no permutation
         rows = [[where.get(vm[v], -1) for v in verts] if vm.keys() == where.keys()
                 else [-1] * len(verts) for vm in vertex_maps]
-        self._setup(group, index,
+        self._setup(group, complex,
                     np.array(rows, dtype=np.intp).reshape(len(rows), len(verts)),
                     vertex_maps)
 
@@ -183,13 +182,13 @@ class GroupAction:
     def _from_perm(cls, group: FiniteGroup, complex: SimplicialComplex,
                    perm: np.ndarray) -> "GroupAction":
         action = cls.__new__(cls)
-        action._setup(group, simplex_index(complex), perm, None)
+        action._setup(group, complex, perm, None)
         return action
 
-    def _setup(self, group, index, perm, vertex_maps) -> None:
+    def _setup(self, group, complex, perm, vertex_maps) -> None:
         self.group = group
-        self.complex = index.complex
-        self.index = index
+        self.complex = complex
+        self.index = complex.simplex_index
         self.perm = perm
         self._vertex_maps = vertex_maps
         self._subdivided: GroupAction | None = None
@@ -238,7 +237,7 @@ class GroupAction:
 
     def vertex_orbit(self, v) -> frozenset:
         verts = self.complex.vertices
-        return frozenset(verts[j] for j in self.perm[:, self.index.vertex_index[v]])
+        return frozenset(verts[j] for j in self.perm[:, self.complex.vertex_index[v]])
 
     def is_free(self) -> bool:
         """No nontrivial element fixes any simplex setwise (hence no point)."""
@@ -268,9 +267,8 @@ def trivial_action(K: SimplicialComplex) -> GroupAction:
 def action_from_generator_perms(K: SimplicialComplex,
                                 generator_maps: list[dict]) -> GroupAction:
     """Close generator vertex maps into a full group action."""
-    verts = list(K.vertices)
-    vert_index = {v: i for i, v in enumerate(verts)}
-    gen_perms = [[vert_index[vm[v]] for v in verts] for vm in generator_maps]
+    verts, where = K.vertices, K.vertex_index
+    gen_perms = [[where[vm[v]] for v in verts] for vm in generator_maps]
     group, perms = group_from_permutations(gen_perms)
     return GroupAction._from_perm(
         group, K, np.array(perms, dtype=np.intp).reshape(len(perms), len(verts)))
@@ -315,15 +313,18 @@ def pointwise_fixed_subcomplex(action: GroupAction, elements) -> SimplicialCompl
     """Simplices fixed vertex-by-vertex by every listed element (no repair)."""
     perm = action.perm[list(elements)]
     fixed = (perm == np.arange(perm.shape[1])).all(axis=0)
+    # a fixed vertex's index among the fixed vertices
+    relabel = np.cumsum(fixed) - 1
     levels = []
-    for d, rows in enumerate(action.index.rows):
+    for rows in action.index.rows:
         # the kept simplices are closed under faces: none kept, none above
-        kept = np.flatnonzero(fixed[rows].all(axis=1))
-        if not kept.size:
+        kept = rows[fixed[rows].all(axis=1)]
+        if not len(kept):
             break
-        level = action.complex.simplices(d)
-        levels.append([level[i] for i in kept])
-    return SimplicialComplex(levels)
+        levels.append(relabel[kept])
+    verts = action.complex.vertices
+    return SimplicialComplex.from_rows(
+        [verts[i] for i in np.flatnonzero(fixed).tolist()], levels)
 
 
 def _setwise_implies_pointwise(action: GroupAction, elements) -> bool:
@@ -396,10 +397,12 @@ def quotient_complex(action: GroupAction):
             # deterministic quotient vertex labels: minimal orbit member
             orbit = current.perm.min(axis=0)
             vmap = dict(zip(verts, map(verts.__getitem__, orbit.tolist())))
-            # the images are closed under faces, a simplex of X/G each
-            levels = [[tuple(map(verts.__getitem__, row)) for row in level.tolist()]
-                      for level in images]
-            return SimplicialComplex(levels), vmap, current
+            # the images are closed under faces, a simplex of X/G each;
+            # orbit id ranks keep their rows increasing and sorted
+            ids = np.unique(orbit)
+            Q = SimplicialComplex.from_rows([verts[i] for i in ids.tolist()],
+                                            [np.searchsorted(ids, level) for level in images])
+            return Q, vmap, current
         if subdivisions == 2:
             break
         current = current.subdivided()
@@ -449,13 +452,25 @@ def product_projections(product: SimplicialComplex):
 @dataclass
 class SaturatedDiagonal:
     """Slices {(gx, x)} of the (possibly subdivided) base and their union,
-    a subcomplex of the staircase product that is never built."""
+    a subcomplex of the staircase product that is never built.
+
+    Vertex t of the union is the pair of base vertex indices `pairs[t]` =
+    (a, b), the point (v_a, v_b); the vertices are ranked by a n_0 + b.
+    """
 
     base: GroupAction
     elements: list[int]
-    slices: dict[int, frozenset]
+    pairs: np.ndarray = field(compare=False)
     union_complex: SimplicialComplex
     subdivisions: int
+
+    @cached_property
+    def slices(self) -> dict[int, frozenset]:
+        """The simplices of each slice, as tuples of vertex pairs."""
+        verts = self.base.complex.vertices
+        return {g: frozenset(tuple((verts[image[v]], verts[v]) for v in row)
+                             for rows in self.base.index.rows for row in rows.tolist())
+                for g, image in zip(self.elements, self.base.perm[self.elements].tolist())}
 
     def slice_complex(self, g: int) -> SimplicialComplex:
         return from_simplex_set(self.slices[g])
@@ -497,23 +512,15 @@ def saturated_diagonal(action: GroupAction, elements=None) -> SaturatedDiagonal:
                 s = current.complex.simplices(d)[broken[0]]
                 pair = tuple(sorted((current.apply_vertex(g, v), v) for v in s))
                 raise RegularityError(f"slice simplex {pair} missing from product")
-    # every slice simplex as a row (g(v0), v0, g(v1), v1, ...); the union is
-    # closed under faces, and its unique rows come out in tuple order
-    parts: dict[int, list] = {g: [] for g in elements}
-    levels = []
-    for rows in rows_by_dim:
-        graph = np.stack([current.perm[elements][:, rows],
-                          np.broadcast_to(rows, (len(elements),) + rows.shape)], axis=3)
-        unique, inverse = np.unique(graph.reshape(-1, 2 * rows.shape[1]), axis=0,
-                                    return_inverse=True)
-        level = [tuple(zip(map(verts.__getitem__, row[0::2]),
-                           map(verts.__getitem__, row[1::2])))
-                 for row in unique.tolist()]
-        if level:
-            levels.append(level)
-        for g, picks in zip(elements, inverse.reshape(len(elements), len(rows)).tolist()):
-            parts[g] += map(level.__getitem__, picks)
-    slices = {g: frozenset(part) for g, part in parts.items()}
-    return SaturatedDiagonal(base=current, elements=elements, slices=slices,
-                             union_complex=SimplicialComplex(levels),
-                             subdivisions=subdivisions)
+    # every slice simplex as a row of vertex codes g(v) n_0 + v; the union is
+    # closed under faces, and its unique rows come out in lexicographic order
+    n0 = len(verts)
+    codes = [current.perm[elements][:, rows] * n0 + rows for rows in rows_by_dim]
+    ranks = np.unique(codes[0]) if codes else np.zeros(0, dtype=np.intp)
+    levels = [np.searchsorted(ranks, np.unique(c.reshape(-1, c.shape[2]), axis=0))
+              for c in codes if c.size]
+    pairs = np.stack(np.divmod(ranks, n0), axis=1)
+    union = SimplicialComplex.from_rows(
+        [(verts[a], verts[b]) for a, b in pairs.tolist()], levels)
+    return SaturatedDiagonal(base=current, elements=elements, pairs=pairs,
+                             union_complex=union, subdivisions=subdivisions)

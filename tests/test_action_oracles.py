@@ -10,11 +10,12 @@ boundaries by sign changes, and every action of the builtin catalog.
 """
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from efftc import bounds, scenarios
-from efftc.complexes import build_complex
+from efftc.complexes import SimplicialComplex, build_complex
 from efftc.errors import RegularityError
 from efftc.symmetry import (
     FiniteGroup,
@@ -44,6 +45,36 @@ def _same_action(a, b):
     assert a.vertex_maps == b.vertex_maps
 
 
+def assert_looks_up_like_tuples(K):
+    """K, built from rows, has the vertices, rows and keys of the complex
+    built from its tuple view; `index` finds every simplex at its position,
+    and unsorted tuples, foreign vertices and non-simplices are not found,
+    as with the former {simplex: index} dicts."""
+    rebuilt = SimplicialComplex(K.simplices_by_dim)
+    assert K == rebuilt
+    for got, want in zip(K.simplex_index._keys, rebuilt.simplex_index._keys):
+        assert np.array_equal(got, want)
+    for level in K.simplices_by_dim:
+        assert [K.index(s) for s in level] == list(range(len(level)))
+        assert all(K.contains(s) for s in level[:10])
+    simplices = set(K.all_simplices())
+    rng = np.random.default_rng(len(simplices))
+    probes = [(object(),), ()]
+    probes += [s[::-1] for s in K.simplices(1)[:5] + K.simplices(2)[:5]]
+    probes += [s[:-1] + (object(),) for s in K.simplices(K.dimension)[:5]]
+    for k in range(2, K.dimension + 3):
+        if k <= len(K.vertices):
+            for _ in range(10):
+                picks = np.sort(rng.choice(len(K.vertices), size=k, replace=False))
+                probe = tuple(K.vertices[i] for i in picks)
+                if probe not in simplices:
+                    probes.append(probe)
+    for probe in probes:
+        assert not K.contains(probe)
+        with pytest.raises(KeyError):
+            K.index(probe)
+
+
 def assert_matches_oracles(action):
     K, G = action.complex, action.group
     for g in range(G.order):
@@ -58,12 +89,15 @@ def assert_matches_oracles(action):
                for v in K.vertices)
     assert (_orbit_images(action) is not None) == oracles.quotient_regular_by_maps(action)
     _same_action(action.subdivided(), oracles.subdivided_by_maps(action))
+    assert_looks_up_like_tuples(action.subdivided().complex)
 
     for H in G.subgroups():
         got = _outcome(lambda: fixed_subcomplex(action, H).simplices_by_dim)
         want = _outcome(lambda: oracles.fixed_subcomplex_by_maps(action, H)
                         .simplices_by_dim)
         assert got == want
+        if not isinstance(got, tuple):
+            assert_looks_up_like_tuples(fixed_subcomplex(action, H))
     for g in range(G.order):
         assert (pointwise_fixed_subcomplex(action, [g])
                 == oracles.pointwise_fixed_by_maps(action, [g]))
@@ -92,6 +126,13 @@ def assert_matches_oracles(action):
             return slices, union.simplices_by_dim, subdivisions, base.complex
         assert (_outcome(lambda: diagonal(saturated_diagonal))
                 == _outcome(lambda: diagonal(oracles.saturated_diagonal_by_maps)))
+
+    for built in (lambda: quotient_complex(action)[0],
+                  lambda: saturated_diagonal(action).union_complex):
+        try:
+            assert_looks_up_like_tuples(built())
+        except RegularityError:
+            pass
 
 
 def _relabelled_action(maximal, generators, labels):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from efftc import scenarios
 from efftc.complexes import (
     Cochain,
-    SimplexIndex,
     SimplicialComplex,
     _maximal_simplices,
     barycentric_subdivision,
@@ -22,7 +21,6 @@ from efftc.complexes import (
     f2_cd,
     is_cocycle,
     read_complex_text,
-    simplex_index,
     write_complex_text,
 )
 from efftc.errors import DegreeError
@@ -250,13 +248,13 @@ def test_subdivision_counts_circle():
 
 
 def assert_subdivision_matches_oracle(K):
-    """The subdivision from face tables is the tuple subdivision, and the
-    index it keeps is the one its simplices give."""
+    """The subdivision built from face-table rows is the tuple subdivision:
+    the same vertices, rows, keys and tuple view."""
     K2 = barycentric_subdivision(K)
-    assert K2 == subdivision_by_chains(K)
-    kept, fresh = simplex_index(K2), SimplexIndex(K2)
-    assert len(kept.rows) == len(fresh.rows)
-    for got, want in zip(kept.rows, fresh.rows):
+    oracle = subdivision_by_chains(K)
+    assert K2 == oracle
+    assert K2.simplices_by_dim == oracle.simplices_by_dim
+    for got, want in zip(K2.simplex_index._keys, oracle.simplex_index._keys):
         assert np.array_equal(got, want)
     return K2
 

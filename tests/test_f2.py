@@ -59,6 +59,17 @@ def test_rref_of_empty_zero_and_identity_matrices(ncols):
 
 
 @pytest.mark.parametrize("ncols", NCOLS)
+@pytest.mark.parametrize("kind", ["coboundary", "sparse", "dense", "zero"])
+def test_independent_rows_follow_the_prefix_ranks(kind, ncols):
+    # row i is independent of the rows before it iff it raises their rank
+    for seed, nrows in ((0, 0), (1, 1), (2, 24), (3, 24)):
+        dense = _random_matrix(seed + ncols, nrows, ncols, kind)
+        ranks = [dense_rank_mod2(dense[:i]) for i in range(nrows + 1)]
+        assert (F2Matrix.from_dense(dense).independent_rows().tolist()
+                == [b > a for a, b in zip(ranks, ranks[1:])])
+
+
+@pytest.mark.parametrize("ncols", NCOLS)
 def test_row_conversions_round_trip(ncols):
     dense = _random_matrix(ncols, 7, ncols, "dense")
     M = F2Matrix.from_rows(list(dense), ncols)
@@ -113,10 +124,10 @@ def test_round_trip_dense():
 
 
 def test_rowspace_reduce_and_contains():
-    space = F2RowSpace(4)
-    assert space.add([1, 1, 0, 0])
-    assert space.add([0, 1, 1, 0])
-    assert not space.add([1, 0, 1, 0])  # sum of the first two
+    # the third row is the sum of the first two
+    M = F2Matrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]])
+    assert M.independent_rows().tolist() == [True, True, False]
+    space = F2RowSpace.from_matrix(M)
     assert space.dim == 2
     assert space.contains([1, 0, 1, 0])
     assert not space.contains([0, 0, 0, 1])

@@ -266,8 +266,9 @@ def test_slerp_matches_closed_form():
 
 
 def test_rowspace_python_fallback():
-    # reduce, reduce_batch and dim against dense mod-2 elimination
-    from efftc.f2 import F2RowSpace
+    # reduce, reduce_batch, dim and the independent rows against dense
+    # mod-2 elimination
+    from efftc.f2 import F2Matrix, F2RowSpace
     from oracles import dense_rank_mod2, dense_reduce_mod2
     rng = np.random.default_rng(8)
     vecs = rng.integers(0, 2, size=(12, 40)).astype(np.uint8)
@@ -275,10 +276,9 @@ def test_rowspace_python_fallback():
     probes = np.vstack([probe, vecs,
                         rng.integers(0, 2, size=(8, 40)).astype(np.uint8)])
 
-    space = F2RowSpace(40)
-    for v in vecs:
-        space.add(v)
-    assert space.dim == dense_rank_mod2(vecs)
+    M = F2Matrix.from_dense(vecs)
+    space = F2RowSpace.from_matrix(M)
+    assert space.dim == M.independent_rows().sum() == dense_rank_mod2(vecs)
     expected = np.array([dense_reduce_mod2(vecs, p) for p in probes])
     assert np.array_equal(space.reduce(probe), expected[0])
     assert np.array_equal(space.reduce_batch(probes), expected)
