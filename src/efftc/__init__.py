@@ -16,7 +16,6 @@ from .bounds import (
     chain_checks,
     orbit_nilpotency_lower_bound,
     reconcile,
-    verify_cat_cover,
     verify_cover,
     zero_divisor_cup_length,
 )

@@ -14,7 +14,7 @@ import mmap
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -75,14 +75,13 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
     x on the neighbour edges it closes, from its own legs and from a halo:
     the legs of earlier rows that still have a neighbour ahead.
 
-    A refutation names the failure the two-pass sweep would meet first.
-    That sweep visits x chunks of `chunk_rows` rows, each checking set by
-    set (orbit joints, endpoints, y-continuity), then coverage; then y
-    chunks, each checking x-continuity set by set.  So any failure of the
-    first kind comes before any x-continuity failure, the least key
-    (y // chunk_rows, set, y, edge) wins among the latter, and a block
-    smaller than its chunk that fails is answered by checking its whole
-    chunk again.
+    A refutation names one failure.  The x rows are cut into chunks of
+    `chunk_rows` rows, and the failure is the first of the first chunk
+    that has one, checked in this order: coverage of the chunk's pairs,
+    read off the margins before any leg is built; then set by set, orbit
+    joints, endpoints, continuity along y, and continuity along x on the
+    edges whose larger endpoint lies in the chunk.  A block smaller than
+    its chunk that fails is answered by checking its whole chunk again.
     """
     action = cover.action
     space = action.space
@@ -107,15 +106,6 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
                              failure=found)
     return Certification(certified=True, bound=cover.claimed_bound, params=params,
                          sets=len(cover.sets), stage=cover.stage)
-
-
-@dataclass(frozen=True, order=True)
-class Deferred:
-    """A failure that yields to every plain failure of every job; among
-    deferred failures the least key wins (see first_failure)."""
-
-    key: tuple
-    failure: dict = field(compare=False)
 
 
 @dataclass
@@ -184,61 +174,46 @@ class _Sweep:
                 for index, (lo, hi) in enumerate(zip(cut[:-1], cut[1:]))]
 
     def run(self, first, last, index, failed):
-        """Blocks [first, last): their first failure of the first kind, else
-        a Deferred for their least x-continuity failure, else None."""
+        """Blocks [first, last): the first failure of the first chunk that
+        has one, else None."""
         start = self.blocks[first][0]
         halo: dict[int, list[_Rows]] = {}     # set index -> blocks held
-        best = None
         for b in range(first, last):
             if any(failed[:index]):
                 return None
             x0, x1 = self.blocks[b]
-            # a later run builds its halo only once its first block passed
-            stash = [] if b == first and start > 0 else None
-
-            def on_legs(s, acc, legs):
-                nonlocal best
-                if stash is not None:
-                    stash.append((s, acc, legs))
-                    return
-                found = self.advance(halo, s, x0, x1, acc, legs, start)
-                if found and (best is None or found < best):
-                    best = found
-
-            found = self.rows_failure(x0, x1, on_legs)
+            found = self.rows_failure(x0, x1, halo, start)
             if found:
                 failed[index] = 1
-                halo, stash = None, None     # free their legs for the replay
+                halo.clear()                  # free its legs for the chunk
                 c0 = x0 - x0 % self.chunk_rows
                 c1 = min(c0 + self.chunk_rows, self.m_x)
                 if (x0, x1) == (c0, c1):
                     return found
-                return None if any(failed[:index]) else self.rows_failure(c0, c1)
-            if stash:
-                if any(failed[:index]):
-                    return None
-                stashed, stash = stash, None
-                for args in stashed:
-                    on_legs(*args)
-        return best
+                return None if any(failed[:index]) else self.rows_failure(c0, c1, {}, c0)
+        return None
 
-    def rows_failure(self, x0, x1, on_legs=None):
-        """Coverage, validation and y-continuity on the x rows [x0, x1): the
-        first failure in the order of the two-pass sweep's x chunks.
-        `on_legs(set index, acceptance, legs)` sees every set that passed."""
+    def rows_failure(self, x0, x1, halo, start):
+        """The first failure on the x rows [x0, x1), in the order of
+        verify_cover, or None.  `halo` holds, per set, the earlier rows of
+        a sweep from `start` that still have a neighbour ahead (advance)."""
         space, action, m_y = self.space, self.action, self.m_y
         k = x1 - x0
         X = np.repeat(self.xpts[x0:x1], m_y, axis=0)
         Y = np.tile(self.ypts, (k, 1))
         total = k * m_y
+        accepted = [cs.margin(X, Y) >= self.epsilon for cs in self.cover.sets]
+        covered = np.zeros(total, dtype=bool)
+        for acc in accepted:
+            covered |= acc
+        if not covered.all():
+            r = int(np.argmax(~covered))
+            return _failure("coverage", pair=[X[r].tolist(), Y[r].tolist()])
         base = np.arange(k) * m_y
         nbr_a = (base[:, None] + self.ynbr[None, :, 0]).ravel()
         nbr_b = (base[:, None] + self.ynbr[None, :, 1]).ravel()
         nbr_dist = np.tile(self.ydist, k)
-        covered = np.zeros(total, dtype=bool)
-        for s, cs in enumerate(self.cover.sets):
-            acc = cs.margin(X, Y) >= self.epsilon
-            covered |= acc
+        for s, (cs, acc) in enumerate(zip(self.cover.sets, accepted)):
             if not acc.any():
                 continue
             rows = np.nonzero(acc)[0]
@@ -274,17 +249,15 @@ class _Sweep:
                     p, q = nbr_a[both][w], nbr_b[both][w]
                     return _continuity_failure(
                         cs, (X[p], Y[p]), (X[q], Y[q]), supdiff[w], allowed[w])
-            if on_legs is not None:
-                on_legs(s, acc.reshape(k, m_y), legs)
+            found = self.advance(halo, s, x0, x1, acc.reshape(k, m_y), legs, start)
+            if found:
+                return found
             del legs
-        if not covered.all():
-            r = int(np.argmax(~covered))
-            return _failure("coverage", pair=[X[r].tolist(), Y[r].tolist()])
         return None
 
     def advance(self, halo, s, x0, x1, acc, legs, start):
-        """x-continuity of set s on the edges block [x0, x1) closes, as a
-        Deferred or None; then the block joins the set's halo, from which
+        """x-continuity of set s on the edges block [x0, x1) closes: its
+        first failure or None; then the block joins the set's halo, from which
         every block whose rows have no neighbour ahead any more drops."""
         parts = halo.get(s)
         if parts is None:
@@ -313,8 +286,9 @@ class _Sweep:
         return _Rows(xs, acc, legs)
 
     def x_continuity(self, s, parts, x0, x1):
-        """The least-key x-continuity failure of set s on the edges that
-        block [x0, x1) closes; the block and the halo are `parts`."""
+        """The first x-continuity failure of set s, in (y, edge) order, on
+        the edges that block [x0, x1) closes; the block and the halo are
+        `parts`."""
         edges = np.flatnonzero((self.closer >= x0) & (self.closer < x1))
         if not edges.size:
             return None
@@ -351,10 +325,8 @@ class _Sweep:
         w = int(np.argmax(bad))
         e, yw = int(edges[j[w]]), int(y[w])
         a, b = self.xnbr[e]
-        return Deferred(
-            (yw // self.chunk_rows, s, yw, e),
-            _continuity_failure(self.cover.sets[s], (self.xpts[a], self.ypts[yw]),
-                                (self.xpts[b], self.ypts[yw]), supdiff[w], allowed[w]))
+        return _continuity_failure(self.cover.sets[s], (self.xpts[a], self.ypts[yw]),
+                                   (self.xpts[b], self.ypts[yw]), supdiff[w], allowed[w])
 
 
 _WORKER_JOBS: list = []
@@ -380,9 +352,8 @@ def usable_cpus() -> int:
 def first_failure(jobs, workers: int | None = None):
     """The first failure of the zero-argument jobs.
 
-    A job returns None, a failure or a Deferred failure.  The first plain
-    failure in job order wins and stops the run; without one, the Deferred
-    with the least key does.  Jobs run on min(workers, len(jobs)) worker
+    A job returns None or a failure, and the first failure in job order
+    wins and stops the run.  Jobs run on min(workers, len(jobs)) worker
     processes, usable_cpus() by default, and serially when that is one.
     Covers hold closures, which cannot be pickled, so the job table reaches
     the workers by fork inheritance; only job indices and results cross the
@@ -405,29 +376,7 @@ def first_failure(jobs, workers: int | None = None):
 
 
 def _first(results):
-    deferred = None
-    for found in results:
-        if isinstance(found, Deferred):
-            if deferred is None or found < deferred:
-                deferred = found
-        elif found:
-            return found
-    return None if deferred is None else deferred.failure
-
-
-def verify_cat_cover(cover: PlannerCover, basepoint=None, **params) -> Certification:
-    """verify_cover with the first pair coordinate frozen at the basepoint."""
-    if cover.kind != "cat":
-        from .planners import restrict_to_cat
-        if basepoint is None:
-            raise ValueError("need a basepoint to restrict a tc cover")
-        cover = restrict_to_cat(cover, basepoint)
-    elif basepoint is not None:
-        cover = PlannerCover(action=cover.action, sets=cover.sets,
-                             stage=cover.stage, kind="cat",
-                             basepoint=np.asarray(basepoint, float),
-                             name=cover.name)
-    return verify_cover(cover, **params)
+    return next((found for found in results if found), None)
 
 
 # ------------------------------------------------------------ lower bounds

@@ -673,31 +673,6 @@ def cat_geodesic_cover(action: SpaceAction, basepoint,
                         stage=1, kind="cat", basepoint=basepoint, name=name)
 
 
-def cat_torus_cut_cover(action: SpaceAction, basepoint, cuts=TORUS_CUTS,
-                        name: str = "cat-cut") -> PlannerCover:
-    """Stage-1 based cover of T^2 by branch-cut star sets around basepoint."""
-    basepoint = np.asarray(basepoint, float)
-    sets = []
-    for idx, cut in enumerate(cuts):
-        def margin(X, Y, cut=cut):
-            d = Y - basepoint[None, :]
-            return np.minimum(_circ_dist(d[:, 0], cut[0]),
-                              _circ_dist(d[:, 1], cut[1]))
-
-        def legs(X, Y, m, cut=cut):
-            d = Y - basepoint[None, :]
-            rep = np.empty_like(d)
-            for ax in range(2):
-                rep[:, ax] = np.mod(d[:, ax] - cut[ax], 1.0) + cut[ax] - 1.0
-            pts = wrapped_lines(basepoint[None, :], rep, m, 1.0)
-            pts[:, -1, :] = np.mod(Y, 1.0)
-            return [pts]
-
-        sets.append(CoverSet(f"S{idx}", 1, margin, legs))
-    return PlannerCover(action=action, sets=sets, stage=1, kind="cat",
-                        basepoint=basepoint, name=name)
-
-
 def restrict_to_cat(cover: PlannerCover, basepoint) -> PlannerCover:
     """Reuse a tc cover as a based (cat) cover by freezing the first factor."""
     return PlannerCover(action=cover.action, sets=cover.sets, stage=cover.stage,

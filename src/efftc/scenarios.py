@@ -255,7 +255,8 @@ _PLANNERS = {
         b.basepoint),
     "cat-covering-lift": _cat_covering_lift,
     "cat-geodesic": lambda b: P.cat_geodesic_cover(b.space_action, b.basepoint),
-    "cat-torus-cut": lambda b: P.cat_torus_cut_cover(b.space_action, b.basepoint),
+    "cat-torus-cut": lambda b: P.restrict_to_cat(P.torus_cut_cover(b.space_action),
+                                                 b.basepoint),
     "cat-point": lambda b: P.restrict_to_cat(P.point_cover(b.space_action),
                                              b.basepoint),
 }

@@ -6,14 +6,17 @@ generator-subset closures) so they share no code path with the package
 implementation they check.  The zero-divisor oracle takes the other route
 through the package instead: it builds the staircase product X x X and
 computes its cohomology, where the package works in H*(X) (x) H*(X).  The
-certification oracle is the two-pass grid sweep that the one-pass sweep of
-`verify_cover` replaced: it evaluates every section twice, once per pass.
+certification oracle checks the chunks of x rows one after another, in the
+order `verify_cover` states, with no halo: each chunk builds its own legs,
+and fresh ones for the far rows of its x edges.
 The leg oracles are the whole-array forms of builders that now work in row
 blocks or in place: the slerp recurrence over all rows in one buffer, the
 adversarial legs assembled from a separate geodesic of the rows with a
 unique arc, and the Python-set neighbour loop of the sphere grids.
 The group-action oracles are the tuple-and-dict forms of what `symmetry`
-now does on integer tables: they apply vertex maps simplex by simplex.
+now does on integer tables: they apply vertex maps simplex by simplex, and
+look simplices up in sets and dicts built from a complex's tuple view,
+never through `SimplicialComplex.index` or `contains`.
 The elimination and subdivision oracles are the forms that `f2` and
 `complexes` replaced: the F2 row reduction that reads one pivot column per
 numpy step, and the subdivision that enumerates the chains of every maximal
@@ -232,7 +235,8 @@ def product_zero_divisors(action):
             kernel.extend(reps[d])
             continue
         # raises KeyError if a slice simplex is missing from the product
-        idx = np.array([P.index(s) for s in T.simplices(d)], dtype=np.intp)
+        where = {s: i for i, s in enumerate(P.simplices(d))}
+        idx = np.array([where[s] for s in T.simplices(d)], dtype=np.intp)
         cb = coboundary_space(T, d)
         columns = np.stack([cb.reduce(rep.coeffs[idx]) for rep in reps[d]], axis=1)
         for combo in F2Matrix.from_dense(columns).kernel_basis():
@@ -249,14 +253,17 @@ def product_zero_divisor_cup_length(action) -> int:
     return cup_length(P, kernel) if kernel else 0
 
 
-def two_pass_verify_cover(cover, grid: int = 32, epsilon: float = 0.05,
-                          delta: float = 1e-6, modulus: float = 10.0,
-                          samples: int = 64,
-                          budget: int = 2_000_000) -> Certification:
-    """verify_cover as two serial passes: x-row chunks (coverage, validation,
-    continuity along y), then y-row chunks (continuity along x), each chunk
-    checking set by set and building its own legs.  `budget` is the
-    sample budget of a chunk (verify_cover's SAMPLE_BUDGET)."""
+def chunk_order_verify_cover(cover, grid: int = 32, epsilon: float = 0.05,
+                             delta: float = 1e-6, modulus: float = 10.0,
+                             samples: int = 64,
+                             budget: int = 2_000_000) -> Certification:
+    """verify_cover as one serial loop over chunks of x rows.  A chunk
+    checks the coverage of its pairs, then set by set: orbit joints,
+    endpoints, continuity along y, and continuity along x on the edges whose
+    larger endpoint lies in the chunk.  Every chunk builds its own legs, and
+    the x edges get fresh legs for both of their rows, the far one outside
+    the chunk included.  `budget` is the sample budget of a chunk
+    (verify_cover's SAMPLE_BUDGET)."""
     action = cover.action
     space = action.space
     params = {"grid": grid, "epsilon": epsilon, "delta": delta,
@@ -278,6 +285,9 @@ def two_pass_verify_cover(cover, grid: int = 32, epsilon: float = 0.05,
     def failure(reason, **detail):
         return {"reason": reason, **detail}
 
+    def pairs_of(xidx):
+        return np.repeat(xpts[xidx], m_y, axis=0), np.tile(ypts, (len(xidx), 1))
+
     def continuity(cs, X, Y, legs, pos, a, b, indist):
         supdiff = np.zeros(a.size)
         for leg in legs:
@@ -293,82 +303,77 @@ def two_pass_verify_cover(cover, grid: int = 32, epsilon: float = 0.05,
                            allowed=float(modulus * indist[w]))
         return None
 
-    def x_chunk(start):
-        xidx = np.arange(start, min(start + chunk_rows, m_x))
-        k = xidx.size
-        X = np.repeat(xpts[xidx], m_y, axis=0)
-        Y = np.tile(ypts, (k, 1))
-        total = k * m_y
-        base = np.arange(k) * m_y
-        nbr_a = (base[:, None] + ynbr[None, :, 0]).ravel()
-        nbr_b = (base[:, None] + ynbr[None, :, 1]).ravel()
-        nbr_dist = np.tile(space.dist(ypts[ynbr[:, 0]], ypts[ynbr[:, 1]]), k)
-        covered = np.zeros(total, dtype=bool)
-        for cs in cover.sets:
-            acc = cs.margin(X, Y) >= epsilon
-            covered |= acc
-            if not acc.any():
-                continue
-            rows = np.nonzero(acc)[0]
-            legs = cs.build_legs(X[rows], Y[rows], samples)
-            for i in range(len(legs) - 1):
-                joint = action.orbit_dist(legs[i][:, -1], legs[i + 1][:, 0])
-                bad = joint > delta
-                if bad.any():
-                    r = rows[int(np.argmax(bad))]
-                    return failure("validation", set=cs.name,
-                                   pair=[X[r].tolist(), Y[r].tolist()],
-                                   joint_residual=float(joint.max()))
-            res0 = space.dist(legs[0][:, 0], X[rows])
-            res1 = space.dist(legs[-1][:, -1], Y[rows])
-            bad = (res0 > endpoint_tol) | (res1 > endpoint_tol)
+    def sections(cs, X, Y):
+        # (acceptance, legs of the accepted pairs, their row in the legs)
+        acc = cs.margin(X, Y) >= epsilon
+        rows = np.nonzero(acc)[0]
+        legs = cs.build_legs(X[rows], Y[rows], samples) if rows.size else []
+        pos = np.full(acc.size, -1, dtype=np.intp)
+        pos[rows] = np.arange(rows.size)
+        return acc, rows, legs, pos
+
+    def y_checks(cs, X, Y, k):
+        acc, rows, legs, pos = sections(cs, X, Y)
+        if not rows.size:
+            return None
+        for i in range(len(legs) - 1):
+            joint = action.orbit_dist(legs[i][:, -1], legs[i + 1][:, 0])
+            bad = joint > delta
             if bad.any():
                 r = rows[int(np.argmax(bad))]
                 return failure("validation", set=cs.name,
                                pair=[X[r].tolist(), Y[r].tolist()],
-                               endpoint_residual=float(max(res0.max(), res1.max())))
-            pos = np.full(total, -1, dtype=np.intp)
-            pos[rows] = np.arange(rows.size)
-            both = acc[nbr_a] & acc[nbr_b]
-            if both.any():
-                found = continuity(cs, X, Y, legs, pos, nbr_a[both],
-                                   nbr_b[both], nbr_dist[both])
-                if found:
-                    return found
+                               joint_residual=float(joint.max()))
+        res0 = space.dist(legs[0][:, 0], X[rows])
+        res1 = space.dist(legs[-1][:, -1], Y[rows])
+        bad = (res0 > endpoint_tol) | (res1 > endpoint_tol)
+        if bad.any():
+            r = rows[int(np.argmax(bad))]
+            return failure("validation", set=cs.name,
+                           pair=[X[r].tolist(), Y[r].tolist()],
+                           endpoint_residual=float(max(res0.max(), res1.max())))
+        base = np.arange(k) * m_y
+        nbr_a = (base[:, None] + ynbr[None, :, 0]).ravel()
+        nbr_b = (base[:, None] + ynbr[None, :, 1]).ravel()
+        nbr_dist = np.tile(space.dist(ypts[ynbr[:, 0]], ypts[ynbr[:, 1]]), k)
+        both = acc[nbr_a] & acc[nbr_b]
+        return continuity(cs, X, Y, legs, pos, nbr_a[both], nbr_b[both],
+                          nbr_dist[both])
+
+    def x_checks(cs, edges):
+        # the pairs (x_a, y), (x_b, y) of every edge (a, b), y-major
+        if not edges.size:
+            return None
+        xs = np.unique(xnbr[edges])
+        X, Y = pairs_of(xs)
+        acc, rows, legs, pos = sections(cs, X, Y)
+        if not rows.size:
+            return None
+        ends = np.searchsorted(xs, xnbr[edges])
+        y, j = np.divmod(np.arange(m_y * edges.size), edges.size)
+        a, b = ends[j, 0] * m_y + y, ends[j, 1] * m_y + y
+        both = acc[a] & acc[b]
+        indist = space.dist(xpts[xnbr[edges, 0]], xpts[xnbr[edges, 1]])[j]
+        return continuity(cs, X, Y, legs, pos, a[both], b[both], indist[both])
+
+    def chunk(start):
+        xidx = np.arange(start, min(start + chunk_rows, m_x))
+        X, Y = pairs_of(xidx)
+        covered = np.zeros(X.shape[0], dtype=bool)
+        for cs in cover.sets:
+            covered |= cs.margin(X, Y) >= epsilon
         if not covered.all():
             r = int(np.argmax(~covered))
             return failure("coverage", pair=[X[r].tolist(), Y[r].tolist()])
-        return None
-
-    def y_chunk(start):
-        yidx = np.arange(start, min(start + chunk_rows, m_y))
-        k = yidx.size
-        Y = np.repeat(ypts[yidx], m_x, axis=0)
-        X = np.tile(xpts, (k, 1))
-        total = k * m_x
-        base = np.arange(k) * m_x
-        nbr_a = (base[:, None] + xnbr[None, :, 0]).ravel()
-        nbr_b = (base[:, None] + xnbr[None, :, 1]).ravel()
-        nbr_dist = np.tile(space.dist(xpts[xnbr[:, 0]], xpts[xnbr[:, 1]]), k)
+        closer = xnbr.max(axis=1)
+        edges = np.flatnonzero((closer >= xidx[0]) & (closer <= xidx[-1]))
         for cs in cover.sets:
-            acc = cs.margin(X, Y) >= epsilon
-            both = acc[nbr_a] & acc[nbr_b]
-            if not both.any():
-                continue
-            rows = np.nonzero(acc)[0]
-            legs = cs.build_legs(X[rows], Y[rows], samples)
-            pos = np.full(total, -1, dtype=np.intp)
-            pos[rows] = np.arange(rows.size)
-            found = continuity(cs, X, Y, legs, pos, nbr_a[both], nbr_b[both],
-                               nbr_dist[both])
+            found = y_checks(cs, X, Y, xidx.size) or x_checks(cs, edges)
             if found:
                 return found
         return None
 
-    jobs = [lambda s=start: x_chunk(s) for start in range(0, m_x, chunk_rows)]
-    if xnbr.size:
-        jobs += [lambda s=start: y_chunk(s) for start in range(0, m_y, chunk_rows)]
-    found = next((f for f in (job() for job in jobs) if f), None)
+    found = next((f for f in map(chunk, range(0, m_x, chunk_rows)) if f), None)
     if found:
         return Certification(certified=False, bound=None, params=params,
                              sets=len(cover.sets), stage=cover.stage,
@@ -485,9 +490,10 @@ def validate_by_maps(group, K, vertex_maps) -> None:
     ident = vertex_maps[0]
     if any(ident[v] != v for v in verts):
         raise ValueError("identity element must act as the identity map")
+    simplices = set(K.all_simplices())
     for g, vm in enumerate(vertex_maps):
         for s in K.all_simplices():
-            if not K.contains(tuple(sorted(vm[v] for v in s))):
+            if tuple(sorted(vm[v] for v in s)) not in simplices:
                 raise ValueError(
                     f"element {g} does not map simplex {s} to a simplex")
     for a in range(group.order):
@@ -623,11 +629,15 @@ def orbit_map_pullback_by_maps(action):
     for d in range(1, Q.dimension + 1):
         if d > K.dimension:
             break
+        where = {s: i for i, s in enumerate(Q.simplices(d))}
+        images = []        # (simplex of K, its image in Q) unless collapsed
+        for i, s in enumerate(K.simplices(d)):
+            image = tuple(sorted({vmap[v] for v in s}))
+            if len(image) == len(s):
+                images.append((i, where[image]))
         for rep in summary.representatives[d]:
             vec = np.zeros(K.n_simplices(d), dtype=np.uint8)
-            for i, s in enumerate(K.simplices(d)):
-                image = tuple(sorted({vmap[v] for v in s}))
-                if len(image) == len(s):
-                    vec[i] = rep.coeffs[Q.index(image)]
+            for i, q in images:
+                vec[i] = rep.coeffs[q]
             pullbacks.append(Cochain(d, vec))
     return Q, base, pullbacks

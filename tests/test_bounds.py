@@ -16,7 +16,6 @@ from efftc.bounds import (
     orbit_nilpotency_lower_bound,
     reconcile,
     require_consistent,
-    verify_cat_cover,
     verify_cover,
     zero_divisor_cup_length,
 )
@@ -48,6 +47,7 @@ from efftc.planners import (
     cover_from_strict_section,
     farber_sphere_cover,
     point_cover,
+    restrict_to_cat,
     torus_cut_cover,
 )
 from efftc.symmetry import action_from_generator_perms, trivial_action
@@ -143,19 +143,6 @@ def test_first_failure_defaults_to_usable_cpus(monkeypatch):
     assert 1 <= bounds.usable_cpus() <= (os.cpu_count() or 1)
 
 
-def test_first_failure_defers_to_plain_failures():
-    # a plain failure of any job beats every Deferred; among Deferred
-    # failures the least key wins, whatever the job order
-    late = bounds.Deferred((0, 1), {"x": "late"})
-    early = bounds.Deferred((0, 0), {"x": "early"})
-    for workers in (1, 2):
-        assert first_failure([lambda: late, lambda: None, lambda: early],
-                             workers) == {"x": "early"}
-        assert first_failure([lambda: early, lambda: {"plain": 1}, lambda: None],
-                             workers) == {"plain": 1}
-        assert first_failure([lambda: None, lambda: None], workers) is None
-
-
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="worker processes are started by fork")
 def test_first_failure_reports_a_dead_worker():
@@ -178,14 +165,15 @@ def test_verify_cat_cover_arc_bound_zero():
     base = np.array([0.0, 1.0])
     qcat = arc_cover(trivial_space_action(Arc(np.pi)))
     cover = cat_cover_from_strict_section(model, qcat, base)
-    cert = verify_cat_cover(cover, grid=32)
+    cert = verify_cover(cover, grid=32)
     assert cert.certified and cert.bound == 0
 
 
 def test_verify_cat_restricts_tc_cover():
     # a tc cover used as a based cover certifies a cat bound
-    cover = farber_sphere_cover(sphere_antipodal(1))
-    cert = verify_cat_cover(cover, basepoint=np.array([1.0, 0.0]), grid=32)
+    cover = restrict_to_cat(farber_sphere_cover(sphere_antipodal(1)),
+                            np.array([1.0, 0.0]))
+    cert = verify_cover(cover, grid=32)
     assert cert.certified and cert.bound == 1
 
 

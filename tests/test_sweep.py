@@ -1,9 +1,11 @@
-"""The one-pass certification sweep against the two-pass oracle.
+"""The one-pass certification sweep against the chunk-order oracle.
 
-`verify_cover` evaluates every accepted (pair, set) once and checks the
-continuity along x from a halo of earlier rows; `two_pass_verify_cover`
-(tests/oracles.py) is the sweep it replaced.  Their Certifications, failure
-dicts included, must be identical on one CPU and on two.
+`verify_cover` evaluates every accepted (pair, set) once, checks the
+continuity along x from a halo of earlier rows, and reports the first
+failure of the first chunk of x rows that has one.  `chunk_order_verify_cover`
+(tests/oracles.py) checks the chunks one after another, each with legs of
+its own.  Their Certifications, failure dicts included, must be identical
+on one CPU and on two.
 """
 
 import time
@@ -18,7 +20,7 @@ from efftc.pathspace import FlatTorus, Sphere, trivial_space_action
 from efftc.planners import CoverSet, PlannerCover, embed_cover
 from efftc.scenarios import BUILTINS, build_bundle, build_planner
 
-from oracles import adversarial_cover_by_parts, two_pass_verify_cover
+from oracles import adversarial_cover_by_parts, chunk_order_verify_cover
 
 # the criterion-7b catalog covers, at their grids
 CATALOG_COVERS = [
@@ -41,7 +43,7 @@ CATALOG_COVERS = [
 
 
 def assert_matches_oracle(cover, grid, budget=bounds.SAMPLE_BUDGET, **params):
-    expected = two_pass_verify_cover(cover, grid=grid, budget=budget, **params)
+    expected = chunk_order_verify_cover(cover, grid=grid, budget=budget, **params)
     for cpus in (1, 2):
         with mock.patch.object(bounds, "usable_cpus", lambda n=cpus: n), \
                 mock.patch.object(bounds, "SAMPLE_BUDGET", budget):
@@ -135,16 +137,68 @@ def test_sweep_finds_x_failures_across_blocks():
         cert = assert_matches_oracle(jumpy, 16, budget=budget)
         assert cert.failure["reason"] == "continuity"
         assert cert.failure["pair"][0] != cert.failure["neighbor"][0]
-    # among x failures the earlier y chunk wins over the earlier set: U1
-    # jumps only on the southern y rows (ramped in, so that nothing fails
-    # along y), U3 (accepted from y0 < 0.9 on) everywhere
+    # inside the first failing chunk the earlier set wins: U1 jumps only on
+    # the southern y rows (ramped in, so that nothing fails along y), U3
+    # (accepted from y0 < 0.9 on) everywhere
     def gated_jump(s, X, Y):
         ramp = np.clip(1.5 * (-0.3 - Y[:, :1]), 0.0, 1.0) if s == 0 else (s == 2)
         return (X[:, :1] > 0.3) * ramp * [[0.0, 0.0, 3.0]]
 
     gated = with_jump(cover, gated_jump)
     cert = assert_matches_oracle(gated, 16, budget=20 * 172 * 64)
-    assert cert.failure["set"] == "U3"
+    assert cert.failure["set"] == "U1"
+
+
+
+def test_x_failures_are_taken_in_y_order():
+    # T^2 on a 10 x 10 grid with L = 4: the low x edges (first coordinate
+    # 0.2|0.3 and 0.5|0.6) jump at y near 0.6, the high ones near 0.1, with
+    # bumps that change slowly enough along y.  In one chunk the least y
+    # wins over the least edge; in chunks of three rows the low edges'
+    # chunk comes first
+    def bump(t, c):
+        d = np.abs(np.mod(t - c + 0.5, 1.0) - 0.5)
+        return np.clip(1.5 - 5.0 * d, 0.0, 1.0)
+
+    def jump(s, X, Y):
+        low = ((X[:, 0] > 0.25) & (X[:, 0] < 0.55)) * bump(Y[:, 0], 0.6)
+        high = ((X[:, 0] > 0.65) & (X[:, 0] < 0.85)) * bump(Y[:, 0], 0.1)
+        return (low + high)[:, None] * [[0.45, 0.45]]
+
+    torus = with_jump(planners.torus_cut_cover(trivial_space_action(FlatTorus(2))),
+                      jump)
+    cert = assert_matches_oracle(torus, 100, modulus=4.0)
+    assert (cert.failure["pair"], cert.failure["neighbor"]) == (
+        [[0.6, 0.0], [0.0, 0.0]], [[0.7, 0.0], [0.0, 0.0]])
+    cert = assert_matches_oracle(torus, 100, budget=3 * 100 * 64, modulus=4.0)
+    assert [cert.failure["pair"][0], cert.failure["neighbor"][0]] == [[0.2, 0.0],
+                                                                     [0.3, 0.0]]
+
+def test_coverage_is_checked_before_any_leg_is_built():
+    # the honest adversarial claim leaves the antipodal pairs uncovered: the
+    # first uncovered pair of chunk 0 refutes it, and no section is built
+    honest = planners.adversarial_sphere_cover(models.sphere_antipodal(2),
+                                               honest_membership=True)
+    (cs,) = honest.sets
+    calls = []
+
+    def legs(X, Y, m):
+        calls.append(len(X))
+        return cs.build_legs(X, Y, m)
+
+    counted = PlannerCover(action=honest.action,
+                           sets=[CoverSet(cs.name, cs.stage, cs.margin, legs)],
+                           stage=honest.stage, name=honest.name)
+    with mock.patch.object(bounds, "usable_cpus", lambda: 1):
+        cert = verify_cover(counted, grid=32)
+    assert calls == []
+    pts = honest.action.space.grid(32)
+    chunk_rows = bounds.SAMPLE_BUDGET // (len(pts) * 64)
+    X = np.repeat(pts[:chunk_rows], len(pts), axis=0)
+    Y = np.tile(pts, (chunk_rows, 1))
+    r = int(np.argmax(cs.margin(X, Y) < 0.05))
+    assert cert.failure == {"reason": "coverage",
+                            "pair": [X[r].tolist(), Y[r].tolist()]}
 
 
 def test_sweep_reports_the_first_failure_of_the_whole_chunk():
@@ -174,7 +228,7 @@ def test_sweep_with_more_runs_than_cpus():
     adversarial = planners.adversarial_sphere_cover(models.sphere_antipodal(2),
                                                     honest_membership=True)
     for c, grid in ((adversarial, 32), (jumpy, 16), (cover, 16)):
-        expected = two_pass_verify_cover(c, grid=grid)
+        expected = chunk_order_verify_cover(c, grid=grid)
         with mock.patch.object(bounds, "usable_cpus", lambda: 4):
             start = time.monotonic()
             assert verify_cover(c, grid=grid) == expected
