@@ -32,7 +32,7 @@ from .complexes import (
 from .f2 import F2Matrix
 from .errors import ContradictionError
 from .pathspace import ENDPOINT_TOL
-from .planners import PlannerCover
+from .planners import PlannerCover, piece_samples
 from .symmetry import (
     GroupAction,
     fixed_subcomplex,
@@ -75,6 +75,15 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
     x on the neighbour edges it closes, from its own legs and from a halo:
     the legs of earlier rows that still have a neighbour ahead.
 
+    A set given as pieces (planners.Piece) is evaluated piece by piece: a
+    piece of x once per distinct accepted x of a block, a piece of y once
+    per distinct accepted y, a constant piece once, a piece of both on
+    every accepted pair.  Along a y edge the pieces of x and the constant
+    ones are skipped (both ends are the same samples) and a piece of y is
+    scanned once per edge; along an x edge the roles swap.  The largest
+    distance over the pieces is the largest over their concatenated legs,
+    so verdicts and failures are those of the legs `build_legs` returns.
+
     A refutation names one failure.  The x rows are cut into chunks of
     `chunk_rows` rows, and the failure is the first of the first chunk
     that has one, checked in this order: coverage of the chunk's pairs,
@@ -111,11 +120,27 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
 @dataclass
 class _Rows:
     """Grid rows x with their acceptance (len(x), m_y) in one cover set and
-    that set's legs for the accepted pairs, in row-major order."""
+    that set's leg pieces on them: `tables` holds (inputs, samples) per
+    piece in leg order, and `starts` marks the first piece of each leg.  A
+    piece of both inputs has a row per accepted pair, in row-major order; a
+    piece of x a row per x row that accepts a pair (`xrow` maps the rows
+    to them, -1 for none), a piece of y a row per column that does (`ycol`),
+    a constant piece one row.  A set without pieces gives one table of both
+    inputs per leg, and no xrow or ycol."""
 
     x: np.ndarray
     acc: np.ndarray
-    legs: list
+    tables: list
+    starts: list
+    xrow: np.ndarray | None = None
+    ycol: np.ndarray | None = None
+
+
+def _positions(mask):
+    """Each entry's rank among the True entries of mask, -1 where False."""
+    out = np.full(mask.size, -1, dtype=np.intp)
+    out[mask] = np.arange(np.count_nonzero(mask))
+    return out
 
 
 def _failure(reason, **detail):
@@ -193,11 +218,33 @@ class _Sweep:
                 return None if any(failed[:index]) else self.rows_failure(c0, c1, {}, c0)
         return None
 
+    def sections(self, s, x, flat, X, Y):
+        """_Rows of set s on the x rows `x`, where `flat` accepts the pairs
+        (X, Y) (x-major).  Each piece is built on just the inputs it
+        depends on."""
+        cs = self.cover.sets[s]
+        rows = np.flatnonzero(flat)
+        acc = flat.reshape(x.size, self.m_y)
+        if cs.pieces is None:
+            legs = cs.build_legs(X[rows], Y[rows], self.samples)
+            return _Rows(x, acc, [("xy", leg) for leg in legs], [True] * len(legs))
+        xrow, ycol = _positions(acc.any(axis=1)), _positions(acc.any(axis=0))
+        inputs = {"xy": (X[rows], Y[rows]),
+                  "x": (self.xpts[x[xrow >= 0]], None),
+                  "y": (None, self.ypts[ycol >= 0]), "": (None, None)}
+        tables, starts = [], []
+        for leg in cs.pieces:
+            n = piece_samples(self.samples, len(leg))
+            for i, piece in enumerate(leg):
+                tables.append((piece.inputs, piece.on(*inputs[piece.inputs], n)))
+                starts.append(i == 0)
+        return _Rows(x, acc, tables, starts, xrow, ycol)
+
     def rows_failure(self, x0, x1, halo, start):
         """The first failure on the x rows [x0, x1), in the order of
         verify_cover, or None.  `halo` holds, per set, the earlier rows of
         a sweep from `start` that still have a neighbour ahead (advance)."""
-        space, action, m_y = self.space, self.action, self.m_y
+        m_y = self.m_y
         k = x1 - x0
         X = np.repeat(self.xpts[x0:x1], m_y, axis=0)
         Y = np.tile(self.ypts, (k, 1))
@@ -217,31 +264,16 @@ class _Sweep:
             if not acc.any():
                 continue
             rows = np.nonzero(acc)[0]
-            legs = cs.build_legs(X[rows], Y[rows], self.samples)
-            for i in range(len(legs) - 1):
-                joint = action.orbit_dist(legs[i][:, -1], legs[i + 1][:, 0])
-                bad = joint > self.delta
-                if bad.any():
-                    r = rows[int(np.argmax(bad))]
-                    return _failure("validation", set=cs.name,
-                                    pair=[X[r].tolist(), Y[r].tolist()],
-                                    joint_residual=float(joint.max()))
-            res0 = space.dist(legs[0][:, 0], X[rows])
-            res1 = space.dist(legs[-1][:, -1], Y[rows])
-            bad = (res0 > ENDPOINT_TOL) | (res1 > ENDPOINT_TOL)
-            if bad.any():
-                r = rows[int(np.argmax(bad))]
-                return _failure("validation", set=cs.name,
-                                pair=[X[r].tolist(), Y[r].tolist()],
-                                endpoint_residual=float(max(res0.max(), res1.max())))
+            sec = self.sections(s, np.arange(x0, x1), acc, X, Y)
+            found = self.validation(cs, sec, rows, X, Y)
+            if found:
+                return found
             pos = np.full(total, -1, dtype=np.intp)
             pos[rows] = np.arange(rows.size)
             both = acc[nbr_a] & acc[nbr_b]
             if both.any():
-                a, b = pos[nbr_a[both]], pos[nbr_b[both]]
-                supdiff = np.zeros(a.size)
-                for leg in legs:
-                    supdiff = np.maximum(supdiff, space.supdiff_pairs(leg, a, b))
+                supdiff = self.y_supdiff(sec, pos[nbr_a[both]], pos[nbr_b[both]],
+                                         both.reshape(k, -1))
                 allowed = self.modulus * nbr_dist[both]
                 bad = supdiff > allowed
                 if bad.any():
@@ -249,46 +281,99 @@ class _Sweep:
                     p, q = nbr_a[both][w], nbr_b[both][w]
                     return _continuity_failure(
                         cs, (X[p], Y[p]), (X[q], Y[q]), supdiff[w], allowed[w])
-            found = self.advance(halo, s, x0, x1, acc.reshape(k, m_y), legs, start)
+            found = self.advance(halo, s, start, sec)
             if found:
                 return found
-            del legs
+            del sec
         return None
 
-    def advance(self, halo, s, x0, x1, acc, legs, start):
-        """x-continuity of set s on the edges block [x0, x1) closes: its
-        first failure or None; then the block joins the set's halo, from which
+    def validation(self, cs, sec, rows, X, Y):
+        """The first orbit-joint, then endpoint, failure of the accepted
+        pairs `rows` (of X, Y) of set cs, or None."""
+        m_y = self.m_y
+        if sec.xrow is not None:
+            at = {"x": sec.xrow[rows // m_y], "y": sec.ycol[rows % m_y],
+                  "": np.zeros(rows.size, dtype=np.intp)}
+
+        def sample(t, j):
+            inputs, table = sec.tables[t]
+            return table[:, j] if inputs == "xy" else table[at[inputs], j]
+
+        firsts = [t for t, first in enumerate(sec.starts) if first]
+        for t in firsts[1:]:
+            joint = self.action.orbit_dist(sample(t - 1, -1), sample(t, 0))
+            bad = joint > self.delta
+            if bad.any():
+                r = rows[int(np.argmax(bad))]
+                return _failure("validation", set=cs.name,
+                                pair=[X[r].tolist(), Y[r].tolist()],
+                                joint_residual=float(joint.max()))
+        res0 = self.space.dist(sample(0, 0), X[rows])
+        res1 = self.space.dist(sample(len(sec.tables) - 1, -1), Y[rows])
+        bad = (res0 > ENDPOINT_TOL) | (res1 > ENDPOINT_TOL)
+        if bad.any():
+            r = rows[int(np.argmax(bad))]
+            return _failure("validation", set=cs.name,
+                            pair=[X[r].tolist(), Y[r].tolist()],
+                            endpoint_residual=float(max(res0.max(), res1.max())))
+        return None
+
+    def y_supdiff(self, sec, a, b, both):
+        """Sup-distance of the set's legs along the y edges with both ends
+        accepted, (row, edge) flags `both`; a, b index the accepted pairs.
+        Pieces of both inputs are scanned per pair, a piece of y once per
+        y edge; pieces of x or of neither do not move along y."""
+        supdiff = np.zeros(a.size)
+        per_edge = None
+        for inputs, table in sec.tables:
+            if inputs == "xy":
+                supdiff = np.maximum(supdiff, self.space.supdiff_pairs(table, a, b))
+            elif inputs == "y":
+                if per_edge is None:
+                    edges = np.flatnonzero(both.any(axis=0))
+                    ends = sec.ycol[self.ynbr[edges]]
+                    per_edge = np.zeros(both.shape[1])
+                per_edge[edges] = np.maximum(per_edge[edges], self.space.supdiff_pairs(
+                    table, ends[:, 0], ends[:, 1]))
+        if per_edge is not None:
+            supdiff = np.maximum(supdiff, np.broadcast_to(per_edge, both.shape)[both])
+        return supdiff
+
+    def advance(self, halo, s, start, sec):
+        """x-continuity of set s on the edges block `sec` closes: its first
+        failure or None; then the block joins the set's halo, from which
         every block whose rows have no neighbour ahead any more drops."""
+        x0, x1 = int(sec.x[0]), int(sec.x[-1]) + 1
         parts = halo.get(s)
         if parts is None:
-            parts = [self.open_rows(s, start, x0, legs)]
-        parts = parts + [_Rows(np.arange(x0, x1), acc, legs)]
+            parts = [self.open_rows(s, start, x0)]
+        parts = parts + [sec]
         found = self.x_continuity(s, parts, x0, x1)
         halo[s] = [part for part in parts
                    if part.x.size and self.reach[part.x].max() >= x1]
         return found
 
-    def open_rows(self, s, start, x0, like):
+    def open_rows(self, s, start, x0):
         """Set s on the rows before `start` still open at x0: the halo a run
-        that starts at `start` rebuilds (`like` gives empty legs their shape)."""
+        that starts at `start` rebuilds (with no tables when it accepts no
+        pair there, so that no edge reaches it)."""
         cs, m_y = self.cover.sets[s], self.m_y
         xs = np.flatnonzero(self.reach[:start] >= x0)
         acc = np.zeros((xs.size, m_y), dtype=bool)
-        legs = [leg[:0] for leg in like]
         if xs.size:
             X = np.repeat(self.xpts[xs], m_y, axis=0)
             Y = np.tile(self.ypts, (xs.size, 1))
             flat = cs.margin(X, Y) >= self.epsilon
             if flat.any():
-                rows = np.nonzero(flat)[0]
-                legs = cs.build_legs(X[rows], Y[rows], self.samples)
+                return self.sections(s, xs, flat, X, Y)
             acc = flat.reshape(xs.size, m_y)
-        return _Rows(xs, acc, legs)
+        return _Rows(xs, acc, [], [], np.full(xs.size, -1, dtype=np.intp))
 
     def x_continuity(self, s, parts, x0, x1):
         """The first x-continuity failure of set s, in (y, edge) order, on
         the edges that block [x0, x1) closes; the block and the halo are
-        `parts`."""
+        `parts`.  Pieces of both inputs are scanned per pair, a piece of x
+        once per edge; pieces of y or of neither do not move along x."""
         edges = np.flatnonzero((self.closer >= x0) & (self.closer < x1))
         if not edges.size:
             return None
@@ -300,24 +385,27 @@ class _Sweep:
         loc = np.full(self.m_x, -1, dtype=np.intp)
         loc[np.concatenate([part.x for part in parts])] = np.arange(window.shape[0] - 1)
         la, lb = loc[self.xnbr[edges, 0]], loc[self.xnbr[edges, 1]]
-        y, j = np.nonzero((window[la] & window[lb]).T)
+        both = window[la] & window[lb]
+        y, j = np.nonzero(both.T)
         if not y.size:
             return None
-        # each accepted pair's part, and its row in that part's legs
-        pos = np.cumsum(window.ravel()) - 1
-        pa, pb = pos[la[j] * m_y + y], pos[lb[j] * m_y + y]
-        offsets = np.cumsum([0] + [int(part.acc.sum()) for part in parts])
-        part_a = np.searchsorted(offsets, pa, side="right") - 1
-        part_b = np.searchsorted(offsets, pb, side="right") - 1
-        combo = part_a * len(parts) + part_b
+        kinds = [inputs for inputs, _ in parts[-1].tables]
         supdiff = np.zeros(y.size)
-        for c in np.unique(combo):
-            sel = np.flatnonzero(combo == c)
-            ka, kb = divmod(int(c), len(parts))
-            ia, ib = pa[sel] - offsets[ka], pb[sel] - offsets[kb]
-            for leg_a, leg_b in zip(parts[ka].legs, parts[kb].legs):
-                supdiff[sel] = np.maximum(
-                    supdiff[sel], self.space.supdiff_pairs(leg_a, ia, ib, leg_b))
+        if "xy" in kinds:
+            # each accepted pair's part, and its row in that part's tables
+            pos = np.cumsum(window.ravel()) - 1
+            pa, pb = pos[la[j] * m_y + y], pos[lb[j] * m_y + y]
+            offsets = np.cumsum([0] + [int(part.acc.sum()) for part in parts])
+            supdiff = self.parts_supdiff(parts, "xy", offsets, pa, pb)
+        if "x" in kinds:
+            # each edge's rows: their part, and their row in its x tables
+            hit = np.flatnonzero(both.any(axis=1))
+            offsets = np.cumsum([0] + [part.x.size for part in parts])
+            xrow = np.concatenate([part.xrow for part in parts])
+            per_edge = np.zeros(edges.size)
+            per_edge[hit] = self.parts_supdiff(parts, "x", offsets, la[hit], lb[hit],
+                                               xrow)
+            supdiff = np.maximum(supdiff, per_edge[j])
         allowed = self.modulus * self.xdist[edges[j]]
         bad = supdiff > allowed
         if not bad.any():
@@ -327,6 +415,26 @@ class _Sweep:
         a, b = self.xnbr[e]
         return _continuity_failure(self.cover.sets[s], (self.xpts[a], self.ypts[yw]),
                                    (self.xpts[b], self.ypts[yw]), supdiff[w], allowed[w])
+
+    def parts_supdiff(self, parts, inputs, offsets, pa, pb, rows=None):
+        """The sup-distance of the pieces of `inputs` between the entries pa
+        and pb, each in the part it falls in (offsets: each part's first
+        entry), at its place in that part or at rows[entry] when given."""
+        supdiff = np.zeros(pa.size)
+        part_a = np.searchsorted(offsets, pa, side="right") - 1
+        part_b = np.searchsorted(offsets, pb, side="right") - 1
+        ia, ib = pa - offsets[part_a], pb - offsets[part_b]
+        if rows is not None:
+            ia, ib = rows[pa], rows[pb]
+        combo = part_a * len(parts) + part_b
+        for c in np.unique(combo):
+            sel = np.flatnonzero(combo == c)
+            ka, kb = divmod(int(c), len(parts))
+            for (kind, leg_a), (_, leg_b) in zip(parts[ka].tables, parts[kb].tables):
+                if kind == inputs:
+                    supdiff[sel] = np.maximum(supdiff[sel], self.space.supdiff_pairs(
+                        leg_a, ia[sel], ib[sel], leg_b))
+        return supdiff
 
 
 _WORKER_JOBS: list = []

@@ -6,9 +6,10 @@
     efftc list-builtins
 
 Exit codes: 0 all reports consistent and expectations met; 1 contradiction,
-refutation or expectation miss; 2 a scenario that cannot be loaded; 3 a
-run that failed (reported with the exception's type and message, and the
-index, op, and method or planner of the pipeline step that raised it).
+refutation or expectation miss; 2 a scenario that cannot be loaded, or
+verification parameters no certification can run on; 3 a run that failed
+(reported with the exception's type and message, and the index, op, and
+method or planner of the pipeline step that raised it).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import sys
 from .errors import RUN_ERRORS, ContradictionError, PipelineStepError
 from .scenarios import (
     BUILTINS,
+    check_params,
     emit_table,
     format_table,
     load_scenario,
@@ -65,6 +67,7 @@ def main(argv=None) -> int:
                 overrides[key] = value
         try:
             scenario = load_scenario(args.scenario)
+            check_params(overrides)
         except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:
             print(f"error: cannot load scenario: {exc}", file=sys.stderr)
             return 2

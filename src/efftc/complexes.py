@@ -82,12 +82,17 @@ class SimplicialComplex:
     def total_simplices(self) -> int:
         return sum(len(level) for level in self.rows)
 
+    @cached_property
+    def _tuple_index(self) -> list[dict]:
+        """{simplex tuple: its index} per degree, built on the first lookup."""
+        return [dict(zip(level, range(len(level)))) for level in self.simplices_by_dim]
+
     def _find(self, simplex: tuple) -> int:
-        where = self.vertex_index
-        row = [where.get(v, -1) for v in simplex]
-        if not row or -1 in row:
+        simplex = tuple(simplex)
+        d = len(simplex) - 1
+        if not 0 <= d <= self.dimension:
             return -1
-        return int(self.simplex_index.find(len(row) - 1, row))
+        return self._tuple_index[d].get(simplex, -1)
 
     def index(self, simplex: tuple) -> int:
         i = self._find(simplex)

@@ -5,6 +5,15 @@ and a batched section map producing the legs of a broken path for every
 accepted pair.  Verification accepts a pair into a set only with clearance
 at least epsilon, so sections are evaluated strictly inside their domains.
 
+A set may also describe its legs as pieces: each leg is a sequence of
+pieces, and each piece is a function of x alone, of y alone, of both or of
+neither.  A piece's builder receives only the inputs it depends on, so the
+certification sweep builds it once per distinct input and skips it on the
+grid edges along which it cannot move.  `build_legs` of such a set returns
+the pieces concatenated along the samples, with slerp_chain's split of the
+leg's samples over its pieces.  A set without pieces counts as one piece of
+both inputs.
+
 Sphere conventions for the involution scenarios: the involution negates the
 first coordinate, its fixed equator is {x0 = 0}, and the pole of the upper
 hemisphere is N = e0.
@@ -12,6 +21,7 @@ hemisphere is N = e0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,14 +39,69 @@ from .pathspace import (
 )
 
 
+@dataclass(frozen=True)
+class Piece:
+    """A stretch of a leg as a function of the inputs it names: "x", "y",
+    "xy" (both) or "" (neither).  `build` receives the rows of just those
+    inputs, then the piece's sample count n: build(X, n), build(Y, n),
+    build(X, Y, n) or build(n).  It returns (rows, n, d) samples, a single
+    row for a constant piece."""
+
+    inputs: str
+    build: object
+
+    def on(self, X, Y, n):
+        """The piece on the rows of X (for "x"), of Y ("y"), of the pairs
+        (X, Y) ("xy"), or on one row ("")."""
+        args = {"": (), "x": (X,), "y": (Y,), "xy": (X, Y)}[self.inputs]
+        return self.build(*args, n)
+
+
+def piece_samples(m: int, count: int) -> int:
+    """Samples of each piece of a leg of m samples cut into `count` pieces:
+    slerp_chain's split, and all m for a leg of one piece."""
+    return m if count == 1 else max(2, -(-m // count))
+
+
+def _on_rows(piece, X, Y, n):
+    """The piece on the pairs (X, Y), a constant one broadcast to each row."""
+    part = piece.on(X, Y, n)
+    return part if piece.inputs else np.broadcast_to(part, (len(X),) + part.shape[1:])
+
+
+def legs_from_pieces(pieces, X, Y, m):
+    """The legs of a set given as pieces (one tuple of Pieces per leg) on
+    the pairs (X, Y).  A leg of one piece is that piece as built; a longer
+    leg is its pieces concatenated along the samples, built by blocks of
+    rows."""
+    legs = []
+    for leg in pieces:
+        n = piece_samples(m, len(leg))
+        if len(leg) == 1:
+            legs.append(_on_rows(leg[0], X, Y, n))
+        else:
+            legs.append(_by_blocks(len(X), lambda rows, leg=leg, n=n: np.concatenate(
+                [_on_rows(p, X[rows], Y[rows], n) for p in leg], axis=1)))
+    return legs
+
+
 @dataclass
 class CoverSet:
-    """One open set of a planner cover, as margin + batched section."""
+    """One open set of a planner cover, as margin + batched section.
+
+    `pieces`, when given, is one tuple of Pieces per leg; `build_legs` is
+    then their concatenation, and verification sweeps the pieces.  A set
+    without pieces is one piece of both inputs, its legs from build_legs."""
 
     name: str
     stage: int
     margin: object        # (X, Y) -> (M,) clearance values
-    build_legs: object    # (X, Y, n) -> list of (M, n, d) leg arrays
+    build_legs: object = None   # (X, Y, n) -> list of (M, n, d) leg arrays
+    pieces: tuple | None = None
+
+    def __post_init__(self):
+        if self.build_legs is None:
+            self.build_legs = partial(legs_from_pieces, self.pieces)
 
     def section_one(self, action: SpaceAction, x, y, n: int = 64) -> BrokenPath:
         X = np.asarray(x, float)[None, :]
@@ -84,11 +149,49 @@ def _guard_arc(space, P, Q):
         raise GeodesicDegeneracyError("antipodal endpoints have no unique arc")
 
 
-def _arc_then_half(space, X, Y, end, field_unit, m):
-    """One leg: shortest arc from X to -Y, then the half circle -Y -> Y
-    (realized as two quarter arcs through the field direction)."""
-    _guard_arc(space, X, -Y)
-    return slerp_chain([(X, -Y), (-Y, field_unit), (field_unit, Y)], m)
+def _arc_then_half(space, field):
+    """The pieces of one leg: the shortest arc from X to -Y (of both
+    inputs), then the half circle -Y -> Y as two quarter arcs through the
+    unit tangent field(Y) (of y alone)."""
+    def arc(X, Y, n):
+        _guard_arc(space, X, -Y)
+        return slerp_batch(X, -Y, n)
+
+    def first_quarter(Y, n):
+        return slerp_batch(-Y, _tangent_unit(Y, field(Y)), n)
+
+    def second_quarter(Y, n):
+        return slerp_batch(_tangent_unit(Y, field(Y)), Y, n)
+
+    return (Piece("xy", arc), Piece("y", first_quarter), Piece("y", second_quarter))
+
+
+def _same(rows):
+    return rows
+
+
+def _const_piece(inputs):
+    """The constant leg at x or at y, as a piece."""
+    return Piece(inputs, _const_legs)
+
+
+def _geodesic_piece(space, start=_same):
+    """The shortest arc from start(X) to Y, as a piece of both inputs."""
+    return Piece("xy", lambda X, Y, n: space.geodesic(start(X), Y, n))
+
+
+def _arc_piece(space, inputs, start, end):
+    """The guarded arc from `start` to `end` as a piece of `inputs`: each
+    end is a fixed point, or a function of the piece's input rows."""
+    def build(*args):
+        *rows, n = args
+        shape = rows[0].shape if rows else (1, space.point_dim)
+        P, Q = (e(*rows) if callable(e) else np.broadcast_to(e, shape)
+                for e in (start, end))
+        _guard_arc(space, P, Q)
+        return slerp_batch(P, Q, n)
+
+    return Piece(inputs, build)
 
 
 def _pairing_field(Y):
@@ -192,11 +295,8 @@ def farber_sphere_cover(action: SpaceAction, name: str = "farber") -> PlannerCov
         def margin_u2(X, Y):
             return space.dist(Y, X) - ARC_EXCLUSION
 
-        def legs_u2(X, Y, m):
-            return [_arc_then_half(space, X, Y, Y,
-                                   _tangent_unit(Y, _pairing_field(Y)), m)]
-
-        sets.append(CoverSet("U2", 1, margin_u2, legs_u2))
+        sets.append(CoverSet("U2", 1, margin_u2,
+                             pieces=(_arc_then_half(space, _pairing_field),)))
     else:
         south = np.zeros(space.point_dim)
         south[0] = -1.0
@@ -208,25 +308,18 @@ def farber_sphere_cover(action: SpaceAction, name: str = "farber") -> PlannerCov
             return np.minimum(space.dist(Y, X) - ARC_EXCLUSION,
                               space.dist(Y, south[None, :]) - FIELD_EXCLUSION)
 
-        def legs_u2(X, Y, m):
-            return [_arc_then_half(space, X, Y, Y,
-                                   _tangent_unit(Y, _stereo_field(Y)), m)]
-
         def margin_u3(X, Y):
             return np.minimum(space.dist(X, south[None, :]),
                               space.dist(Y, north[None, :])) - FIELD_EXCLUSION
 
-        def legs_u3(X, Y, m):
-            north_t = np.broadcast_to(north, X.shape)
-            south_t = np.broadcast_to(south, Y.shape)
-            w_t = np.broadcast_to(w_dir, X.shape)
-            _guard_arc(space, X, north_t)
-            _guard_arc(space, south_t, Y)
-            return [slerp_chain([(X, north_t), (north_t, w_t),
-                                 (w_t, south_t), (south_t, Y)], m)]
-
-        sets.append(CoverSet("U2", 1, margin_u2, legs_u2))
-        sets.append(CoverSet("U3", 1, margin_u3, legs_u3))
+        # X -> N -> W -> S -> Y: only the first arc moves with x, the last with y
+        u3 = (_arc_piece(space, "x", _same, north),
+              _arc_piece(space, "", north, w_dir),
+              _arc_piece(space, "", w_dir, south),
+              _arc_piece(space, "y", south, _same))
+        sets.append(CoverSet("U2", 1, margin_u2,
+                             pieces=(_arc_then_half(space, _stereo_field),)))
+        sets.append(CoverSet("U3", 1, margin_u3, pieces=(u3,)))
     return PlannerCover(action=action, sets=sets, stage=1, name=name)
 
 
@@ -247,30 +340,23 @@ def involution_two_stage_cover(action: SpaceAction,
     def margin_u1(X, Y):
         return space.dist(Y, -X) - ARC_EXCLUSION
 
-    def legs_u1(X, Y, m):
-        return [space.geodesic(X, Y, m), _const_legs(Y, m)]
-
     def margin_u2(X, Y):
         return space.dist(Y, X) - ARC_EXCLUSION
 
+    u1 = ((_geodesic_piece(space),), (_const_piece("y"),))
     if kind == "antipodal":
-        def legs_u2(X, Y, m):
-            return [_const_legs(X, m), space.geodesic(-X, Y, m)]
+        u2 = ((_const_piece("x"),), (_geodesic_piece(space, np.negative),))
     elif kind == "codim1":
         if n % 2 == 0:
-            def legs_u2(X, Y, m):
-                return [_rotation_leg(X, m), space.geodesic(-X, Y, m)]
+            u2 = ((Piece("x", _rotation_leg),), (_geodesic_piece(space, np.negative),))
         else:
-            def legs_u2(X, Y, m):
-                leg = _arc_then_half(space, X, Y, Y,
-                                     _tangent_unit(Y, _pairing_field(Y)), m)
-                return [leg, _const_legs(Y, m)]
+            u2 = (_arc_then_half(space, _pairing_field), (_const_piece("y"),))
     else:
         raise ValueError("two-stage involution cover needs the antipodal or "
                          "codimension-1 Z2 action")
     return PlannerCover(action=action,
-                        sets=[CoverSet("U1", 2, margin_u1, legs_u1),
-                              CoverSet("U2", 2, margin_u2, legs_u2)],
+                        sets=[CoverSet("U1", 2, margin_u1, pieces=u1),
+                              CoverSet("U2", 2, margin_u2, pieces=u2)],
                         stage=2, name=name)
 
 
@@ -286,16 +372,12 @@ def involution_three_stage_planner(action: SpaceAction,
     def margin(X, Y):
         return np.full(X.shape[0], np.inf)
 
-    def legs(X, Y, m):
-        fx, fy = _fold(X), _fold(Y)
-        north_t = np.broadcast_to(north, X.shape)
-        _guard_arc(space, fx, north_t)
-        _guard_arc(space, north_t, fy)
-        mid = slerp_chain([(fx, north_t), (north_t, fy)], m)
-        return [_const_legs(X, m), mid, _const_legs(Y, m)]
-
+    # const x | fold(x) -> N | N -> fold(y) | const y
+    pieces = ((_const_piece("x"),),
+              (_arc_piece(space, "x", _fold, north), _arc_piece(space, "y", north, _fold)),
+              (_const_piece("y"),))
     return PlannerCover(action=action,
-                        sets=[CoverSet("U", 3, margin, legs)],
+                        sets=[CoverSet("U", 3, margin, pieces=pieces)],
                         stage=3, name=name)
 
 

@@ -41,6 +41,30 @@ def default_seed() -> int:
     return sampling_seed()
 
 
+def check_params(params: dict) -> None:
+    """Reject verification parameters no certification can run on: a grid,
+    epsilon or modulus that is not positive, a negative delta, or fewer
+    than two samples per leg (ValueError)."""
+    rules = {"grid": (lambda v: v > 0, "positive"),
+             "epsilon": (lambda v: v > 0, "positive"),
+             "modulus": (lambda v: v > 0, "positive"),
+             "delta": (lambda v: v >= 0, "non-negative"),
+             "samples": (lambda v: v >= 2, "at least 2")}
+    for key, (ok, what) in rules.items():
+        if key in params and not ok(params[key]):
+            raise ValueError(f"{key} must be {what}, got {params[key]!r}")
+
+
+def _asserts_something(exp) -> bool:
+    """An expectation names a check's outcome ("criterion", "cd_bound"), or
+    an invariant ("tc" or "cat") with its lower or upper value."""
+    if not isinstance(exp, dict):
+        return False
+    if "criterion" in exp or "cd_bound" in exp:
+        return True
+    return exp.get("invariant") in ("tc", "cat") and ("lower" in exp or "upper" in exp)
+
+
 @dataclass
 class Scenario:
     """A scenario; every name in it is checked against the tables below
@@ -82,6 +106,11 @@ class Scenario:
             if needs_model and self.complex is None:
                 raise ValueError("exact lower bounds and checks need a simplicial "
                                  "model: the scenario names no complex")
+        if not isinstance(self.expected, list):
+            raise ValueError("the scenario's expected is not a JSON list")
+        for exp in self.expected:
+            if not _asserts_something(exp):
+                raise ValueError(f"an expectation asserts nothing: {exp!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -409,6 +438,7 @@ class ScenarioResult:
 def run_scenario_obj(scenario: Scenario, overrides=None) -> ScenarioResult:
     params = dict(DEFAULT_PARAMS)
     params.update(overrides or {})
+    check_params(params)
     params.setdefault("seed", default_seed())
     verify_params = {k: params[k] for k in DEFAULT_PARAMS}
     bundle = build_bundle(scenario)

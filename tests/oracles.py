@@ -10,9 +10,11 @@ certification oracle checks the chunks of x rows one after another, in the
 order `verify_cover` states, with no halo: each chunk builds its own legs,
 and fresh ones for the far rows of its x edges.
 The leg oracles are the whole-array forms of builders that now work in row
-blocks or in place: the slerp recurrence over all rows in one buffer, the
-adversarial legs assembled from a separate geodesic of the rows with a
-unique arc, and the Python-set neighbour loop of the sphere grids.
+blocks, in place or in pieces: the slerp recurrence over all rows in one
+buffer, the adversarial legs assembled from a separate geodesic of the rows
+with a unique arc, the legs of the sphere covers built whole on every pair
+(before they were cut into pieces of x, of y, of both and of neither), and
+the Python-set neighbour loop of the sphere grids.
 The group-action oracles are the tuple-and-dict forms of what `symmetry`
 now does on integer tables: they apply vertex maps simplex by simplex, and
 look simplices up in sets and dicts built from a complex's tuple view,
@@ -29,7 +31,19 @@ from itertools import combinations, permutations
 import numpy as np
 
 from efftc.bounds import Certification
-from efftc.planners import CoverSet, PlannerCover, _tangent_unit
+from efftc._kernels import slerp_chain
+from efftc.planners import (
+    CoverSet,
+    PlannerCover,
+    _const_legs,
+    _fold,
+    _guard_arc,
+    _pairing_field,
+    _rotation_leg,
+    _stereo_field,
+    _tangent_unit,
+    detect_sphere_action,
+)
 from efftc.complexes import (
     Cochain,
     SimplicialComplex,
@@ -444,6 +458,65 @@ def adversarial_cover_by_parts(action, honest_membership: bool = False):
 
     return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, legs)],
                         stage=1, name="adversarial")
+
+
+def _whole_arc_then_half(space, X, Y, field_unit, m):
+    _guard_arc(space, X, -Y)
+    return slerp_chain([(X, -Y), (-Y, field_unit), (field_unit, Y)], m)
+
+
+def whole_sphere_legs(planner, action) -> dict:
+    """{set name: build_legs} of the farber, involution2 or involution3
+    cover of a sphere action, each leg built whole on every pair."""
+    space = action.space
+    n = space.n
+    north = np.zeros(space.point_dim)
+    north[0] = 1.0
+    south, w_dir = -north, np.zeros(space.point_dim)
+    w_dir[1] = 1.0
+    field = _pairing_field if n % 2 == 1 else _stereo_field
+
+    def half_turn(X, Y, m):
+        return _whole_arc_then_half(space, X, Y, _tangent_unit(Y, field(Y)), m)
+
+    if planner == "farber":
+        def u3(X, Y, m):
+            north_t = np.broadcast_to(north, X.shape)
+            south_t = np.broadcast_to(south, Y.shape)
+            w_t = np.broadcast_to(w_dir, X.shape)
+            _guard_arc(space, X, north_t)
+            _guard_arc(space, south_t, Y)
+            return [slerp_chain([(X, north_t), (north_t, w_t),
+                                 (w_t, south_t), (south_t, Y)], m)]
+
+        legs = {"U1": lambda X, Y, m: [space.geodesic(X, Y, m)],
+                "U2": lambda X, Y, m: [half_turn(X, Y, m)]}
+        if n % 2 == 0:
+            legs["U3"] = u3
+        return legs
+    if planner == "involution2":
+        if detect_sphere_action(action) == "antipodal":
+            def u2(X, Y, m):
+                return [_const_legs(X, m), space.geodesic(-X, Y, m)]
+        elif n % 2 == 0:
+            def u2(X, Y, m):
+                return [_rotation_leg(X, m), space.geodesic(-X, Y, m)]
+        else:
+            def u2(X, Y, m):
+                return [half_turn(X, Y, m), _const_legs(Y, m)]
+        return {"U1": lambda X, Y, m: [space.geodesic(X, Y, m), _const_legs(Y, m)],
+                "U2": u2}
+    if planner == "involution3":
+        def u(X, Y, m):
+            fx, fy = _fold(X), _fold(Y)
+            north_t = np.broadcast_to(north, X.shape)
+            _guard_arc(space, fx, north_t)
+            _guard_arc(space, north_t, fy)
+            mid = slerp_chain([(fx, north_t), (north_t, fy)], m)
+            return [_const_legs(X, m), mid, _const_legs(Y, m)]
+
+        return {"U": u}
+    raise ValueError(f"no whole-leg oracle for {planner!r}")
 
 
 def neighbor_pairs_by_sets(sphere, resolution) -> np.ndarray:

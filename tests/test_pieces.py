@@ -1,0 +1,135 @@
+"""Leg pieces against the legs they replace.
+
+The farber, involution2 and involution3 sphere covers describe their legs
+as pieces of x, of y, of both or of neither.  `build_legs` must still
+return the former legs bit for bit (tests/oracles.py::whole_sphere_legs),
+with slerp_chain's split of the samples over the pieces, also when the
+samples do not split evenly; and a piece built once per distinct input
+must equal the same piece built on every pair.
+"""
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from efftc import models
+from efftc.errors import GeodesicDegeneracyError
+from efftc.planners import farber_sphere_cover, piece_samples
+from efftc.scenarios import BUILTINS, DEFAULT_PARAMS, build_bundle, build_planner
+
+from oracles import whole_sphere_legs
+
+FACTORED = ("farber", "involution2", "involution3")
+SAMPLES = (64, 65, 2, 3, 7, 17)
+
+
+def factored_covers():
+    """(label, planner, cover) for every catalog step of a factored planner,
+    and the farber cover of S^3 (an odd sphere with three moving pairs)."""
+    for scenario in BUILTINS.values():
+        bundle = build_bundle(scenario)
+        for step in scenario.pipeline:
+            if step.get("planner") in FACTORED:
+                cover = build_planner(step["planner"], bundle)
+                yield f"{scenario.id}/{step['planner']}", step["planner"], cover
+    yield "s3-antipodal/farber", "farber", farber_sphere_cover(models.sphere_antipodal(3))
+
+
+def accepted_pairs(cover, cs, resolution=12):
+    """The grid pairs set cs accepts (a random sample of points on S^3)."""
+    space = cover.action.space
+    if space.n <= 2:
+        pts = space.grid(resolution)
+    else:
+        pts = space.random_points(np.random.default_rng(3), 40)
+    X = np.repeat(pts, len(pts), axis=0)
+    Y = np.tile(pts, (len(pts), 1))
+    rows = np.flatnonzero(cs.margin(X, Y) >= DEFAULT_PARAMS["epsilon"])
+    return X[rows], Y[rows]
+
+
+def test_pieces_reproduce_the_former_legs():
+    seen = set()
+    for label, planner, cover in factored_covers():
+        former = whole_sphere_legs(planner, cover.action)
+        for cs in cover.sets:
+            X, Y = accepted_pairs(cover, cs)
+            assert len(X) > 100, (label, cs.name)
+            for m in SAMPLES:
+                got = cs.build_legs(X, Y, m)
+                expected = former[cs.name](X, Y, m)
+                assert len(got) == len(expected), (label, cs.name, m)
+                for leg, old in zip(got, expected):
+                    assert leg.shape == old.shape, (label, cs.name, m)
+                    assert np.array_equal(leg, old), (label, cs.name, m)
+                    # a constant leg stays a zero-stride view
+                    assert (leg.strides[1] == 0) == (old.strides[1] == 0)
+            seen.add((label, cs.name, cs.pieces is not None))
+    factored = {(label, name) for label, name, has in seen if has}
+    assert {("s2-involution/farber", "U2"), ("s2-involution/farber", "U3"),
+            ("s2-involution/involution2", "U1"), ("s2-involution/involution2", "U2"),
+            ("s2-involution/involution3", "U"), ("s2-antipodal/involution2", "U2"),
+            ("s1-flip/involution2", "U2")} <= factored
+
+
+def test_uneven_splits_take_slerp_chains_sample_count():
+    assert [piece_samples(65, k) for k in (1, 2, 3, 4)] == [65, 33, 22, 17]
+    assert [piece_samples(m, 4) for m in (2, 3, 7, 8)] == [2, 2, 2, 2]
+    cover = build_planner("farber", build_bundle(BUILTINS["s2-involution"]))
+    u2, u3 = cover.sets[1], cover.sets[2]
+    X, Y = accepted_pairs(cover, u3)
+    assert u3.build_legs(X, Y, 65)[0].shape == (len(X), 4 * 17, 3)
+    X, Y = accepted_pairs(cover, u2)
+    assert u2.build_legs(X, Y, 65)[0].shape == (len(X), 3 * 22, 3)
+
+
+def test_pieces_raise_where_the_former_legs_raise():
+    # involution2's U2 on the codim1 S^2: the arc from -x to y has no unique
+    # shortest path at y = x; the rotation piece of x builds first, and the
+    # geodesic of both raises as the whole leg did
+    cover = build_planner("involution2", build_bundle(BUILTINS["s2-involution"]))
+    former = whole_sphere_legs("involution2", cover.action)
+    X = cover.action.space.grid(8)
+    for build in (cover.sets[1].build_legs, former["U2"]):
+        with pytest.raises(GeodesicDegeneracyError):
+            build(X, X, 64)
+
+
+@functools.lru_cache(maxsize=None)
+def factored_sets_on_grids():
+    """(cover, set) for every set with pieces of a catalog cover of S^1 or S^2."""
+    return [(cover, cs) for _, _, cover in factored_covers()
+            if cover.action.space.n <= 2 for cs in cover.sets if cs.pieces is not None]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(which=st.integers(0, 100), resolution=st.integers(4, 12),
+       density=st.floats(0.02, 1.0), seed=st.integers(0, 2**16),
+       m=st.integers(2, 70))
+def test_a_piece_built_on_distinct_rows_equals_it_built_per_pair(
+        which, resolution, density, seed, m):
+    # a random subset of the grid pairs a set accepts: every piece of x or
+    # of y, built once per distinct row and gathered, equals the piece built
+    # on each pair's own row
+    covers = factored_sets_on_grids()
+    cover, cs = covers[which % len(covers)]
+    pts = cover.action.space.grid(resolution)
+    rng = np.random.default_rng(seed)
+    X = np.repeat(pts, len(pts), axis=0)
+    Y = np.tile(pts, (len(pts), 1))
+    keep = ((cs.margin(X, Y) >= DEFAULT_PARAMS["epsilon"])
+            & (rng.random(len(X)) < density))
+    xi, yi = np.divmod(np.flatnonzero(keep), len(pts))
+    ux, x_of = np.unique(xi, return_inverse=True)
+    uy, y_of = np.unique(yi, return_inverse=True)
+    rows = {"x": x_of, "y": y_of, "": np.zeros(xi.size, dtype=np.intp)}
+    for leg in cs.pieces:
+        n = piece_samples(m, len(leg))
+        for piece in leg:
+            if piece.inputs != "xy":
+                gathered = piece.on(pts[ux], pts[uy], n)[rows[piece.inputs]]
+                per_pair = piece.on(pts[xi], pts[yi], n)
+                assert np.array_equal(np.broadcast_to(per_pair, gathered.shape),
+                                      gathered)

@@ -272,6 +272,54 @@ def test_malformed_scenarios_are_load_errors(capsys, tmp_path, fields, message):
     assert capsys.readouterr().err == f"error: cannot load scenario: {message}\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--grid", "0"], "grid must be positive, got 0"),
+    (["--grid", "-3"], "grid must be positive, got -3"),
+    (["--epsilon", "-1"], "epsilon must be positive, got -1.0"),
+    (["--epsilon", "nan"], "epsilon must be positive, got nan"),
+    (["--modulus", "0"], "modulus must be positive, got 0.0"),
+    (["--delta", "-0.5"], "delta must be non-negative, got -0.5"),
+    (["--samples", "1"], "samples must be at least 2, got 1"),
+], ids=["grid-0", "grid-negative", "epsilon", "epsilon-nan", "modulus", "delta",
+        "samples"])
+def test_parameters_no_certification_can_run_on_are_load_errors(capsys, args,
+                                                                message):
+    # rejected before any step runs: --grid 0 used to end in an uncaught
+    # ZeroDivisionError (exit 1), --epsilon -1 in a planner's GeodesicDegeneracyError
+    assert main(["run", "s2-antipodal"] + args) == 2
+    assert capsys.readouterr() == ("", f"error: cannot load scenario: {message}\n")
+    key = args[0][2:]
+    with pytest.raises(ValueError, match=key):
+        run_scenario("point", {key: float(args[1])})
+
+
+def test_boundary_parameters_still_run(tmp_path):
+    # delta 0 and two samples per leg are accepted
+    assert main(["run", "point", "--delta", "0", "--samples", "2",
+                 "--out", str(tmp_path / "p.json")]) == 0
+
+
+@pytest.mark.parametrize("expected, message", [
+    ([{"invariant": "tc"}], "an expectation asserts nothing: {'invariant': 'tc'}"),
+    ([{"invariant": "tc", "stage": 2}],
+     "an expectation asserts nothing: {'invariant': 'tc', 'stage': 2}"),
+    ([{"invariant": "TC", "upper": 0}],
+     "an expectation asserts nothing: {'invariant': 'TC', 'upper': 0}"),
+    ([{}], "an expectation asserts nothing: {}"),
+    (["tc"], "an expectation asserts nothing: 'tc'"),
+    ({"invariant": "tc"}, "the scenario's expected is not a JSON list"),
+], ids=["no-bound", "stage-only", "unknown-invariant", "empty", "not-an-object",
+        "not-a-list"])
+def test_expectations_that_assert_nothing_are_load_errors(capsys, tmp_path,
+                                                          expected, message):
+    # {"invariant": "tc"} used to count as met, so such a run exited 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_POINT, "pipeline": [{"op": "upper", "planner": "point"}],
+                                "expected": expected}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot load scenario: {message}\n"
+
+
 @pytest.mark.parametrize("fields, error", [
     ({"complex": "no-such-dir/missing.cx"}, "FileNotFoundError"),
     ({"space": {"kind": "sphere", "n": 2}, "action": "antipodal",

@@ -8,6 +8,7 @@ its own.  Their Certifications, failure dicts included, must be identical
 on one CPU and on two.
 """
 
+import functools
 import time
 from unittest import mock
 
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from efftc import bounds, models, planners
 from efftc.bounds import verify_cover
 from efftc.pathspace import FlatTorus, Sphere, trivial_space_action
-from efftc.planners import CoverSet, PlannerCover, embed_cover
+from efftc.planners import CoverSet, Piece, PlannerCover, embed_cover
 from efftc.scenarios import BUILTINS, build_bundle, build_planner
 
 from oracles import adversarial_cover_by_parts, chunk_order_verify_cover
@@ -52,10 +53,13 @@ def assert_matches_oracle(cover, grid, budget=bounds.SAMPLE_BUDGET, **params):
     return expected
 
 
-def with_jump(cover, jump, end_error=None):
+def with_jump(cover, jump, end_error=None, piece=None):
     """The cover with the interior samples of set s's first leg shifted by
     jump(s, X, Y), and its last leg's end by end_error(s, X, Y): a
-    discontinuous jump breaks continuity and nothing else."""
+    discontinuous jump breaks continuity and nothing else.  With
+    piece=(s, leg, k), the jump shifts instead the interior samples of
+    piece k of that leg of set s alone, by jump(s, *rows) of the piece's own
+    input rows, and the set keeps its pieces."""
     def wrap(s, cs):
         def legs(X, Y, m):
             out = [np.array(leg) for leg in cs.build_legs(X, Y, m)]
@@ -64,10 +68,36 @@ def with_jump(cover, jump, end_error=None):
                 out[-1][:, -1] += end_error(s, X, Y)
             return out
         return CoverSet(cs.name, cs.stage, cs.margin, legs)
+
+    def wrap_piece(s, cs):
+        target, leg, k = piece
+        if s != target:
+            return cs
+        old = cs.pieces[leg][k]
+
+        def build(*args):
+            out = np.array(old.build(*args))
+            out[:, 1:-1] += jump(s, *args[:-1])[:, None, :]
+            return out
+
+        pieces = [list(p) for p in cs.pieces]
+        pieces[leg][k] = Piece(old.inputs, build)
+        return CoverSet(cs.name, cs.stage, cs.margin,
+                        pieces=tuple(tuple(p) for p in pieces))
     return PlannerCover(action=cover.action,
-                        sets=[wrap(s, cs) for s, cs in enumerate(cover.sets)],
+                        sets=[(wrap if piece is None else wrap_piece)(s, cs)
+                              for s, cs in enumerate(cover.sets)],
                         stage=cover.stage, kind=cover.kind,
                         basepoint=cover.basepoint, name=cover.name + "+jump")
+
+
+@functools.lru_cache(maxsize=None)
+def adversarial_certification(make, honest, grid, cpus):
+    """verify_cover of the adversarial S^2 claim under make(2) on `cpus`
+    CPUs, once per test run: two tests certify the same claims."""
+    cover = planners.adversarial_sphere_cover(make(2), honest_membership=honest)
+    with mock.patch.object(bounds, "usable_cpus", lambda: cpus):
+        return verify_cover(cover, grid=grid)
 
 
 def test_sweep_matches_oracle_on_catalog_and_embedded_covers():
@@ -85,20 +115,24 @@ def test_sweep_matches_oracle_on_adversarial_covers():
         for honest in (False, True):
             cover = planners.adversarial_sphere_cover(action, honest_membership=honest)
             for grid in (16, 24, 32, 40):
-                assert not assert_matches_oracle(cover, grid).certified
+                expected = chunk_order_verify_cover(cover, grid=grid)
+                assert not expected.certified
+                for cpus in (1, 2):
+                    got = adversarial_certification(make, honest, grid, cpus)
+                    assert got == expected, (make, honest, grid, cpus, got, expected)
 
 
 def test_refutations_of_adversarial_legs_built_in_place():
     # the 24 sphere-refute claims: the legs built in place and the legs
     # assembled from parts are refuted with equal failure dicts
+    cpus = bounds.usable_cpus()
     for make in (models.sphere_antipodal, models.sphere_codim1,
                  models.sphere_rotation, models.sphere_trivial):
         action = make(2)
         for honest in (False, True):
-            cover = planners.adversarial_sphere_cover(action, honest_membership=honest)
             parts = adversarial_cover_by_parts(action, honest_membership=honest)
             for grid in (24, 32, 40):
-                got = verify_cover(cover, grid=grid)
+                got = adversarial_certification(make, honest, grid, cpus)
                 assert not got.certified
                 assert got == verify_cover(parts, grid=grid), (make, honest, grid)
 
@@ -148,6 +182,37 @@ def test_sweep_finds_x_failures_across_blocks():
     cert = assert_matches_oracle(gated, 16, budget=20 * 172 * 64)
     assert cert.failure["set"] == "U1"
 
+
+
+def test_pieces_skipped_along_an_edge_are_those_that_cannot_move():
+    # a jump injected into one piece of a factored set: a piece of x only
+    # fails along x, a piece of y only along y, a piece of both either way;
+    # each refutation, in chunks of 20 rows of the 172-point grid, is the
+    # oracle's, which scans the concatenated legs
+    farber = planners.farber_sphere_cover(models.sphere_codim1(2))
+    three = planners.involution_three_stage_planner(models.sphere_codim1(2))
+
+    def along(axis):
+        # a jump at the first coordinate 0.3 of x (axis 0) or of y (axis 1)
+        def jump(s, *rows):
+            return (rows[min(axis, len(rows) - 1)][:, :1] > 0.3) * [[0.0, 0.0, 3.0]]
+        return jump
+
+    cases = [(farber, (2, 0, 0), 0),       # U3: X -> N, a piece of x
+             (farber, (2, 0, 3), 1),       # U3: S -> Y, a piece of y
+             (three, (0, 0, 0), 0),        # the constant leg at x
+             (three, (0, 1, 0), 0),        # fold(X) -> N, a piece of x
+             (three, (0, 1, 1), 1),        # N -> fold(Y), a piece of y
+             (farber, (1, 0, 0), 0),       # U2: X -> -Y, a piece of both
+             (farber, (1, 0, 0), 1)]
+    for cover, piece, axis in cases:
+        jumpy = with_jump(cover, along(axis), piece=piece)
+        name = cover.sets[piece[0]].name
+        cert = assert_matches_oracle(jumpy, 16, budget=20 * 172 * 64)
+        assert cert.failure["reason"] == "continuity", (piece, axis, cert)
+        assert cert.failure["set"] == name, (piece, axis, cert)
+        pair, neighbor = cert.failure["pair"], cert.failure["neighbor"]
+        assert (pair[axis] != neighbor[axis]) and (pair[1 - axis] == neighbor[1 - axis])
 
 
 def test_x_failures_are_taken_in_y_order():
