@@ -33,18 +33,7 @@ from .complexes import (
     read_complex_text,
     write_complex_text,
 )
-from .pathspace import (
-    BrokenPath,
-    SampledPath,
-    Space,
-    SpaceAction,
-    concat,
-    embed_stage,
-    geodesic_arc,
-    project_to_orbit,
-    reverse,
-    validate_broken_path,
-)
+from .pathspace import Space, SpaceAction, leg_residuals
 from .planners import (
     CoverSet,
     PlannerCover,
@@ -54,7 +43,6 @@ from .planners import (
     farber_sphere_cover,
     involution_three_stage_planner,
     involution_two_stage_cover,
-    wedge_planner,
 )
 from .scenarios import BUILTINS, emit_table, run_scenario
 from .symmetry import (

@@ -61,20 +61,3 @@ def slerp_batch(P, Q, n):
     out = np.empty((P.shape[0], n, P.shape[1]))
     return slerp_into(P, Q, out)
 
-
-def slerp_chain(waypoint_pairs, samples):
-    """Concatenated slerp arcs: [(P1,Q1),...] -> (M, >=samples, d).
-
-    The requested leg sample count is split evenly over the pieces.
-    """
-    pieces = len(waypoint_pairs)
-    n = max(2, int(np.ceil(samples / pieces)))
-    P = np.stack([np.ascontiguousarray(p, dtype=np.float64)
-                  for p, _ in waypoint_pairs])
-    Q = np.stack([np.ascontiguousarray(q, dtype=np.float64)
-                  for _, q in waypoint_pairs])
-    m, d = P.shape[1], P.shape[2]
-    out = np.empty((m, pieces * n, d))
-    for k in range(pieces):
-        slerp_into(P[k], Q[k], out[:, k * n:(k + 1) * n])
-    return out

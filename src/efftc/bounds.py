@@ -31,7 +31,7 @@ from .complexes import (
 )
 from .f2 import F2Matrix
 from .errors import ContradictionError
-from .pathspace import ENDPOINT_TOL
+from .pathspace import ENDPOINT_TOL, leg_residuals
 from .planners import PlannerCover, piece_samples
 from .symmetry import (
     GroupAction,
@@ -300,16 +300,17 @@ class _Sweep:
             return table[:, j] if inputs == "xy" else table[at[inputs], j]
 
         firsts = [t for t, first in enumerate(sec.starts) if first]
-        for t in firsts[1:]:
-            joint = self.action.orbit_dist(sample(t - 1, -1), sample(t, 0))
+        lasts = [t - 1 for t in firsts[1:]] + [len(sec.tables) - 1]
+        joints, (res0, res1) = leg_residuals(
+            self.action, [sample(t, 0) for t in firsts],
+            [sample(t, -1) for t in lasts], X[rows], Y[rows])
+        for joint in joints:
             bad = joint > self.delta
             if bad.any():
                 r = rows[int(np.argmax(bad))]
                 return _failure("validation", set=cs.name,
                                 pair=[X[r].tolist(), Y[r].tolist()],
                                 joint_residual=float(joint.max()))
-        res0 = self.space.dist(sample(0, 0), X[rows])
-        res1 = self.space.dist(sample(len(sec.tables) - 1, -1), Y[rows])
         bad = (res0 > ENDPOINT_TOL) | (res1 > ENDPOINT_TOL)
         if bad.any():
             r = rows[int(np.argmax(bad))]

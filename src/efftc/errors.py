@@ -9,10 +9,6 @@ class GeodesicDegeneracyError(ValueError):
     """No unique shortest path between the given points (e.g. antipodal pair)."""
 
 
-class PathJoinError(ValueError):
-    """Concatenation endpoints do not match within tolerance."""
-
-
 class LiftError(RuntimeError):
     """Path lift through a covering diverged from the base path."""
 

@@ -1,9 +1,12 @@
-"""Geometric configuration spaces, sampled paths and broken paths.
+"""Geometric configuration spaces, group actions on them, and the
+residuals of broken paths.
 
-Paths are uniformly sampled polylines.  Broken paths are tuples of legs
-whose consecutive break points lie in a common orbit of the attached
-symmetry; validation reports residuals rather than raising, so planner
-verification can treat failures as results.
+A path is a leg array: its samples along the second axis, (M, n, d) for M
+paths at once.  A broken path is a sequence of legs whose consecutive
+break points lie in a common orbit of the attached symmetry;
+`leg_residuals` measures how far a batch of them is from that, and from
+its requested endpoints, so that verification can treat failures as
+results.
 
 All point sets are numpy arrays whose last axis is the model coordinate:
 spheres use unit vectors, flat tori coordinates in [0,1) per axis, wedges
@@ -12,11 +15,10 @@ pairs (branch index, angle).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeodesicDegeneracyError, PathJoinError
+from .errors import GeodesicDegeneracyError
 from .symmetry import FiniteGroup
 
 JOINT_TOL = 1e-6
@@ -68,10 +70,6 @@ class Space:
             hi = lo + EDGE_CHUNK
             out[lo:hi] = self.supdiff(leg[ia[lo:hi]], other[ib[lo:hi]])
         return out
-
-    def constant_path(self, p, n):
-        p = np.asarray(p, dtype=float)
-        return np.repeat(p[..., None, :], n, axis=-2)
 
 
 def _moving_samples(leg, other):
@@ -503,129 +501,19 @@ def trivial_space_action(space: Space) -> SpaceAction:
     return SpaceAction(space, FiniteGroup.trivial(), [lambda p: p], check=False)
 
 
-@dataclass
-class SampledPath:
-    """Uniformly parameterized polyline; N >= 2 samples."""
-
-    space: Space
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[0] < 2:
-            raise ValueError("a sampled path needs at least two samples")
-
-    @property
-    def start(self):
-        return self.points[0]
-
-    @property
-    def end(self):
-        return self.points[-1]
-
-    @property
-    def samples(self) -> int:
-        return self.points.shape[0]
-
-    def max_gap(self) -> float:
-        return float(np.max(self.space.dist(self.points[:-1], self.points[1:])))
-
-    def length(self) -> float:
-        return float(np.sum(self.space.dist(self.points[:-1], self.points[1:])))
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.points, delimiter=",")
-
-
-def geodesic_arc(space: Space, x, y, n: int = 64) -> SampledPath:
-    """Constant-speed shortest path with exact endpoints."""
-    return SampledPath(space, space.geodesic(np.asarray(x, float),
-                                             np.asarray(y, float), n))
-
-
-def constant_path(space: Space, x, n: int = 64) -> SampledPath:
-    return SampledPath(space, space.constant_path(np.asarray(x, float), n))
-
-
-def concat(p: SampledPath, q: SampledPath) -> SampledPath:
-    if p.space is not q.space and p.space.name != q.space.name:
-        raise PathJoinError("cannot concatenate paths in different spaces")
-    if float(p.space.dist(p.end, q.start)) > 1e-6:
-        raise PathJoinError("endpoint mismatch exceeds 1e-6")
-    return SampledPath(p.space, np.concatenate([p.points, q.points], axis=0))
-
-
-def reverse(p: SampledPath) -> SampledPath:
-    return SampledPath(p.space, p.points[::-1].copy())
-
-
-@dataclass
-class BrokenPath:
-    """k legs with consecutive break points in a common orbit."""
-
-    legs: list
-    action: SpaceAction
-
-    @property
-    def stage(self) -> int:
-        return len(self.legs)
-
-    @property
-    def start(self):
-        return self.legs[0].start
-
-    @property
-    def end(self):
-        return self.legs[-1].end
-
-
-@dataclass
-class ValidationReport:
-    joint_residuals: list[float]
-    endpoint_residuals: tuple[float, float]
-    max_gap: float
-    delta: float
-    endpoint_tol: float
-
-    @property
-    def valid(self) -> bool:
-        return (all(r <= self.delta for r in self.joint_residuals)
-                and self.endpoint_residuals[0] <= self.endpoint_tol
-                and self.endpoint_residuals[1] <= self.endpoint_tol)
-
-
-def validate_broken_path(bp: BrokenPath, request=None, delta: float = JOINT_TOL,
-                         endpoint_tol: float = ENDPOINT_TOL) -> ValidationReport:
-    """Per-joint orbit residuals plus endpoint residuals; never raises."""
-    action = bp.action
-    joints = []
-    for i in range(bp.stage - 1):
-        joints.append(float(action.orbit_dist(bp.legs[i].end, bp.legs[i + 1].start)))
-    if request is not None:
-        x, y = request
-        res = (float(action.space.dist(bp.start, np.asarray(x, float))),
-               float(action.space.dist(bp.end, np.asarray(y, float))))
-    else:
-        res = (0.0, 0.0)
-    gap = max(leg.max_gap() for leg in bp.legs)
-    return ValidationReport(joint_residuals=joints, endpoint_residuals=res,
-                            max_gap=gap, delta=delta, endpoint_tol=endpoint_tol)
-
-
-def embed_stage(bp: BrokenPath) -> BrokenPath:
-    """Append the constant path at the final endpoint (stage k -> k+1)."""
-    last = bp.legs[-1]
-    const = constant_path(last.space, last.end, last.samples)
-    return BrokenPath(legs=list(bp.legs) + [const], action=bp.action)
-
-
-def project_to_orbit(bp: BrokenPath, model) -> SampledPath:
-    """Project a valid broken path to a single continuous quotient path."""
-    report = validate_broken_path(bp)
-    if not report.valid:
-        raise ValueError(f"broken path invalid: {report}")
-    pieces = [model.project(leg.points) for leg in bp.legs]
-    return SampledPath(model.quotient_space, np.concatenate(pieces, axis=0))
+def leg_residuals(action: SpaceAction, starts, ends, X, Y):
+    """The residuals of M broken paths, given by the first and the last
+    sample of each of their k legs (starts and ends, k arrays of (M, d)):
+    the orbit distance across each joint, (k - 1, M), and the distances of
+    the first start from X and of the last end from Y, (2, M).  A broken
+    path is valid when every joint lies within the joint tolerance and both
+    ends within ENDPOINT_TOL."""
+    joints = np.zeros((len(starts) - 1, len(X)))
+    for i in range(len(starts) - 1):
+        joints[i] = action.orbit_dist(ends[i], starts[i + 1])
+    endpoints = np.stack([action.space.dist(starts[0], X),
+                          action.space.dist(ends[-1], Y)])
+    return joints, endpoints
 
 
 class QuotientModel:

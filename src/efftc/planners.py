@@ -10,9 +10,9 @@ pieces, and each piece is a function of x alone, of y alone, of both or of
 neither.  A piece's builder receives only the inputs it depends on, so the
 certification sweep builds it once per distinct input and skips it on the
 grid edges along which it cannot move.  `build_legs` of such a set returns
-the pieces concatenated along the samples, with slerp_chain's split of the
-leg's samples over its pieces.  A set without pieces counts as one piece of
-both inputs.
+the pieces concatenated along the samples, each piece of a leg of m samples
+cut into k pieces taking ceil(m / k) of them, at least 2 (piece_samples).
+A set without pieces counts as one piece of both inputs.
 
 Sphere conventions for the involution scenarios: the involution negates the
 first coordinate, its fixed equator is {x0 = 0}, and the pole of the upper
@@ -25,16 +25,16 @@ from functools import partial
 
 import numpy as np
 
-from ._kernels import slerp_batch, slerp_chain
-from .errors import LiftError
+from ._kernels import slerp_batch
+from .errors import GeodesicDegeneracyError, LiftError
 from .pathspace import (
-    BrokenPath,
+    ENDPOINT_TOL,
+    JOINT_TOL,
     FlatTorus,
     QuotientModel,
-    SampledPath,
-    Space,
     SpaceAction,
     Sphere,
+    leg_residuals,
     wrapped_lines,
 )
 
@@ -59,7 +59,7 @@ class Piece:
 
 def piece_samples(m: int, count: int) -> int:
     """Samples of each piece of a leg of m samples cut into `count` pieces:
-    slerp_chain's split, and all m for a leg of one piece."""
+    ceil(m / count), at least 2, and all m for a leg of one piece."""
     return m if count == 1 else max(2, -(-m // count))
 
 
@@ -91,7 +91,8 @@ class CoverSet:
 
     `pieces`, when given, is one tuple of Pieces per leg; `build_legs` is
     then their concatenation, and verification sweeps the pieces.  A set
-    without pieces is one piece of both inputs, its legs from build_legs."""
+    without pieces is one piece of both inputs, its legs from build_legs; a
+    set with neither is refused."""
 
     name: str
     stage: int
@@ -101,14 +102,9 @@ class CoverSet:
 
     def __post_init__(self):
         if self.build_legs is None:
+            if self.pieces is None:
+                raise ValueError(f"cover set {self.name!r} needs build_legs or pieces")
             self.build_legs = partial(legs_from_pieces, self.pieces)
-
-    def section_one(self, action: SpaceAction, x, y, n: int = 64) -> BrokenPath:
-        X = np.asarray(x, float)[None, :]
-        Y = np.asarray(y, float)[None, :]
-        legs = self.build_legs(X, Y, n)
-        return BrokenPath(legs=[SampledPath(action.space, np.array(leg[0]))
-                                for leg in legs], action=action)
 
 
 @dataclass
@@ -127,12 +123,23 @@ class PlannerCover:
         return len(self.sets) - 1
 
     def plan(self, x, y, epsilon: float = 0.05, n: int = 64):
-        """Section of the lowest-index set accepting (x, y)."""
+        """(set name, legs) of the lowest-index set accepting (x, y): its
+        section as a list of (n_i, d) leg arrays.  Raises ValueError when
+        no set accepts the pair, or when the legs do not make a broken path
+        from x to y (leg_residuals against JOINT_TOL and ENDPOINT_TOL)."""
         X = np.asarray(x, float)[None, :]
         Y = np.asarray(y, float)[None, :]
         for cs in self.sets:
             if float(cs.margin(X, Y)[0]) >= epsilon:
-                return cs.name, cs.section_one(self.action, x, y, n)
+                legs = [np.array(leg[0]) for leg in cs.build_legs(X, Y, n)]
+                joints, ends = leg_residuals(self.action, [leg[:1] for leg in legs],
+                                             [leg[-1:] for leg in legs], X, Y)
+                if (joints > JOINT_TOL).any() or (ends > ENDPOINT_TOL).any():
+                    raise ValueError(
+                        f"set {cs.name} gives no broken path from x to y: joint "
+                        f"residuals {joints.ravel().tolist()}, endpoint residuals "
+                        f"{ends.ravel().tolist()}")
+                return cs.name, legs
         raise ValueError("pair not covered at the requested margin")
 
 
@@ -145,7 +152,6 @@ def _const_legs(points, n):
 
 def _guard_arc(space, P, Q):
     if np.any(space.dist(P, Q) > np.pi - 1e-6):
-        from .errors import GeodesicDegeneracyError
         raise GeodesicDegeneracyError("antipodal endpoints have no unique arc")
 
 
@@ -168,6 +174,18 @@ def _arc_then_half(space, field):
 
 def _same(rows):
     return rows
+
+
+def _everywhere(X, Y):
+    """The margin of a set that accepts every pair."""
+    return np.full(X.shape[0], np.inf)
+
+
+def _north(space):
+    """The pole e0 of a sphere model."""
+    north = np.zeros(space.point_dim)
+    north[0] = 1.0
+    return north
 
 
 def _const_piece(inputs):
@@ -365,19 +383,13 @@ def involution_three_stage_planner(action: SpaceAction,
     """Single global stage-3 planner through the pole of the upper hemisphere."""
     if detect_sphere_action(action) != "codim1":
         raise ValueError("three-stage planner needs the codimension-1 involution")
-    space = action.space
-    north = np.zeros(space.point_dim)
-    north[0] = 1.0
-
-    def margin(X, Y):
-        return np.full(X.shape[0], np.inf)
-
+    space, north = action.space, _north(action.space)
     # const x | fold(x) -> N | N -> fold(y) | const y
     pieces = ((_const_piece("x"),),
               (_arc_piece(space, "x", _fold, north), _arc_piece(space, "y", north, _fold)),
               (_const_piece("y"),))
     return PlannerCover(action=action,
-                        sets=[CoverSet("U", 3, margin, pieces=pieces)],
+                        sets=[CoverSet("U", 3, _everywhere, pieces=pieces)],
                         stage=3, name=name)
 
 
@@ -411,13 +423,10 @@ def adversarial_sphere_cover(action: SpaceAction, honest_membership: bool = Fals
 
 
 def point_cover(action: SpaceAction, name: str = "point") -> PlannerCover:
-    def margin(X, Y):
-        return np.full(X.shape[0], np.inf)
-
     def legs(X, Y, m):
         return [_const_legs(X, m)]
 
-    return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, legs)],
+    return PlannerCover(action=action, sets=[CoverSet("U", 1, _everywhere, legs)],
                         stage=1, name=name)
 
 
@@ -454,48 +463,28 @@ def arc_cover(action: SpaceAction, name: str = "arc") -> PlannerCover:
     """Single-set stage-1 planner on a contractible arc (claimed bound 0)."""
     space = action.space
 
-    def margin(X, Y):
-        return np.full(X.shape[0], np.inf)
-
     def legs(X, Y, m):
         return [space.geodesic(X, Y, m)]
 
-    return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, legs)],
+    return PlannerCover(action=action, sets=[CoverSet("U", 1, _everywhere, legs)],
                         stage=1, name=name)
 
 
 def hemisphere_cover(action: SpaceAction, name: str = "hemisphere") -> PlannerCover:
     """Single-set stage-1 planner on the closed upper hemisphere: route
     through the pole (claimed bound 0; the quotient disk is contractible)."""
-    dim = action.space.point_dim
-    north = np.zeros(dim)
-    north[0] = 1.0
-
-    def margin(X, Y):
-        return np.full(X.shape[0], np.inf)
-
-    def legs(X, Y, m):
-        north_t = np.broadcast_to(north, X.shape)
-        return [slerp_chain([(X, north_t), (north_t, Y)], m)]
-
-    return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, legs)],
+    space, north = action.space, _north(action.space)
+    # X -> N -> Y: the first arc moves with x, the second with y
+    legs = ((_arc_piece(space, "x", _same, north), _arc_piece(space, "y", north, _same)),)
+    return PlannerCover(action=action, sets=[CoverSet("U", 1, _everywhere, pieces=legs)],
                         stage=1, name=name)
 
 
 def hemisphere_cat_cover(action: SpaceAction, name: str = "hemisphere-cat") -> PlannerCover:
     """Single-set based cover of the hemisphere disk from the pole."""
-    dim = action.space.point_dim
-    north = np.zeros(dim)
-    north[0] = 1.0
-
-    def margin(X, Y):
-        return np.full(X.shape[0], np.inf)
-
-    def legs(X, Y, m):
-        north_t = np.broadcast_to(north, Y.shape)
-        return [slerp_chain([(north_t, Y)], m)]
-
-    return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, legs)],
+    space, north = action.space, _north(action.space)
+    legs = ((_arc_piece(space, "y", north, _same),),)
+    return PlannerCover(action=action, sets=[CoverSet("U", 1, _everywhere, pieces=legs)],
                         stage=1, kind="cat", basepoint=north, name=name)
 
 
@@ -567,14 +556,20 @@ def _section_legs(model: QuotientModel, qset: CoverSet, X, Y, m):
     return _by_blocks(X.shape[0], block)
 
 
-def cover_from_strict_section(model: QuotientModel, quotient_cover: PlannerCover,
-                              name: str = "strict-section") -> PlannerCover:
-    """Stage-3 cover of X x X from a stage-1 cover of X/G and a strict section."""
+def _check_strict_section(model: QuotientModel):
+    """Raise ValueError unless the model has a strict section q o s = id."""
     if not model.has_section:
         raise ValueError("strict-section transfer needs a strict section")
     residual = model.check_section()
     if residual > 1e-9:
         raise ValueError(f"section check failed: residual {residual:.2e}")
+
+
+def cover_from_strict_section(model: QuotientModel, quotient_cover: PlannerCover,
+                              name: str = "strict-section") -> PlannerCover:
+    """Stage-3 cover of X x X from a stage-1 cover of X/G and a strict
+    section (on a wedge of copies of a space: onto the identity copy)."""
+    _check_strict_section(model)
     if quotient_cover.stage != 1:
         raise ValueError("quotient cover must be stage 1")
     action = model.action
@@ -624,12 +619,6 @@ def cover_from_covering_lift(model: QuotientModel, quotient_cover: PlannerCover,
     return PlannerCover(action=action, sets=sets, stage=2, name=name)
 
 
-def wedge_planner(model: QuotientModel, base_cover: PlannerCover,
-                  name: str = "wedge") -> PlannerCover:
-    """Wedge-of-copies planner: strict section onto the identity copy."""
-    return cover_from_strict_section(model, base_cover, name=name)
-
-
 def embed_cover(cover: PlannerCover, name: str | None = None) -> PlannerCover:
     """Stage k -> k+1 embedding: append the constant leg at the endpoint."""
     sets = []
@@ -651,10 +640,7 @@ def cat_cover_from_strict_section(model: QuotientModel,
                                   basepoint,
                                   name: str = "cat-strict-section") -> PlannerCover:
     """Stage-2 based cover of X from a based cover of X/G (strict section)."""
-    if not model.has_section:
-        raise ValueError("strict-section transfer needs a strict section")
-    if model.check_section() > 1e-9:
-        raise ValueError("section check failed")
+    _check_strict_section(model)
     action = model.action
     basepoint = np.asarray(basepoint, float)
     sets = []
@@ -734,24 +720,17 @@ def cat_geodesic_cover(action: SpaceAction, basepoint,
     def margin_a1(X, Y):
         return space.dist(Y, -basepoint[None, :]) - FIELD_EXCLUSION
 
-    def legs_a1(X, Y, m):
-        base_t = np.broadcast_to(basepoint, Y.shape)
-        _guard_arc(space, base_t, Y)
-        return [slerp_chain([(base_t, Y)], m)]
-
     def margin_a2(X, Y):
         return space.dist(Y, basepoint[None, :]) - FIELD_EXCLUSION
 
-    def legs_a2(X, Y, m):
-        base_t = np.broadcast_to(basepoint, Y.shape)
-        anti_t = np.broadcast_to(-basepoint, Y.shape)
-        w_t = np.broadcast_to(w_dir, Y.shape)
-        _guard_arc(space, anti_t, Y)
-        return [slerp_chain([(base_t, w_t), (w_t, anti_t), (anti_t, Y)], m)]
-
+    # A1: the arc b -> Y; A2: b -> W -> -b, fixed, then -b -> Y
+    a1 = (_arc_piece(space, "y", basepoint, _same),)
+    a2 = (_arc_piece(space, "", basepoint, w_dir),
+          _arc_piece(space, "", w_dir, -basepoint),
+          _arc_piece(space, "y", -basepoint, _same))
     return PlannerCover(action=action,
-                        sets=[CoverSet("A1", 1, margin_a1, legs_a1),
-                              CoverSet("A2", 1, margin_a2, legs_a2)],
+                        sets=[CoverSet("A1", 1, margin_a1, pieces=(a1,)),
+                              CoverSet("A2", 1, margin_a2, pieces=(a2,))],
                         stage=1, kind="cat", basepoint=basepoint, name=name)
 
 

@@ -275,7 +275,8 @@ _PLANNERS = {
         b.quotient_model, _tc_quotient_cover(b)),
     "covering-lift": lambda b: P.cover_from_covering_lift(
         b.quotient_model, _tc_quotient_cover(b)),
-    "wedge": lambda b: P.wedge_planner(b.quotient_model, _tc_quotient_cover(b)),
+    "wedge": lambda b: P.cover_from_strict_section(
+        b.quotient_model, _tc_quotient_cover(b), name="wedge"),
     "torus-cut": lambda b: P.torus_cut_cover(b.space_action),
     "point": lambda b: P.point_cover(b.space_action),
     "adversarial": lambda b: P.adversarial_sphere_cover(b.space_action),

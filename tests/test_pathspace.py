@@ -1,33 +1,34 @@
 import numpy as np
 import pytest
 
-from efftc.errors import GeodesicDegeneracyError, PathJoinError
+from efftc.errors import GeodesicDegeneracyError
 from efftc.models import (
     circle_antipodal_quotient,
     circle_flip_quotient,
     sphere_antipodal,
     sphere_codim1,
+    sphere_rotation,
     torus_halfturn,
     torus_halfturn_quotient,
     wedge_quotient,
     wedge_swap,
 )
 from efftc.pathspace import (
-    BrokenPath,
-    Circle,
+    ENDPOINT_TOL,
+    JOINT_TOL,
     FlatTorus,
-    SampledPath,
     Sphere,
     WedgeCircles,
-    concat,
-    constant_path,
-    embed_stage,
-    geodesic_arc,
-    project_to_orbit,
-    reverse,
-    trivial_space_action,
-    validate_broken_path,
+    leg_residuals,
 )
+from efftc.planners import CoverSet, PlannerCover, _const_legs, embed_cover
+
+from oracles import residuals_of_legs, slerp_chain
+
+
+def length(space, points):
+    """Length of the polyline through the samples of one leg."""
+    return float(np.sum(space.dist(points[:-1], points[1:])))
 
 
 def test_sphere_distance_basics():
@@ -41,35 +42,36 @@ def test_sphere_distance_basics():
 def test_geodesic_constant_when_equal():
     s = Sphere(2)
     x = np.array([0.0, 0.0, 1.0])
-    p = geodesic_arc(s, x, x, 16)
-    assert np.allclose(p.points, x)
+    p = s.geodesic(x, x, 16)
+    assert p.shape == (16, 3)
+    assert np.allclose(p, x)
 
 
 def test_geodesic_quarter_circle_length():
     s = Sphere(2)
     north = np.array([1.0, 0.0, 0.0])
     east = np.array([0.0, 1.0, 0.0])
-    p = geodesic_arc(s, north, east, 64)
-    assert abs(p.length() - np.pi / 2) < 1e-6
-    assert np.allclose(p.start, north)
-    assert np.allclose(p.end, east)
+    p = s.geodesic(north, east, 64)
+    assert abs(length(s, p) - np.pi / 2) < 1e-6
+    assert np.allclose(p[0], north)
+    assert np.allclose(p[-1], east)
 
 
 def test_geodesic_antipodal_rejected():
     s = Sphere(2)
     x = np.array([1.0, 0.0, 0.0])
     with pytest.raises(GeodesicDegeneracyError):
-        geodesic_arc(s, x, -x, 8)
+        s.geodesic(x, -x, 8)
 
 
 def test_torus_wraparound_geodesic():
     t = FlatTorus(2)
-    p = geodesic_arc(t, np.array([0.1, 0.1]), np.array([0.9, 0.1]), 64)
+    p = t.geodesic(np.array([0.1, 0.1]), np.array([0.9, 0.1]), 64)
     # brute force over the four unwrapped representatives
     deltas = [np.array([0.8, 0.0]), np.array([-0.2, 0.0]),
               np.array([0.8, 1.0]), np.array([0.8, -1.0])]
     best = min(np.linalg.norm(d) for d in deltas)
-    assert abs(p.length() - best) < 1e-9
+    assert abs(length(t, p) - best) < 1e-9
     assert abs(best - 0.2) < 1e-12
 
 
@@ -79,68 +81,75 @@ def test_wedge_metric_and_geodesic():
     q = np.array([1.0, 2 * np.pi - 1.0])
     # cross-branch distance goes through the basepoint: 1 + 1
     assert abs(w.dist(p, q) - 2.0) < 1e-12
-    path = geodesic_arc(w, p, q, 65)
-    assert np.allclose(path.start, p)
-    assert np.allclose(path.end, w.canonical(q))
-    assert path.max_gap() < 0.1
-
-
-def test_concat_and_reverse():
-    s = Sphere(2)
-    n, e = np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0])
-    sp = np.array([-0.0, 0.0, 1.0])
-    a = geodesic_arc(s, n, e, 32)
-    b = geodesic_arc(s, e, sp, 32)
-    c = concat(a, b)
-    assert np.allclose(c.start, n)
-    assert np.allclose(c.end, sp)
-    r = reverse(reverse(a))
-    assert np.array_equal(r.points, a.points)
-    with pytest.raises(PathJoinError):
-        concat(a, geodesic_arc(s, sp, n, 8))
+    path = w.geodesic(p, q, 65)
+    assert np.allclose(path[0], p)
+    assert np.allclose(path[-1], w.canonical(q))
+    assert np.max(w.dist(path[:-1], path[1:])) < 0.1
 
 
 def test_concat_two_quarter_arcs_length():
     s = Sphere(2)
     n, e = np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0])
     sth = -n
-    a = geodesic_arc(s, n, e, 64)
-    b = geodesic_arc(s, e, sth, 64)
-    c = concat(a, b)
-    assert abs(c.length() - np.pi) < 2 * c.max_gap()
+    c = np.concatenate([s.geodesic(n, e, 64), s.geodesic(e, sth, 64)])
+    gap = np.max(s.dist(c[:-1], c[1:]))
+    assert abs(length(s, c) - np.pi) < 2 * gap
 
 
 def test_reverse_matches_swapped_geodesic():
     s = Sphere(2)
     rng = np.random.default_rng(0)
     x, y = s.random_points(rng, 2)
-    fwd = geodesic_arc(s, x, y, 33)
-    back = geodesic_arc(s, y, x, 33)
-    assert np.allclose(reverse(fwd).points, back.points, atol=1e-12)
+    fwd = s.geodesic(x, y, 33)
+    back = s.geodesic(y, x, 33)
+    assert np.allclose(fwd[::-1], back, atol=1e-12)
 
 
 def test_validate_constant_orbit_jump():
     act = sphere_antipodal(2)
-    x = np.array([0.0, 0.0, 1.0])
-    bp = BrokenPath(legs=[constant_path(act.space, x, 8),
-                          constant_path(act.space, -x, 8)], action=act)
-    report = validate_broken_path(bp, request=(x, -x))
-    assert report.valid
-    assert report.joint_residuals == [0.0]
+    x = np.array([[0.0, 0.0, 1.0]])
+    legs = [_const_legs(x, 8), _const_legs(-x, 8)]
+    joints, ends = residuals_of_legs(act, legs, x, -x)
+    assert joints.tolist() == [[0.0]]
+    assert ends.tolist() == [[0.0], [0.0]]
 
 
 def test_validate_detects_orbit_mismatch():
     act = sphere_antipodal(2)
     x = np.array([0.0, 0.0, 1.0])
     z = np.array([0.0, 1.0, 0.0])
-    bp = BrokenPath(legs=[constant_path(act.space, x, 8),
-                          constant_path(act.space, z, 8)], action=act)
-    report = validate_broken_path(bp)
+    joints, _ = leg_residuals(act, [x[None], z[None]], [x[None], z[None]],
+                              x[None], z[None])
     # residual equals min over g of dist(g x, z), brute force over G
     expected = min(float(act.space.dist(act.act(g, x), z)) for g in (0, 1))
-    assert not report.valid
-    assert abs(report.joint_residuals[0] - expected) < 1e-12
+    assert joints.shape == (1, 1)
+    assert joints[0, 0] > JOINT_TOL
+    assert abs(joints[0, 0] - expected) < 1e-12
     assert expected > 0
+
+
+def test_leg_residuals_match_a_loop_over_rows():
+    # every joint and endpoint residual, row by row through orbit_dist and
+    # dist, on legs that jump by a group element, by noise, or not at all
+    rng = np.random.default_rng(13)
+    for act in (sphere_antipodal(2), sphere_codim1(2), sphere_rotation(2)):
+        space, order = act.space, act.group.order
+        for k in (1, 2, 4):
+            X, Y = space.random_points(rng, 30), space.random_points(rng, 30)
+            starts = [X.copy()] + [space.random_points(rng, 30) for _ in range(k - 1)]
+            ends = [np.array(act.act(int(g), p)) for g, p in
+                    zip(rng.integers(0, order, size=k), starts[1:] + [Y])]
+            starts[0][:5] += 1e-3 * rng.normal(size=(5, 3))
+            ends[0][5:10] += 1e-3 * rng.normal(size=(5, 3))
+            joints, endpoints = leg_residuals(act, starts, ends, X, Y)
+            assert joints.shape == (k - 1, 30) and endpoints.shape == (2, 30)
+            assert (endpoints[0, :5] > 0).all() and (endpoints[0, 5:] == 0).all()
+            for r in range(30):
+                row = slice(r, r + 1)
+                for i in range(k - 1):
+                    assert joints[i, r] == act.orbit_dist(ends[i][row], starts[i + 1][row])[0]
+                assert endpoints[0, r] == space.dist(starts[0][row], X[row])[0]
+                assert endpoints[1, r] == space.dist(ends[-1][row], Y[row])[0]
 
 
 def test_jump_planner_formula_on_generic_pair():
@@ -152,48 +161,58 @@ def test_jump_planner_formula_on_generic_pair():
     y = np.array([-0.2, 0.9, 0.38])
     y /= np.linalg.norm(y)
     gx = act.act(1, x)
-    leg2 = concat(geodesic_arc(s, gx, gx, 4), geodesic_arc(s, gx, y, 64))
-    bp = BrokenPath(legs=[constant_path(s, x, 64), leg2], action=act)
-    report = validate_broken_path(bp, request=(x, y), delta=1e-6)
-    assert report.valid
+    leg2 = np.concatenate([s.geodesic(gx, gx, 4), s.geodesic(gx, y, 64)])
+    legs = [_const_legs(x[None], 64), leg2[None]]
+    joints, ends = residuals_of_legs(act, legs, x[None], y[None])
+    assert (joints <= JOINT_TOL).all() and (ends <= ENDPOINT_TOL).all()
 
 
 def test_embed_stage_preserves_endpoints_and_validity():
     act = sphere_antipodal(2)
-    s = act.space
-    x = np.array([1.0, 0, 0])
-    y = np.array([0.0, 1.0, 0])
-    bp = BrokenPath(legs=[geodesic_arc(s, x, y, 16)], action=act)
-    emb = embed_stage(bp)
-    assert emb.stage == 2
-    assert np.allclose(emb.end, bp.end)
-    rep = validate_broken_path(emb, request=(x, y))
-    assert rep.valid
-    assert rep.joint_residuals == [0.0]
-    emb2 = embed_stage(emb)
-    assert emb2.stage == 3
-    assert np.allclose(emb2.legs[2].points, emb2.legs[1].points[-1])
+    x = np.array([[1.0, 0, 0]])
+    y = np.array([[0.0, 1.0, 0]])
+
+    def legs(X, Y, m):
+        return [act.space.geodesic(X, Y, m)]
+
+    cover = PlannerCover(action=act, sets=[CoverSet("U", 1, None, legs)], stage=1)
+    base = legs(x, y, 16)
+    emb = embed_cover(cover).sets[0].build_legs(x, y, 16)
+    assert len(emb) == 2
+    assert np.allclose(emb[-1][:, -1], base[-1][:, -1])
+    joints, ends = residuals_of_legs(act, emb, x, y)
+    assert joints.tolist() == [[0.0]]
+    assert (ends <= ENDPOINT_TOL).all()
+    emb2 = embed_cover(embed_cover(cover)).sets[0].build_legs(x, y, 16)
+    assert len(emb2) == 3
+    assert np.allclose(emb2[2], emb2[1][:, -1:])
 
 
 def test_project_to_orbit_constant():
+    # a valid broken path projects to one continuous quotient path: here a
+    # jump to the antipode projects to a constant
     act = sphere_antipodal(1)
     model = circle_antipodal_quotient(act)
-    x = np.array([1.0, 0.0])
-    bp = BrokenPath(legs=[constant_path(act.space, x, 8),
-                          constant_path(act.space, -x, 8)], action=act)
-    q = project_to_orbit(bp, model)
-    assert np.allclose(q.points, q.points[0])
+    x = np.array([[1.0, 0.0]])
+    legs = [_const_legs(x, 8), _const_legs(-x, 8)]
+    joints, _ = residuals_of_legs(act, legs, x, -x)
+    assert (joints <= JOINT_TOL).all()
+    q = np.concatenate([model.project(leg[0]) for leg in legs])
+    assert np.allclose(q, q[0])
 
 
 def test_project_to_orbit_rejects_invalid():
+    # a joint between different orbits: the residual flags it, and the
+    # projected legs jump there by that residual
     act = sphere_antipodal(1)
     model = circle_antipodal_quotient(act)
-    x = np.array([1.0, 0.0])
-    z = np.array([0.0, 1.0])
-    bp = BrokenPath(legs=[constant_path(act.space, x, 8),
-                          constant_path(act.space, z, 8)], action=act)
-    with pytest.raises(ValueError):
-        project_to_orbit(bp, model)
+    x = np.array([[1.0, 0.0]])
+    z = np.array([[0.0, 1.0]])
+    legs = [_const_legs(x, 8), _const_legs(z, 8)]
+    joints, _ = residuals_of_legs(act, legs, x, z)
+    assert joints[0, 0] > JOINT_TOL
+    jump = model.quotient_space.dist(model.project(x), model.project(z))
+    assert np.allclose(jump, joints[0])
 
 
 def test_lift_path_round_trip_circle():
@@ -232,15 +251,6 @@ def test_isometry_check_rejects_bad_map():
         SpaceAction(s, FiniteGroup.cyclic(2), [lambda p: p, squash])
 
 
-def test_path_csv(tmp_path):
-    s = Sphere(1)
-    p = geodesic_arc(s, np.array([1.0, 0]), np.array([0.0, 1.0]), 8)
-    f = tmp_path / "p.csv"
-    p.to_csv(f)
-    data = np.loadtxt(f, delimiter=",")
-    assert data.shape == (8, 2)
-
-
 def test_slerp_matches_closed_form():
     # the Chebyshev recurrence against (sin((1-t)a) P + sin(ta) Q) / sin(a)
     import efftc._kernels as K
@@ -259,7 +269,7 @@ def test_slerp_matches_closed_form():
         return np.where(theta > 0, out, P[:, None, :])
 
     assert np.allclose(K.slerp_batch(P, Q, 17), closed_form(P, Q, 17), atol=1e-9)
-    chain = K.slerp_chain([(P, Q), (Q, P)], 16)
+    chain = slerp_chain([(P, Q), (Q, P)], 16)
     expected = np.concatenate([closed_form(P, Q, 8), closed_form(Q, P, 8)],
                               axis=1)
     assert np.allclose(chain, expected, atol=1e-9)
@@ -371,7 +381,7 @@ def test_blocked_slerp_into_strided_chain_pieces(monkeypatch):
     rng = np.random.default_rng(22)
     P, Q = _arcs_across_block_edges(rng, 45, (8, 16, 40))
     W = Sphere(2).random_points(rng, 45)
-    chain = K.slerp_chain([(P, Q), (Q, W), (W, P)], 20)
+    chain = slerp_chain([(P, Q), (Q, W), (W, P)], 20)
     expected = np.empty((45, 21, 3))
     for k, (a, b) in enumerate(((P, Q), (Q, W), (W, P))):
         whole_slerp_into(a, b, expected[:, 7 * k:7 * (k + 1)])

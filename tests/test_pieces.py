@@ -1,11 +1,12 @@
 """Leg pieces against the legs they replace.
 
-The farber, involution2 and involution3 sphere covers describe their legs
-as pieces of x, of y, of both or of neither.  `build_legs` must still
-return the former legs bit for bit (tests/oracles.py::whole_sphere_legs),
-with slerp_chain's split of the samples over the pieces, also when the
-samples do not split evenly; and a piece built once per distinct input
-must equal the same piece built on every pair.
+The farber, involution2 and involution3 sphere covers, the hemisphere
+covers and the geodesic cat cover describe their legs as pieces of x, of
+y, of both or of neither.  `build_legs` must still return the former legs
+bit for bit (tests/oracles.py::whole_sphere_legs and whole_chain_legs),
+whose arcs slerp_chain joined, also when the samples do not split evenly
+over the pieces; and a piece built once per distinct input must equal the
+same piece built on every pair.
 """
 import functools
 
@@ -15,10 +16,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from efftc import models
 from efftc.errors import GeodesicDegeneracyError
-from efftc.planners import farber_sphere_cover, piece_samples
+from efftc.pathspace import trivial_space_action
+from efftc.planners import (
+    farber_sphere_cover,
+    hemisphere_cat_cover,
+    hemisphere_cover,
+    piece_samples,
+)
 from efftc.scenarios import BUILTINS, DEFAULT_PARAMS, build_bundle, build_planner
 
-from oracles import whole_sphere_legs
+from oracles import whole_chain_legs, whole_sphere_legs
 
 FACTORED = ("farber", "involution2", "involution3")
 SAMPLES = (64, 65, 2, 3, 7, 17)
@@ -71,6 +78,43 @@ def test_pieces_reproduce_the_former_legs():
             ("s2-involution/involution2", "U1"), ("s2-involution/involution2", "U2"),
             ("s2-involution/involution3", "U"), ("s2-antipodal/involution2", "U2"),
             ("s1-flip/involution2", "U2")} <= factored
+
+
+def chained_covers():
+    """(label, cover, x rows) of the covers whose arcs slerp_chain used to
+    join: the hemisphere covers of the quotient of s2-involution (every
+    grid point), and the geodesic cat covers of the catalog (the
+    basepoint)."""
+    hemisphere = trivial_space_action(models.Hemisphere())
+    points = hemisphere.space.grid(12)
+    yield "hemisphere", hemisphere_cover(hemisphere), points
+    yield "hemisphere-cat", hemisphere_cat_cover(hemisphere), points
+    for scenario in BUILTINS.values():
+        if any(step.get("planner") == "cat-geodesic" for step in scenario.pipeline):
+            cover = build_planner("cat-geodesic", build_bundle(scenario))
+            yield f"{scenario.id}/cat-geodesic", cover, cover.basepoint[None, :]
+
+
+def test_chained_arcs_as_pieces_reproduce_slerp_chain():
+    labels = []
+    for label, cover, xs in chained_covers():
+        former = whole_chain_legs(cover)
+        ys = cover.action.space.grid(32 if cover.kind == "cat" else 12)
+        X = np.repeat(xs, len(ys), axis=0)
+        Y = np.tile(ys, (len(xs), 1))
+        for cs in cover.sets:
+            assert cs.pieces is not None, (label, cs.name)
+            rows = np.flatnonzero(cs.margin(X, Y) >= DEFAULT_PARAMS["epsilon"])
+            assert len(rows) > 100, (label, cs.name)
+            for m in SAMPLES:
+                got = cs.build_legs(X[rows], Y[rows], m)
+                expected = former[cs.name](X[rows], Y[rows], m)
+                assert len(got) == len(expected) == 1, (label, cs.name, m)
+                assert got[0].shape == expected[0].shape, (label, cs.name, m)
+                assert np.array_equal(got[0], expected[0]), (label, cs.name, m)
+        labels.append(label)
+    assert labels == ["hemisphere", "hemisphere-cat", "s2-antipodal/cat-geodesic",
+                      "s2-rotation/cat-geodesic"]
 
 
 def test_uneven_splits_take_slerp_chains_sample_count():

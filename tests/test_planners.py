@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,17 @@ from efftc.models import (
     wedge_swap,
 )
 from efftc.pathspace import (
+    ENDPOINT_TOL,
+    JOINT_TOL,
     Arc,
     Circle,
-    FlatTorus,
+    QuotientModel,
     trivial_space_action,
-    validate_broken_path,
 )
 from efftc.planners import (
+    CoverSet,
+    PlannerCover,
+    _const_legs,
     arc_cover,
     cat_cover_covering_lift,
     cat_cover_from_strict_section,
@@ -35,15 +41,22 @@ from efftc.planners import (
     involution_three_stage_planner,
     involution_two_stage_cover,
     torus_cut_cover,
-    wedge_planner,
 )
+
+from oracles import residuals_of_legs
+
+
+def assert_valid(cover, legs, x, y):
+    """The legs make a broken path from x to y, checked apart from plan."""
+    joints, ends = residuals_of_legs(cover.action, [leg[None] for leg in legs],
+                                     np.asarray(x, float)[None], np.asarray(y, float)[None])
+    assert (joints <= JOINT_TOL).all() and (ends <= ENDPOINT_TOL).all(), (joints, ends)
 
 
 def plan_and_validate(cover, x, y, epsilon=0.05):
-    name, bp = cover.plan(x, y, epsilon)
-    report = validate_broken_path(bp, request=(x, y))
-    assert report.valid, (name, report)
-    return name, bp
+    name, legs = cover.plan(x, y, epsilon)
+    assert_valid(cover, legs, x, y)
+    return name, legs
 
 
 def test_farber_set_counts():
@@ -72,18 +85,18 @@ def test_involution2_structure():
 def test_involution2_u1_constant_on_fixed_diagonal():
     cover = involution_two_stage_cover(sphere_codim1(2))
     x = np.array([0.0, 1.0, 0.0])  # on the fixed equator
-    name, bp = cover.plan(x, x)
+    name, legs = cover.plan(x, x)
     assert name == "U1"
-    assert np.allclose(bp.legs[0].points, x)
+    assert np.allclose(legs[0], x)
 
 
 def test_involution2_covers_antipodal_over_equator():
     cover = involution_two_stage_cover(sphere_codim1(2))
     x = np.array([0.0, 1.0, 0.0])
-    name, bp = plan_and_validate(cover, x, -x)
+    name, legs = plan_and_validate(cover, x, -x)
     assert name == "U2"
     # first leg rides the half-turn rotation, one jump lands on -x
-    assert np.allclose(bp.legs[1].points[0], -x, atol=1e-12)
+    assert np.allclose(legs[1][0], -x, atol=1e-12)
 
 
 def test_involution2_free_case_formula():
@@ -93,9 +106,9 @@ def test_involution2_free_case_formula():
     # y close to x: handled by U2 = {y != x}? no: d(y,-x) large so U1 wins
     name, _ = cover.plan(x, y)
     assert name == "U1"
-    name, bp = plan_and_validate(cover, x, -x)
+    name, legs = plan_and_validate(cover, x, -x)
     assert name == "U2"
-    assert np.allclose(bp.legs[0].points, x)  # constant first leg
+    assert np.allclose(legs[0], x)  # constant first leg
 
 
 def test_involution2_rejects_wrong_action():
@@ -107,13 +120,13 @@ def test_involution3_single_set_and_examples():
     cover = involution_three_stage_planner(sphere_codim1(2))
     assert cover.claimed_bound == 0
     n = np.array([1.0, 0.0, 0.0])
-    name, bp = cover.plan(n, n)
-    assert all(np.allclose(leg.points, n) for leg in bp.legs)
+    name, legs = cover.plan(n, n)
+    assert all(np.allclose(leg, n) for leg in legs)
     # lower-hemisphere start: the first joint jumps orbits
     x = np.array([-0.8, 0.6, 0.0])
-    name, bp = plan_and_validate(cover, x, n)
-    assert not np.allclose(bp.legs[1].points[0], x)
-    assert np.allclose(bp.legs[1].points[0], cover.action.act(1, x), atol=1e-12)
+    name, legs = plan_and_validate(cover, x, n)
+    assert not np.allclose(legs[1][0], x)
+    assert np.allclose(legs[1][0], cover.action.act(1, x), atol=1e-12)
 
 
 def test_involution3_requires_codim1():
@@ -126,9 +139,7 @@ def test_circle_cover_two_sets():
     assert len(cover.sets) == 2
     x = np.array([0.1])
     y = np.array([2.0])
-    name, bp = cover.plan(x, y)
-    rep = validate_broken_path(bp, request=(x, y))
-    assert rep.valid
+    plan_and_validate(cover, x, y)
 
 
 def test_strict_section_flip_circle():
@@ -139,23 +150,35 @@ def test_strict_section_flip_circle():
     assert cover.claimed_bound == 0
     x = np.array([np.cos(0.3), np.sin(0.3)])
     y = np.array([np.cos(-2.0), np.sin(-2.0)])
-    _, bp = plan_and_validate(cover, x, y)
-    assert bp.stage == 3
+    _, legs = plan_and_validate(cover, x, y)
+    assert len(legs) == 3
     # middle leg lives in the upper semicircle (the section image)
-    assert np.all(bp.legs[1].points[:, 0] >= -1e-12) or np.all(bp.legs[1].points[:, 1] >= -1e-12)
+    assert np.all(legs[1][:, 0] >= -1e-12) or np.all(legs[1][:, 1] >= -1e-12)
 
 
 def test_strict_section_requires_section():
     model = circle_antipodal_quotient(sphere_antipodal(1))
     qcover = circle_cover(trivial_space_action(Circle(np.pi)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a strict section"):
         cover_from_strict_section(model, qcover)
+
+
+def test_strict_section_guards_report_the_residual():
+    # a section that misses by 0.1: both transfers refuse it, and say by how much
+    act = sphere_codim1(1)
+    good = circle_flip_quotient(act)
+    model = QuotientModel(act, good.quotient_space, good.project,
+                          section=lambda q: good.section(q + 0.1))
+    qcover = arc_cover(trivial_space_action(Arc(np.pi)))
+    with pytest.raises(ValueError, match=r"section check failed: residual 1\.00e-01"):
+        cover_from_strict_section(model, qcover)
+    with pytest.raises(ValueError, match=r"section check failed: residual 1\.00e-01"):
+        cat_cover_from_strict_section(model, qcover, np.array([0.0, 1.0]))
 
 
 def test_strict_section_trivial_group_embeds_cover():
     # trivial group, identity section: output is the input cover at stage 3
     act = trivial_space_action(Circle(2 * np.pi))
-    from efftc.pathspace import QuotientModel
     model = QuotientModel(act, act.space, lambda p: p, section=lambda q: q)
     qcover = circle_cover(act)
     cover = cover_from_strict_section(model, qcover)
@@ -171,8 +194,8 @@ def test_covering_lift_circle():
     assert cover.claimed_bound == 1
     x = np.array([1.0, 0.0])
     y = np.array([0.0, -1.0])
-    _, bp = plan_and_validate(cover, x, y)
-    assert np.allclose(bp.legs[0].points[0], x)
+    _, legs = plan_and_validate(cover, x, y)
+    assert np.allclose(legs[0][0], x)
 
 
 def test_covering_lift_rejects_non_free():
@@ -189,19 +212,20 @@ def test_covering_lift_torus():
     assert cover.claimed_bound == 2
     x = np.array([0.12, 0.7])
     y = np.array([0.8, 0.33])
-    _, bp = plan_and_validate(cover, x, y)
+    plan_and_validate(cover, x, y)
 
 
 def test_wedge_planner_bounds():
+    # the wedge planner: the strict section onto the identity copy
     for branches in (2, 3):
         model = wedge_quotient(wedge_swap(branches))
         base = circle_cover(trivial_space_action(Circle(2 * np.pi)))
-        cover = wedge_planner(model, base)
+        cover = cover_from_strict_section(model, base, name="wedge")
         assert cover.claimed_bound == 1
         assert cover.stage == 3
         x = np.array([0.0, 1.2])
         y = np.array([branches - 1.0, 5.0])
-        _, bp = plan_and_validate(cover, x, y)
+        plan_and_validate(cover, x, y)
 
 
 def test_embed_cover_preserves_membership_and_bound():
@@ -210,9 +234,9 @@ def test_embed_cover_preserves_membership_and_bound():
     assert emb.stage == 3
     assert emb.claimed_bound == cover.claimed_bound
     x = np.array([0.0, 1.0, 0.0])
-    _, bp = plan_and_validate(emb, x, -x)
-    assert bp.stage == 3
-    assert np.allclose(bp.legs[2].points, bp.legs[1].points[-1])
+    _, legs = plan_and_validate(emb, x, -x)
+    assert len(legs) == 3
+    assert np.allclose(legs[2], legs[1][-1])
 
 
 def test_torus_cut_cover_three_sets():
@@ -231,9 +255,7 @@ def test_cat_geodesic_cover():
     assert cover.kind == "cat"
     assert cover.claimed_bound == 1
     for y in (np.array([0.0, 0.0, 1.0]), -base):
-        name, bp = cover.plan(base, y)
-        rep = validate_broken_path(bp, request=(base, y))
-        assert rep.valid
+        plan_and_validate(cover, base, y)
 
 
 def test_cat_covering_lift_antipodal_sphere():
@@ -242,11 +264,9 @@ def test_cat_covering_lift_antipodal_sphere():
     cover = cat_cover_covering_lift(act, base, [base, -base], np.pi / 2 + 0.3)
     assert cover.claimed_bound == 1
     y = -base
-    name, bp = cover.plan(base, y)
-    rep = validate_broken_path(bp, request=(base, y))
-    assert rep.valid
+    name, legs = plan_and_validate(cover, base, y)
     # the lifted leg starts at the basepoint
-    assert np.allclose(bp.legs[0].points[0], base)
+    assert np.allclose(legs[0][0], base)
 
 
 def test_cat_covering_lift_needs_orbit_centers():
@@ -265,9 +285,7 @@ def test_cat_strict_section_flip():
     cover = cat_cover_from_strict_section(model, qcat, base)
     assert cover.claimed_bound == 0
     y = np.array([0.6, -0.8])
-    name, bp = cover.plan(base, y)
-    rep = validate_broken_path(bp, request=(base, y))
-    assert rep.valid
+    plan_and_validate(cover, base, y)
 
 
 def test_hemisphere_cat_cover_bound_zero():
@@ -279,22 +297,20 @@ def test_hemisphere_cat_cover_bound_zero():
 def test_covering_lift_output_projects_to_quotient_section():
     # construction round trip: the lifted stage-2 section projects back to
     # the quotient-cover section path
-    from efftc.pathspace import project_to_orbit
     model = circle_antipodal_quotient(sphere_antipodal(1))
     qcover = circle_cover(trivial_space_action(Circle(np.pi)))
     cover = cover_from_covering_lift(model, qcover)
     x = np.array([np.cos(0.4), np.sin(0.4)])
     y = np.array([np.cos(2.9), np.sin(2.9)])
-    name, bp = cover.plan(x, y, epsilon=0.05, n=64)
-    projected = project_to_orbit(bp, model)
+    name, legs = plan_and_validate(cover, x, y)
+    projected = np.concatenate([model.project(leg) for leg in legs])
     qx, qy = model.project(x), model.project(y)
     qset = next(s for s in qcover.sets if s.name == name)
     expected = qset.build_legs(qx[None, :], qy[None, :], 64)[0][0]
-    lead = projected.points[:64]
+    lead = projected[:64]
     assert np.max(model.quotient_space.dist(lead, expected)) < 1e-6
     # the tail is the constant leg at [y]
-    assert np.max(model.quotient_space.dist(projected.points[64:],
-                                            expected[-1])) < 1e-6
+    assert np.max(model.quotient_space.dist(projected[64:], expected[-1])) < 1e-6
 
 
 def test_farber_sections_validate_on_s3():
@@ -331,19 +347,53 @@ def test_constant_legs_are_read_only_views():
     assert np.array_equal(legs[1], np.repeat(legs[0][:, -1:, :], 64, axis=1))
 
 
-def test_section_one_and_plan_return_valid_paths():
+def test_plan_returns_valid_legs():
     cover = involution_three_stage_planner(sphere_codim1(2))
     rng = np.random.default_rng(6)
     x, y = cover.action.space.random_points(rng, 2)
-    bp = cover.sets[0].section_one(cover.action, x, y)
-    assert [leg.points.shape for leg in bp.legs] == [(64, 3)] * 3
-    assert all(leg.points.flags.writeable for leg in bp.legs)
-    assert np.array_equal(bp.legs[0].points, np.repeat(x[None, :], 64, axis=0))
-    assert validate_broken_path(bp, request=(x, y)).valid
-    name, bp = plan_and_validate(embed_cover(cover), x, y)
-    assert name == "U" and bp.stage == 4
-    assert np.array_equal(bp.legs[-1].points, np.repeat(y[None, :], 64, axis=0))
-    assert bp.legs[-1].max_gap() == 0.0
+    name, legs = plan_and_validate(cover, x, y)
+    assert [leg.shape for leg in legs] == [(64, 3)] * 3
+    assert all(leg.flags.writeable for leg in legs)
+    assert np.array_equal(legs[0], np.repeat(x[None, :], 64, axis=0))
+    name, legs = plan_and_validate(embed_cover(cover), x, y)
+    assert name == "U" and len(legs) == 4
+    assert np.array_equal(legs[-1], np.repeat(y[None, :], 64, axis=0))
+
+
+def test_plan_raises_on_an_invalid_section():
+    # a set whose second leg starts off the orbit of the first leg's end,
+    # and a set whose path ends away from y
+    act = sphere_codim1(2)
+    x, y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+
+    def everywhere(X, Y):
+        return np.full(len(X), np.inf)
+
+    z = np.array([[0.0, 0.0, 1.0]])
+
+    def jumps(X, Y, m):
+        return [act.space.geodesic(X, Y, m), _const_legs(z, m)]
+
+    def misses(X, Y, m):
+        return [act.space.geodesic(X, z, m)]
+
+    for legs, what in ((jumps, "joint residuals \\[1.57"),
+                       (misses, "endpoint residuals \\[0.0, 1.57")):
+        cover = PlannerCover(action=act, sets=[CoverSet("V", 1, everywhere, legs)],
+                             stage=1)
+        with pytest.raises(ValueError, match=f"set V gives no broken path.*{what}"):
+            cover.plan(x, y)
+
+
+def test_a_cover_set_needs_legs_or_pieces():
+    with pytest.raises(ValueError, match="'U' needs build_legs or pieces"):
+        CoverSet("U", 1, lambda X, Y: np.zeros(len(X)))
+    # either one is enough, and both together (a traced copy of a set
+    # with pieces) too
+    cs = involution_three_stage_planner(sphere_codim1(2)).sets[0]
+    assert CoverSet("U", 3, cs.margin, cs.build_legs).pieces is None
+    assert CoverSet("U", 3, cs.margin, pieces=cs.pieces).build_legs is not None
+    assert dataclasses.replace(cs, build_legs=cs.build_legs).pieces == cs.pieces
 
 
 def test_adversarial_legs_match_the_legs_built_by_parts():

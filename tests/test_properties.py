@@ -19,15 +19,8 @@ from efftc.complexes import (
     is_cocycle,
 )
 from efftc.models import sphere_antipodal, sphere_codim1
-from efftc.pathspace import (
-    BrokenPath,
-    SpaceAction,
-    constant_path,
-    embed_stage,
-    geodesic_arc,
-    reverse,
-    validate_broken_path,
-)
+from efftc.pathspace import SpaceAction, leg_residuals
+from efftc.planners import CoverSet, PlannerCover, _const_legs, embed_cover
 from efftc.symmetry import (
     FiniteGroup,
     action_from_generator_perms,
@@ -41,6 +34,7 @@ from oracles import (
     oracle_betti,
     oracle_cd,
     product_zero_divisor_cup_length,
+    residuals_of_legs,
     subdivision_by_chains,
 )
 
@@ -180,9 +174,9 @@ def test_sphere_geodesic_reverse_symmetry(seed):
     x, y = act.space.random_points(rng, 2)
     if act.space.dist(x, y) > np.pi - 1e-3:
         return
-    fwd = geodesic_arc(act.space, x, y, 17)
-    back = geodesic_arc(act.space, y, x, 17)
-    assert np.allclose(reverse(fwd).points, back.points, atol=1e-9)
+    fwd = act.space.geodesic(x, y, 17)
+    back = act.space.geodesic(y, x, 17)
+    assert np.allclose(fwd[::-1], back, atol=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
@@ -190,17 +184,22 @@ def test_sphere_geodesic_reverse_symmetry(seed):
 def test_embedding_preserves_endpoints_and_residuals(seed):
     act = sphere_codim1(2)
     rng = np.random.default_rng(seed)
-    x, y = act.space.random_points(rng, 2)
-    bp = BrokenPath(legs=[constant_path(act.space, x, 8),
-                          constant_path(act.space, act.act(1, x), 8)],
-                    action=act)
-    emb = embed_stage(bp)
-    assert np.allclose(emb.start, bp.start)
-    assert np.allclose(emb.end, bp.end)
-    before = validate_broken_path(bp).joint_residuals
-    after = validate_broken_path(emb).joint_residuals
-    assert after[:len(before)] == before
-    assert after[-1] == 0.0
+    X, Y = act.space.random_points(rng, 2)[:, None, :]
+
+    def legs(X, Y, m):
+        # an orbit jump at the end of the first leg, then the arc to y
+        return [_const_legs(X, m), act.space.geodesic(act.act(1, X), Y, m)]
+
+    cover = PlannerCover(action=act, sets=[CoverSet("U", 2, None, legs)], stage=2)
+    base = legs(X, Y, 8)
+    emb = embed_cover(cover).sets[0].build_legs(X, Y, 8)
+    assert np.array_equal(emb[0][:, 0], base[0][:, 0])
+    assert np.array_equal(emb[-1][:, -1], base[-1][:, -1])
+    joints, ends = residuals_of_legs(act, base, X, Y)
+    joints_emb, ends_emb = residuals_of_legs(act, emb, X, Y)
+    assert np.array_equal(joints_emb[:len(joints)], joints)
+    assert joints_emb[-1].tolist() == [0.0]
+    assert np.array_equal(ends_emb, ends)
 
 
 @settings(max_examples=15, deadline=None)
@@ -218,11 +217,9 @@ def test_subgroup_validity_monotone(seed):
     g_full = SpaceAction(space, FiniteGroup.cyclic(4), [rot(k) for k in range(4)])
     h_maps = [rot(0), rot(2)]
     h_sub = SpaceAction(space, FiniteGroup.cyclic(2), h_maps)
-    x, y = space.random_points(rng, 2)
-    bp_h = BrokenPath(legs=[constant_path(space, x, 8),
-                            constant_path(space, y, 8)], action=h_sub)
-    bp_g = BrokenPath(legs=bp_h.legs, action=g_full)
-    res_h = validate_broken_path(bp_h).joint_residuals
-    res_g = validate_broken_path(bp_g).joint_residuals
-    for rh, rg in zip(res_h, res_g):
-        assert rg <= rh + 1e-12
+    x, y = space.random_points(rng, 2)[:, None, :]
+    starts = ends = [x, y]
+    res_h, _ = leg_residuals(h_sub, starts, ends, x, y)
+    res_g, _ = leg_residuals(g_full, starts, ends, x, y)
+    assert res_g.shape == res_h.shape == (1, 1)
+    assert (res_g <= res_h + 1e-12).all()

@@ -21,7 +21,11 @@ from efftc.pathspace import FlatTorus, Sphere, trivial_space_action
 from efftc.planners import CoverSet, Piece, PlannerCover, embed_cover
 from efftc.scenarios import BUILTINS, build_bundle, build_planner
 
-from oracles import adversarial_cover_by_parts, chunk_order_verify_cover
+from oracles import (
+    adversarial_cover_by_parts,
+    catalog_certification,
+    chunk_order_verify_cover,
+)
 
 # the criterion-7b catalog covers, at their grids
 CATALOG_COVERS = [
@@ -101,11 +105,15 @@ def adversarial_certification(make, honest, grid, cpus):
 
 
 def test_sweep_matches_oracle_on_catalog_and_embedded_covers():
+    # the certifications are memoized: criterion 7b checks the same ones
     for scenario, planner, grid in CATALOG_COVERS:
-        bundle = build_bundle(BUILTINS[scenario])
-        cover = build_planner(planner, bundle)
-        for c in (cover, embed_cover(cover)):
-            assert assert_matches_oracle(c, grid).certified, (scenario, planner)
+        cover = build_planner(planner, build_bundle(BUILTINS[scenario]))
+        for embedded, c in ((False, cover), (True, embed_cover(cover))):
+            expected = chunk_order_verify_cover(c, grid=grid)
+            assert expected.certified, (scenario, planner, embedded)
+            for cpus in (1, 2):
+                got = catalog_certification(scenario, planner, grid, embedded, cpus)
+                assert got == expected, (scenario, planner, embedded, cpus, got)
 
 
 def test_sweep_matches_oracle_on_adversarial_covers():
