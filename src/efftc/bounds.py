@@ -31,7 +31,8 @@ from .complexes import (
 )
 from .f2 import F2Matrix
 from .errors import ContradictionError
-from .pathspace import ENDPOINT_TOL, leg_residuals
+from ._kernels import slerp_batch
+from .pathspace import ARC_MAX_SAMPLES, ARC_SLACK, ENDPOINT_TOL, Sphere, leg_residuals
 from .planners import PlannerCover, piece_samples
 from .symmetry import (
     GroupAction,
@@ -84,6 +85,12 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
     distance over the pieces is the largest over their concatenated legs,
     so verdicts and failures are those of the legs `build_legs` returns.
 
+    No edge is scanned that an a-priori bound clears (_Sweep.scan): none
+    where L h reaches the space's diameter, and no arc piece on a sphere
+    where the bound from the two arcs' endpoints (Sphere.arc_bound) does.
+    Arc pieces are held as their endpoints and frames, and sampled only on
+    the edges left to scan.
+
     A refutation names one failure.  The x rows are cut into chunks of
     `chunk_rows` rows, and the failure is the first of the first chunk
     that has one, checked in this order: coverage of the chunk's pairs,
@@ -118,10 +125,29 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
 
 
 @dataclass
+class _Arcs:
+    """An arc piece on its rows, held as the arcs' frames (Sphere.arc_frames,
+    which start with P) and ends Q instead of their n samples each."""
+
+    frames: np.ndarray
+    Q: np.ndarray
+    n: int
+
+    @property
+    def P(self):
+        return self.frames[:, :self.Q.shape[1]]
+
+    def samples(self, rows):
+        """The piece's samples on `rows`, as the piece builds them."""
+        return slerp_batch(self.P[rows], self.Q[rows], self.n)
+
+
+@dataclass
 class _Rows:
     """Grid rows x with their acceptance (len(x), m_y) in one cover set and
-    that set's leg pieces on them: `tables` holds (inputs, samples) per
-    piece in leg order, and `starts` marks the first piece of each leg.  A
+    that set's leg pieces on them: `tables` holds (inputs, table) per piece
+    in leg order, the table the piece's samples or, for an arc piece on a
+    sphere, its _Arcs; `starts` marks the first piece of each leg.  A
     piece of both inputs has a row per accepted pair, in row-major order; a
     piece of x a row per x row that accepts a pair (`xrow` maps the rows
     to them, -1 for none), a piece of y a row per column that does (`ycol`),
@@ -164,6 +190,7 @@ class _Sweep:
         self.xpts, self.xnbr, self.ypts, self.ynbr = xpts, xnbr, ypts, ynbr
         self.epsilon, self.delta, self.modulus = epsilon, delta, modulus
         self.samples = samples
+        self.arcs = isinstance(self.space, Sphere)
         m_x, m_y = self.m_x, self.m_y = len(xpts), len(ypts)
         self.chunk_rows = max(1, SAMPLE_BUDGET // (m_y * samples))
         self.ydist = self.space.dist(ypts[ynbr[:, 0]], ypts[ynbr[:, 1]])
@@ -236,7 +263,13 @@ class _Sweep:
         for leg in cs.pieces:
             n = piece_samples(self.samples, len(leg))
             for i, piece in enumerate(leg):
-                tables.append((piece.inputs, piece.on(*inputs[piece.inputs], n)))
+                rows = inputs[piece.inputs]
+                if piece.ends is not None and self.arcs and n <= ARC_MAX_SAMPLES:
+                    P, Q = piece.endpoints(*rows)
+                    table = _Arcs(self.space.arc_frames(P, Q), Q, n)
+                else:
+                    table = piece.on(*rows, n)
+                tables.append((piece.inputs, table))
                 starts.append(i == 0)
         return _Rows(x, acc, tables, starts, xrow, ycol)
 
@@ -272,9 +305,9 @@ class _Sweep:
             pos[rows] = np.arange(rows.size)
             both = acc[nbr_a] & acc[nbr_b]
             if both.any():
-                supdiff = self.y_supdiff(sec, pos[nbr_a[both]], pos[nbr_b[both]],
-                                         both.reshape(k, -1))
                 allowed = self.modulus * nbr_dist[both]
+                supdiff = self.y_supdiff(sec, pos[nbr_a[both]], pos[nbr_b[both]],
+                                         both.reshape(k, -1), allowed)
                 bad = supdiff > allowed
                 if bad.any():
                     w = int(np.argmax(bad))
@@ -296,8 +329,10 @@ class _Sweep:
                   "": np.zeros(rows.size, dtype=np.intp)}
 
         def sample(t, j):
+            # j is 0 or -1: an arc table's P or Q, bit-equal to those samples
             inputs, table = sec.tables[t]
-            return table[:, j] if inputs == "xy" else table[at[inputs], j]
+            table = (table.P, table.Q)[j] if isinstance(table, _Arcs) else table[:, j]
+            return table if inputs == "xy" else table[at[inputs]]
 
         firsts = [t for t, first in enumerate(sec.starts) if first]
         lasts = [t - 1 for t in firsts[1:]] + [len(sec.tables) - 1]
@@ -319,23 +354,24 @@ class _Sweep:
                             endpoint_residual=float(max(res0.max(), res1.max())))
         return None
 
-    def y_supdiff(self, sec, a, b, both):
+    def y_supdiff(self, sec, a, b, both, allowed):
         """Sup-distance of the set's legs along the y edges with both ends
-        accepted, (row, edge) flags `both`; a, b index the accepted pairs.
-        Pieces of both inputs are scanned per pair, a piece of y once per
-        y edge; pieces of x or of neither do not move along y."""
+        accepted, (row, edge) flags `both`; a, b index the accepted pairs,
+        and `allowed` is L h on each (scan).  Pieces of both inputs are
+        scanned per pair, a piece of y once per y edge; pieces of x or of
+        neither do not move along y."""
         supdiff = np.zeros(a.size)
         per_edge = None
         for inputs, table in sec.tables:
             if inputs == "xy":
-                supdiff = np.maximum(supdiff, self.space.supdiff_pairs(table, a, b))
+                supdiff = np.maximum(supdiff, self.scan(table, a, b, allowed))
             elif inputs == "y":
                 if per_edge is None:
                     edges = np.flatnonzero(both.any(axis=0))
                     ends = sec.ycol[self.ynbr[edges]]
                     per_edge = np.zeros(both.shape[1])
-                per_edge[edges] = np.maximum(per_edge[edges], self.space.supdiff_pairs(
-                    table, ends[:, 0], ends[:, 1]))
+                per_edge[edges] = np.maximum(per_edge[edges], self.scan(
+                    table, ends[:, 0], ends[:, 1], self.modulus * self.ydist[edges]))
         if per_edge is not None:
             supdiff = np.maximum(supdiff, np.broadcast_to(per_edge, both.shape)[both])
         return supdiff
@@ -392,12 +428,13 @@ class _Sweep:
             return None
         kinds = [inputs for inputs, _ in parts[-1].tables]
         supdiff = np.zeros(y.size)
+        allowed = self.modulus * self.xdist[edges]
         if "xy" in kinds:
             # each accepted pair's part, and its row in that part's tables
             pos = np.cumsum(window.ravel()) - 1
             pa, pb = pos[la[j] * m_y + y], pos[lb[j] * m_y + y]
             offsets = np.cumsum([0] + [int(part.acc.sum()) for part in parts])
-            supdiff = self.parts_supdiff(parts, "xy", offsets, pa, pb)
+            supdiff = self.parts_supdiff(parts, "xy", offsets, pa, pb, allowed[j])
         if "x" in kinds:
             # each edge's rows: their part, and their row in its x tables
             hit = np.flatnonzero(both.any(axis=1))
@@ -405,9 +442,9 @@ class _Sweep:
             xrow = np.concatenate([part.xrow for part in parts])
             per_edge = np.zeros(edges.size)
             per_edge[hit] = self.parts_supdiff(parts, "x", offsets, la[hit], lb[hit],
-                                               xrow)
+                                               allowed[hit], xrow)
             supdiff = np.maximum(supdiff, per_edge[j])
-        allowed = self.modulus * self.xdist[edges[j]]
+        allowed = allowed[j]
         bad = supdiff > allowed
         if not bad.any():
             return None
@@ -417,10 +454,11 @@ class _Sweep:
         return _continuity_failure(self.cover.sets[s], (self.xpts[a], self.ypts[yw]),
                                    (self.xpts[b], self.ypts[yw]), supdiff[w], allowed[w])
 
-    def parts_supdiff(self, parts, inputs, offsets, pa, pb, rows=None):
+    def parts_supdiff(self, parts, inputs, offsets, pa, pb, allowed, rows=None):
         """The sup-distance of the pieces of `inputs` between the entries pa
         and pb, each in the part it falls in (offsets: each part's first
-        entry), at its place in that part or at rows[entry] when given."""
+        entry), at its place in that part or at rows[entry] when given;
+        `allowed` is L h on each pair of entries (scan)."""
         supdiff = np.zeros(pa.size)
         part_a = np.searchsorted(offsets, pa, side="right") - 1
         part_b = np.searchsorted(offsets, pb, side="right") - 1
@@ -433,9 +471,41 @@ class _Sweep:
             ka, kb = divmod(int(c), len(parts))
             for (kind, leg_a), (_, leg_b) in zip(parts[ka].tables, parts[kb].tables):
                 if kind == inputs:
-                    supdiff[sel] = np.maximum(supdiff[sel], self.space.supdiff_pairs(
-                        leg_a, ia[sel], ib[sel], leg_b))
+                    supdiff[sel] = np.maximum(supdiff[sel], self.scan(
+                        leg_a, ia[sel], ib[sel], allowed[sel], leg_b))
         return supdiff
+
+    def scan(self, table, ia, ib, allowed, other=None):
+        """supdiff of the rows ia of a piece's table against the rows ib of
+        `other` (default: the same table), where each pair may differ by
+        `allowed` = L h; an edge an a-priori bound clears reads 0.
+
+        Cleared are the edges with L h >= the space's diameter, and, for arc
+        tables, those whose Sphere.arc_bound + ARC_SLACK <= L h.  A cleared
+        edge cannot fail, and the largest distance of a failing edge is not
+        a cleared piece's, so verdicts and failure dicts are those of the
+        full scan.  The arcs left are sampled as their pieces build them
+        (slerp_into is row-independent), once per distinct row."""
+        other = table if other is None else other
+        out = np.zeros(ia.size)
+        keep = np.flatnonzero(allowed < self.space.diameter)
+        if keep.size < ia.size:
+            ia, ib, allowed = ia[keep], ib[keep], allowed[keep]
+        if isinstance(table, _Arcs):
+            bound = self.space.arc_bound(table.frames[ia], other.frames[ib])
+            left = np.flatnonzero(~(bound + ARC_SLACK <= allowed))
+            keep, ia, ib = keep[left], ia[left], ib[left]
+            if keep.size and other is table:
+                rows, at = np.unique(np.concatenate([ia, ib]), return_inverse=True)
+                table = other = table.samples(rows)
+                ia, ib = np.split(at, 2)
+            elif keep.size:
+                rows, ia = np.unique(ia, return_inverse=True)
+                others, ib = np.unique(ib, return_inverse=True)
+                table, other = table.samples(rows), other.samples(others)
+        if keep.size:
+            out[keep] = self.space.supdiff_pairs(table, ia, ib, other)
+        return out
 
 
 _WORKER_JOBS: list = []

@@ -27,6 +27,15 @@ ISOMETRY_TOL = 1e-9
 # edges per gather in the sup-distance scans: keeps the (chunk, n, d)
 # temporaries cache-sized instead of materializing (E, n, d) arrays
 EDGE_CHUNK = 256
+# below this sin(theta), a near-antipodal arc gets NaN frames, so that no
+# bound clears an edge of it, and a short one counts as a point within a
+# radius (Sphere.arc_frames); well above slerp_into's 1e-9 lerp cutoff
+ARC_MIN_SIN = 1e-3
+# the error budget of Sphere.arc_bound, once as a chord and once as an angle
+ARC_SLACK = 1e-9
+# arcs of more samples than this are scanned sample by sample: the
+# recurrence error of their legs is no longer well inside ARC_SLACK
+ARC_MAX_SAMPLES = 1024
 
 
 def sampling_seed() -> int:
@@ -39,6 +48,9 @@ class Space:
 
     name = "space"
     point_dim = 1
+    # an upper bound of supdiff over any two leg arrays: no continuity check
+    # with modulus * h >= diameter can fail (inf: none known)
+    diameter = np.inf
 
     def dist(self, p, q):
         raise NotImplementedError
@@ -128,6 +140,8 @@ class Sphere(Space):
         self.n = n
         self.point_dim = n + 1
         self.name = f"sphere{n}"
+        # supdiff clips its chord at 2, so no scan reads more than pi
+        self.diameter = np.pi
 
     def dist(self, p, q):
         p, q = np.asarray(p, float), np.asarray(q, float)
@@ -163,6 +177,56 @@ class Sphere(Space):
                 total = total + sq[..., c]
             chord2[lo:hi] = total.max(axis=-1)
         return 2.0 * np.arcsin(np.clip(np.sqrt(chord2) / 2.0, 0.0, 1.0))
+
+    @staticmethod
+    def arc_frames(P, Q):
+        """The frames of the arcs slerp_into draws from the rows of P to
+        those of Q: rows [P | U | theta | r] such that every sample lies
+        within r (and ARC_SLACK) of cos(t theta) P + sin(t theta) U at its t.
+
+        - Where sin(theta) >= ARC_MIN_SIN, U = (Q - cos(theta) P) / sin(theta)
+          with theta computed as slerp_into computes it, and r = 0: the
+          recurrence draws exactly that curve, up to its rounding.
+        - A short arc (sin(theta) < ARC_MIN_SIN, theta < pi / 2) is its
+          start P, U = 0 and theta = 0, within r = 2 |Q - P| + theta^2: its
+          lerp samples lie within |Q - P| + |Q - P|^2 / 8 of P, its
+          recurrence samples within (1 - cos theta) + |Q - cos(theta) P|.
+        - A near-antipodal arc has NaN frames: arc_bound gives no bound."""
+        P, Q = np.asarray(P, float), np.asarray(Q, float)
+        theta = np.arccos(np.clip((P * Q).sum(axis=1), -1.0, 1.0))
+        flat = np.sin(theta) < ARC_MIN_SIN
+        short = flat & (theta < np.pi / 2)
+        r = np.zeros(theta.size)
+        r[short] = 2.0 * np.linalg.norm(Q[short] - P[short], axis=1) + theta[short] ** 2
+        theta[flat] = np.where(short[flat], 0.0, np.nan)
+        sin = np.sin(theta)
+        sin[short] = np.inf                     # U = 0
+        U = (Q - np.cos(theta)[:, None] * P) / sin[:, None]
+        return np.hstack([P, U, theta[:, None], r[:, None]])
+
+    @staticmethod
+    def arc_bound(F, F2):
+        """An upper bound of supdiff between the sampled arcs with frames F
+        and F2 (arc_frames), row by row; NaN where a frame is.
+
+        For every t in [0, 1], arcs cos(t theta) P + sin(t theta) U with
+        orthonormal (P, U), or with U = 0 and theta = 0, satisfy
+            |gamma(t) - gamma2(t)| <= sqrt(|P - P2|^2 + |U - U2|^2) + |theta - theta2|:
+        Cauchy-Schwarz bounds cos(t theta)(P - P2) + sin(t theta)(U - U2), and
+        the rest, (cos a - cos b) P2 + (sin a - sin b) U2 (expanded about
+        the arc that is not short), is at most |a - b|.  The radii r and r2
+        are added, then ARC_SLACK, before the chord becomes an angle,
+        2 arcsin(min(1, c / 2)).  ARC_SLACK covers the recurrence error of
+        the sampled legs against their curves (below 3e-13 at 64 samples and
+        1e-10 at ARC_MAX_SAMPLES, measured with sin(theta) down to
+        ARC_MIN_SIN), the cancellation in U (about eps / sin(theta) <= 1e-12)
+        and the rounding of the scan's chord.  A caller adds ARC_SLACK once
+        more to the angle, for the rounding of the arcsin."""
+        diff = F - F2
+        moved = diff[:, :-2]
+        chord = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+        chord += np.abs(diff[:, -2]) + F[:, -1] + F2[:, -1]
+        return 2.0 * np.arcsin(np.minimum(1.0, (chord + ARC_SLACK) / 2.0))
 
     def _ring_sizes(self, resolution):
         r = resolution + (resolution % 2)
@@ -236,6 +300,8 @@ class FlatTorus(Space):
         self.n = n
         self.point_dim = n
         self.name = f"torus{n}"
+        # every coordinate of a minimal representative lies in [-1/2, 1/2]
+        self.diameter = np.sqrt(n) / 2.0
 
     @staticmethod
     def _min_rep(delta):
@@ -296,6 +362,8 @@ class Circle(Space):
         self.length = float(circumference)
         self.point_dim = 1
         self.name = f"circle({self.length:g})"
+        # _rep lies in [-L/2, L/2]
+        self.diameter = self.length / 2.0
 
     def _rep(self, delta):
         rep = np.mod(np.asarray(delta, float) + self.length / 2, self.length) - self.length / 2

@@ -45,16 +45,39 @@ class Piece:
     "xy" (both) or "" (neither).  `build` receives the rows of just those
     inputs, then the piece's sample count n: build(X, n), build(Y, n),
     build(X, Y, n) or build(n).  It returns (rows, n, d) samples, a single
-    row for a constant piece."""
+    row for a constant piece.
+
+    A piece that is a great-circle arc gives `ends` instead: from the same
+    input rows, its endpoints (P, Q), each (rows, d), after checking that
+    the arcs are unique.  Its `build` is then slerp_batch between them, and
+    the certification sweep may bound the arc from its endpoints alone."""
 
     inputs: str
-    build: object
+    build: object = None
+    ends: object = None
+
+    def __post_init__(self):
+        if self.build is None:
+            if self.ends is None:
+                raise ValueError("a piece needs build or ends")
+            object.__setattr__(self, "build", partial(_slerp_ends, self.ends))
+
+    def _args(self, X, Y):
+        return {"": (), "x": (X,), "y": (Y,), "xy": (X, Y)}[self.inputs]
 
     def on(self, X, Y, n):
         """The piece on the rows of X (for "x"), of Y ("y"), of the pairs
         (X, Y) ("xy"), or on one row ("")."""
-        args = {"": (), "x": (X,), "y": (Y,), "xy": (X, Y)}[self.inputs]
-        return self.build(*args, n)
+        return self.build(*self._args(X, Y), n)
+
+    def endpoints(self, X, Y):
+        """(P, Q) of an arc piece on the same rows as `on`."""
+        return self.ends(*self._args(X, Y))
+
+
+def _slerp_ends(ends, *args):
+    *rows, n = args
+    return slerp_batch(*ends(*rows), n)
 
 
 def piece_samples(m: int, count: int) -> int:
@@ -159,17 +182,12 @@ def _arc_then_half(space, field):
     """The pieces of one leg: the shortest arc from X to -Y (of both
     inputs), then the half circle -Y -> Y as two quarter arcs through the
     unit tangent field(Y) (of y alone)."""
-    def arc(X, Y, n):
-        _guard_arc(space, X, -Y)
-        return slerp_batch(X, -Y, n)
+    def turn(Y):
+        return _tangent_unit(Y, field(Y))
 
-    def first_quarter(Y, n):
-        return slerp_batch(-Y, _tangent_unit(Y, field(Y)), n)
-
-    def second_quarter(Y, n):
-        return slerp_batch(_tangent_unit(Y, field(Y)), Y, n)
-
-    return (Piece("xy", arc), Piece("y", first_quarter), Piece("y", second_quarter))
+    return (_arc_piece(space, "xy", lambda X, Y: X, lambda X, Y: -Y),
+            _arc_piece(space, "y", np.negative, turn),
+            _arc_piece(space, "y", turn, _same))
 
 
 def _same(rows):
@@ -194,22 +212,22 @@ def _const_piece(inputs):
 
 
 def _geodesic_piece(space, start=_same):
-    """The shortest arc from start(X) to Y, as a piece of both inputs."""
-    return Piece("xy", lambda X, Y, n: space.geodesic(start(X), Y, n))
+    """The shortest arc from start(X) to Y on a sphere, as a piece of both
+    inputs."""
+    return _arc_piece(space, "xy", lambda X, Y: start(X), lambda X, Y: Y)
 
 
 def _arc_piece(space, inputs, start, end):
     """The guarded arc from `start` to `end` as a piece of `inputs`: each
     end is a fixed point, or a function of the piece's input rows."""
-    def build(*args):
-        *rows, n = args
+    def ends(*rows):
         shape = rows[0].shape if rows else (1, space.point_dim)
         P, Q = (e(*rows) if callable(e) else np.broadcast_to(e, shape)
                 for e in (start, end))
         _guard_arc(space, P, Q)
-        return slerp_batch(P, Q, n)
+        return P, Q
 
-    return Piece(inputs, build)
+    return Piece(inputs, ends=ends)
 
 
 def _pairing_field(Y):
@@ -304,10 +322,7 @@ def farber_sphere_cover(action: SpaceAction, name: str = "farber") -> PlannerCov
     def margin_u1(X, Y):
         return space.dist(Y, -X) - ARC_EXCLUSION
 
-    def legs_u1(X, Y, m):
-        return [space.geodesic(X, Y, m)]
-
-    sets = [CoverSet("U1", 1, margin_u1, legs_u1)]
+    sets = [CoverSet("U1", 1, margin_u1, pieces=((_geodesic_piece(space),),))]
 
     if n % 2 == 1:
         def margin_u2(X, Y):
@@ -619,10 +634,33 @@ def cover_from_covering_lift(model: QuotientModel, quotient_cover: PlannerCover,
     return PlannerCover(action=action, sets=sets, stage=2, name=name)
 
 
+def _end_piece(leg):
+    """The constant leg at the end of `leg` (a tuple of pieces), as a piece
+    of the inputs of its last piece, from that piece's final sample (an arc
+    piece's endpoint Q)."""
+    last = leg[-1]
+
+    def build(*args):
+        *rows, n = args
+        if last.ends is not None:
+            end = last.ends(*rows)[1]
+        else:
+            end = last.build(*rows, piece_samples(n, len(leg)))[:, -1].copy()
+        return _const_legs(end, n)
+
+    return Piece(last.inputs, build)
+
+
 def embed_cover(cover: PlannerCover, name: str | None = None) -> PlannerCover:
-    """Stage k -> k+1 embedding: append the constant leg at the endpoint."""
+    """Stage k -> k+1 embedding: append the constant leg at the endpoint,
+    as a piece when the set has pieces."""
     sets = []
     for cs in cover.sets:
+        if cs.pieces is not None:
+            pieces = cs.pieces + ((_end_piece(cs.pieces[-1]),),)
+            sets.append(CoverSet(cs.name, cs.stage + 1, cs.margin, pieces=pieces))
+            continue
+
         def legs(X, Y, m, cs=cs):
             base = cs.build_legs(X, Y, m)
             return base + [_const_legs(base[-1][:, -1, :], m)]

@@ -1,0 +1,243 @@
+"""The endpoint bound of arc pieces, and the edges it lets the sweep skip.
+
+An arc piece on a sphere is held by the sweep as its endpoints and frames
+(P, U, theta), and an edge is scanned only when neither the space's
+diameter nor `Sphere.arc_bound` clears it.  The bound must hold for the
+sampled legs the pieces build, and every verdict and failure dict must
+stay the chunk-order oracle's, which builds whole legs and scans every edge.
+"""
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from efftc import bounds, planners
+from efftc._kernels import slerp_batch
+from efftc.pathspace import (
+    ARC_MIN_SIN,
+    ARC_SLACK,
+    FlatTorus,
+    Sphere,
+    trivial_space_action,
+)
+from efftc.planners import CoverSet, PlannerCover
+from efftc.scenarios import BUILTINS, build_bundle, build_planner
+
+from oracles import chunk_order_verify_cover
+
+# arc angles the property test draws from: anywhere, at the frame
+# threshold, tiny, next to the antipodal guard, and zero (equal endpoints)
+NEAR_THRESHOLD = float(np.arcsin(ARC_MIN_SIN))
+ANGLES = st.one_of(
+    st.floats(0.0, np.pi - 1e-6),
+    st.floats(0.5 * NEAR_THRESHOLD, 2.0 * NEAR_THRESHOLD),
+    st.floats(0.0, 1e-7),
+    st.floats(np.pi - 2e-3, np.pi - 1e-6),
+    st.just(0.0),
+)
+
+
+def unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def arcs(rng, d, theta, rows):
+    """`rows` arcs on S^(d-1) of angle theta: (P, Q)."""
+    P = unit(rng.normal(size=(rows, d)))
+    W = rng.normal(size=(rows, d))
+    W = unit(W - (W * P).sum(axis=1, keepdims=True) * P)
+    return P, np.cos(theta) * P + np.sin(theta) * W
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([2, 3, 17, 22, 64]), d=st.sampled_from([2, 3, 4]),
+       theta=ANGLES, theta2=ANGLES, move=st.floats(0.0, 0.3),
+       stretch=st.booleans(), seed=st.integers(0, 2**16))
+def test_scanned_arcs_stay_within_the_endpoint_bound(n, d, theta, theta2, move,
+                                                     stretch, seed):
+    # pairs of arcs: the second either the first with its angle changed
+    # (same P and U, so that only |theta - theta2| separates them) or an
+    # arc of angle theta2 from a start moved by `move`
+    sphere = Sphere(d - 1)
+    rng = np.random.default_rng(seed)
+    rows = 16
+    P, Q = arcs(rng, d, theta, rows)
+    if stretch:
+        U = sphere.arc_frames(P, Q)[:, d:2 * d]
+        if not np.all(np.isclose(np.linalg.norm(U, axis=1), 1.0)):
+            _, W = arcs(rng, d, np.pi / 2, rows)
+            U = unit(W - (W * P).sum(axis=1, keepdims=True) * P)
+        P2, Q2 = P, np.cos(theta2) * P + np.sin(theta2) * U
+    else:
+        P2 = unit(P + move * rng.normal(size=(rows, d)))
+        _, Q2 = arcs(rng, d, theta2, rows)
+        Q2 = np.cos(theta2) * P2 + np.sin(theta2) * unit(
+            Q2 - (Q2 * P2).sum(axis=1, keepdims=True) * P2)
+    legs, legs2 = slerp_batch(P, Q, n), slerp_batch(P2, Q2, n)
+    idx = np.arange(rows)
+    scanned = sphere.supdiff_pairs(legs, idx, idx, legs2)
+    frames, frames2 = sphere.arc_frames(P, Q), sphere.arc_frames(P2, Q2)
+    bound = sphere.arc_bound(frames, frames2)
+    # below the threshold, a short arc is its start within a radius, and a
+    # near-antipodal one has NaN frames
+    for F, A, B in ((frames, P, Q), (frames2, P2, Q2)):
+        angle = np.arccos(np.clip((A * B).sum(axis=1), -1.0, 1.0))
+        flat = np.sin(angle) < ARC_MIN_SIN
+        short = flat & (angle < np.pi / 2)
+        assert np.array_equal(F[:, :d], A)
+        assert np.array_equal(np.isnan(F).any(axis=1), flat & ~short)
+        assert np.all(F[short, d:-1] == 0.0) and np.all(F[~flat, -1] == 0.0)
+    given_bound = ~np.isnan(bound)
+    assert np.all(scanned[given_bound] <= bound[given_bound] + ARC_SLACK), (
+        scanned, bound)
+
+
+def test_the_bound_is_tight_on_grid_arcs():
+    # farber U1's arcs between grid neighbours: the bound never falls below
+    # the scan, and meets it within 10% on some edge
+    sphere = Sphere(2)
+    pts = sphere.grid(16)
+    nbr = sphere.grid_neighbor_pairs(16)
+    x = pts[5]
+    P, Q = np.broadcast_to(x, pts.shape), pts
+    keep = sphere.dist(Q, -P) > 0.2
+    a, b = nbr[keep[nbr[:, 0]] & keep[nbr[:, 1]]].T
+    frames = sphere.arc_frames(P, Q)
+    bound = sphere.arc_bound(frames[a], frames[b])
+    legs = slerp_batch(P, Q, 64)
+    scanned = sphere.supdiff_pairs(legs, a, b)
+    given = ~np.isnan(bound)
+    assert given.mean() > 0.9
+    ratio = scanned[given] / bound[given]
+    assert 0.9 < ratio.max() <= 1.0
+
+
+def through_the_south_pole(action):
+    """A cover of S^2 x S^2 whose first set is arcs X -> S (a piece of x)
+    and S -> Y (a piece of y) on the pairs with y near S, where the arcs
+    to S are Lipschitz in y but not in x near the north pole; the second
+    set, the adversarial claim's, accepts every pair."""
+    space = action.space
+    south = -planners._north(space)
+    pieces = ((planners._arc_piece(space, "x", planners._same, south),
+               planners._arc_piece(space, "y", south, planners._same)),)
+    through = CoverSet("S", 1, lambda X, Y: 1.3 - space.dist(Y, south[None, :]),
+                       pieces=pieces)
+    rest = planners.adversarial_sphere_cover(action).sets[0]
+    return PlannerCover(action=action, sets=[through, rest], stage=1,
+                        name="through-south")
+
+
+def assert_matches_oracle(cover, **params):
+    expected = chunk_order_verify_cover(cover, **params)
+    for cpus in (1, 2):
+        with mock.patch.object(bounds, "usable_cpus", lambda n=cpus: n):
+            got = bounds.verify_cover(cover, **params)
+        assert got == expected, (cover.name, params, cpus, got, expected)
+    return expected
+
+
+def test_refutations_of_arc_covers_match_the_oracle():
+    # the farber and involution2 covers of S^2 fail continuity along y at
+    # small moduli, the cover through the south pole along x
+    bundle = build_bundle(BUILTINS["s2-involution"])
+    covers = [build_planner(planner, bundle) for planner in ("farber", "involution2")]
+    covers.append(through_the_south_pole(bundle.space_action))
+    axes = set()
+    for cover in covers:
+        assert cover.sets[0].pieces[0][0].ends is not None
+        for grid in (16, 24):
+            for modulus in (1.0, 2.0, 3.0):
+                failure = assert_matches_oracle(cover, grid=grid, modulus=modulus).failure
+                assert failure["reason"] == "continuity", (cover.name, failure)
+                assert failure["set"] == cover.sets[0].name, (cover.name, failure)
+                axis = "y" if failure["pair"][0] == failure["neighbor"][0] else "x"
+                axes.add((cover.name, axis))
+    assert axes == {("farber", "y"), ("involution2", "y"), ("through-south", "x")}, axes
+
+
+def count_scanned(cover, legs_of=None, **params):
+    """(certification, edges given to Sphere.supdiff_pairs) on one CPU;
+    with `legs_of`, only the edges of legs of that many samples."""
+    seen = []
+    scan = Sphere.supdiff_pairs
+
+    def counted(self, leg, ia, ib, other=None):
+        if legs_of is None or leg.shape[1] == legs_of:
+            seen.append(len(ia))
+        return scan(self, leg, ia, ib, other)
+
+    with mock.patch.object(Sphere, "supdiff_pairs", counted), \
+            mock.patch.object(bounds, "usable_cpus", lambda: 1):
+        cert = bounds.verify_cover(cover, **params)
+    return cert, sum(seen)
+
+
+def test_few_farber_edges_reach_the_scan():
+    # at grid 16 and L = 10, fewer than 5% of the edges the sweep scanned
+    # without the endpoint bound are scanned with it
+    cover = build_planner("farber", build_bundle(BUILTINS["s2-involution"]))
+    cert, scanned = count_scanned(cover, grid=16, modulus=10.0)
+    with mock.patch.object(Sphere, "arc_bound",
+                           staticmethod(lambda F, F2: np.full(len(F), np.nan))):
+        unbounded, every = count_scanned(cover, grid=16, modulus=10.0)
+    assert cert == unbounded and cert.certified
+    assert every > 100_000
+    assert scanned < 0.05 * every, (scanned, every)
+
+
+def test_vacuous_edges_are_not_scanned():
+    # S^1 at grid <= 18 and T^2 at grid 32: L h >= diam X on every edge, so
+    # nothing is scanned, and the certifications are the oracle's.  At grid
+    # 20, L h = 10 * 2 pi / 20 falls short of pi by rounding on some edges
+    claim = planners.adversarial_sphere_cover(trivial_space_action(Sphere(1)))
+    for grid in (16, 18, 20):
+        cert, scanned = count_scanned(claim, grid=grid)
+        assert cert.certified and (scanned == 0) == (grid <= 18)
+        assert cert == assert_matches_oracle(claim, grid=grid)
+    cert = assert_matches_oracle(claim, grid=22)
+    assert not cert.certified and cert.failure["reason"] == "continuity"
+
+    torus = planners.torus_cut_cover(trivial_space_action(FlatTorus(2)))
+    with mock.patch.object(FlatTorus, "supdiff_pairs",
+                           side_effect=AssertionError("scanned")), \
+            mock.patch.object(bounds, "usable_cpus", lambda: 1):
+        cert = bounds.verify_cover(torus, grid=32)
+    assert cert.certified
+    assert cert == assert_matches_oracle(torus, grid=32)
+
+
+def test_embedded_piece_covers_keep_their_pieces():
+    # the constant leg an embedding appends is a piece of the inputs of the
+    # last piece; the embedded legs are the former legs plus that constant
+    for scenario, planner in (("s2-involution", "farber"),
+                              ("s2-involution", "involution2"),
+                              ("s2-antipodal", "involution2"),
+                              ("s2-involution", "involution3")):
+        cover = build_planner(planner, build_bundle(BUILTINS[scenario]))
+        embedded = planners.embed_cover(cover)
+        pts = cover.action.space.grid(8)
+        X, Y = np.repeat(pts, len(pts), axis=0), np.tile(pts, (len(pts), 1))
+        for cs, es in zip(cover.sets, embedded.sets):
+            assert es.pieces[:-1] == cs.pieces
+            assert es.pieces[-1][0].inputs == cs.pieces[-1][-1].inputs
+            rows = np.flatnonzero(cs.margin(X, Y) >= 0.05)
+            for m in (64, 7):
+                base = cs.build_legs(X[rows], Y[rows], m)
+                legs = es.build_legs(X[rows], Y[rows], m)
+                assert len(legs) == len(base) + 1
+                for leg, old in zip(legs, base):
+                    assert np.array_equal(leg, old)
+                assert legs[-1].strides[1] == 0
+                assert np.array_equal(legs[-1], np.repeat(base[-1][:, -1:], m, axis=1))
+
+
+def test_arc_pieces_with_many_samples_are_scanned_from_samples():
+    # above ARC_MAX_SAMPLES the sweep holds an arc piece's samples, so the
+    # endpoint bound is not used, and the verdict is the oracle's.  The
+    # arcs of involution3 are two to a leg: ARC_MAX_SAMPLES + 1 samples each
+    cover = build_planner("involution3", build_bundle(BUILTINS["s2-involution"]))
+    params = dict(grid=8, modulus=3.0, samples=2 * bounds.ARC_MAX_SAMPLES + 2)
+    cert, scanned = count_scanned(cover, bounds.ARC_MAX_SAMPLES + 1, **params)
+    assert scanned > 0
+    assert cert == assert_matches_oracle(cover, **params)

@@ -74,7 +74,8 @@ def test_pieces_reproduce_the_former_legs():
                     assert (leg.strides[1] == 0) == (old.strides[1] == 0)
             seen.add((label, cs.name, cs.pieces is not None))
     factored = {(label, name) for label, name, has in seen if has}
-    assert {("s2-involution/farber", "U2"), ("s2-involution/farber", "U3"),
+    assert {("s2-involution/farber", "U1"),
+            ("s2-involution/farber", "U2"), ("s2-involution/farber", "U3"),
             ("s2-involution/involution2", "U1"), ("s2-involution/involution2", "U2"),
             ("s2-involution/involution3", "U"), ("s2-antipodal/involution2", "U2"),
             ("s1-flip/involution2", "U2")} <= factored

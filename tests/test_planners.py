@@ -28,6 +28,7 @@ from efftc.planners import (
     CoverSet,
     PlannerCover,
     _const_legs,
+    adversarial_sphere_cover,
     arc_cover,
     cat_cover_covering_lift,
     cat_cover_from_strict_section,
@@ -339,11 +340,17 @@ def test_constant_legs_are_read_only_views():
     for leg, end in ((first, X), (last, Y)):
         assert leg.strides[1] == 0 and not leg.flags.writeable
         assert np.array_equal(leg, np.repeat(end[:, None, :], 64, axis=1))
-    # the tail an embedding appends is a view of the last leg's endpoints
-    base = farber_sphere_cover(sphere_codim1(2))
+    # the tail an embedding appends to a set without pieces is a view of
+    # the last leg's endpoints; to a set with pieces, a constant piece at them
+    base = adversarial_sphere_cover(sphere_codim1(2))
     legs = embed_cover(base).sets[0].build_legs(X, Y, 64)
     assert len(legs) == 2 and legs[1].strides[1] == 0
     assert np.shares_memory(legs[1], legs[0]) and not legs[1].flags.writeable
+    assert np.array_equal(legs[1], np.repeat(legs[0][:, -1:, :], 64, axis=1))
+    embedded = embed_cover(farber_sphere_cover(sphere_codim1(2)))
+    assert embedded.sets[0].pieces is not None
+    legs = embedded.sets[0].build_legs(X, Y, 64)
+    assert len(legs) == 2 and legs[1].strides[1] == 0 and not legs[1].flags.writeable
     assert np.array_equal(legs[1], np.repeat(legs[0][:, -1:, :], 64, axis=1))
 
 
