@@ -14,7 +14,7 @@ import mmap
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -76,10 +76,10 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
     x on the neighbour edges it closes, from its own legs and from a halo:
     the legs of earlier rows that still have a neighbour ahead.
 
-    A set given as pieces (planners.Piece) is evaluated piece by piece: a
-    piece of x once per distinct accepted x of a block, a piece of y once
-    per distinct accepted y, a constant piece once, a piece of both on
-    every accepted pair.  Along a y edge the pieces of x and the constant
+    Every set is given as pieces (planners.Piece) and evaluated piece by
+    piece: a piece of x once per distinct accepted x of a block, a piece of
+    y once per distinct accepted y, a constant piece once, a piece of both
+    on every accepted pair.  Along a y edge the pieces of x and the constant
     ones are skipped (both ends are the same samples) and a piece of y is
     scanned once per edge; along an x edge the roles swap.  The largest
     distance over the pieces is the largest over their concatenated legs,
@@ -151,15 +151,16 @@ class _Rows:
     piece of both inputs has a row per accepted pair, in row-major order; a
     piece of x a row per x row that accepts a pair (`xrow` maps the rows
     to them, -1 for none), a piece of y a row per column that does (`ycol`),
-    a constant piece one row.  A set without pieces gives one table of both
-    inputs per leg, and no xrow or ycol."""
+    a constant piece one row."""
 
     x: np.ndarray
     acc: np.ndarray
-    tables: list
-    starts: list
-    xrow: np.ndarray | None = None
-    ycol: np.ndarray | None = None
+    tables: list = field(default_factory=list)
+    starts: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.xrow = _positions(self.acc.any(axis=1))
+        self.ycol = _positions(self.acc.any(axis=0))
 
 
 def _positions(mask):
@@ -249,18 +250,12 @@ class _Sweep:
         """_Rows of set s on the x rows `x`, where `flat` accepts the pairs
         (X, Y) (x-major).  Each piece is built on just the inputs it
         depends on."""
-        cs = self.cover.sets[s]
+        sec = _Rows(x, flat.reshape(x.size, self.m_y))
         rows = np.flatnonzero(flat)
-        acc = flat.reshape(x.size, self.m_y)
-        if cs.pieces is None:
-            legs = cs.build_legs(X[rows], Y[rows], self.samples)
-            return _Rows(x, acc, [("xy", leg) for leg in legs], [True] * len(legs))
-        xrow, ycol = _positions(acc.any(axis=1)), _positions(acc.any(axis=0))
         inputs = {"xy": (X[rows], Y[rows]),
-                  "x": (self.xpts[x[xrow >= 0]], None),
-                  "y": (None, self.ypts[ycol >= 0]), "": (None, None)}
-        tables, starts = [], []
-        for leg in cs.pieces:
+                  "x": (self.xpts[x[sec.xrow >= 0]], None),
+                  "y": (None, self.ypts[sec.ycol >= 0]), "": (None, None)}
+        for leg in self.cover.sets[s].pieces:
             n = piece_samples(self.samples, len(leg))
             for i, piece in enumerate(leg):
                 rows = inputs[piece.inputs]
@@ -269,9 +264,9 @@ class _Sweep:
                     table = _Arcs(self.space.arc_frames(P, Q), Q, n)
                 else:
                     table = piece.on(*rows, n)
-                tables.append((piece.inputs, table))
-                starts.append(i == 0)
-        return _Rows(x, acc, tables, starts, xrow, ycol)
+                sec.tables.append((piece.inputs, table))
+                sec.starts.append(i == 0)
+        return sec
 
     def rows_failure(self, x0, x1, halo, start):
         """The first failure on the x rows [x0, x1), in the order of
@@ -324,9 +319,8 @@ class _Sweep:
         """The first orbit-joint, then endpoint, failure of the accepted
         pairs `rows` (of X, Y) of set cs, or None."""
         m_y = self.m_y
-        if sec.xrow is not None:
-            at = {"x": sec.xrow[rows // m_y], "y": sec.ycol[rows % m_y],
-                  "": np.zeros(rows.size, dtype=np.intp)}
+        at = {"x": sec.xrow[rows // m_y], "y": sec.ycol[rows % m_y],
+              "": np.zeros(rows.size, dtype=np.intp)}
 
         def sample(t, j):
             # j is 0 or -1: an arc table's P or Q, bit-equal to those samples
@@ -404,7 +398,7 @@ class _Sweep:
             if flat.any():
                 return self.sections(s, xs, flat, X, Y)
             acc = flat.reshape(xs.size, m_y)
-        return _Rows(xs, acc, [], [], np.full(xs.size, -1, dtype=np.intp))
+        return _Rows(xs, acc)
 
     def x_continuity(self, s, parts, x0, x1):
         """The first x-continuity failure of set s, in (y, edge) order, on

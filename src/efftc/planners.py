@@ -5,14 +5,14 @@ and a batched section map producing the legs of a broken path for every
 accepted pair.  Verification accepts a pair into a set only with clearance
 at least epsilon, so sections are evaluated strictly inside their domains.
 
-A set may also describe its legs as pieces: each leg is a sequence of
-pieces, and each piece is a function of x alone, of y alone, of both or of
-neither.  A piece's builder receives only the inputs it depends on, so the
+Every set describes its legs as pieces: each leg is a sequence of pieces,
+and each piece is a function of x alone, of y alone, of both or of neither.
+A piece's builder receives only the inputs it depends on, so the
 certification sweep builds it once per distinct input and skips it on the
-grid edges along which it cannot move.  `build_legs` of such a set returns
-the pieces concatenated along the samples, each piece of a leg of m samples
-cut into k pieces taking ceil(m / k) of them, at least 2 (piece_samples).
-A set without pieces counts as one piece of both inputs.
+grid edges along which it cannot move.  `build_legs` returns the pieces
+concatenated along the samples, each piece of a leg of m samples cut into k
+pieces taking ceil(m / k) of them, at least 2 (piece_samples).  A cover
+transferred from a quotient keeps the inputs of the quotient's pieces.
 
 Sphere conventions for the involution scenarios: the involution negates the
 first coordinate, its fixed equator is {x0 = 0}, and the pole of the upper
@@ -112,21 +112,19 @@ def legs_from_pieces(pieces, X, Y, m):
 class CoverSet:
     """One open set of a planner cover, as margin + batched section.
 
-    `pieces`, when given, is one tuple of Pieces per leg; `build_legs` is
-    then their concatenation, and verification sweeps the pieces.  A set
-    without pieces is one piece of both inputs, its legs from build_legs; a
-    set with neither is refused."""
+    `pieces` is one tuple of Pieces per leg, and verification sweeps them;
+    `build_legs` is their concatenation (legs_from_pieces)."""
 
     name: str
     stage: int
     margin: object        # (X, Y) -> (M,) clearance values
+    pieces: tuple
     build_legs: object = None   # (X, Y, n) -> list of (M, n, d) leg arrays
-    pieces: tuple | None = None
 
     def __post_init__(self):
+        if not all(isinstance(p, Piece) for leg in self.pieces for p in leg):
+            raise TypeError(f"cover set {self.name!r}: pieces must be tuples of Pieces")
         if self.build_legs is None:
-            if self.pieces is None:
-                raise ValueError(f"cover set {self.name!r} needs build_legs or pieces")
             self.build_legs = partial(legs_from_pieces, self.pieces)
 
 
@@ -420,7 +418,7 @@ def adversarial_sphere_cover(action: SpaceAction, honest_membership: bool = Fals
             return space.dist(Y, -X)
         return np.full(X.shape[0], np.inf)
 
-    def legs(X, Y, m):
+    def arcs(X, Y, m):
         # every row's shortest arc in place; a row without a unique arc
         # first gets the harmless target X, then the tie-break below
         bad = space.dist(X, Y) > np.pi - 1e-6
@@ -431,17 +429,16 @@ def adversarial_sphere_cover(action: SpaceAction, honest_membership: bool = Fals
             t = np.linspace(0.0, 1.0, m)
             out[bad] = (np.cos(np.pi * t)[None, :, None] * X[bad][:, None, :]
                         + np.sin(np.pi * t)[None, :, None] * dirs[:, None, :])
-        return [out]
+        return out
 
-    return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, legs)],
+    return PlannerCover(action=action,
+                        sets=[CoverSet("U", 1, margin, ((Piece("xy", arcs),),))],
                         stage=1, name=name)
 
 
 def point_cover(action: SpaceAction, name: str = "point") -> PlannerCover:
-    def legs(X, Y, m):
-        return [_const_legs(X, m)]
-
-    return PlannerCover(action=action, sets=[CoverSet("U", 1, _everywhere, legs)],
+    return PlannerCover(action=action,
+                        sets=[CoverSet("U", 1, _everywhere, ((_const_piece("x"),),))],
                         stage=1, name=name)
 
 
@@ -457,31 +454,25 @@ def circle_cover(action: SpaceAction, name: str = "circle") -> PlannerCover:
     def margin_u1(X, Y):
         return length / 2.0 - space.dist(X, Y)
 
-    def legs_u1(X, Y, m):
-        return [space.geodesic(X, Y, m)]
-
     def margin_u2(X, Y):
         return space.dist(X, Y)
 
-    def legs_u2(X, Y, m):
+    def oriented(X, Y, m):
         pts = wrapped_lines(X, np.mod(Y - X, length), m, length)
         pts[:, -1, :] = np.mod(Y, length)
-        return [pts]
+        return pts
 
+    shortest = ((Piece("xy", space.geodesic),),)
     return PlannerCover(action=action,
-                        sets=[CoverSet("U1", 1, margin_u1, legs_u1),
-                              CoverSet("U2", 1, margin_u2, legs_u2)],
+                        sets=[CoverSet("U1", 1, margin_u1, shortest),
+                              CoverSet("U2", 1, margin_u2, ((Piece("xy", oriented),),))],
                         stage=1, name=name)
 
 
 def arc_cover(action: SpaceAction, name: str = "arc") -> PlannerCover:
     """Single-set stage-1 planner on a contractible arc (claimed bound 0)."""
-    space = action.space
-
-    def legs(X, Y, m):
-        return [space.geodesic(X, Y, m)]
-
-    return PlannerCover(action=action, sets=[CoverSet("U", 1, _everywhere, legs)],
+    geodesic = ((Piece("xy", action.space.geodesic),),)
+    return PlannerCover(action=action, sets=[CoverSet("U", 1, _everywhere, geodesic)],
                         stage=1, name=name)
 
 
@@ -523,16 +514,16 @@ def torus_cut_cover(action: SpaceAction, name: str = "torus-cut") -> PlannerCove
             return np.minimum(_circ_dist(d[:, 0], cuts[0]),
                               _circ_dist(d[:, 1], cuts[1]))
 
-        def legs(X, Y, m, cuts=cuts):
+        def lines(X, Y, m, cuts=cuts):
             d = Y - X
             rep = np.empty_like(d)
             for ax in range(2):
                 rep[:, ax] = np.mod(d[:, ax] - cuts[ax], 1.0) + cuts[ax] - 1.0
             pts = wrapped_lines(X, rep, m, 1.0)
             pts[:, -1, :] = np.mod(Y, 1.0)
-            return [pts]
+            return pts
 
-        sets.append(CoverSet(f"V{idx}", 1, margin, legs))
+        sets.append(CoverSet(f"V{idx}", 1, margin, ((Piece("xy", lines),),)))
     return PlannerCover(action=action, sets=sets, stage=1, name=name)
 
 
@@ -558,17 +549,32 @@ def _by_blocks(total, block):
     return out
 
 
-def _section_legs(model: QuotientModel, qset: CoverSet, X, Y, m):
-    """The strict section of quotient set qset's first leg on the projected
-    pairs, sample by sample."""
-    pX, pY = model.project(X), model.project(Y)
+def _projected_margin(model: QuotientModel, qset: CoverSet):
+    """The margin of quotient set qset at the projected pairs."""
+    return lambda X, Y: qset.margin(model.project(X), model.project(Y))
 
-    def block(rows):
-        qleg = qset.build_legs(pX[rows], pY[rows], m)[0]
-        flat = model.section(qleg.reshape(-1, qleg.shape[-1]))
-        return flat.reshape(qleg.shape[0], qleg.shape[1], -1)
 
-    return _by_blocks(X.shape[0], block)
+def _section_piece(model: QuotientModel, piece: Piece) -> Piece:
+    """The strict section of a quotient piece, sample by sample, as a piece
+    of the same inputs: the quotient piece on the projected rows, built in
+    blocks of LIFT_ROWS rows."""
+    def build(*args):
+        *rows, n = args
+        projected = [model.project(r) for r in rows]
+
+        def block(at):
+            part = piece.build(*(p[at] for p in projected), n)
+            flat = model.section(part.reshape(-1, part.shape[-1]))
+            return flat.reshape(part.shape[0], part.shape[1], -1)
+
+        return _by_blocks(len(rows[0]) if rows else 1, block)
+
+    return Piece(piece.inputs, build)
+
+
+def _section_leg(model: QuotientModel, qset: CoverSet) -> tuple:
+    """The strict section of quotient set qset's first leg, piece by piece."""
+    return tuple(_section_piece(model, piece) for piece in qset.pieces[0])
 
 
 def _check_strict_section(model: QuotientModel):
@@ -587,18 +593,34 @@ def cover_from_strict_section(model: QuotientModel, quotient_cover: PlannerCover
     _check_strict_section(model)
     if quotient_cover.stage != 1:
         raise ValueError("quotient cover must be stage 1")
-    action = model.action
-    sets = []
-    for qset in quotient_cover.sets:
-        def margin(X, Y, qset=qset):
-            return qset.margin(model.project(X), model.project(Y))
+    sets = [CoverSet(qset.name, 3, _projected_margin(model, qset),
+                     ((_const_piece("x"),), _section_leg(model, qset),
+                      (_const_piece("y"),)))
+            for qset in quotient_cover.sets]
+    return PlannerCover(action=model.action, sets=sets, stage=3, name=name)
 
-        def legs(X, Y, m, qset=qset):
-            lifted = _section_legs(model, qset, X, Y, m)
-            return [_const_legs(X, m), lifted, _const_legs(Y, m)]
 
-        sets.append(CoverSet(qset.name, 3, margin, legs))
-    return PlannerCover(action=action, sets=sets, stage=3, name=name)
+def _lift_piece(model: QuotientModel, qset: CoverSet) -> Piece:
+    """The unique lift from x of quotient set qset's first leg on the
+    projected pairs, as a piece of both inputs, built in blocks of LIFT_ROWS
+    rows; LiftError when the lift strays from that leg."""
+    def build(X, Y, n):
+        pX, pY, errs = model.project(X), model.project(Y), []
+
+        def block(rows):
+            qleg = qset.build_legs(pX[rows], pY[rows], n)[0]
+            lifted = model.lift_path(qleg, X[rows])
+            errs.append(np.max(model.quotient_space.dist(
+                model.project(lifted), qleg)))
+            return lifted
+
+        lifted = _by_blocks(X.shape[0], block)
+        err = max(errs)
+        if err > 1e-6:
+            raise LiftError(f"lift diverged by {err:.2e}")
+        return lifted
+
+    return Piece("xy", build)
 
 
 def cover_from_covering_lift(model: QuotientModel, quotient_cover: PlannerCover,
@@ -609,28 +631,9 @@ def cover_from_covering_lift(model: QuotientModel, quotient_cover: PlannerCover,
         raise ValueError("covering-lift transfer needs a free action")
     if quotient_cover.stage != 1:
         raise ValueError("quotient cover must be stage 1")
-    sets = []
-    for qset in quotient_cover.sets:
-        def margin(X, Y, qset=qset):
-            return qset.margin(model.project(X), model.project(Y))
-
-        def legs(X, Y, m, qset=qset):
-            pX, pY, errs = model.project(X), model.project(Y), []
-
-            def block(rows):
-                qleg = qset.build_legs(pX[rows], pY[rows], m)[0]
-                lifted = model.lift_path(qleg, X[rows])
-                errs.append(np.max(model.quotient_space.dist(
-                    model.project(lifted), qleg)))
-                return lifted
-
-            lifted = _by_blocks(X.shape[0], block)
-            err = max(errs)
-            if err > 1e-6:
-                raise LiftError(f"lift diverged by {err:.2e}")
-            return [lifted, _const_legs(Y, m)]
-
-        sets.append(CoverSet(qset.name, 2, margin, legs))
+    sets = [CoverSet(qset.name, 2, _projected_margin(model, qset),
+                     ((_lift_piece(model, qset),), (_const_piece("y"),)))
+            for qset in quotient_cover.sets]
     return PlannerCover(action=action, sets=sets, stage=2, name=name)
 
 
@@ -653,19 +656,10 @@ def _end_piece(leg):
 
 def embed_cover(cover: PlannerCover, name: str | None = None) -> PlannerCover:
     """Stage k -> k+1 embedding: append the constant leg at the endpoint,
-    as a piece when the set has pieces."""
-    sets = []
-    for cs in cover.sets:
-        if cs.pieces is not None:
-            pieces = cs.pieces + ((_end_piece(cs.pieces[-1]),),)
-            sets.append(CoverSet(cs.name, cs.stage + 1, cs.margin, pieces=pieces))
-            continue
-
-        def legs(X, Y, m, cs=cs):
-            base = cs.build_legs(X, Y, m)
-            return base + [_const_legs(base[-1][:, -1, :], m)]
-
-        sets.append(CoverSet(cs.name, cs.stage + 1, cs.margin, legs))
+    as a piece (_end_piece)."""
+    sets = [CoverSet(cs.name, cs.stage + 1, cs.margin,
+                     cs.pieces + ((_end_piece(cs.pieces[-1]),),))
+            for cs in cover.sets]
     return PlannerCover(action=cover.action, sets=sets, stage=cover.stage + 1,
                         kind=cover.kind, basepoint=cover.basepoint,
                         name=name or (cover.name + "+embed"))
@@ -679,20 +673,11 @@ def cat_cover_from_strict_section(model: QuotientModel,
                                   name: str = "cat-strict-section") -> PlannerCover:
     """Stage-2 based cover of X from a based cover of X/G (strict section)."""
     _check_strict_section(model)
-    action = model.action
-    basepoint = np.asarray(basepoint, float)
-    sets = []
-    for qset in quotient_cat_cover.sets:
-        def margin(X, Y, qset=qset):
-            return qset.margin(model.project(X), model.project(Y))
-
-        def legs(X, Y, m, qset=qset):
-            lifted = _section_legs(model, qset, X, Y, m)
-            return [lifted, _const_legs(Y, m)]
-
-        sets.append(CoverSet(qset.name, 2, margin, legs))
-    return PlannerCover(action=action, sets=sets, stage=2, kind="cat",
-                        basepoint=basepoint, name=name)
+    sets = [CoverSet(qset.name, 2, _projected_margin(model, qset),
+                     (_section_leg(model, qset), (_const_piece("y"),)))
+            for qset in quotient_cat_cover.sets]
+    return PlannerCover(action=model.action, sets=sets, stage=2, kind="cat",
+                        basepoint=np.asarray(basepoint, float), name=name)
 
 
 def cat_cover_covering_lift(action: SpaceAction, basepoint, centers,
@@ -722,16 +707,18 @@ def cat_cover_covering_lift(action: SpaceAction, basepoint, centers,
         def margin(X, Y, center=center):
             return radius - space.dist(np.broadcast_to(center, Y.shape), Y)
 
-        def legs(X, Y, m, center=center, deck=deck):
+        def moved_arcs(Y, m, center=center, deck=deck):
+            # the arcs center -> y, carried to the basepoint by the deck move
             def block(rows):
                 Yb = Y[rows]
                 arc = space.geodesic(np.broadcast_to(center, Yb.shape), Yb, m)
                 flat = arc.reshape(-1, arc.shape[-1])
                 return action.act(deck, flat).reshape(arc.shape)
 
-            return [_by_blocks(Y.shape[0], block), _const_legs(Y, m)]
+            return _by_blocks(Y.shape[0], block)
 
-        sets.append(CoverSet(f"B{i}", 2, margin, legs))
+        sets.append(CoverSet(f"B{i}", 2, margin,
+                             ((Piece("y", moved_arcs),), (_const_piece("y"),))))
     return PlannerCover(action=action, sets=sets, stage=2, kind="cat",
                         basepoint=basepoint, name=name)
 

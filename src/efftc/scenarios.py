@@ -55,6 +55,17 @@ def check_params(params: dict) -> None:
             raise ValueError(f"{key} must be {what}, got {params[key]!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _name(value, what: str):
+    """`value` when it is a name (a string) or None, else ValueError."""
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{what} must be a name, got {value!r}")
+    return value
+
+
 def _asserts_something(exp) -> bool:
     """An expectation names a check's outcome ("criterion", "cd_bound"), or
     an invariant ("tc" or "cat") with its lower or upper value."""
@@ -63,6 +74,18 @@ def _asserts_something(exp) -> bool:
     if "criterion" in exp or "cd_bound" in exp:
         return True
     return exp.get("invariant") in ("tc", "cat") and ("lower" in exp or "upper" in exp)
+
+
+def _check_expectation(exp) -> None:
+    """ValueError unless the expectation asserts something, with integer
+    bounds, at an integer stage or "inf"."""
+    if not _asserts_something(exp):
+        raise ValueError(f"an expectation asserts nothing: {exp!r}")
+    for key in ("lower", "upper"):
+        if key in exp and not _is_int(exp[key]):
+            raise ValueError(f"an expectation's {key} is not an integer: {exp!r}")
+    if "stage" in exp and not (_is_int(exp["stage"]) or exp["stage"] == "inf"):
+        raise ValueError(f"an expectation's stage is not an integer or 'inf': {exp!r}")
 
 
 @dataclass
@@ -79,15 +102,20 @@ class Scenario:
     expected: list = field(default_factory=list)
 
     def __post_init__(self):
+        _name(self.id, "the scenario's id")
         if not isinstance(self.space, dict):
             raise ValueError("the scenario's space is not a JSON object")
-        kind = self.space.get("kind")
-        if (kind, self.action) not in _SPACE_ACTIONS:
+        kind = _name(self.space.get("kind"), "the space kind")
+        if (kind, _name(self.action, "the action")) not in _SPACE_ACTIONS:
             raise ValueError(f"no action {self.action!r} on space kind {kind!r}")
-        if self.complex is not None:
+        for key in _SPACE_SIZES.get(kind, ()):
+            if not _is_int(self.space.get(key)) or self.space[key] < 1:
+                raise ValueError(f"a {kind} space needs a positive integer {key!r}, "
+                                 f"got {self.space.get(key)!r}")
+        if _name(self.complex, "the complex") is not None:
             if not _is_file(self.complex, ".cx") and self.complex not in _COMPLEXES:
                 raise ValueError(f"unknown complex {self.complex!r}")
-            act = self.simplicial_action or "trivial"
+            act = _name(self.simplicial_action, "the simplicial action") or "trivial"
             if act != "trivial" and not _is_file(act, ".act") \
                     and (self.complex, act) not in _SIMPLICIAL_ACTIONS:
                 raise ValueError(f"no simplicial action {act!r} on {self.complex!r}")
@@ -96,12 +124,17 @@ class Scenario:
         for step in self.pipeline:
             if not isinstance(step, dict):
                 raise ValueError(f"a pipeline step is not a JSON object: {step!r}")
-            op, method = step.get("op"), step.get("method")
+            op, method = _name(step.get("op"), "op"), _name(step.get("method"), "method")
             if (op, method) not in _STEPS:
                 raise ValueError(f"unknown pipeline step: op {op!r}, "
                                  f"method {method!r}")
-            if method is None and step.get("planner") not in _PLANNERS:
+            if method is None and _name(step.get("planner"), "planner") not in _PLANNERS:
                 raise ValueError(f"unknown planner {step.get('planner')!r}")
+            elements = step.get("elements")
+            if elements is not None and not (isinstance(elements, list) and elements
+                                             and all(map(_is_int, elements))):
+                raise ValueError(f"elements must be a non-empty list of integers, "
+                                 f"got {elements!r}")
             needs_model, _ = _STEPS[op, method]
             if needs_model and self.complex is None:
                 raise ValueError("exact lower bounds and checks need a simplicial "
@@ -109,8 +142,7 @@ class Scenario:
         if not isinstance(self.expected, list):
             raise ValueError("the scenario's expected is not a JSON list")
         for exp in self.expected:
-            if not _asserts_something(exp):
-                raise ValueError(f"an expectation asserts nothing: {exp!r}")
+            _check_expectation(exp)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -166,6 +198,9 @@ _SPACE_ACTIONS = {
     ("wedge", "wedge-swap"): (lambda spec: M.wedge_swap(int(spec["branches"])),
                               M.wedge_quotient),
 }
+
+# space kind -> the sizes its spec gives, each a positive integer
+_SPACE_SIZES = {"sphere": ("n",), "wedge": ("branches",)}
 
 # space class -> (default basepoint, radius of the cat-covering-lift balls)
 _BASEPOINTS = {

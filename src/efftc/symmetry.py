@@ -489,11 +489,17 @@ def saturated_diagonal(action: GroupAction, elements=None) -> SaturatedDiagonal:
     the staircase product exactly when the element is order-monotone on every
     simplex, which one subdivision (dimension-primary order) guarantees.  A
     slice simplex lies in the product when both its coordinate tuples
-    strictly increase, which is checked simplex by simplex.
+    strictly increase, which is checked simplex by simplex.  An element
+    that is not an integer in range(|G|) is a ValueError.
     """
+    order = action.group.order
     if elements is None:
-        elements = list(range(action.group.order))
-    elements = sorted(set(elements))
+        elements = list(range(order))
+    elements = list(elements)
+    if not all(isinstance(g, (int, np.integer)) and not isinstance(g, bool)
+               and 0 <= g < order for g in elements):
+        raise ValueError(f"elements must be group elements 0..{order - 1}, got {elements!r}")
+    elements = sorted(set(int(g) for g in elements))
     current = action
     subdivisions = 0
     while not all(_monotone_on_simplices(current, g) for g in elements):

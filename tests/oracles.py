@@ -15,8 +15,11 @@ buffer, the adversarial legs assembled from a separate geodesic of the rows
 with a unique arc, the legs of the sphere covers built whole on every pair
 (before they were cut into pieces of x, of y, of both and of neither), the
 chains of arcs of the hemisphere and geodesic cat covers joined by
-`slerp_chain` (before they were given as pieces), and the Python-set
-neighbour loop of the sphere grids.
+`slerp_chain` (before they were given as pieces), the whole legs of the
+point, circle, arc and torus-cut covers and of the covers transferred from
+a quotient (before every set was given as pieces), and the Python-set
+neighbour loop of the sphere grids.  `leg_pieces` turns a test's whole-leg
+builder into the pieces a cover set is made from.
 The group-action oracles are the tuple-and-dict forms of what `symmetry`
 now does on integer tables: they apply vertex maps simplex by simplex, and
 look simplices up in sets and dicts built from a complex's tuple view,
@@ -37,10 +40,19 @@ import numpy as np
 from efftc import bounds
 from efftc.bounds import Certification
 from efftc._kernels import slerp_into
-from efftc.pathspace import leg_residuals
+from efftc.models import Hemisphere
+from efftc.pathspace import (
+    Arc,
+    FlatTorus,
+    leg_residuals,
+    trivial_space_action,
+    wrapped_lines,
+)
 from efftc.planners import (
     CoverSet,
+    Piece,
     PlannerCover,
+    TORUS_CUTS,
     _const_legs,
     _fold,
     _guard_arc,
@@ -50,6 +62,8 @@ from efftc.planners import (
     _tangent_unit,
     detect_sphere_action,
     embed_cover,
+    hemisphere_cat_cover,
+    hemisphere_cover,
 )
 from efftc.complexes import (
     Cochain,
@@ -416,6 +430,14 @@ def catalog_certification(scenario, planner, grid, embedded, cpus):
         return bounds.verify_cover(cover, grid=grid)
 
 
+def leg_pieces(legs, count=1):
+    """A whole-leg builder legs(X, Y, m) -> `count` (M, m, d) arrays as the
+    pieces of a cover set: leg k is one piece of both inputs, built as
+    legs(X, Y, m)[k]."""
+    return tuple((Piece("xy", lambda X, Y, m, k=k: legs(X, Y, m)[k]),)
+                 for k in range(count))
+
+
 def residuals_of_legs(action, legs, X, Y):
     """leg_residuals of the broken paths whose legs are (M, n_i, d) arrays."""
     return leg_residuals(action, [leg[:, 0] for leg in legs],
@@ -482,7 +504,7 @@ def adversarial_cover_by_parts(action, honest_membership: bool = False):
                         + np.sin(np.pi * t)[None, :, None] * dirs[:, None, :])
         return [out]
 
-    return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, legs)],
+    return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, leg_pieces(legs))],
                         stage=1, name="adversarial")
 
 
@@ -602,6 +624,86 @@ def whole_sphere_legs(planner, action) -> dict:
 
         return {"U": u}
     raise ValueError(f"no whole-leg oracle for {planner!r}")
+
+
+def former_quotient_legs(q_action, kind) -> dict:
+    """{set name: build_legs} of the tc ("tc") or cat ("cat") cover of a
+    quotient space, as circle_cover, arc_cover and torus_cut_cover built
+    their legs whole, and the hemisphere covers as whole_chain_legs does."""
+    space = q_action.space
+    if isinstance(space, Hemisphere):
+        make = hemisphere_cat_cover if kind == "cat" else hemisphere_cover
+        return whole_chain_legs(make(q_action))
+    if isinstance(space, FlatTorus):
+        def torus_legs(cuts):
+            def legs(X, Y, m):
+                d = Y - X
+                rep = np.empty_like(d)
+                for ax in range(2):
+                    rep[:, ax] = np.mod(d[:, ax] - cuts[ax], 1.0) + cuts[ax] - 1.0
+                pts = wrapped_lines(X, rep, m, 1.0)
+                pts[:, -1, :] = np.mod(Y, 1.0)
+                return [pts]
+            return legs
+
+        return {f"V{i}": torus_legs(cuts) for i, cuts in enumerate(TORUS_CUTS)}
+    geodesic = {"U": lambda X, Y, m: [space.geodesic(X, Y, m)]}
+    if isinstance(space, Arc):
+        return geodesic
+
+    def oriented(X, Y, m):
+        pts = wrapped_lines(X, np.mod(Y - X, space.length), m, space.length)
+        pts[:, -1, :] = np.mod(Y, space.length)
+        return [pts]
+
+    return {"U1": geodesic["U"], "U2": oriented}
+
+
+def former_whole_legs(planner, bundle) -> dict:
+    """{set name: build_legs} of a catalog planner whose sets were given as
+    whole legs, each leg built whole on every pair: the point and torus-cut
+    covers, and the covers transferred from a quotient cover (whose legs
+    are former_quotient_legs), as they were before they became pieces."""
+    act = bundle.space_action
+    model = bundle.quotient_model
+    if planner in ("point", "cat-point"):
+        return {"U": lambda X, Y, m: [_const_legs(X, m)]}
+    if planner in ("torus-cut", "cat-torus-cut"):
+        return former_quotient_legs(act, "tc")
+    if planner == "cat-covering-lift":
+        base = bundle.basepoint
+        legs = {}
+        for i in range(act.group.order):
+            center = act.act(i, base)
+            deck = next(g for g in range(act.group.order)
+                        if float(act.space.dist(act.act(g, center), base)) <= 1e-9)
+
+            def moved(X, Y, m, center=center, deck=deck):
+                arc = act.space.geodesic(np.broadcast_to(center, Y.shape), Y, m)
+                flat = act.act(deck, arc.reshape(-1, arc.shape[-1]))
+                return [flat.reshape(arc.shape), _const_legs(Y, m)]
+
+            legs[f"B{i}"] = moved
+        return legs
+    if planner not in ("covering-lift", "strict-section", "wedge", "cat-strict-section"):
+        raise ValueError(f"no former whole-leg builder for {planner!r}")
+    kind = "cat" if planner.startswith("cat-") else "tc"
+    quotient = former_quotient_legs(
+        trivial_space_action(model.quotient_space), kind)
+
+    def transfer(qlegs):
+        def legs(X, Y, m):
+            qleg = qlegs(model.project(X), model.project(Y), m)[0]
+            if planner == "covering-lift":
+                return [model.lift_path(qleg, X), _const_legs(Y, m)]
+            flat = model.section(qleg.reshape(-1, qleg.shape[-1]))
+            lifted = flat.reshape(qleg.shape[0], qleg.shape[1], -1)
+            if kind == "cat":
+                return [lifted, _const_legs(Y, m)]
+            return [_const_legs(X, m), lifted, _const_legs(Y, m)]
+        return legs
+
+    return {name: transfer(qlegs) for name, qlegs in quotient.items()}
 
 
 def neighbor_pairs_by_sets(sphere, resolution) -> np.ndarray:

@@ -52,7 +52,7 @@ from efftc.planners import (
 )
 from efftc.symmetry import action_from_generator_perms, trivial_action
 
-from oracles import product_zero_divisor_cup_length, product_zero_divisors
+from oracles import leg_pieces, product_zero_divisor_cup_length, product_zero_divisors
 
 
 # ------------------------------------------------------------ verification
@@ -189,8 +189,8 @@ def test_validation_refutes_broken_section():
         bad = np.broadcast_to(np.array([0.0, 1.0]), Y.shape)
         return [_const_legs(X, m), _const_legs(bad, m)]
 
-    cover = PlannerCover(action=act, sets=[CoverSet("bad", 2, margin, legs)],
-                         stage=2)
+    cover = PlannerCover(action=act,
+                         sets=[CoverSet("bad", 2, margin, leg_pieces(legs, 2))], stage=2)
     cert = verify_cover(cover, grid=8)
     assert not cert.certified
     assert cert.failure["reason"] == "validation"

@@ -23,7 +23,7 @@ from efftc.pathspace import (
 )
 from efftc.planners import CoverSet, PlannerCover, _const_legs, embed_cover
 
-from oracles import residuals_of_legs, slerp_chain
+from oracles import leg_pieces, residuals_of_legs, slerp_chain
 
 
 def length(space, points):
@@ -175,7 +175,8 @@ def test_embed_stage_preserves_endpoints_and_validity():
     def legs(X, Y, m):
         return [act.space.geodesic(X, Y, m)]
 
-    cover = PlannerCover(action=act, sets=[CoverSet("U", 1, None, legs)], stage=1)
+    cover = PlannerCover(action=act, sets=[CoverSet("U", 1, None, leg_pieces(legs))],
+                         stage=1)
     base = legs(x, y, 16)
     emb = embed_cover(cover).sets[0].build_legs(x, y, 16)
     assert len(emb) == 2

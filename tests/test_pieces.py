@@ -1,11 +1,13 @@
 """Leg pieces against the legs they replace.
 
-The farber, involution2 and involution3 sphere covers, the hemisphere
-covers and the geodesic cat cover describe their legs as pieces of x, of
-y, of both or of neither.  `build_legs` must still return the former legs
-bit for bit (tests/oracles.py::whole_sphere_legs and whole_chain_legs),
-whose arcs slerp_chain joined, also when the samples do not split evenly
-over the pieces; and a piece built once per distinct input must equal the
+Every cover set describes its legs as pieces of x, of y, of both or of
+neither.  `build_legs` must still return the former legs bit for bit: of
+the farber, involution2 and involution3 sphere covers, the hemisphere
+covers and the geodesic cat cover (tests/oracles.py::whole_sphere_legs and
+whole_chain_legs), whose arcs slerp_chain joined, also when the samples do
+not split evenly over the pieces; and of the point, circle, arc and
+torus-cut covers and the covers transferred from a quotient cover
+(former_whole_legs).  A piece built once per distinct input must equal the
 same piece built on every pair.
 """
 import functools
@@ -16,16 +18,24 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from efftc import models
 from efftc.errors import GeodesicDegeneracyError
-from efftc.pathspace import trivial_space_action
+from efftc.pathspace import Arc, Circle, FlatTorus, trivial_space_action
 from efftc.planners import (
+    arc_cover,
+    circle_cover,
     farber_sphere_cover,
     hemisphere_cat_cover,
     hemisphere_cover,
     piece_samples,
+    torus_cut_cover,
 )
 from efftc.scenarios import BUILTINS, DEFAULT_PARAMS, build_bundle, build_planner
 
-from oracles import whole_chain_legs, whole_sphere_legs
+from oracles import (
+    former_quotient_legs,
+    former_whole_legs,
+    whole_chain_legs,
+    whole_sphere_legs,
+)
 
 FACTORED = ("farber", "involution2", "involution3")
 SAMPLES = (64, 65, 2, 3, 7, 17)
@@ -178,3 +188,83 @@ def test_a_piece_built_on_distinct_rows_equals_it_built_per_pair(
                 per_pair = piece.on(pts[xi], pts[yi], n)
                 assert np.array_equal(np.broadcast_to(per_pair, gathered.shape),
                                       gathered)
+
+
+# the catalog planners whose sets were whole legs, and the inputs of the
+# pieces of each leg of their sets
+CONVERTED = {
+    "point": [("x",)],
+    "cat-point": [("x",)],
+    "torus-cut": [("xy",)],
+    "cat-torus-cut": [("xy",)],
+    "covering-lift": [("xy",), ("y",)],
+    "cat-covering-lift": [("y",), ("y",)],
+    "strict-section": [("x",), ("xy",), ("y",)],
+    "wedge": [("x",), ("xy",), ("y",)],
+    "cat-strict-section": [("xy",), ("y",)],
+}
+CONVERTED_SAMPLES = (64, 65, 2, 17)
+
+
+def converted_covers():
+    """(label, cover, former legs) for every catalog step of a converted
+    planner, then the circle, arc and torus-cut covers of the quotients."""
+    for scenario in BUILTINS.values():
+        bundle = build_bundle(scenario)
+        for step in scenario.pipeline:
+            planner = step.get("planner")
+            if planner in CONVERTED:
+                yield (f"{scenario.id}/{planner}", build_planner(planner, bundle),
+                       former_whole_legs(planner, bundle))
+    for space, make in ((Circle(np.pi), circle_cover), (Circle(2 * np.pi), circle_cover),
+                        (Arc(np.pi), arc_cover), (FlatTorus(2), torus_cut_cover)):
+        act = trivial_space_action(space)
+        yield f"quotient/{space.name}", make(act), former_quotient_legs(act, "tc")
+
+
+def grid_pairs(cover, cs):
+    """The pairs of a small grid that set cs accepts (x the basepoint for
+    a cat cover)."""
+    space = cover.action.space
+    ys = space.grid(12 if space.name == "sphere2" else 24)
+    xs = cover.basepoint[None, :] if cover.kind == "cat" else ys
+    X, Y = np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
+    rows = np.flatnonzero(cs.margin(X, Y) >= DEFAULT_PARAMS["epsilon"])
+    return X[rows], Y[rows]
+
+
+def test_converted_covers_reproduce_their_whole_legs():
+    labels = []
+    for label, cover, former in converted_covers():
+        assert [cs.name for cs in cover.sets] == list(former), label
+        for cs in cover.sets:
+            X, Y = grid_pairs(cover, cs)
+            assert len(X) > 0, (label, cs.name)
+            for m in CONVERTED_SAMPLES:
+                got = cs.build_legs(X, Y, m)
+                expected = former[cs.name](X, Y, m)
+                assert len(got) == len(expected), (label, cs.name, m)
+                for leg, old in zip(got, expected):
+                    assert leg.shape == old.shape, (label, cs.name, m)
+                    assert np.array_equal(leg, old), (label, cs.name, m)
+                    # a constant leg stays a zero-stride view
+                    assert (leg.strides[1] == 0) == (old.strides[1] == 0), (label, m)
+        labels.append(label)
+    assert len(labels) == 20, labels
+
+
+def test_transferred_covers_inherit_the_quotient_pieces_inputs():
+    seen = set()
+    for label, cover, _ in converted_covers():
+        planner = label.split("/")[1]
+        if planner not in CONVERTED:
+            continue
+        for cs in cover.sets:
+            inputs = [tuple(piece.inputs for piece in leg) for leg in cs.pieces]
+            expected = CONVERTED[planner]
+            if label == "s2-involution/cat-strict-section":
+                # the hemisphere's cat cover is an arc of y, so its section is
+                expected = [("y",), ("y",)]
+            assert inputs == expected, (label, cs.name, inputs)
+            seen.add(label)
+    assert "s2-involution/cat-strict-section" in seen

@@ -44,7 +44,7 @@ from efftc.planners import (
     torus_cut_cover,
 )
 
-from oracles import residuals_of_legs
+from oracles import leg_pieces, residuals_of_legs
 
 
 def assert_valid(cover, legs, x, y):
@@ -340,18 +340,14 @@ def test_constant_legs_are_read_only_views():
     for leg, end in ((first, X), (last, Y)):
         assert leg.strides[1] == 0 and not leg.flags.writeable
         assert np.array_equal(leg, np.repeat(end[:, None, :], 64, axis=1))
-    # the tail an embedding appends to a set without pieces is a view of
-    # the last leg's endpoints; to a set with pieces, a constant piece at them
-    base = adversarial_sphere_cover(sphere_codim1(2))
-    legs = embed_cover(base).sets[0].build_legs(X, Y, 64)
-    assert len(legs) == 2 and legs[1].strides[1] == 0
-    assert np.shares_memory(legs[1], legs[0]) and not legs[1].flags.writeable
-    assert np.array_equal(legs[1], np.repeat(legs[0][:, -1:, :], 64, axis=1))
-    embedded = embed_cover(farber_sphere_cover(sphere_codim1(2)))
-    assert embedded.sets[0].pieces is not None
-    legs = embedded.sets[0].build_legs(X, Y, 64)
-    assert len(legs) == 2 and legs[1].strides[1] == 0 and not legs[1].flags.writeable
-    assert np.array_equal(legs[1], np.repeat(legs[0][:, -1:, :], 64, axis=1))
+    # the tail an embedding appends is a constant piece at the last leg's
+    # endpoints: of the adversarial arcs (built whole), and of farber's U1
+    # (an arc piece, its end from the arc's endpoint)
+    for base in (adversarial_sphere_cover(sphere_codim1(2)),
+                 farber_sphere_cover(sphere_codim1(2))):
+        legs = embed_cover(base).sets[0].build_legs(X, Y, 64)
+        assert len(legs) == 2 and legs[1].strides[1] == 0 and not legs[1].flags.writeable
+        assert np.array_equal(legs[1], np.repeat(legs[0][:, -1:, :], 64, axis=1))
 
 
 def test_plan_returns_valid_legs():
@@ -384,22 +380,34 @@ def test_plan_raises_on_an_invalid_section():
     def misses(X, Y, m):
         return [act.space.geodesic(X, z, m)]
 
-    for legs, what in ((jumps, "joint residuals \\[1.57"),
-                       (misses, "endpoint residuals \\[0.0, 1.57")):
-        cover = PlannerCover(action=act, sets=[CoverSet("V", 1, everywhere, legs)],
+    for pieces, what in ((leg_pieces(jumps, 2), "joint residuals \\[1.57"),
+                         (leg_pieces(misses), "endpoint residuals \\[0.0, 1.57")):
+        cover = PlannerCover(action=act, sets=[CoverSet("V", 1, everywhere, pieces)],
                              stage=1)
         with pytest.raises(ValueError, match=f"set V gives no broken path.*{what}"):
             cover.plan(x, y)
 
 
-def test_a_cover_set_needs_legs_or_pieces():
-    with pytest.raises(ValueError, match="'U' needs build_legs or pieces"):
-        CoverSet("U", 1, lambda X, Y: np.zeros(len(X)))
-    # either one is enough, and both together (a traced copy of a set
-    # with pieces) too
-    cs = involution_three_stage_planner(sphere_codim1(2)).sets[0]
-    assert CoverSet("U", 3, cs.margin, cs.build_legs).pieces is None
-    assert CoverSet("U", 3, cs.margin, pieces=cs.pieces).build_legs is not None
+def test_a_cover_set_needs_pieces():
+    # a set fails when it is made without pieces, or with a legs function
+    # where they go, bare or wrapped as a leg
+    def margin(X, Y):
+        return np.zeros(len(X))
+
+    def legs(X, Y, m):
+        return [act.space.geodesic(X, Y, m)]
+
+    act = sphere_codim1(2)
+    with pytest.raises(TypeError):
+        CoverSet("U", 1, margin)
+    with pytest.raises(TypeError):
+        CoverSet("U", 1, margin, legs)
+    with pytest.raises(TypeError, match="'U': pieces must be tuples of Pieces"):
+        CoverSet("U", 1, margin, ((legs,),))
+    # build_legs is derived from the pieces; a traced copy that replaces
+    # it keeps them
+    cs = involution_three_stage_planner(act).sets[0]
+    assert CoverSet("U", 3, cs.margin, cs.pieces).build_legs is not None
     assert dataclasses.replace(cs, build_legs=cs.build_legs).pieces == cs.pieces
 
 

@@ -30,6 +30,7 @@ from efftc.symmetry import (
 )
 
 from oracles import (
+    leg_pieces,
     maximal_by_subsets,
     oracle_betti,
     oracle_cd,
@@ -190,7 +191,8 @@ def test_embedding_preserves_endpoints_and_residuals(seed):
         # an orbit jump at the end of the first leg, then the arc to y
         return [_const_legs(X, m), act.space.geodesic(act.act(1, X), Y, m)]
 
-    cover = PlannerCover(action=act, sets=[CoverSet("U", 2, None, legs)], stage=2)
+    cover = PlannerCover(action=act, sets=[CoverSet("U", 2, None, leg_pieces(legs, 2))],
+                         stage=2)
     base = legs(X, Y, 8)
     emb = embed_cover(cover).sets[0].build_legs(X, Y, 8)
     assert np.array_equal(emb[0][:, 0], base[0][:, 0])

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from efftc.cli import main
 from efftc.errors import (
@@ -393,3 +397,151 @@ def test_readme_lists_the_scenario_names():
     assert {(cx, a) for complexes, names in carried
             for cx in complexes for a in names} \
         == set(scenarios._SIMPLICIAL_ACTIONS)
+
+
+_HEXAGON = {"id": "bad", "space": {"kind": "sphere", "n": 1}, "action": "antipodal",
+            "complex": "hexagon", "simplicial_action": "antipodal"}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"action": ["antipodal"]}, "the action must be a name, got ['antipodal']"),
+    ({"complex": ["hexagon"]}, "the complex must be a name, got ['hexagon']"),
+    ({"space": {"kind": ["sphere"], "n": 1}},
+     "the space kind must be a name, got ['sphere']"),
+    ({"pipeline": [{"op": "upper", "planner": ["point"]}]},
+     "planner must be a name, got ['point']"),
+    ({"space": {"kind": "sphere"}},
+     "a sphere space needs a positive integer 'n', got None"),
+    ({"space": {"kind": "sphere", "n": "1"}},
+     "a sphere space needs a positive integer 'n', got '1'"),
+    ({"space": {"kind": "sphere", "n": 0}},
+     "a sphere space needs a positive integer 'n', got 0"),
+    ({"space": {"kind": "sphere", "n": 1.0}},
+     "a sphere space needs a positive integer 'n', got 1.0"),
+    ({"space": {"kind": "wedge", "branches": 0}, "action": "wedge-swap",
+      "complex": None}, "a wedge space needs a positive integer 'branches', got 0"),
+    ({"space": {"kind": "wedge", "branches": "two"}, "action": "wedge-swap",
+      "complex": None}, "a wedge space needs a positive integer 'branches', got 'two'"),
+    ({"expected": [{"invariant": "tc", "lower": "1"}]},
+     "an expectation's lower is not an integer: {'invariant': 'tc', 'lower': '1'}"),
+    ({"expected": [{"invariant": "tc", "upper": 1.5}]},
+     "an expectation's upper is not an integer: {'invariant': 'tc', 'upper': 1.5}"),
+    ({"expected": [{"invariant": "tc", "stage": "2", "upper": 1}]},
+     "an expectation's stage is not an integer or 'inf': "
+     "{'invariant': 'tc', 'stage': '2', 'upper': 1}"),
+    ({"expected": [{"invariant": "tc", "stage": True, "upper": 1}]},
+     "an expectation's stage is not an integer or 'inf': "
+     "{'invariant': 'tc', 'stage': True, 'upper': 1}"),
+    ({"pipeline": [{"op": "check", "method": "cd-bound", "elements": "ab"}]},
+     "elements must be a non-empty list of integers, got 'ab'"),
+    ({"pipeline": [{"op": "check", "method": "cd-bound", "elements": [1.0]}]},
+     "elements must be a non-empty list of integers, got [1.0]"),
+    ({"pipeline": [{"op": "check", "method": "cd-bound", "elements": []}]},
+     "elements must be a non-empty list of integers, got []"),
+], ids=["action-list", "complex-list", "kind-list", "planner-list", "n-missing",
+        "n-string", "n-zero", "n-float", "branches-zero", "branches-string",
+        "lower-string", "upper-float", "stage-string", "stage-bool",
+        "elements-string", "elements-float", "elements-empty"])
+def test_malformed_values_are_load_errors(capsys, tmp_path, fields, message):
+    # these used to end in a TypeError traceback (names that are lists),
+    # in exit 3 mid-run (space sizes), in an expectation miss (exit 1), or
+    # in an IndexError traceback (elements)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_HEXAGON, **fields}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot load scenario: {message}\n"
+
+
+@pytest.mark.parametrize("elements", [[-1, 0], [7], [0, 2]])
+def test_cd_bound_elements_outside_the_group_fail_their_step(capsys, tmp_path,
+                                                             elements):
+    # [-1, 0] used to pass, computed for element 1 by numpy's wrap-around;
+    # [7] ended in an IndexError traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_HEXAGON, "pipeline": [
+        {"op": "lower", "method": "zero-divisor"},
+        {"op": "check", "method": "cd-bound", "elements": elements}]}))
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: scenario run failed: ValueError: elements must be group elements "
+        f"0..1, got {elements!r} (pipeline step 1: op 'check', method 'cd-bound')\n")
+
+
+# ------------------------------------------- malformed documents, generated
+
+_SIZES = {"sphere": ("n", [1, 2]), "wedge": ("branches", [2, 3]), "torus": ("n", [2])}
+_STEP_TEMPLATES = (
+    [{"op": op, "method": method} for op, method in scenarios._STEPS if method]
+    + [{"op": op, "planner": planner} for op in ("upper", "cat-upper")
+       for planner in scenarios._PLANNERS]
+    + [{"op": "check", "method": "cd-bound", "elements": [0]}])
+_EXPECTATIONS = [{"invariant": "tc", "stage": "inf", "lower": 0, "upper": 1},
+                 {"invariant": "cat", "stage": 2, "upper": 0},
+                 {"criterion": "positive"}, {"cd_bound": True}]
+# what a mutation puts in place of a value: malformed values, and names
+# from the tables in the wrong place
+_MUTANTS = [None, "", "nope", "inf", 0, -1, 2, 3, 1.5, True, [], [0], [-1, 7],
+            ["farber"], {}, {"kind": "point"}, "farber", "hexagon", "antipodal",
+            "cd-bound", "sphere", "x.cx"]
+
+
+@st.composite
+def scenario_documents(draw):
+    """A scenario document from the name tables, then up to two values in
+    it replaced by a mutant or deleted."""
+    kind, action = draw(st.sampled_from(sorted(scenarios._SPACE_ACTIONS)))
+    space = {"kind": kind}
+    if kind in _SIZES:
+        key, sizes = _SIZES[kind]
+        space[key] = draw(st.sampled_from(sizes))
+    complex_, simplicial = draw(st.sampled_from(
+        sorted(scenarios._SIMPLICIAL_ACTIONS)
+        + [(name, "trivial") for name in sorted(scenarios._COMPLEXES)]))
+    doc = {"id": "generated", "space": space, "action": action,
+           "complex": complex_, "simplicial_action": simplicial,
+           "pipeline": draw(st.lists(st.sampled_from(_STEP_TEMPLATES), max_size=3)),
+           "expected": draw(st.lists(st.sampled_from(_EXPECTATIONS), max_size=2))}
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(0, 2))):
+        paths = []
+
+        def collect(node, path):
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else ())
+            for key, child in items:
+                paths.append(path + (key,))
+                collect(child, path + (key,))
+
+        collect(doc, ())
+        *parent, key = draw(st.sampled_from(paths))
+        node = doc
+        for step in parent:
+            node = node[step]
+        if draw(st.booleans()):
+            node[key] = draw(st.sampled_from(_MUTANTS))
+        else:
+            del node[key]
+    return doc
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=scenario_documents())
+def test_malformed_documents_exit_with_a_code_never_a_traceback(doc):
+    # 0 all met; 1 only with a failed check, a missed expectation or a
+    # contradiction; 2 a load error; 3 a failed run, both with a message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--grid", "4", "--samples", "8"])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (code, doc)
+    if code == 1:
+        assert re.search(r"^(failed check|missed expectation|contradiction): ", err,
+                         re.M), (doc, err)
+    elif code == 2:
+        assert err.startswith("error: cannot load scenario: "), (doc, err)
+    elif code == 3:
+        assert err.startswith("error: scenario run failed: "), (doc, err)

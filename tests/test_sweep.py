@@ -25,14 +25,17 @@ from oracles import (
     adversarial_cover_by_parts,
     catalog_certification,
     chunk_order_verify_cover,
+    leg_pieces,
 )
 
 # the criterion-7b catalog covers, at their grids
 CATALOG_COVERS = [
     ("point", "point", 16),
     ("s1-antipodal", "covering-lift", 32),
+    ("s1-antipodal", "cat-covering-lift", 32),
     ("s1-flip", "strict-section", 32),
     ("s1-flip", "involution2", 32),
+    ("s1-flip", "cat-strict-section", 32),
     ("s2-involution", "farber", 16),
     ("s2-involution", "involution2", 16),
     ("s2-involution", "involution3", 16),
@@ -43,6 +46,7 @@ CATALOG_COVERS = [
     ("t2-trivial", "torus-cut", 32),
     ("t2-halfturn", "covering-lift", 32),
     ("wedge-z2", "wedge", 32),
+    ("wedge-z2", "cat-strict-section", 32),
     ("wedge-z3", "wedge", 32),
 ]
 
@@ -59,8 +63,9 @@ def assert_matches_oracle(cover, grid, budget=bounds.SAMPLE_BUDGET, **params):
 
 def with_jump(cover, jump, end_error=None, piece=None):
     """The cover with the interior samples of set s's first leg shifted by
-    jump(s, X, Y), and its last leg's end by end_error(s, X, Y): a
-    discontinuous jump breaks continuity and nothing else.  With
+    jump(s, X, Y), and its last leg's end by end_error(s, X, Y), each leg
+    then one piece of both inputs: a discontinuous jump breaks continuity
+    and nothing else.  With
     piece=(s, leg, k), the jump shifts instead the interior samples of
     piece k of that leg of set s alone, by jump(s, *rows) of the piece's own
     input rows, and the set keeps its pieces."""
@@ -71,7 +76,7 @@ def with_jump(cover, jump, end_error=None, piece=None):
             if end_error is not None:
                 out[-1][:, -1] += end_error(s, X, Y)
             return out
-        return CoverSet(cs.name, cs.stage, cs.margin, legs)
+        return CoverSet(cs.name, cs.stage, cs.margin, leg_pieces(legs, len(cs.pieces)))
 
     def wrap_piece(s, cs):
         target, leg, k = piece
@@ -255,16 +260,23 @@ def test_coverage_is_checked_before_any_leg_is_built():
     (cs,) = honest.sets
     calls = []
 
-    def legs(X, Y, m):
-        calls.append(len(X))
-        return cs.build_legs(X, Y, m)
+    def counted(piece):
+        def build(*args):
+            calls.append(piece.inputs)
+            return piece.build(*args)
+        return Piece(piece.inputs, build)
 
-    counted = PlannerCover(action=honest.action,
-                           sets=[CoverSet(cs.name, cs.stage, cs.margin, legs)],
-                           stage=honest.stage, name=honest.name)
+    pieces = tuple(tuple(counted(piece) for piece in leg) for leg in cs.pieces)
+    counted_cover = PlannerCover(action=honest.action,
+                                 sets=[CoverSet(cs.name, cs.stage, cs.margin, pieces)],
+                                 stage=honest.stage, name=honest.name)
     with mock.patch.object(bounds, "usable_cpus", lambda: 1):
-        cert = verify_cover(counted, grid=32)
+        cert = verify_cover(counted_cover, grid=32)
     assert calls == []
+    # the counter sees a piece build when one happens
+    x = honest.action.space.grid(4)[:1]
+    counted_cover.sets[0].build_legs(x, x, 2)
+    assert calls == ["xy"]
     pts = honest.action.space.grid(32)
     chunk_rows = bounds.SAMPLE_BUDGET // (len(pts) * 64)
     X = np.repeat(pts[:chunk_rows], len(pts), axis=0)

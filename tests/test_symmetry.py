@@ -319,6 +319,16 @@ def test_diagonal_hexagon_antipodal_two_circles():
     assert not (diag.slices[0] & diag.slices[1])
 
 
+def test_diagonal_elements_must_be_group_elements():
+    # numpy indexing would wrap -1 round to element 1, and 7 or "a" would
+    # end in an IndexError
+    act = hexagon_antipodal()
+    for elements in ([-1, 0], [7], [0, 2], "ab", [1.0], [True]):
+        with pytest.raises(ValueError, match=r"elements must be group elements 0\.\.1"):
+            saturated_diagonal(act, elements)
+    assert saturated_diagonal(act, [np.int64(1), 1]).elements == [1]
+
+
 def test_diagonal_hexagon_reflection_two_circles_meeting():
     act = hexagon_reflection()
     diag = saturated_diagonal(act)
