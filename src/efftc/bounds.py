@@ -11,9 +11,11 @@ depend on sampling parameters.
 from __future__ import annotations
 
 import mmap
-import multiprocessing as mp
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
+import time
+import traceback
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -31,7 +33,6 @@ from .complexes import (
 )
 from .f2 import F2Matrix
 from .errors import ContradictionError
-from ._kernels import slerp_batch
 from .pathspace import ARC_MAX_SAMPLES, ARC_SLACK, ENDPOINT_TOL, Sphere, leg_residuals
 from .planners import PlannerCover, piece_samples
 from .symmetry import (
@@ -127,11 +128,13 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
 @dataclass
 class _Arcs:
     """An arc piece on its rows, held as the arcs' frames (Sphere.arc_frames,
-    which start with P) and ends Q instead of their n samples each."""
+    which start with P) and ends Q instead of their n samples each, with
+    the piece's sampler (Piece.sample)."""
 
     frames: np.ndarray
     Q: np.ndarray
     n: int
+    sample: object
 
     @property
     def P(self):
@@ -139,7 +142,7 @@ class _Arcs:
 
     def samples(self, rows):
         """The piece's samples on `rows`, as the piece builds them."""
-        return slerp_batch(self.P[rows], self.Q[rows], self.n)
+        return self.sample(self.P[rows], self.Q[rows], self.n)
 
 
 @dataclass
@@ -219,7 +222,9 @@ class _Sweep:
 
     def jobs(self):
         """One job per CPU, each a contiguous run of blocks.  A run that
-        fails marks its flag, which ends the runs after it (fork-shared)."""
+        fails marks its flag (fork-shared), and the runs after it end at
+        their next block: first_failure would stop them, but meanwhile they
+        compete with the failing run's check of its whole chunk."""
         count = max(1, min(self.cpus, len(self.blocks)))
         cut = np.linspace(0, len(self.blocks), count + 1).round().astype(int)
         failed = mmap.mmap(-1, count)
@@ -261,7 +266,7 @@ class _Sweep:
                 rows = inputs[piece.inputs]
                 if piece.ends is not None and self.arcs and n <= ARC_MAX_SAMPLES:
                     P, Q = piece.endpoints(*rows)
-                    table = _Arcs(self.space.arc_frames(P, Q), Q, n)
+                    table = _Arcs(self.space.arc_frames(P, Q), Q, n, piece.sample)
                 else:
                     table = piece.on(*rows, n)
                 sec.tables.append((piece.inputs, table))
@@ -502,19 +507,6 @@ class _Sweep:
         return out
 
 
-_WORKER_JOBS: list = []
-
-
-def _set_worker_jobs(jobs) -> None:
-    # runs in each forked worker only; the parent's table stays empty
-    global _WORKER_JOBS
-    _WORKER_JOBS = jobs
-
-
-def _run_worker_job(index: int):
-    return _WORKER_JOBS[index]()
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, else os.cpu_count()."""
     if hasattr(os, "sched_getaffinity"):
@@ -522,34 +514,129 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# seconds a stopped child has to unwind its job before it is killed outright
+STOP_GRACE = 2.0
+
+
 def first_failure(jobs, workers: int | None = None):
     """The first failure of the zero-argument jobs.
 
     A job returns None or a failure, and the first failure in job order
-    wins and stops the run.  Jobs run on min(workers, len(jobs)) worker
-    processes, usable_cpus() by default, and serially when that is one.
-    Covers hold closures, which cannot be pickled, so the job table reaches
-    the workers by fork inheritance; only job indices and results cross the
-    process boundary.  Results are taken in job order, so the outcome is
-    exactly that of the serial loop.
+    wins and stops the run.  Jobs run in min(workers, len(jobs)) forked
+    children, usable_cpus() by default, and serially in this process when
+    that is one.  Covers hold closures, which cannot be pickled, so the jobs
+    reach the children by fork inheritance: child k runs jobs k, k + w, ...
+    and pickles each result, or the exception a job raised, into a pipe of
+    its own.  The caller reads the pipes in job order, so the outcome is
+    exactly that of the serial loop.  At the first failure, the first
+    exception or the last result, every child still running is stopped
+    (_stop) and reaped: no child outlives the call.  A job's exception is
+    raised here with its type and message (its traceback in the child as
+    the cause); a child that dies before its result raises
+    BrokenProcessPool.
     """
     if workers is None:
         workers = usable_cpus()
     workers = min(workers, len(jobs))
-    if workers <= 1 or "fork" not in mp.get_all_start_methods():
+    if workers <= 1 or not hasattr(os, "fork"):
         return _first(job() for job in jobs)
-    pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
-                               initializer=_set_worker_jobs, initargs=(jobs,))
+    children = []
     try:
-        futures = [pool.submit(_run_worker_job, i) for i in range(len(jobs))]
-        return _first(future.result() for future in futures)
+        for k in range(workers):
+            children.append(_fork_child(jobs[k::workers]))
+        return _first(_result(children[i % workers][1]) for i in range(len(jobs)))
     finally:
-        # drop queued jobs; a worker that died raises BrokenProcessPool above
-        pool.shutdown(cancel_futures=True)
+        _stop(children)
 
 
 def _first(results):
     return next((found for found in results if found), None)
+
+
+class _Stop(BaseException):
+    """Raised in a child at its next Python instruction when it is stopped:
+    the job unwinds (its finally blocks run) and the child exits."""
+
+
+def _raise_stop(signum, frame):
+    raise _Stop
+
+
+class _ChildTraceback(Exception):
+    """The traceback of a job's exception in the child that raised it."""
+
+
+def _fork_child(jobs):
+    """Fork a child that runs `jobs` in order and writes each pickled
+    (raised, value, traceback) to a pipe; (pid, the pipe's read end)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    # the child: it leaves by os._exit only, never back into the caller
+    # (the outer finally catches a stop raised in the inner one)
+    try:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGTERM, _raise_stop)
+            os.close(read)
+            with os.fdopen(write, "wb") as out:
+                for job in jobs:
+                    try:
+                        message = pickle.dumps((False, job(), None))
+                    except Exception as exc:
+                        message = _pickled_exception(exc)
+                    out.write(message)
+                    out.flush()
+        finally:
+            os._exit(0)
+    finally:
+        os._exit(0)
+
+
+def _pickled_exception(exc):
+    """(True, exc, its traceback) pickled; an exception that does not
+    survive pickling goes as a RuntimeError naming its type and message."""
+    tb = traceback.format_exc()
+    try:
+        message = pickle.dumps((True, exc, tb))
+        pickle.loads(message)
+    except Exception:
+        message = pickle.dumps((True, RuntimeError(f"{type(exc).__name__}: {exc}"), tb))
+    return message
+
+
+def _result(pipe):
+    """The next result of a child from its pipe; its job's exception raised."""
+    try:
+        raised, value, tb = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        from concurrent.futures.process import BrokenProcessPool
+        raise BrokenProcessPool("a certification child died before its result") from None
+    if raised:
+        value.__cause__ = _ChildTraceback(tb)
+        raise value
+    return value
+
+
+def _stop(children):
+    """Stop and reap the children: their pipes are closed and each gets
+    SIGTERM, which raises _Stop at its next Python instruction, not at the
+    end of its block.  A job so stopped unwinds, so that whatever its
+    finally blocks write (a tracer's spool line) is written whole.  A child
+    still running after STOP_GRACE seconds gets SIGKILL."""
+    for pid, pipe in children:
+        pipe.close()
+        os.kill(pid, signal.SIGTERM)
+    deadline = time.monotonic() + STOP_GRACE
+    for pid, _ in children:
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                break
+            time.sleep(0.0002)
 
 
 # ------------------------------------------------------------ lower bounds

@@ -49,18 +49,23 @@ class Piece:
 
     A piece that is a great-circle arc gives `ends` instead: from the same
     input rows, its endpoints (P, Q), each (rows, d), after checking that
-    the arcs are unique.  Its `build` is then slerp_batch between them, and
-    the certification sweep may bound the arc from its endpoints alone."""
+    the arcs are unique.  Its `build` is then `sample(P, Q, n)` between
+    them, slerp_batch by default, and the certification sweep may bound the
+    arc from its endpoints alone.  A `sample` of its own must draw
+    slerp_batch's arc on every row where sin(theta) >= ARC_MIN_SIN (the
+    rows Sphere.arc_frames gives a frame), and keep P and Q as its first
+    and last samples up to the signs of zeros."""
 
     inputs: str
     build: object = None
     ends: object = None
+    sample: object = slerp_batch
 
     def __post_init__(self):
         if self.build is None:
             if self.ends is None:
                 raise ValueError("a piece needs build or ends")
-            object.__setattr__(self, "build", partial(_slerp_ends, self.ends))
+            object.__setattr__(self, "build", partial(_sample_ends, self.ends, self.sample))
 
     def _args(self, X, Y):
         return {"": (), "x": (X,), "y": (Y,), "xy": (X, Y)}[self.inputs]
@@ -75,9 +80,9 @@ class Piece:
         return self.ends(*self._args(X, Y))
 
 
-def _slerp_ends(ends, *args):
+def _sample_ends(ends, sample, *args):
     *rows, n = args
-    return slerp_batch(*ends(*rows), n)
+    return sample(*ends(*rows), n)
 
 
 def piece_samples(m: int, count: int) -> int:
@@ -365,8 +370,10 @@ def involution_two_stage_cover(action: SpaceAction,
     {y != x} and covers the antipodal pairs over the fixed equator.
     """
     kind = detect_sphere_action(action)
+    if kind not in ("antipodal", "codim1"):
+        raise ValueError("two-stage involution cover needs the antipodal or "
+                         "codimension-1 Z2 action")
     space = action.space
-    n = space.n
 
     def margin_u1(X, Y):
         return space.dist(Y, -X) - ARC_EXCLUSION
@@ -377,14 +384,10 @@ def involution_two_stage_cover(action: SpaceAction,
     u1 = ((_geodesic_piece(space),), (_const_piece("y"),))
     if kind == "antipodal":
         u2 = ((_const_piece("x"),), (_geodesic_piece(space, np.negative),))
-    elif kind == "codim1":
-        if n % 2 == 0:
-            u2 = ((Piece("x", _rotation_leg),), (_geodesic_piece(space, np.negative),))
-        else:
-            u2 = (_arc_then_half(space, _pairing_field), (_const_piece("y"),))
+    elif space.n % 2 == 0:
+        u2 = ((Piece("x", _rotation_leg),), (_geodesic_piece(space, np.negative),))
     else:
-        raise ValueError("two-stage involution cover needs the antipodal or "
-                         "codimension-1 Z2 action")
+        u2 = (_arc_then_half(space, _pairing_field), (_const_piece("y"),))
     return PlannerCover(action=action,
                         sets=[CoverSet("U1", 2, margin_u1, pieces=u1),
                               CoverSet("U2", 2, margin_u2, pieces=u2)],
@@ -408,7 +411,12 @@ def involution_three_stage_planner(action: SpaceAction,
 
 def adversarial_sphere_cover(action: SpaceAction, honest_membership: bool = False,
                              name: str = "adversarial") -> PlannerCover:
-    """A single-set stage-1 "cover" claiming bound 0; verification refutes it."""
+    """A single-set stage-1 "cover" claiming bound 0; verification refutes it.
+
+    Its one leg is an arc piece of both inputs: the shortest arc from x to
+    y, and on a row without a unique arc a deterministic tie-break, the half
+    circle from x through a fixed direction, whose last sample is then the
+    piece's end Q."""
     space = action.space
     w = np.zeros(space.point_dim)
     w[1] = 1.0
@@ -418,21 +426,33 @@ def adversarial_sphere_cover(action: SpaceAction, honest_membership: bool = Fals
             return space.dist(Y, -X)
         return np.full(X.shape[0], np.inf)
 
-    def arcs(X, Y, m):
-        # every row's shortest arc in place; a row without a unique arc
-        # first gets the harmless target X, then the tie-break below
-        bad = space.dist(X, Y) > np.pi - 1e-6
-        out = slerp_batch(X, np.where(bad[:, None], X, Y), m)
+    def no_arc(P, Q):
+        return space.dist(P, Q) > np.pi - 1e-6
+
+    def half_circles(X, t):
+        dirs = _tangent_unit(X, np.broadcast_to(w, X.shape).copy())
+        return (np.cos(np.pi * t)[None, :, None] * X[:, None, :]
+                + np.sin(np.pi * t)[None, :, None] * dirs[:, None, :])
+
+    def ends(X, Y):
+        bad = no_arc(X, Y)
+        if not bad.any():
+            return X, Y
+        Q = Y.copy()
+        Q[bad] = half_circles(X[bad], np.ones(1))[:, 0]
+        return X, Q
+
+    def arcs(P, Q, n):
+        # every row's shortest arc in place; a tie-break row (whose end Q
+        # is again no unique arc away) first gets the harmless target P
+        bad = no_arc(P, Q)
+        out = slerp_batch(P, np.where(bad[:, None], P, Q), n)
         if bad.any():
-            # deterministic tie-break: half circle through a fixed direction
-            dirs = _tangent_unit(X[bad], np.broadcast_to(w, X[bad].shape).copy())
-            t = np.linspace(0.0, 1.0, m)
-            out[bad] = (np.cos(np.pi * t)[None, :, None] * X[bad][:, None, :]
-                        + np.sin(np.pi * t)[None, :, None] * dirs[:, None, :])
+            out[bad] = half_circles(P[bad], np.linspace(0.0, 1.0, n))
         return out
 
-    return PlannerCover(action=action,
-                        sets=[CoverSet("U", 1, margin, ((Piece("xy", arcs),),))],
+    leg = (Piece("xy", ends=ends, sample=arcs),)
+    return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, (leg,))],
                         stage=1, name=name)
 
 

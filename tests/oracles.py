@@ -12,7 +12,8 @@ and fresh ones for the far rows of its x edges.
 The leg oracles are the whole-array forms of builders that now work in row
 blocks, in place or in pieces: the slerp recurrence over all rows in one
 buffer, the adversarial legs assembled from a separate geodesic of the rows
-with a unique arc, the legs of the sphere covers built whole on every pair
+with a unique arc, and built whole in place as they were before they became
+an arc piece, the legs of the sphere covers built whole on every pair
 (before they were cut into pieces of x, of y, of both and of neither), the
 chains of arcs of the hemisphere and geodesic cat covers joined by
 `slerp_chain` (before they were given as pieces), the whole legs of the
@@ -39,7 +40,7 @@ import numpy as np
 
 from efftc import bounds
 from efftc.bounds import Certification
-from efftc._kernels import slerp_into
+from efftc._kernels import slerp_batch, slerp_into
 from efftc.models import Hemisphere
 from efftc.pathspace import (
     Arc,
@@ -478,6 +479,47 @@ def whole_slerp_into(P, Q, out):
     return out
 
 
+def _adversarial_claim(action, honest_membership, legs):
+    """The single-set claim of adversarial_sphere_cover, its one leg built
+    whole by legs(X, Y, m)."""
+    space = action.space
+
+    def margin(X, Y):
+        if honest_membership:
+            return space.dist(Y, -X)
+        return np.full(X.shape[0], np.inf)
+
+    return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, leg_pieces(legs))],
+                        stage=1, name="adversarial")
+
+
+def former_adversarial_legs(space):
+    """The adversarial claim's leg as adversarial_sphere_cover built it
+    whole before it became an arc piece: every row slerped in place, then
+    the rows without a unique arc overwritten by the half-circle
+    tie-break."""
+    w = np.zeros(space.point_dim)
+    w[1] = 1.0
+
+    def legs(X, Y, m):
+        bad = space.dist(X, Y) > np.pi - 1e-6
+        out = slerp_batch(X, np.where(bad[:, None], X, Y), m)
+        if bad.any():
+            dirs = _tangent_unit(X[bad], np.broadcast_to(w, X[bad].shape).copy())
+            t = np.linspace(0.0, 1.0, m)
+            out[bad] = (np.cos(np.pi * t)[None, :, None] * X[bad][:, None, :]
+                        + np.sin(np.pi * t)[None, :, None] * dirs[:, None, :])
+        return [out]
+
+    return legs
+
+
+def former_adversarial_cover(action, honest_membership: bool = False):
+    """adversarial_sphere_cover with its former whole-leg builder."""
+    return _adversarial_claim(action, honest_membership,
+                              former_adversarial_legs(action.space))
+
+
 def adversarial_cover_by_parts(action, honest_membership: bool = False):
     """adversarial_sphere_cover with its legs assembled from parts: an
     empty (M, m, d) array, the geodesic of the rows with a unique arc
@@ -485,11 +527,6 @@ def adversarial_cover_by_parts(action, honest_membership: bool = False):
     space = action.space
     w = np.zeros(space.point_dim)
     w[1] = 1.0
-
-    def margin(X, Y):
-        if honest_membership:
-            return space.dist(Y, -X)
-        return np.full(X.shape[0], np.inf)
 
     def legs(X, Y, m):
         out = np.empty((X.shape[0], m, space.point_dim))
@@ -504,8 +541,7 @@ def adversarial_cover_by_parts(action, honest_membership: bool = False):
                         + np.sin(np.pi * t)[None, :, None] * dirs[:, None, :])
         return [out]
 
-    return PlannerCover(action=action, sets=[CoverSet("U", 1, margin, leg_pieces(legs))],
-                        stage=1, name="adversarial")
+    return _adversarial_claim(action, honest_membership, legs)
 
 
 def slerp_chain(waypoint_pairs, samples):

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import time
@@ -20,7 +21,7 @@ from efftc.bounds import (
     zero_divisor_cup_length,
 )
 from efftc.complexes import build_complex, coboundary_space, cohomology, cup_product
-from efftc.errors import ContradictionError
+from efftc.errors import ContradictionError, GeodesicDegeneracyError
 from efftc.models import (
     circle_antipodal_quotient,
     circle_flip_quotient,
@@ -149,6 +150,106 @@ def test_first_failure_reports_a_dead_worker():
     from concurrent.futures.process import BrokenProcessPool
     with pytest.raises(BrokenProcessPool):
         first_failure([lambda: None, lambda: os._exit(1)], workers=2)
+
+
+forked = pytest.mark.skipif(not hasattr(os, "fork"),
+                            reason="certification children are started by fork")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TwoArgumentError(Exception):
+    # pickled with its message as its only argument, which it cannot be
+    # rebuilt from
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@forked
+@pytest.mark.parametrize("error", [
+    GeodesicDegeneracyError("antipodal endpoints have no unique arc"),
+    ValueError("no such row"),
+])
+def test_a_jobs_exception_reaches_the_caller(error):
+    parent = os.getpid()
+
+    def boom():
+        if os.getpid() == parent:
+            return {"ran": "in the caller"}
+        raise error
+
+    with pytest.raises(type(error)) as raised:
+        first_failure([lambda: None, boom, lambda: None], workers=2)
+    assert type(raised.value) is type(error)
+    assert str(raised.value) == str(error)
+    assert "raise error" in str(raised.value.__cause__)
+    assert_no_child_left()
+
+
+@forked
+@pytest.mark.parametrize("make", [
+    lambda: TwoArgumentError("lift", "row 3"),
+    lambda: ValueError("lift at row 3", lambda: None),
+], ids=["not-rebuilt", "not-pickled"])
+def test_an_exception_that_cannot_be_pickled_keeps_its_type_name(make):
+    def boom():
+        raise make()
+
+    name = type(make()).__name__
+    with pytest.raises(RuntimeError, match=f"^{name}: "):
+        first_failure([lambda: None, boom], workers=2)
+    assert_no_child_left()
+
+
+@forked
+def test_first_failure_leaves_no_child(monkeypatch):
+    # a certification, a refutation, and an exception while a later job
+    # sleeps: that job's child is stopped, not waited for
+    monkeypatch.setattr(bounds, "usable_cpus", lambda: 2)
+    act = sphere_antipodal(2)
+    assert verify_cover(farber_sphere_cover(act), grid=16).certified
+    assert_no_child_left()
+    assert not verify_cover(adversarial_sphere_cover(act), grid=16).certified
+    assert_no_child_left()
+
+    def boom():
+        raise GeodesicDegeneracyError("antipodal pair")
+
+    start = time.monotonic()
+    with pytest.raises(GeodesicDegeneracyError):
+        first_failure([boom, lambda: time.sleep(60)], workers=2)
+    assert time.monotonic() - start < 30.0
+    assert_no_child_left()
+
+
+@forked
+def test_a_stopped_job_writes_what_its_finally_blocks_write(tmp_path):
+    # job 1 is stopped mid-loop when job 0 fails; its finally block (a
+    # tracer's spool line) still writes its whole line, 600 kB long
+    started, spool = tmp_path / "started", tmp_path / "spool.jsonl"
+
+    def fails():
+        while not started.exists():
+            time.sleep(0.001)
+        return {"reason": "first"}
+
+    def loops():
+        try:
+            started.touch()
+            while True:
+                pass
+        finally:
+            with open(spool, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"rows": list(range(100_000))}) + "\n")
+
+    assert first_failure([fails, loops], workers=2) == {"reason": "first"}
+    lines = spool.read_text(encoding="utf-8").split("\n")
+    assert lines[1:] == [""]
+    assert json.loads(lines[0]) == {"rows": list(range(100_000))}
+    assert_no_child_left()
 
 
 def test_verify_monotone_in_resolution():

@@ -7,8 +7,9 @@ covers and the geodesic cat cover (tests/oracles.py::whole_sphere_legs and
 whole_chain_legs), whose arcs slerp_chain joined, also when the samples do
 not split evenly over the pieces; and of the point, circle, arc and
 torus-cut covers and the covers transferred from a quotient cover
-(former_whole_legs).  A piece built once per distinct input must equal the
-same piece built on every pair.
+(former_whole_legs); and of the adversarial claim, an arc piece with a
+sampler of its own, embedded too (former_adversarial_legs).  A piece built
+once per distinct input must equal the same piece built on every pair.
 """
 import functools
 
@@ -20,7 +21,9 @@ from efftc import models
 from efftc.errors import GeodesicDegeneracyError
 from efftc.pathspace import Arc, Circle, FlatTorus, trivial_space_action
 from efftc.planners import (
+    adversarial_sphere_cover,
     arc_cover,
+    embed_cover,
     circle_cover,
     farber_sphere_cover,
     hemisphere_cat_cover,
@@ -31,6 +34,7 @@ from efftc.planners import (
 from efftc.scenarios import BUILTINS, DEFAULT_PARAMS, build_bundle, build_planner
 
 from oracles import (
+    former_adversarial_legs,
     former_quotient_legs,
     former_whole_legs,
     whole_chain_legs,
@@ -268,3 +272,35 @@ def test_transferred_covers_inherit_the_quotient_pieces_inputs():
             assert inputs == expected, (label, cs.name, inputs)
             seen.add(label)
     assert "s2-involution/cat-strict-section" in seen
+
+
+ADVERSARIAL_ACTIONS = (models.sphere_antipodal, models.sphere_codim1,
+                       models.sphere_rotation, models.sphere_trivial)
+
+
+def test_the_adversarial_arc_piece_reproduces_its_former_leg():
+    # every pair of an S^2 grid, antipodal ones included: the arc piece's
+    # sampler between its ends draws the former leg bit for bit, its ends
+    # are that leg's first and last samples, and the embedded claim's
+    # constant leg is that last sample
+    for make in ADVERSARIAL_ACTIONS:
+        action = make(2)
+        space = action.space
+        former = former_adversarial_legs(space)
+        pts = space.grid(12)
+        X, Y = np.repeat(pts, len(pts), axis=0), np.tile(pts, (len(pts), 1))
+        assert (space.dist(X, Y) > np.pi - 1e-6).sum() >= len(pts), make
+        for honest in (False, True):
+            cover = adversarial_sphere_cover(action, honest_membership=honest)
+            (piece,), = cover.sets[0].pieces
+            P, Q = piece.endpoints(X, Y)
+            for m in SAMPLES:
+                (expected,) = former(X, Y, m)
+                (leg,) = cover.sets[0].build_legs(X, Y, m)
+                assert np.array_equal(leg, expected), (make, honest, m)
+                assert np.array_equal(P, expected[:, 0]), (make, m)
+                assert Q.tobytes() == expected[:, -1].tobytes(), (make, m)
+                leg, end = embed_cover(cover).sets[0].build_legs(X, Y, m)
+                assert np.array_equal(leg, expected), (make, honest, m)
+                assert end.tobytes() == np.repeat(expected[:, -1:], m, axis=1).tobytes()
+                assert end.strides[1] == 0

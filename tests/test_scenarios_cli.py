@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from efftc.cli import main
 from efftc.errors import (
@@ -527,6 +527,12 @@ def scenario_documents(draw):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=scenario_documents())
+# involution2 on a point space read the sphere dimension before it checked
+# the action (an AttributeError traceback, not exit 3)
+@example(doc={"id": "generated", "space": {"kind": "point"}, "action": "trivial",
+              "complex": "boundary-delta3", "simplicial_action": "codim1-involution",
+              "pipeline": [{"op": "cat-upper", "planner": "involution2"}],
+              "expected": []})
 def test_malformed_documents_exit_with_a_code_never_a_traceback(doc):
     # 0 all met; 1 only with a failed check, a missed expectation or a
     # contradiction; 2 a load error; 3 a failed run, both with a message

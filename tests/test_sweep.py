@@ -25,6 +25,7 @@ from oracles import (
     adversarial_cover_by_parts,
     catalog_certification,
     chunk_order_verify_cover,
+    former_adversarial_cover,
     leg_pieces,
 )
 
@@ -122,13 +123,16 @@ def test_sweep_matches_oracle_on_catalog_and_embedded_covers():
 
 
 def test_sweep_matches_oracle_on_adversarial_covers():
+    # the claim is an arc piece, bounded from its ends and sampled only on
+    # the edges the bound leaves; the oracle builds its former whole leg on
+    # every pair (grids 24, 32 and 40 are the sphere-refute claims)
     for make in (models.sphere_antipodal, models.sphere_codim1,
                  models.sphere_rotation, models.sphere_trivial):
         action = make(2)
         for honest in (False, True):
-            cover = planners.adversarial_sphere_cover(action, honest_membership=honest)
+            former = former_adversarial_cover(action, honest_membership=honest)
             for grid in (16, 24, 32, 40):
-                expected = chunk_order_verify_cover(cover, grid=grid)
+                expected = chunk_order_verify_cover(former, grid=grid)
                 assert not expected.certified
                 for cpus in (1, 2):
                     got = adversarial_certification(make, honest, grid, cpus)
