@@ -9,13 +9,15 @@ Exit codes: 0 all reports consistent and expectations met; 1 contradiction,
 refutation or expectation miss; 2 a scenario that cannot be loaded, or
 verification parameters no certification can run on; 3 a run that failed
 (reported with the exception's type and message, and the index, op, and
-method or planner of the pipeline step that raised it).
+method or planner of the pipeline step that raised it); 4 an internal error,
+an exception none of these expects, with its traceback on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 
 from .errors import RUN_ERRORS, ContradictionError, PipelineStepError
 from .scenarios import (
@@ -53,7 +55,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _command(args)
+    except Exception:
+        # a bug, not a verdict: exit 1 would read as a refutation
+        print("error: internal error", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
+
+def _command(args) -> int:
     if args.command == "list-builtins":
         for name in sorted(BUILTINS):
             print(name)

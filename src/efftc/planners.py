@@ -14,6 +14,10 @@ concatenated along the samples, each piece of a leg of m samples cut into k
 pieces taking ceil(m / k) of them, at least 2 (piece_samples).  A cover
 transferred from a quotient keeps the inputs of the quotient's pieces.
 
+A builder trusts the space and action it is given (`scenarios._PLANNERS`
+says where each planner runs, checked when a scenario loads); it checks
+only the data it is handed: sections, freeness, quotient stages, lifts.
+
 Sphere conventions for the involution scenarios: the involution negates the
 first coordinate, its fixed equator is {x0 = 0}, and the pole of the upper
 hemisphere is N = e0.
@@ -30,10 +34,8 @@ from .errors import GeodesicDegeneracyError, LiftError
 from .pathspace import (
     ENDPOINT_TOL,
     JOINT_TOL,
-    FlatTorus,
     QuotientModel,
     SpaceAction,
-    Sphere,
     leg_residuals,
     wrapped_lines,
 )
@@ -287,25 +289,6 @@ def _rotation_leg(X, n):
     return out
 
 
-def detect_sphere_action(action: SpaceAction) -> str:
-    """Classify the catalog sphere actions by their sample behaviour."""
-    if not isinstance(action.space, Sphere):
-        return "other"
-    if action.group.order == 1:
-        return "trivial"
-    if action.group.order != 2:
-        return "other"
-    pts = action.space.random_points(np.random.default_rng(1), 16)
-    img = action.act(1, pts)
-    if np.allclose(img, -pts, atol=1e-9):
-        return "antipodal"
-    codim1 = pts.copy()
-    codim1[:, 0] = -codim1[:, 0]
-    if np.allclose(img, codim1, atol=1e-9):
-        return "codim1"
-    return "other"
-
-
 # ------------------------------------------------------- sphere planners
 
 FIELD_EXCLUSION = 0.45
@@ -318,8 +301,6 @@ ARC_EXCLUSION = 0.12
 def farber_sphere_cover(action: SpaceAction, name: str = "farber") -> PlannerCover:
     """Stage-1 cover of S^n x S^n: 2 sets for odd n, 3 for even n."""
     space = action.space
-    if not isinstance(space, Sphere):
-        raise ValueError("farber cover needs a sphere")
     n = space.n
 
     def margin_u1(X, Y):
@@ -369,10 +350,6 @@ def involution_two_stage_cover(action: SpaceAction,
     that one orbit jump after it lands exactly on -x; this keeps the set at
     {y != x} and covers the antipodal pairs over the fixed equator.
     """
-    kind = detect_sphere_action(action)
-    if kind not in ("antipodal", "codim1"):
-        raise ValueError("two-stage involution cover needs the antipodal or "
-                         "codimension-1 Z2 action")
     space = action.space
 
     def margin_u1(X, Y):
@@ -382,7 +359,7 @@ def involution_two_stage_cover(action: SpaceAction,
         return space.dist(Y, X) - ARC_EXCLUSION
 
     u1 = ((_geodesic_piece(space),), (_const_piece("y"),))
-    if kind == "antipodal":
+    if action.is_geometrically_free():
         u2 = ((_const_piece("x"),), (_geodesic_piece(space, np.negative),))
     elif space.n % 2 == 0:
         u2 = ((Piece("x", _rotation_leg),), (_geodesic_piece(space, np.negative),))
@@ -397,8 +374,6 @@ def involution_two_stage_cover(action: SpaceAction,
 def involution_three_stage_planner(action: SpaceAction,
                                    name: str = "involution3") -> PlannerCover:
     """Single global stage-3 planner through the pole of the upper hemisphere."""
-    if detect_sphere_action(action) != "codim1":
-        raise ValueError("three-stage planner needs the codimension-1 involution")
     space, north = action.space, _north(action.space)
     # const x | fold(x) -> N | N -> fold(y) | const y
     pieces = ((_const_piece("x"),),
@@ -465,10 +440,8 @@ def point_cover(action: SpaceAction, name: str = "point") -> PlannerCover:
 # -------------------------------------------------- circle / torus covers
 
 def circle_cover(action: SpaceAction, name: str = "circle") -> PlannerCover:
-    """Two-set stage-1 planner on a circle or S^1: shortest arc + oriented arc."""
+    """Two-set stage-1 planner on a circle: shortest arc + oriented arc."""
     space = action.space
-    if isinstance(space, Sphere) and space.n == 1:
-        return farber_sphere_cover(action, name=name)
     length = space.length
 
     def margin_u1(X, Y):
@@ -525,8 +498,6 @@ def _circ_dist(vals, cut):
 def torus_cut_cover(action: SpaceAction, name: str = "torus-cut") -> PlannerCover:
     """Stage-1 cover of T^2 x T^2 by three branch-cut sets (claimed bound 2)."""
     space = action.space
-    if not isinstance(space, FlatTorus) or space.n != 2:
-        raise ValueError("torus cut cover needs T^2")
     sets = []
     for idx, cuts in enumerate(TORUS_CUTS):
         def margin(X, Y, cuts=cuts):
@@ -751,8 +722,6 @@ def cat_geodesic_cover(action: SpaceAction, basepoint,
     the sections stay uniformly Lipschitz on the accepted region.
     """
     space = action.space
-    if not isinstance(space, Sphere):
-        raise ValueError("geodesic cat cover implemented for spheres")
     basepoint = np.asarray(basepoint, float)
     w = np.zeros(space.point_dim)
     w[1] = 1.0

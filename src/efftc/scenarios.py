@@ -128,8 +128,13 @@ class Scenario:
             if (op, method) not in _STEPS:
                 raise ValueError(f"unknown pipeline step: op {op!r}, "
                                  f"method {method!r}")
-            if method is None and _name(step.get("planner"), "planner") not in _PLANNERS:
-                raise ValueError(f"unknown planner {step.get('planner')!r}")
+            if method is None:
+                planner = _name(step.get("planner"), "planner")
+                if planner not in _PLANNERS:
+                    raise ValueError(f"unknown planner {planner!r}")
+                if (kind, self.action) not in _PLANNERS[planner][0]:
+                    raise ValueError(f"planner {planner!r} does not run on a "
+                                     f"{kind} space with action {self.action!r}")
             elements = step.get("elements")
             if elements is not None and not (isinstance(elements, list) and elements
                                              and all(map(_is_int, elements))):
@@ -279,19 +284,17 @@ _QUOTIENT_CAT_COVERS = {
 }
 
 
-def _quotient_cover(covers, what: str, bundle: Bundle):
+def _quotient_cover(covers, bundle: Bundle):
     model = bundle.quotient_model
     if model is None:
         raise ValueError(f"no quotient model of {bundle.scenario.action} "
                          f"on {bundle.space_action.space.name}")
     q = model.quotient_space
-    if type(q) not in covers:
-        raise ValueError(f"no quotient {what} for {q.name}")
     return covers[type(q)](trivial_space_action(q))
 
 
 def _tc_quotient_cover(bundle: Bundle):
-    return _quotient_cover(_QUOTIENT_TC_COVERS, "cover", bundle)
+    return _quotient_cover(_QUOTIENT_TC_COVERS, bundle)
 
 
 def _cat_covering_lift(bundle: Bundle):
@@ -301,36 +304,49 @@ def _cat_covering_lift(bundle: Bundle):
                                      _BASEPOINTS[type(act.space)][1])
 
 
-# planner name -> cover built from a Bundle
+# the (space kind, action) pairs a planner runs on
+_EVERY = frozenset(_SPACE_ACTIONS)
+_SPHERES = frozenset(pair for pair in _SPACE_ACTIONS if pair[0] == "sphere")
+_CODIM1 = frozenset({("sphere", "flip"), ("sphere", "codim1-involution")})
+_SECTIONS = _CODIM1 | {("wedge", "wedge-swap")}
+_INVOLUTIONS = _CODIM1 | {("sphere", "antipodal")}
+_FREE = frozenset({("sphere", "antipodal"), ("torus", "torus-halfturn")})
+_TRIVIAL = frozenset(pair for pair in _SPACE_ACTIONS if pair[1] == "trivial")
+_TORI = frozenset(pair for pair in _SPACE_ACTIONS if pair[0] == "torus")
+
+# planner name -> (its domain, the cover it builds from a Bundle); a
+# scenario whose cover step names a planner outside its domain does not load
 _PLANNERS = {
-    "farber": lambda b: P.farber_sphere_cover(b.space_action),
-    "involution2": lambda b: P.involution_two_stage_cover(b.space_action),
-    "involution3": lambda b: P.involution_three_stage_planner(b.space_action),
-    "strict-section": lambda b: P.cover_from_strict_section(
-        b.quotient_model, _tc_quotient_cover(b)),
-    "covering-lift": lambda b: P.cover_from_covering_lift(
-        b.quotient_model, _tc_quotient_cover(b)),
-    "wedge": lambda b: P.cover_from_strict_section(
-        b.quotient_model, _tc_quotient_cover(b), name="wedge"),
-    "torus-cut": lambda b: P.torus_cut_cover(b.space_action),
-    "point": lambda b: P.point_cover(b.space_action),
-    "adversarial": lambda b: P.adversarial_sphere_cover(b.space_action),
-    "cat-strict-section": lambda b: P.cat_cover_from_strict_section(
-        b.quotient_model, _quotient_cover(_QUOTIENT_CAT_COVERS, "cat cover", b),
-        b.basepoint),
-    "cat-covering-lift": _cat_covering_lift,
-    "cat-geodesic": lambda b: P.cat_geodesic_cover(b.space_action, b.basepoint),
-    "cat-torus-cut": lambda b: P.restrict_to_cat(P.torus_cut_cover(b.space_action),
-                                                 b.basepoint),
-    "cat-point": lambda b: P.restrict_to_cat(P.point_cover(b.space_action),
-                                             b.basepoint),
+    "farber": (_SPHERES, lambda b: P.farber_sphere_cover(b.space_action)),
+    "involution2": (_INVOLUTIONS,
+                    lambda b: P.involution_two_stage_cover(b.space_action)),
+    "involution3": (_CODIM1,
+                    lambda b: P.involution_three_stage_planner(b.space_action)),
+    "strict-section": (_SECTIONS, lambda b: P.cover_from_strict_section(
+        b.quotient_model, _tc_quotient_cover(b))),
+    "covering-lift": (_FREE, lambda b: P.cover_from_covering_lift(
+        b.quotient_model, _tc_quotient_cover(b))),
+    "wedge": (_SECTIONS, lambda b: P.cover_from_strict_section(
+        b.quotient_model, _tc_quotient_cover(b), name="wedge")),
+    "torus-cut": (_TORI, lambda b: P.torus_cut_cover(b.space_action)),
+    "point": (_EVERY, lambda b: P.point_cover(b.space_action)),
+    "adversarial": (_SPHERES, lambda b: P.adversarial_sphere_cover(b.space_action)),
+    "cat-strict-section": (_SECTIONS, lambda b: P.cat_cover_from_strict_section(
+        b.quotient_model, _quotient_cover(_QUOTIENT_CAT_COVERS, b), b.basepoint)),
+    "cat-covering-lift": (_FREE | _TRIVIAL, _cat_covering_lift),
+    "cat-geodesic": (_SPHERES,
+                     lambda b: P.cat_geodesic_cover(b.space_action, b.basepoint)),
+    "cat-torus-cut": (_TORI, lambda b: P.restrict_to_cat(
+        P.torus_cut_cover(b.space_action), b.basepoint)),
+    "cat-point": (_EVERY, lambda b: P.restrict_to_cat(P.point_cover(b.space_action),
+                                                      b.basepoint)),
 }
 
 
 def build_planner(name: str, bundle: Bundle):
     if name not in _PLANNERS:
         raise ValueError(f"unknown planner {name!r}")
-    return _PLANNERS[name](bundle)
+    return _PLANNERS[name][1](bundle)
 
 
 # ---------------------------------------------------------- pipeline steps

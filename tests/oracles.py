@@ -20,7 +20,9 @@ chains of arcs of the hemisphere and geodesic cat covers joined by
 point, circle, arc and torus-cut covers and of the covers transferred from
 a quotient (before every set was given as pieces), and the Python-set
 neighbour loop of the sphere grids.  `leg_pieces` turns a test's whole-leg
-builder into the pieces a cover set is made from.
+builder into the pieces a cover set is made from.  `sphere_action_kind`
+tells the catalog sphere actions apart by sampling, as the package did
+before the two-stage involution cover chose its branch by freeness.
 The group-action oracles are the tuple-and-dict forms of what `symmetry`
 now does on integer tables: they apply vertex maps simplex by simplex, and
 look simplices up in sets and dicts built from a complex's tuple view,
@@ -61,7 +63,6 @@ from efftc.planners import (
     _rotation_leg,
     _stereo_field,
     _tangent_unit,
-    detect_sphere_action,
     embed_cover,
     hemisphere_cat_cover,
     hemisphere_cover,
@@ -608,6 +609,22 @@ def _whole_arc_then_half(space, X, Y, field_unit, m):
     return slerp_chain([(X, -Y), (-Y, field_unit), (field_unit, Y)], m)
 
 
+def sphere_action_kind(action) -> str:
+    """"trivial", "antipodal", "codim1" or "other": the catalog sphere
+    actions told apart by where the involution sends random points."""
+    if action.group.order == 1:
+        return "trivial"
+    if action.group.order != 2:
+        return "other"
+    pts = action.space.random_points(np.random.default_rng(1), 16)
+    img = action.act(1, pts)
+    if np.allclose(img, -pts, atol=1e-9):
+        return "antipodal"
+    codim1 = pts.copy()
+    codim1[:, 0] = -codim1[:, 0]
+    return "codim1" if np.allclose(img, codim1, atol=1e-9) else "other"
+
+
 def whole_sphere_legs(planner, action) -> dict:
     """{set name: build_legs} of the farber, involution2 or involution3
     cover of a sphere action, each leg built whole on every pair."""
@@ -638,7 +655,7 @@ def whole_sphere_legs(planner, action) -> dict:
             legs["U3"] = u3
         return legs
     if planner == "involution2":
-        if detect_sphere_action(action) == "antipodal":
+        if sphere_action_kind(action) == "antipodal":
             def u2(X, Y, m):
                 return [_const_legs(X, m), space.geodesic(-X, Y, m)]
         elif n % 2 == 0:

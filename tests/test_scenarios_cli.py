@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 import re
@@ -227,6 +228,20 @@ def test_run_failure_names_the_cover_step(monkeypatch, capsys):
     assert str(raised.value.cause) == "planner gave up"
 
 
+def test_an_internal_error_exits_4_with_its_traceback(monkeypatch, capsys):
+    # an exception no step is expected to raise is a bug, not a refutation:
+    # it used to escape main, and Python exited 1
+    def crashing(name, bundle):
+        raise IndexError("index 1 is out of bounds")
+
+    monkeypatch.setattr(scenarios, "build_planner", crashing)
+    assert main(["run", "point"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal error\nTraceback (most recent call last):\n")
+    assert err.endswith("IndexError: index 1 is out of bounds\n")
+
+
 @pytest.mark.parametrize("text", [
     None,                                               # no such file
     "[1, 2]",                                           # not an object
@@ -327,7 +342,7 @@ def test_expectations_that_assert_nothing_are_load_errors(capsys, tmp_path,
 @pytest.mark.parametrize("fields, error", [
     ({"complex": "no-such-dir/missing.cx"}, "FileNotFoundError"),
     ({"space": {"kind": "sphere", "n": 2}, "action": "antipodal",
-      "pipeline": [{"op": "upper", "planner": "strict-section"}]},
+      "pipeline": [{"op": "upper", "planner": "covering-lift"}]},
      "ValueError: no quotient model of antipodal on sphere2"),
 ], ids=["missing-complex-file", "no-quotient-model"])
 def test_scenario_run_failures(capsys, tmp_path, fields, error):
@@ -383,8 +398,18 @@ def test_readme_lists_the_scenario_names():
                   [m for m in _names(methods) if m != "planner"] or [None]}
     assert steps == set(scenarios._STEPS)
 
-    planners = _names(_readme_part("Planner names", "Actions, by space kind"))
-    assert sorted(planners) == sorted(scenarios._PLANNERS)
+    # "- `a`, `b`: `kind` with `action`, ...; `kind` with any action"; a
+    # group naming no kind is any space
+    domains = {}
+    for heads, tail in re.findall(r"^- (.*?): (.*)$", _readme_part(
+            "Planner names", "Actions, by space kind"), re.M):
+        pairs = set()
+        for group in tail.split(";"):
+            kind, *actions = _names(group) or [None]
+            pairs |= {(k, a) for k, a in scenarios._SPACE_ACTIONS
+                      if kind in (None, k) and (not actions or a in actions)}
+        domains.update(dict.fromkeys(_names(heads), pairs))
+    assert domains == {name: domain for name, (domain, _) in scenarios._PLANNERS.items()}
 
     actions = {(kinds[0], a) for kinds, names in
                _bullets(_readme_part("Actions, by space kind", "Builtin complexes"))
@@ -438,14 +463,20 @@ _HEXAGON = {"id": "bad", "space": {"kind": "sphere", "n": 1}, "action": "antipod
      "elements must be a non-empty list of integers, got [1.0]"),
     ({"pipeline": [{"op": "check", "method": "cd-bound", "elements": []}]},
      "elements must be a non-empty list of integers, got []"),
+    ({"action": "rotation", "pipeline": [{"op": "upper", "planner": "involution2"}]},
+     "planner 'involution2' does not run on a sphere space with action 'rotation'"),
+    ({"pipeline": [{"op": "upper", "planner": "involution3"}]},
+     "planner 'involution3' does not run on a sphere space with action 'antipodal'"),
 ], ids=["action-list", "complex-list", "kind-list", "planner-list", "n-missing",
         "n-string", "n-zero", "n-float", "branches-zero", "branches-string",
         "lower-string", "upper-float", "stage-string", "stage-bool",
-        "elements-string", "elements-float", "elements-empty"])
+        "elements-string", "elements-float", "elements-empty",
+        "involution2-rotation", "involution3-antipodal"])
 def test_malformed_values_are_load_errors(capsys, tmp_path, fields, message):
     # these used to end in a TypeError traceback (names that are lists),
-    # in exit 3 mid-run (space sizes), in an expectation miss (exit 1), or
-    # in an IndexError traceback (elements)
+    # in exit 3 mid-run (space sizes and planners on a space they do not
+    # run on), in an expectation miss (exit 1), or in an IndexError
+    # traceback (elements)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_HEXAGON, **fields}))
     assert main(["run", str(path)]) == 2
@@ -527,6 +558,10 @@ def scenario_documents(draw):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=scenario_documents())
+# adversarial on a point space set the second coordinate of a point of one
+# (an IndexError traceback, and exit 1, the refutation code)
+@example(doc={"id": "generated", "space": {"kind": "point"}, "action": "trivial",
+              "pipeline": [{"op": "upper", "planner": "adversarial"}]})
 # involution2 on a point space read the sphere dimension before it checked
 # the action (an AttributeError traceback, not exit 3)
 @example(doc={"id": "generated", "space": {"kind": "point"}, "action": "trivial",
@@ -535,7 +570,8 @@ def scenario_documents(draw):
               "expected": []})
 def test_malformed_documents_exit_with_a_code_never_a_traceback(doc):
     # 0 all met; 1 only with a failed check, a missed expectation or a
-    # contradiction; 2 a load error; 3 a failed run, both with a message
+    # contradiction; 2 a load error; 3 a failed run, both with a message;
+    # never 4, an internal error
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc))
@@ -551,3 +587,41 @@ def test_malformed_documents_exit_with_a_code_never_a_traceback(doc):
         assert err.startswith("error: cannot load scenario: "), (doc, err)
     elif code == 3:
         assert err.startswith("error: scenario run failed: "), (doc, err)
+
+
+# ------------------------------------------- every planner on every space
+
+def test_every_planner_runs_exactly_on_its_domain():
+    # each (space, action) pair, at both sizes where the space has one, with
+    # each planner as an upper and a cat-upper step: a planner outside its
+    # domain is a load error naming it, the space kind and the action; inside
+    # it the run ends with a verdict, apart from the one pair whose quotient
+    # model does not exist
+    spaces = [({"kind": kind} if kind not in _SIZES else
+               {"kind": kind, _SIZES[kind][0]: size}, action)
+              for kind, action in sorted(scenarios._SPACE_ACTIONS)
+              for size in _SIZES.get(kind, (None, [None]))[1]]
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "doc.json"
+        for (space, action), planner, op in itertools.product(
+                spaces, sorted(scenarios._PLANNERS), ("upper", "cat-upper")):
+            path.write_text(json.dumps({"id": "t", "space": space, "action": action,
+                                        "pipeline": [{"op": op, "planner": planner}]}))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", str(path), "--grid", "4", "--samples", "8"])
+            kind = space["kind"]
+            run = (kind, space.get("n", space.get("branches")), action, planner, op)
+            codes[run] = code
+            outside = (kind, action) not in scenarios._PLANNERS[planner][0]
+            assert (code == 2) == outside, run
+            if outside:
+                assert err.getvalue() == (
+                    f"error: cannot load scenario: planner {planner!r} does not "
+                    f"run on a {kind} space with action {action!r}\n"), run
+    assert len(codes) == 420
+    assert set(codes.values()) <= {0, 1, 2, 3}
+    assert sorted(run for run, code in codes.items() if code == 3) == [
+        ("sphere", 2, "antipodal", "covering-lift", "cat-upper"),
+        ("sphere", 2, "antipodal", "covering-lift", "upper")]

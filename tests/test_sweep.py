@@ -157,7 +157,7 @@ def test_refutations_of_adversarial_legs_built_in_place():
 def test_sweep_finds_failures_on_wrap_edges():
     # a jump as the first coordinate of x wraps: only the continuity along
     # x fails, on the wrap-around edges, which the last block closes
-    circle = planners.circle_cover(trivial_space_action(Sphere(1)))
+    circle = planners.farber_sphere_cover(trivial_space_action(Sphere(1)))
 
     def angle_jump(s, X, Y):
         return (np.arctan2(X[:, 1], X[:, 0]) % (2 * np.pi))[:, None] * [0.5, 0.0]
