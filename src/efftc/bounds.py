@@ -33,7 +33,7 @@ from .complexes import (
 )
 from .f2 import F2Matrix
 from .errors import ContradictionError
-from .pathspace import ARC_MAX_SAMPLES, ARC_SLACK, ENDPOINT_TOL, Sphere, leg_residuals
+from .pathspace import ARC_MAX_SAMPLES, ENDPOINT_TOL, Sphere, leg_residuals
 from .planners import PlannerCover, piece_samples
 from .symmetry import (
     GroupAction,
@@ -86,11 +86,15 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
     distance over the pieces is the largest over their concatenated legs,
     so verdicts and failures are those of the legs `build_legs` returns.
 
-    No edge is scanned that an a-priori bound clears (_Sweep.scan): none
+    No edge is scanned that an a-priori bound clears (_Scans.scan): none
     where L h reaches the space's diameter, and no arc piece on a sphere
-    where the bound from the two arcs' endpoints (Sphere.arc_bound) does.
-    Arc pieces are held as their endpoints and frames, and sampled only on
-    the edges left to scan.
+    where the bound from the two arcs' endpoints (Sphere.arc_bound) is at
+    most the edge's chord threshold (Sphere.arc_threshold, computed once
+    per edge).  Arc pieces are held as their endpoints and column-major
+    frames, and sampled only on the edges left to scan: for each set on
+    each block, the y edges, then the x edges, are cleared, and the rows
+    each pass leaves of every arc table are sampled in one call per
+    (sampler, n) before that pass is scanned.
 
     A refutation names one failure.  The x rows are cut into chunks of
     `chunk_rows` rows, and the failure is the first of the first chunk
@@ -125,11 +129,11 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
                          sets=len(cover.sets), stage=cover.stage)
 
 
-@dataclass
+@dataclass(eq=False)
 class _Arcs:
-    """An arc piece on its rows, held as the arcs' frames (Sphere.arc_frames,
-    which start with P) and ends Q instead of their n samples each, with
-    the piece's sampler (Piece.sample)."""
+    """An arc piece on its rows, held as the arcs' frames (Sphere.arc_frames:
+    one (2d + 2, rows) array, P, U, theta and r as rows) and ends Q instead
+    of their n samples each, with the piece's sampler (Piece.sample)."""
 
     frames: np.ndarray
     Q: np.ndarray
@@ -138,11 +142,84 @@ class _Arcs:
 
     @property
     def P(self):
-        return self.frames[:, :self.Q.shape[1]]
+        """The starts, (rows, d): a view of the frames, whose row gathers
+        are C-ordered as the endpoints were."""
+        return self.frames[:self.Q.shape[1]].T
 
     def samples(self, rows):
         """The piece's samples on `rows`, as the piece builds them."""
         return self.sample(self.P[rows], self.Q[rows], self.n)
+
+
+class _Scans:
+    """The continuity scans of one pass, along y or along x, of one set on
+    one block.
+
+    `scan` clears at once what an a-priori bound clears, and keeps the
+    rest; `run` samples the rows of every arc table that a kept entry
+    reads, one sampling call per (sampler, n) for the whole pass (_draw),
+    then scans them all."""
+
+    def __init__(self, sweep):
+        self.space, self.allowed = sweep.space, sweep.allowed
+        self.chord = sweep.chord
+        self.kept = []          # (table, ia, other, ib, into, at)
+
+    def scan(self, table, ia, ib, axis, edge, into, at=None, other=None):
+        """The supdiff of the rows ia of a piece's table against the rows ib
+        of `other` (default: the same table), along the edges `edge` of
+        `axis` ("y" or "x"), each of which may move by L h; run maxes it
+        into into[at] (default: into itself, an entry per pair).
+
+        An edge an a-priori bound clears is not scanned, and reads 0: one
+        with L h >= the space's diameter, and, for an arc table, one whose
+        chord bound (Sphere.arc_bound) is at most the edge's chord threshold
+        (Sphere.arc_threshold).  A cleared edge cannot fail, and the largest
+        distance of a failing edge is not a cleared piece's, so verdicts and
+        failure dicts are those of the full scan."""
+        other = table if other is None else other
+        keep = self.allowed[axis][edge] < self.space.diameter
+        if isinstance(table, _Arcs):
+            bound = self.space.arc_bound(table.frames, ia, other.frames, ib)
+            keep &= ~(bound <= self.chord[axis][edge])
+        keep = np.flatnonzero(keep)
+        if keep.size:
+            self.kept.append((table, ia[keep], other, ib[keep], into,
+                              keep if at is None else at[keep]))
+
+    def run(self):
+        """Max the supdiff of every kept entry into its place into[at]."""
+        wanted = {}             # arc table -> the row arrays read of it
+        for table, ia, other, ib, _, _ in self.kept:
+            for t, rows in ((table, ia), (other, ib)):
+                if isinstance(t, _Arcs):
+                    wanted.setdefault(t, []).append(rows)
+        drawn = _draw({t: np.unique(np.concatenate(rows)) for t, rows in wanted.items()})
+        for table, ia, other, ib, into, at in self.kept:
+            if isinstance(table, _Arcs):
+                rows, table = drawn[table]
+                ia = np.searchsorted(rows, ia)
+            if isinstance(other, _Arcs):
+                rows, other = drawn[other]
+                ib = np.searchsorted(rows, ib)
+            into[at] = np.maximum(into[at], self.space.supdiff_pairs(table, ia, ib, other))
+
+
+def _draw(wanted):
+    """The samples of arc tables on their rows, {table: rows} -> {table:
+    (rows, samples)}, drawn in one call per (sampler, n): bit-identical to
+    table.samples(rows), as every sampler is row-independent."""
+    groups = {}
+    for t, rows in wanted.items():
+        groups.setdefault((t.sample, t.n), []).append((t, rows))
+    drawn = {}
+    for (sample, n), members in groups.items():
+        legs = sample(np.concatenate([t.P[rows] for t, rows in members]),
+                      np.concatenate([t.Q[rows] for t, rows in members]), n)
+        cuts = np.cumsum([rows.size for _, rows in members])[:-1]
+        for (t, rows), part in zip(members, np.split(legs, cuts)):
+            drawn[t] = rows, part
+    return drawn
 
 
 @dataclass
@@ -199,6 +276,11 @@ class _Sweep:
         self.chunk_rows = max(1, SAMPLE_BUDGET // (m_y * samples))
         self.ydist = self.space.dist(ypts[ynbr[:, 0]], ypts[ynbr[:, 1]])
         self.xdist = self.space.dist(xpts[xnbr[:, 0]], xpts[xnbr[:, 1]])
+        # L h on each edge along y and along x, and the chord threshold of
+        # arc pieces on a sphere (_Scans.scan)
+        self.allowed = {"y": modulus * self.ydist, "x": modulus * self.xdist}
+        self.chord = {axis: self.space.arc_threshold(allowed)
+                      for axis, allowed in self.allowed.items()} if self.arcs else {}
         # the edge (a, b) is checked by the block holding max(a, b); row x
         # stays in the halo while x < boundary <= reach[x]
         self.closer = xnbr.max(axis=1)
@@ -292,7 +374,7 @@ class _Sweep:
         base = np.arange(k) * m_y
         nbr_a = (base[:, None] + self.ynbr[None, :, 0]).ravel()
         nbr_b = (base[:, None] + self.ynbr[None, :, 1]).ravel()
-        nbr_dist = np.tile(self.ydist, k)
+        nbr_edge = np.tile(np.arange(self.ydist.size), k)
         for s, (cs, acc) in enumerate(zip(self.cover.sets, accepted)):
             if not acc.any():
                 continue
@@ -305,9 +387,10 @@ class _Sweep:
             pos[rows] = np.arange(rows.size)
             both = acc[nbr_a] & acc[nbr_b]
             if both.any():
-                allowed = self.modulus * nbr_dist[both]
+                edge = nbr_edge[both]
+                allowed = self.allowed["y"][edge]
                 supdiff = self.y_supdiff(sec, pos[nbr_a[both]], pos[nbr_b[both]],
-                                         both.reshape(k, -1), allowed)
+                                         both.reshape(k, -1), edge)
                 bad = supdiff > allowed
                 if bad.any():
                     w = int(np.argmax(bad))
@@ -329,8 +412,14 @@ class _Sweep:
 
         def sample(t, j):
             # j is 0 or -1: an arc table's P or Q, bit-equal to those samples
+            # (P C-ordered, as the samples are)
             inputs, table = sec.tables[t]
-            table = (table.P, table.Q)[j] if isinstance(table, _Arcs) else table[:, j]
+            if not isinstance(table, _Arcs):
+                table = table[:, j]
+            elif j:
+                table = table.Q
+            else:
+                table = table.P if inputs != "xy" else np.ascontiguousarray(table.P)
             return table if inputs == "xy" else table[at[inputs]]
 
         firsts = [t for t, first in enumerate(sec.starts) if first]
@@ -353,24 +442,26 @@ class _Sweep:
                             endpoint_residual=float(max(res0.max(), res1.max())))
         return None
 
-    def y_supdiff(self, sec, a, b, both, allowed):
+    def y_supdiff(self, sec, a, b, both, edge):
         """Sup-distance of the set's legs along the y edges with both ends
         accepted, (row, edge) flags `both`; a, b index the accepted pairs,
-        and `allowed` is L h on each (scan).  Pieces of both inputs are
-        scanned per pair, a piece of y once per y edge; pieces of x or of
-        neither do not move along y."""
+        and `edge` is each one's y edge.  Pieces of both inputs are scanned
+        per pair, a piece of y once per y edge; pieces of x or of neither do
+        not move along y.  The rows their arcs leave are sampled together
+        (_Scans)."""
+        scans = _Scans(self)
         supdiff = np.zeros(a.size)
         per_edge = None
         for inputs, table in sec.tables:
             if inputs == "xy":
-                supdiff = np.maximum(supdiff, self.scan(table, a, b, allowed))
+                scans.scan(table, a, b, "y", edge, supdiff)
             elif inputs == "y":
                 if per_edge is None:
                     edges = np.flatnonzero(both.any(axis=0))
                     ends = sec.ycol[self.ynbr[edges]]
                     per_edge = np.zeros(both.shape[1])
-                per_edge[edges] = np.maximum(per_edge[edges], self.scan(
-                    table, ends[:, 0], ends[:, 1], self.modulus * self.ydist[edges]))
+                scans.scan(table, ends[:, 0], ends[:, 1], "y", edges, per_edge, edges)
+        scans.run()
         if per_edge is not None:
             supdiff = np.maximum(supdiff, np.broadcast_to(per_edge, both.shape)[both])
         return supdiff
@@ -409,7 +500,8 @@ class _Sweep:
         """The first x-continuity failure of set s, in (y, edge) order, on
         the edges that block [x0, x1) closes; the block and the halo are
         `parts`.  Pieces of both inputs are scanned per pair, a piece of x
-        once per edge; pieces of y or of neither do not move along x."""
+        once per edge; pieces of y or of neither do not move along x.  The
+        rows their arcs leave are sampled together (_Scans)."""
         edges = np.flatnonzero((self.closer >= x0) & (self.closer < x1))
         if not edges.size:
             return None
@@ -426,24 +518,26 @@ class _Sweep:
         if not y.size:
             return None
         kinds = [inputs for inputs, _ in parts[-1].tables]
+        scans = _Scans(self)
         supdiff = np.zeros(y.size)
-        allowed = self.modulus * self.xdist[edges]
         if "xy" in kinds:
             # each accepted pair's part, and its row in that part's tables
             pos = np.cumsum(window.ravel()) - 1
             pa, pb = pos[la[j] * m_y + y], pos[lb[j] * m_y + y]
             offsets = np.cumsum([0] + [int(part.acc.sum()) for part in parts])
-            supdiff = self.parts_supdiff(parts, "xy", offsets, pa, pb, allowed[j])
+            self.parts_supdiff(parts, "xy", offsets, pa, pb, edges[j], scans, supdiff)
         if "x" in kinds:
             # each edge's rows: their part, and their row in its x tables
             hit = np.flatnonzero(both.any(axis=1))
             offsets = np.cumsum([0] + [part.x.size for part in parts])
             xrow = np.concatenate([part.xrow for part in parts])
             per_edge = np.zeros(edges.size)
-            per_edge[hit] = self.parts_supdiff(parts, "x", offsets, la[hit], lb[hit],
-                                               allowed[hit], xrow)
+            self.parts_supdiff(parts, "x", offsets, la[hit], lb[hit], edges[hit], scans,
+                               per_edge, hit, xrow)
+        scans.run()
+        if "x" in kinds:
             supdiff = np.maximum(supdiff, per_edge[j])
-        allowed = allowed[j]
+        allowed = self.allowed["x"][edges[j]]
         bad = supdiff > allowed
         if not bad.any():
             return None
@@ -453,58 +547,26 @@ class _Sweep:
         return _continuity_failure(self.cover.sets[s], (self.xpts[a], self.ypts[yw]),
                                    (self.xpts[b], self.ypts[yw]), supdiff[w], allowed[w])
 
-    def parts_supdiff(self, parts, inputs, offsets, pa, pb, allowed, rows=None):
-        """The sup-distance of the pieces of `inputs` between the entries pa
-        and pb, each in the part it falls in (offsets: each part's first
-        entry), at its place in that part or at rows[entry] when given;
-        `allowed` is L h on each pair of entries (scan)."""
-        supdiff = np.zeros(pa.size)
+    def parts_supdiff(self, parts, inputs, offsets, pa, pb, edge, scans, into, at=None,
+                      rows=None):
+        """Add to `scans` the sup-distance of the pieces of `inputs` between
+        the entries pa and pb, each in the part it falls in (offsets: each
+        part's first entry), at its place in that part or at rows[entry]
+        when given, along the x edges `edge`; it goes into into[at] (default:
+        into itself, an entry per pair)."""
         part_a = np.searchsorted(offsets, pa, side="right") - 1
         part_b = np.searchsorted(offsets, pb, side="right") - 1
         ia, ib = pa - offsets[part_a], pb - offsets[part_b]
         if rows is not None:
             ia, ib = rows[pa], rows[pb]
         combo = part_a * len(parts) + part_b
-        for c in np.unique(combo):
+        for c in np.flatnonzero(np.bincount(combo)):
             sel = np.flatnonzero(combo == c)
             ka, kb = divmod(int(c), len(parts))
             for (kind, leg_a), (_, leg_b) in zip(parts[ka].tables, parts[kb].tables):
                 if kind == inputs:
-                    supdiff[sel] = np.maximum(supdiff[sel], self.scan(
-                        leg_a, ia[sel], ib[sel], allowed[sel], leg_b))
-        return supdiff
-
-    def scan(self, table, ia, ib, allowed, other=None):
-        """supdiff of the rows ia of a piece's table against the rows ib of
-        `other` (default: the same table), where each pair may differ by
-        `allowed` = L h; an edge an a-priori bound clears reads 0.
-
-        Cleared are the edges with L h >= the space's diameter, and, for arc
-        tables, those whose Sphere.arc_bound + ARC_SLACK <= L h.  A cleared
-        edge cannot fail, and the largest distance of a failing edge is not
-        a cleared piece's, so verdicts and failure dicts are those of the
-        full scan.  The arcs left are sampled as their pieces build them
-        (slerp_into is row-independent), once per distinct row."""
-        other = table if other is None else other
-        out = np.zeros(ia.size)
-        keep = np.flatnonzero(allowed < self.space.diameter)
-        if keep.size < ia.size:
-            ia, ib, allowed = ia[keep], ib[keep], allowed[keep]
-        if isinstance(table, _Arcs):
-            bound = self.space.arc_bound(table.frames[ia], other.frames[ib])
-            left = np.flatnonzero(~(bound + ARC_SLACK <= allowed))
-            keep, ia, ib = keep[left], ia[left], ib[left]
-            if keep.size and other is table:
-                rows, at = np.unique(np.concatenate([ia, ib]), return_inverse=True)
-                table = other = table.samples(rows)
-                ia, ib = np.split(at, 2)
-            elif keep.size:
-                rows, ia = np.unique(ia, return_inverse=True)
-                others, ib = np.unique(ib, return_inverse=True)
-                table, other = table.samples(rows), other.samples(others)
-        if keep.size:
-            out[keep] = self.space.supdiff_pairs(table, ia, ib, other)
-        return out
+                    scans.scan(leg_a, ia[sel], ib[sel], "x", edge[sel], into,
+                               sel if at is None else at[sel], leg_b)
 
 
 def usable_cpus() -> int:

@@ -31,8 +31,24 @@ EDGE_CHUNK = 256
 # bound clears an edge of it, and a short one counts as a point within a
 # radius (Sphere.arc_frames); well above slerp_into's 1e-9 lerp cutoff
 ARC_MIN_SIN = 1e-3
-# the error budget of Sphere.arc_bound, once as a chord and once as an angle
+# the error budget of Sphere.arc_bound, once as a chord and once as an angle.
+# An arc edge whose chord bound c (arc_bound) has 2 arcsin(min(1, (c + S) / 2))
+# + S <= L h, S = ARC_SLACK, cannot fail.  The sweep compares in chord space
+# instead, with no arcsin per edge: for L h < pi (the diameter clears the
+# rest), arcsin is increasing on [0, 1], so the rule holds exactly when
+#     c <= 2 sin((L h - S) / 2) - S,
+# and never when L h < S (the right side is then negative).  Sphere.arc_threshold
+# computes the right side once per edge and subtracts ARC_CHORD_MARGIN.  The
+# margin covers the rounding of that side (a subtraction, a halving, sin
+# within an ulp, a doubling and a subtraction: a few ulps of 2, under 1e-15)
+# and the rounding in which arc_bound's chord differs from a chord summed
+# in another order (a few ulps of c < 8, under 1e-14).  Past the margin,
+# c <= threshold implies the angle rule with room to spare: arcsin has a
+# slope of at least 1, so the angle falls short of L h by at least the
+# margin, which also outweighs the rounding of an arcsin evaluated there.
+# A cleared edge is thus one the angle rule clears.
 ARC_SLACK = 1e-9
+ARC_CHORD_MARGIN = 1e-12
 # arcs of more samples than this are scanned sample by sample: the
 # recurrence error of their legs is no longer well inside ARC_SLACK
 ARC_MAX_SAMPLES = 1024
@@ -181,8 +197,10 @@ class Sphere(Space):
     @staticmethod
     def arc_frames(P, Q):
         """The frames of the arcs slerp_into draws from the rows of P to
-        those of Q: rows [P | U | theta | r] such that every sample lies
-        within r (and ARC_SLACK) of cos(t theta) P + sin(t theta) U at its t.
+        those of Q, column-major: one (2d + 2, rows) array whose rows are
+        the coordinates of P, then of U, then theta, then r, such that every
+        sample lies within r (and ARC_SLACK) of cos(t theta) P + sin(t theta) U
+        at its t.
 
         - Where sin(theta) >= ARC_MIN_SIN, U = (Q - cos(theta) P) / sin(theta)
           with theta computed as slerp_into computes it, and r = 0: the
@@ -193,21 +211,30 @@ class Sphere(Space):
           recurrence samples within (1 - cos theta) + |Q - cos(theta) P|.
         - A near-antipodal arc has NaN frames: arc_bound gives no bound."""
         P, Q = np.asarray(P, float), np.asarray(Q, float)
+        d = P.shape[1]
         theta = np.arccos(np.clip((P * Q).sum(axis=1), -1.0, 1.0))
-        flat = np.sin(theta) < ARC_MIN_SIN
+        sin = np.sin(theta)
+        flat = sin < ARC_MIN_SIN
         short = flat & (theta < np.pi / 2)
-        r = np.zeros(theta.size)
+        frames = np.empty((2 * d + 2, theta.size))
+        frames[:d] = P.T
+        r = frames[-1]
+        r[:] = 0.0
         r[short] = 2.0 * np.linalg.norm(Q[short] - P[short], axis=1) + theta[short] ** 2
         theta[flat] = np.where(short[flat], 0.0, np.nan)
-        sin = np.sin(theta)
-        sin[short] = np.inf                     # U = 0
-        U = (Q - np.cos(theta)[:, None] * P) / sin[:, None]
-        return np.hstack([P, U, theta[:, None], r[:, None]])
+        frames[-2] = theta
+        sin[flat] = np.where(short[flat], np.inf, np.nan)    # U = 0, or NaN
+        cos = np.cos(theta)
+        for c in range(d):
+            np.divide(Q[:, c] - cos * P[:, c], sin, out=frames[d + c])
+        return frames
 
     @staticmethod
-    def arc_bound(F, F2):
-        """An upper bound of supdiff between the sampled arcs with frames F
-        and F2 (arc_frames), row by row; NaN where a frame is.
+    def arc_bound(F, ia, F2, ib):
+        """An upper bound of the chord between the sampled arcs with frames
+        F[:, ia] and F2[:, ib] (arc_frames), entry by entry; NaN where a
+        frame is.  Each frame row is gathered as a column of its own, so no
+        (entries, 2d + 2) array is made.
 
         For every t in [0, 1], arcs cos(t theta) P + sin(t theta) U with
         orthonormal (P, U), or with U = 0 and theta = 0, satisfy
@@ -215,18 +242,38 @@ class Sphere(Space):
         Cauchy-Schwarz bounds cos(t theta)(P - P2) + sin(t theta)(U - U2), and
         the rest, (cos a - cos b) P2 + (sin a - sin b) U2 (expanded about
         the arc that is not short), is at most |a - b|.  The radii r and r2
-        are added, then ARC_SLACK, before the chord becomes an angle,
-        2 arcsin(min(1, c / 2)).  ARC_SLACK covers the recurrence error of
-        the sampled legs against their curves (below 3e-13 at 64 samples and
-        1e-10 at ARC_MAX_SAMPLES, measured with sin(theta) down to
+        are added.  One ARC_SLACK on this chord covers the recurrence error
+        of the sampled legs against their curves (below 3e-13 at 64 samples
+        and 1e-10 at ARC_MAX_SAMPLES, measured with sin(theta) down to
         ARC_MIN_SIN), the cancellation in U (about eps / sin(theta) <= 1e-12)
-        and the rounding of the scan's chord.  A caller adds ARC_SLACK once
-        more to the angle, for the rounding of the arcsin."""
-        diff = F - F2
-        moved = diff[:, :-2]
-        chord = np.sqrt(np.einsum("ij,ij->i", moved, moved))
-        chord += np.abs(diff[:, -2]) + F[:, -1] + F2[:, -1]
-        return 2.0 * np.arcsin(np.minimum(1.0, (chord + ARC_SLACK) / 2.0))
+        and the rounding of the scan's chord; arc_threshold takes it off the
+        threshold."""
+        moved = F.shape[0] - 2
+        chord = F[0].take(ia)
+        chord -= F2[0].take(ib)
+        chord *= chord
+        for c in range(1, moved):
+            diff = F[c].take(ia)
+            diff -= F2[c].take(ib)
+            diff *= diff
+            chord += diff
+        np.sqrt(chord, out=chord)
+        diff = F[moved].take(ia)
+        diff -= F2[moved].take(ib)
+        chord += np.abs(diff, out=diff)
+        chord += F[-1].take(ia)
+        chord += F2[-1].take(ib)
+        return chord
+
+    @staticmethod
+    def arc_threshold(allowed):
+        """The chord threshold of each edge that may move by `allowed` =
+        L h < pi: an arc_bound at most this clears the edge.  It is
+        2 sin((L h - ARC_SLACK) / 2) - ARC_SLACK less ARC_CHORD_MARGIN, the
+        angle rule 2 arcsin(min(1, (c + ARC_SLACK) / 2)) + ARC_SLACK <= L h
+        solved for c (the argument is next to ARC_SLACK)."""
+        half = np.minimum((np.asarray(allowed, float) - ARC_SLACK) / 2.0, np.pi / 2.0)
+        return 2.0 * np.sin(half) - (ARC_SLACK + ARC_CHORD_MARGIN)
 
     def _ring_sizes(self, resolution):
         r = resolution + (resolution % 2)

@@ -129,12 +129,7 @@ class Scenario:
                 raise ValueError(f"unknown pipeline step: op {op!r}, "
                                  f"method {method!r}")
             if method is None:
-                planner = _name(step.get("planner"), "planner")
-                if planner not in _PLANNERS:
-                    raise ValueError(f"unknown planner {planner!r}")
-                if (kind, self.action) not in _PLANNERS[planner][0]:
-                    raise ValueError(f"planner {planner!r} does not run on a "
-                                     f"{kind} space with action {self.action!r}")
+                _check_planner(_name(step.get("planner"), "planner"), kind, self.action)
             elements = step.get("elements")
             if elements is not None and not (isinstance(elements, list) and elements
                                              and all(map(_is_int, elements))):
@@ -343,9 +338,19 @@ _PLANNERS = {
 }
 
 
-def build_planner(name: str, bundle: Bundle):
+def _check_planner(name, kind, action) -> None:
+    """ValueError unless `name` is a planner that runs on a `kind` space
+    with `action` (its domain in _PLANNERS)."""
     if name not in _PLANNERS:
         raise ValueError(f"unknown planner {name!r}")
+    if (kind, action) not in _PLANNERS[name][0]:
+        raise ValueError(f"planner {name!r} does not run on a "
+                         f"{kind} space with action {action!r}")
+
+
+def build_planner(name: str, bundle: Bundle):
+    scenario = bundle.scenario
+    _check_planner(name, scenario.space.get("kind"), scenario.action)
     return _PLANNERS[name][1](bundle)
 
 

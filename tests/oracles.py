@@ -45,6 +45,7 @@ from efftc.bounds import Certification
 from efftc._kernels import slerp_batch, slerp_into
 from efftc.models import Hemisphere
 from efftc.pathspace import (
+    ARC_SLACK,
     Arc,
     FlatTorus,
     leg_residuals,
@@ -444,6 +445,20 @@ def residuals_of_legs(action, legs, X, Y):
     """leg_residuals of the broken paths whose legs are (M, n_i, d) arrays."""
     return leg_residuals(action, [leg[:, 0] for leg in legs],
                          [leg[:, -1] for leg in legs], X, Y)
+
+
+def angle_arc_bound(F, ia, F2, ib):
+    """The endpoint bound of the arcs with (column-major) frames F[:, ia]
+    and F2[:, ib] as an angle, the former Sphere.arc_bound: gathered as
+    whole (entries, 2d + 2) rows, the chord summed by einsum, then
+    2 arcsin(min(1, (chord + ARC_SLACK) / 2)).  An edge it clears has
+    angle + ARC_SLACK <= L h."""
+    F, F2 = F.T[ia], F2.T[ib]
+    diff = F - F2
+    moved = diff[:, :-2]
+    chord = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+    chord += np.abs(diff[:, -2]) + F[:, -1] + F2[:, -1]
+    return 2.0 * np.arcsin(np.minimum(1.0, (chord + ARC_SLACK) / 2.0))
 
 
 def whole_slerp_into(P, Q, out):

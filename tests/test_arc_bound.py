@@ -2,9 +2,12 @@
 
 An arc piece on a sphere is held by the sweep as its endpoints and frames
 (P, U, theta), and an edge is scanned only when neither the space's
-diameter nor `Sphere.arc_bound` clears it.  The bound must hold for the
-sampled legs the pieces build, and every verdict and failure dict must
-stay the chunk-order oracle's, which builds whole legs and scans every edge.
+diameter nor `Sphere.arc_bound` clears it: a chord bound, compared with the
+edge's chord threshold `Sphere.arc_threshold`.  The bound must hold for the
+sampled legs the pieces build, the threshold must clear no edge that the
+angle rule (`oracles.angle_arc_bound` + ARC_SLACK <= L h) keeps, and every
+verdict and failure dict must stay the chunk-order oracle's, which builds
+whole legs and scans every edge.
 """
 from unittest import mock
 
@@ -23,7 +26,7 @@ from efftc.pathspace import (
 from efftc.planners import CoverSet, PlannerCover
 from efftc.scenarios import BUILTINS, build_bundle, build_planner
 
-from oracles import chunk_order_verify_cover
+from oracles import angle_arc_bound, chunk_order_verify_cover
 
 # arc angles the property test draws from: anywhere, at the frame
 # threshold, tiny, next to the antipodal guard, and zero (equal endpoints)
@@ -49,21 +52,14 @@ def arcs(rng, d, theta, rows):
     return P, np.cos(theta) * P + np.sin(theta) * W
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.sampled_from([2, 3, 17, 22, 64]), d=st.sampled_from([2, 3, 4]),
-       theta=ANGLES, theta2=ANGLES, move=st.floats(0.0, 0.3),
-       stretch=st.booleans(), seed=st.integers(0, 2**16))
-def test_scanned_arcs_stay_within_the_endpoint_bound(n, d, theta, theta2, move,
-                                                     stretch, seed):
-    # pairs of arcs: the second either the first with its angle changed
-    # (same P and U, so that only |theta - theta2| separates them) or an
-    # arc of angle theta2 from a start moved by `move`
-    sphere = Sphere(d - 1)
+def arc_pairs(sphere, d, theta, theta2, move, stretch, seed, rows=16):
+    """Pairs of arcs (P, Q), (P2, Q2): the second either the first with its
+    angle changed (same P and U, so that only |theta - theta2| separates
+    them) or an arc of angle theta2 from a start moved by `move`."""
     rng = np.random.default_rng(seed)
-    rows = 16
     P, Q = arcs(rng, d, theta, rows)
     if stretch:
-        U = sphere.arc_frames(P, Q)[:, d:2 * d]
+        U = sphere.arc_frames(P, Q)[d:2 * d].T
         if not np.all(np.isclose(np.linalg.norm(U, axis=1), 1.0)):
             _, W = arcs(rng, d, np.pi / 2, rows)
             U = unit(W - (W * P).sum(axis=1, keepdims=True) * P)
@@ -73,23 +69,129 @@ def test_scanned_arcs_stay_within_the_endpoint_bound(n, d, theta, theta2, move,
         _, Q2 = arcs(rng, d, theta2, rows)
         Q2 = np.cos(theta2) * P2 + np.sin(theta2) * unit(
             Q2 - (Q2 * P2).sum(axis=1, keepdims=True) * P2)
+    return P, Q, P2, Q2
+
+
+def as_angle(chord):
+    """A chord bound as the angle the scan could read at most, before the
+    ARC_SLACK for the rounding of its arcsin."""
+    return 2.0 * np.arcsin(np.minimum(1.0, (chord + ARC_SLACK) / 2.0))
+
+
+ARC_PAIRS = dict(d=st.sampled_from([2, 3, 4]), theta=ANGLES, theta2=ANGLES,
+                 move=st.floats(0.0, 0.3), stretch=st.booleans(),
+                 seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([2, 3, 17, 22, 64]), **ARC_PAIRS)
+def test_scanned_arcs_stay_within_the_endpoint_bound(n, d, theta, theta2, move,
+                                                     stretch, seed):
+    sphere = Sphere(d - 1)
+    P, Q, P2, Q2 = arc_pairs(sphere, d, theta, theta2, move, stretch, seed)
     legs, legs2 = slerp_batch(P, Q, n), slerp_batch(P2, Q2, n)
-    idx = np.arange(rows)
+    idx = np.arange(len(P))
     scanned = sphere.supdiff_pairs(legs, idx, idx, legs2)
     frames, frames2 = sphere.arc_frames(P, Q), sphere.arc_frames(P2, Q2)
-    bound = sphere.arc_bound(frames, frames2)
+    assert frames.flags.c_contiguous and frames.shape == (2 * d + 2, len(P))
+    bound = as_angle(sphere.arc_bound(frames, idx, frames2, idx))
     # below the threshold, a short arc is its start within a radius, and a
     # near-antipodal one has NaN frames
     for F, A, B in ((frames, P, Q), (frames2, P2, Q2)):
         angle = np.arccos(np.clip((A * B).sum(axis=1), -1.0, 1.0))
         flat = np.sin(angle) < ARC_MIN_SIN
         short = flat & (angle < np.pi / 2)
-        assert np.array_equal(F[:, :d], A)
-        assert np.array_equal(np.isnan(F).any(axis=1), flat & ~short)
-        assert np.all(F[short, d:-1] == 0.0) and np.all(F[~flat, -1] == 0.0)
+        assert np.array_equal(F[:d].T, A)
+        assert np.array_equal(np.isnan(F).any(axis=0), flat & ~short)
+        assert np.all(F[d:-1, short] == 0.0) and np.all(F[-1, ~flat] == 0.0)
     given_bound = ~np.isnan(bound)
     assert np.all(scanned[given_bound] <= bound[given_bound] + ARC_SLACK), (
         scanned, bound)
+
+
+# L h: anywhere below pi, next to pi, and just around the angle rule's
+# verdict on each edge (offsets from angle_arc_bound + ARC_SLACK, also in
+# units in the last place)
+LIMITS = st.one_of(
+    st.tuples(st.just("at"), st.floats(0.0, np.pi)),
+    st.tuples(st.just("at"), st.floats(np.pi - 1e-6, np.pi, exclude_max=True)),
+    st.tuples(st.just("around"), st.floats(-1e-9, 1e-9)),
+    st.tuples(st.just("around"), st.floats(-1e-11, 1e-11)),
+    st.tuples(st.just("ulps"), st.integers(-4, 4)),
+)
+
+
+def limits(limit, former):
+    """Each edge's L h < pi for a LIMITS draw, given the angle rule's bound."""
+    how, value = limit
+    if how == "at":
+        allowed = np.full(former.shape, value)
+    elif how == "around":
+        allowed = former + ARC_SLACK + value
+    else:
+        allowed = former + ARC_SLACK
+        allowed = allowed + value * np.spacing(allowed)
+    return np.where(np.isnan(allowed), 1.0, np.minimum(allowed, np.nextafter(np.pi, 0.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([2, 17, 64]), limit=LIMITS, **ARC_PAIRS)
+def test_edges_the_chord_threshold_clears_cannot_fail(n, limit, d, theta, theta2,
+                                                      move, stretch, seed):
+    # no edge the threshold clears scans above L h; a near-antipodal arc
+    # (NaN frames) is never cleared
+    sphere = Sphere(d - 1)
+    P, Q, P2, Q2 = arc_pairs(sphere, d, theta, theta2, move, stretch, seed)
+    idx = np.arange(len(P))
+    frames, frames2 = sphere.arc_frames(P, Q), sphere.arc_frames(P2, Q2)
+    allowed = limits(limit, angle_arc_bound(frames, idx, frames2, idx))
+    cleared = sphere.arc_bound(frames, idx, frames2, idx) <= sphere.arc_threshold(allowed)
+    scanned = sphere.supdiff_pairs(slerp_batch(P, Q, n), idx, idx, slerp_batch(P2, Q2, n))
+    assert np.all(scanned[cleared] <= allowed[cleared]), (scanned, allowed, cleared)
+    nan_frames = np.isnan(frames).any(axis=0) | np.isnan(frames2).any(axis=0)
+    assert not np.any(cleared & nan_frames)
+
+
+@settings(max_examples=300, deadline=None)
+@given(limit=LIMITS, **ARC_PAIRS)
+def test_the_chord_threshold_clears_only_what_the_angle_rule_clears(limit, d, theta,
+                                                                    theta2, move,
+                                                                    stretch, seed):
+    sphere = Sphere(d - 1)
+    P, Q, P2, Q2 = arc_pairs(sphere, d, theta, theta2, move, stretch, seed)
+    idx = np.arange(len(P))
+    frames, frames2 = sphere.arc_frames(P, Q), sphere.arc_frames(P2, Q2)
+    former = angle_arc_bound(frames, idx, frames2, idx)
+    allowed = limits(limit, former)
+    cleared = sphere.arc_bound(frames, idx, frames2, idx) <= sphere.arc_threshold(allowed)
+    assert np.all(former[cleared] + ARC_SLACK <= allowed[cleared]), (former, allowed)
+
+
+def test_the_chord_threshold_clears_what_the_angle_rule_clears_on_grid_edges():
+    # on the arcs of farber U1 between grid neighbours, at the moduli of
+    # the refutation tests and the default: the threshold clears a subset of
+    # what the angle rule clears, and gives up only edges within its margin
+    sphere = Sphere(2)
+    for grid in (16, 32):
+        pts = sphere.grid(grid)
+        nbr = sphere.grid_neighbor_pairs(grid)
+        a, b = nbr.T
+        h = sphere.dist(pts[a], pts[b])
+        for x in pts[::7]:
+            keep = sphere.dist(pts, -x) > 1e-3
+            P, Q = np.broadcast_to(x, pts[keep].shape), pts[keep]
+            frames = sphere.arc_frames(P, Q)
+            pos = np.cumsum(keep) - 1
+            on = keep[a] & keep[b]
+            ia, ib = pos[a[on]], pos[b[on]]
+            former = angle_arc_bound(frames, ia, frames, ib)
+            chord = sphere.arc_bound(frames, ia, frames, ib)
+            for modulus in (1.0, 2.0, 3.0, 10.0):
+                allowed = modulus * h[on]
+                old = former + ARC_SLACK <= allowed
+                new = chord <= sphere.arc_threshold(allowed)
+                assert not np.any(new & ~old)
+                assert np.all(new[old & (former + ARC_SLACK + 1e-10 <= allowed)])
 
 
 def test_the_bound_is_tight_on_grid_arcs():
@@ -103,7 +205,7 @@ def test_the_bound_is_tight_on_grid_arcs():
     keep = sphere.dist(Q, -P) > 0.2
     a, b = nbr[keep[nbr[:, 0]] & keep[nbr[:, 1]]].T
     frames = sphere.arc_frames(P, Q)
-    bound = sphere.arc_bound(frames[a], frames[b])
+    bound = as_angle(sphere.arc_bound(frames, a, frames, b))
     legs = slerp_batch(P, Q, 64)
     scanned = sphere.supdiff_pairs(legs, a, b)
     given = ~np.isnan(bound)
@@ -179,7 +281,7 @@ def test_few_farber_edges_reach_the_scan():
     cover = build_planner("farber", build_bundle(BUILTINS["s2-involution"]))
     cert, scanned = count_scanned(cover, grid=16, modulus=10.0)
     with mock.patch.object(Sphere, "arc_bound",
-                           staticmethod(lambda F, F2: np.full(len(F), np.nan))):
+                           staticmethod(lambda F, ia, F2, ib: np.full(len(ia), np.nan))):
         unbounded, every = count_scanned(cover, grid=16, modulus=10.0)
     assert cert == unbounded and cert.certified
     assert every > 100_000

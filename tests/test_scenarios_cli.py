@@ -22,6 +22,8 @@ from efftc import scenarios
 from efftc.scenarios import (
     BUILTINS,
     Scenario,
+    build_bundle,
+    build_planner,
     emit_table,
     format_table,
     load_scenario,
@@ -625,3 +627,16 @@ def test_every_planner_runs_exactly_on_its_domain():
     assert sorted(run for run, code in codes.items() if code == 3) == [
         ("sphere", 2, "antipodal", "covering-lift", "cat-upper"),
         ("sphere", 2, "antipodal", "covering-lift", "upper")]
+
+
+def test_build_planner_checks_the_planner_domain():
+    # a library caller that builds its own bundle meets the load check's
+    # error, not a builder's IndexError
+    bundle = build_bundle(Scenario(id="p", space={"kind": "point"}, action="trivial"))
+    with pytest.raises(ValueError) as raised:
+        build_planner("adversarial", bundle)
+    assert str(raised.value) == ("planner 'adversarial' does not run on a point "
+                                 "space with action 'trivial'")
+    with pytest.raises(ValueError, match="unknown planner 'nope'"):
+        build_planner("nope", bundle)
+    assert build_planner("point", bundle).claimed_bound == 0

@@ -10,12 +10,13 @@ on one CPU and on two.
 
 import functools
 import time
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from efftc import bounds, models, planners
+from efftc import _kernels, bounds, models, planners
 from efftc.bounds import verify_cover
 from efftc.pathspace import FlatTorus, Sphere, trivial_space_action
 from efftc.planners import CoverSet, Piece, PlannerCover, embed_cover
@@ -363,3 +364,96 @@ def test_sweep_matches_oracle_on_random_jumps(kind, grid, chunk_rows, modulus,
     m_y = len(space.grid(grid))
     assert_matches_oracle(cover, grid, budget=chunk_rows * m_y * 8,
                           modulus=modulus, samples=8)
+
+
+def arc_tables(cover, rows=6, grid=16):
+    """The arc tables (bounds._Arcs) the sweep builds for each set of
+    `cover` on its first `rows` x rows of the grid."""
+    space = cover.action.space
+    pts, nbr = space.grid(grid), space.grid_neighbor_pairs(grid)
+    sweep = bounds._Sweep(cover, pts, nbr, pts, nbr, 0.05, 1e-6, 10.0, 64, 1)
+    X = np.repeat(pts[:rows], len(pts), axis=0)
+    Y = np.tile(pts, (rows, 1))
+    tables = []
+    for s, cs in enumerate(cover.sets):
+        flat = cs.margin(X, Y) >= 0.05
+        if flat.any():
+            sec = sweep.sections(s, np.arange(rows), flat, X, Y)
+            tables += [t for _, t in sec.tables if isinstance(t, bounds._Arcs)]
+    return tables
+
+
+def test_batched_samples_are_those_of_each_table():
+    # farber's arcs of x, y and both at 64, 32 and 16 samples, and the
+    # adversarial claim's own sampler (with rows that take its tie-break)
+    bundle = build_bundle(BUILTINS["s2-involution"])
+    tables = arc_tables(build_planner("farber", bundle))
+    claim = planners.adversarial_sphere_cover(bundle.space_action)
+    tables += arc_tables(claim)
+    assert len({(t.sample, t.n) for t in tables}) >= 4
+    rng = np.random.default_rng(5)
+    wanted = {}
+    for t in tables:
+        rows = np.unique(rng.integers(0, len(t.Q), size=min(40, len(t.Q))))
+        if t.sample is claim.sets[0].pieces[0][0].sample:
+            antipodal = np.flatnonzero(np.isnan(t.frames).any(axis=0))
+            assert antipodal.size
+            rows = np.union1d(rows, antipodal[:5])
+        wanted[t] = rows
+    drawn = bounds._draw(wanted)
+    for t, rows in wanted.items():
+        got_rows, samples = drawn[t]
+        assert np.array_equal(got_rows, rows)
+        alone = t.samples(rows)
+        assert samples.shape == alone.shape == (rows.size, t.n, 3)
+        assert samples.tobytes() == alone.tobytes()
+
+
+def test_one_sampling_call_per_set_block_pass_and_sample_count():
+    # s2-involution's covers at grid 32 on one CPU: within a block, a set
+    # samples what clearing leaves of all its arc tables along y, then along
+    # x, in at most one slerp call per sample count each (every sampler is
+    # slerp_batch)
+    bundle = build_bundle(BUILTINS["s2-involution"])
+    where = {"block": None, "set": None, "run": None}
+    runs, calls = [], []
+    rows_failure, sections, run = (bounds._Sweep.rows_failure, bounds._Sweep.sections,
+                                   bounds._Scans.run)
+    slerp_into = _kernels.slerp_into
+
+    def in_block(self, x0, x1, halo, start):
+        where["block"] = (x0, x1)
+        return rows_failure(self, x0, x1, halo, start)
+
+    def of_set(self, s, *args):
+        where["set"] = s
+        return sections(self, s, *args)
+
+    def sampling(self):
+        runs.append((where["block"], where["set"]))
+        where["run"] = len(runs)
+        try:
+            return run(self)
+        finally:
+            where["run"] = None
+
+    def counted(P, Q, out):
+        if where["run"] is not None:
+            calls.append((where["run"], out.shape[1], out.shape[0]))
+        return slerp_into(P, Q, out)
+
+    with mock.patch.object(bounds, "usable_cpus", lambda: 1), \
+            mock.patch.object(bounds._Sweep, "rows_failure", in_block), \
+            mock.patch.object(bounds._Sweep, "sections", of_set), \
+            mock.patch.object(bounds._Scans, "run", sampling), \
+            mock.patch.object(_kernels, "slerp_into", counted):
+        for planner in ("farber", "involution2", "involution3", "cat-strict-section"):
+            runs.clear()
+            calls.clear()
+            cert = verify_cover(build_planner(planner, bundle), grid=32)
+            assert cert.certified
+            assert max(Counter(runs).values()) <= 2, planner
+            keys = [call[:2] for call in calls]
+            assert len(set(keys)) == len(keys), planner
+            if planner != "cat-strict-section":     # whose arcs all clear
+                assert keys and sum(call[2] for call in calls) > len(calls), planner
