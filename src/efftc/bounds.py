@@ -80,9 +80,11 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
     Every set is given as pieces (planners.Piece) and evaluated piece by
     piece: a piece of x once per distinct accepted x of a block, a piece of
     y once per distinct accepted y, a constant piece once, a piece of both
-    on every accepted pair.  Along a y edge the pieces of x and the constant
-    ones are skipped (both ends are the same samples) and a piece of y is
-    scanned once per edge; along an x edge the roles swap.  The largest
+    on every accepted pair (_Rows.row).  One rule checks continuity along
+    either axis (_Sweep.continuity): a piece of both inputs is scanned per
+    two accepted pairs across an edge, a piece of the axis's own input (y
+    along y, x along x) once per edge, and the others, the same samples at
+    both ends, are skipped.  The largest
     distance over the pieces is the largest over their concatenated legs,
     so verdicts and failures are those of the legs `build_legs` returns.
 
@@ -231,7 +233,7 @@ class _Rows:
     piece of both inputs has a row per accepted pair, in row-major order; a
     piece of x a row per x row that accepts a pair (`xrow` maps the rows
     to them, -1 for none), a piece of y a row per column that does (`ycol`),
-    a constant piece one row."""
+    a constant piece one row (`row`)."""
 
     x: np.ndarray
     acc: np.ndarray
@@ -241,6 +243,22 @@ class _Rows:
     def __post_init__(self):
         self.xrow = _positions(self.acc.any(axis=1))
         self.ycol = _positions(self.acc.any(axis=0))
+        self.rank = _positions(self.acc.ravel())
+
+    def row(self, inputs, w=None, c=None):
+        """The rows of the pairs (x[w], column c) in the table of a piece of
+        `inputs`: the pair's rank among the accepted pairs ("xy"), xrow[w]
+        ("x"), ycol[c] ("y") or 0 (""); by default those of every accepted
+        pair in row-major order, for "xy" every row (a slice)."""
+        if w is None:
+            if inputs == "xy":
+                return slice(None)
+            w, c = np.nonzero(self.acc)
+        if inputs == "xy":
+            return self.rank[w * self.acc.shape[1] + c]
+        if inputs == "x":
+            return self.xrow[w]
+        return self.ycol[c] if inputs == "y" else np.zeros(len(w), dtype=np.intp)
 
 
 def _positions(mask):
@@ -359,45 +377,27 @@ class _Sweep:
         """The first failure on the x rows [x0, x1), in the order of
         verify_cover, or None.  `halo` holds, per set, the earlier rows of
         a sweep from `start` that still have a neighbour ahead (advance)."""
-        m_y = self.m_y
-        k = x1 - x0
-        X = np.repeat(self.xpts[x0:x1], m_y, axis=0)
-        Y = np.tile(self.ypts, (k, 1))
-        total = k * m_y
+        X = np.repeat(self.xpts[x0:x1], self.m_y, axis=0)
+        Y = np.tile(self.ypts, (x1 - x0, 1))
         accepted = [cs.margin(X, Y) >= self.epsilon for cs in self.cover.sets]
-        covered = np.zeros(total, dtype=bool)
+        covered = np.zeros(len(X), dtype=bool)
         for acc in accepted:
             covered |= acc
         if not covered.all():
             r = int(np.argmax(~covered))
             return _failure("coverage", pair=[X[r].tolist(), Y[r].tolist()])
-        base = np.arange(k) * m_y
-        nbr_a = (base[:, None] + self.ynbr[None, :, 0]).ravel()
-        nbr_b = (base[:, None] + self.ynbr[None, :, 1]).ravel()
-        nbr_edge = np.tile(np.arange(self.ydist.size), k)
+        a, b = self.ynbr.T
         for s, (cs, acc) in enumerate(zip(self.cover.sets, accepted)):
             if not acc.any():
                 continue
-            rows = np.nonzero(acc)[0]
             sec = self.sections(s, np.arange(x0, x1), acc, X, Y)
-            found = self.validation(cs, sec, rows, X, Y)
+            found = self.validation(cs, sec, np.flatnonzero(acc), X, Y)
             if found:
                 return found
-            pos = np.full(total, -1, dtype=np.intp)
-            pos[rows] = np.arange(rows.size)
-            both = acc[nbr_a] & acc[nbr_b]
-            if both.any():
-                edge = nbr_edge[both]
-                allowed = self.allowed["y"][edge]
-                supdiff = self.y_supdiff(sec, pos[nbr_a[both]], pos[nbr_b[both]],
-                                         both.reshape(k, -1), edge)
-                bad = supdiff > allowed
-                if bad.any():
-                    w = int(np.argmax(bad))
-                    p, q = nbr_a[both][w], nbr_b[both][w]
-                    return _continuity_failure(
-                        cs, (X[p], Y[p]), (X[q], Y[q]), supdiff[w], allowed[w])
-            found = self.advance(halo, s, start, sec)
+            # the y edges with both ends accepted, row by row
+            w, e = np.divmod(np.flatnonzero(sec.acc[:, a] & sec.acc[:, b]), a.size)
+            found = (self.continuity(s, "y", [sec], w, a[e], w, b[e], e)
+                     or self.advance(halo, s, start, sec))
             if found:
                 return found
             del sec
@@ -406,21 +406,15 @@ class _Sweep:
     def validation(self, cs, sec, rows, X, Y):
         """The first orbit-joint, then endpoint, failure of the accepted
         pairs `rows` (of X, Y) of set cs, or None."""
-        m_y = self.m_y
-        at = {"x": sec.xrow[rows // m_y], "y": sec.ycol[rows % m_y],
-              "": np.zeros(rows.size, dtype=np.intp)}
+        at = {inputs: sec.row(inputs) for inputs in {inputs for inputs, _ in sec.tables}}
 
         def sample(t, j):
             # j is 0 or -1: an arc table's P or Q, bit-equal to those samples
             # (P C-ordered, as the samples are)
             inputs, table = sec.tables[t]
             if not isinstance(table, _Arcs):
-                table = table[:, j]
-            elif j:
-                table = table.Q
-            else:
-                table = table.P if inputs != "xy" else np.ascontiguousarray(table.P)
-            return table if inputs == "xy" else table[at[inputs]]
+                return table[:, j][at[inputs]]
+            return table.Q[at[inputs]] if j else np.ascontiguousarray(table.P[at[inputs]])
 
         firsts = [t for t, first in enumerate(sec.starts) if first]
         lasts = [t - 1 for t in firsts[1:]] + [len(sec.tables) - 1]
@@ -442,43 +436,85 @@ class _Sweep:
                             endpoint_residual=float(max(res0.max(), res1.max())))
         return None
 
-    def y_supdiff(self, sec, a, b, both, edge):
-        """Sup-distance of the set's legs along the y edges with both ends
-        accepted, (row, edge) flags `both`; a, b index the accepted pairs,
-        and `edge` is each one's y edge.  Pieces of both inputs are scanned
-        per pair, a piece of y once per y edge; pieces of x or of neither do
-        not move along y.  The rows their arcs leave are sampled together
-        (_Scans)."""
+    def continuity(self, s, axis, parts, wa, ca, wb, cb, edge):
+        """The first continuity failure of set s along `axis` ("y" or "x"),
+        or None.  Entry i, in failure order, joins the pair at window row
+        wa[i], column ca[i] to (wb[i], cb[i]) across edge[i] of the axis;
+        the window is the rows of `parts`, one after another.  A piece of
+        both inputs is scanned per entry, one of the axis's own input once
+        per edge (it has the same rows on all the edge's entries), the
+        others not at all; with more than one part, the scans are grouped
+        by the parts of the two ends.  _Scans samples their arcs together."""
+        if not edge.size:
+            return None
+        n = len(parts)
+        if n > 1:
+            # each window row's part, and its row in that part
+            sizes = [part.x.size for part in parts]
+            owner = np.repeat(np.arange(n), sizes)
+            local = np.arange(owner.size) - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        kinds = {inputs for inputs, _ in parts[-1].tables}
+        # (inputs, into, the entries scanned, their places in `into`)
+        supdiff = np.zeros(edge.size)
+        passes = [("xy", supdiff, slice(None), None)] if "xy" in kinds else []
+        if axis in kinds:
+            # one entry of each edge, whose distance goes to per_edge[edge]
+            one = np.full(self.allowed[axis].size, -1, dtype=np.intp)
+            one[edge] = np.arange(edge.size)
+            ids = np.flatnonzero(one >= 0)
+            per_edge = np.zeros(one.size)
+            passes.append((axis, per_edge, one[ids], ids))
         scans = _Scans(self)
-        supdiff = np.zeros(a.size)
-        per_edge = None
-        for inputs, table in sec.tables:
-            if inputs == "xy":
-                scans.scan(table, a, b, "y", edge, supdiff)
-            elif inputs == "y":
-                if per_edge is None:
-                    edges = np.flatnonzero(both.any(axis=0))
-                    ends = sec.ycol[self.ynbr[edges]]
-                    per_edge = np.zeros(both.shape[1])
-                scans.scan(table, ends[:, 0], ends[:, 1], "y", edges, per_edge, edges)
+        for inputs, into, pick, place in passes:
+            a, b, c_a, c_b, e = wa[pick], wb[pick], ca[pick], cb[pick], edge[pick]
+            groups = [(0, slice(None))]
+            if n > 1:
+                combo = owner[a] * n + owner[b]
+                groups = [(c, np.flatnonzero(combo == c))
+                          for c in np.flatnonzero(np.bincount(combo))]
+                a, b = local[a], local[b]
+            for c, sel in groups:
+                part_a, part_b = parts[c // n], parts[c % n]
+                ia = part_a.row(inputs, a[sel], c_a[sel])
+                ib = part_b.row(inputs, b[sel], c_b[sel])
+                at = place[sel] if place is not None else (None if n == 1 else sel)
+                for (kind, leg_a), (_, leg_b) in zip(part_a.tables, part_b.tables):
+                    if kind == inputs:
+                        scans.scan(leg_a, ia, ib, axis, e[sel], into, at, leg_b)
         scans.run()
-        if per_edge is not None:
-            supdiff = np.maximum(supdiff, np.broadcast_to(per_edge, both.shape)[both])
-        return supdiff
+        if axis in kinds:
+            supdiff = np.maximum(supdiff, per_edge[edge])
+        allowed = self.allowed[axis][edge]
+        bad = supdiff > allowed
+        if not bad.any():
+            return None
+        i = int(np.argmax(bad))
+        x = np.concatenate([part.x for part in parts])
+        return _continuity_failure(self.cover.sets[s], (self.xpts[x[wa[i]]], self.ypts[ca[i]]),
+                                   (self.xpts[x[wb[i]]], self.ypts[cb[i]]), supdiff[i],
+                                   allowed[i])
 
     def advance(self, halo, s, start, sec):
-        """x-continuity of set s on the edges block `sec` closes: its first
-        failure or None; then the block joins the set's halo, from which
-        every block whose rows have no neighbour ahead any more drops."""
+        """x-continuity of set s on the edges block `sec` closes, from it and
+        the set's halo: its first failure or None; then the block joins the
+        halo, from which every block with no neighbour ahead any more drops."""
         x0, x1 = int(sec.x[0]), int(sec.x[-1]) + 1
         parts = halo.get(s)
         if parts is None:
             parts = [self.open_rows(s, start, x0)]
         parts = parts + [sec]
-        found = self.x_continuity(s, parts, x0, x1)
         halo[s] = [part for part in parts
                    if part.x.size and self.reach[part.x].max() >= x1]
-        return found
+        edges = np.flatnonzero((self.closer >= x0) & (self.closer < x1))
+        # window rows: the parts' rows, then an all-rejecting row for
+        # endpoints in none (rows whose pairs this set never accepted)
+        window = np.vstack([part.acc for part in parts]
+                           + [np.zeros((1, self.m_y), dtype=bool)])
+        loc = np.full(self.m_x, -1, dtype=np.intp)
+        loc[np.concatenate([part.x for part in parts])] = np.arange(window.shape[0] - 1)
+        la, lb = loc[self.xnbr[edges, 0]], loc[self.xnbr[edges, 1]]
+        y, j = np.nonzero((window[la] & window[lb]).T)
+        return self.continuity(s, "x", parts, la[j], y, lb[j], y, edges[j])
 
     def open_rows(self, s, start, x0):
         """Set s on the rows before `start` still open at x0: the halo a run
@@ -495,78 +531,6 @@ class _Sweep:
                 return self.sections(s, xs, flat, X, Y)
             acc = flat.reshape(xs.size, m_y)
         return _Rows(xs, acc)
-
-    def x_continuity(self, s, parts, x0, x1):
-        """The first x-continuity failure of set s, in (y, edge) order, on
-        the edges that block [x0, x1) closes; the block and the halo are
-        `parts`.  Pieces of both inputs are scanned per pair, a piece of x
-        once per edge; pieces of y or of neither do not move along x.  The
-        rows their arcs leave are sampled together (_Scans)."""
-        edges = np.flatnonzero((self.closer >= x0) & (self.closer < x1))
-        if not edges.size:
-            return None
-        m_y = self.m_y
-        # window rows: the parts' rows, then an all-rejecting row for
-        # endpoints in none (rows whose pairs this set never accepted)
-        window = np.vstack([part.acc for part in parts]
-                           + [np.zeros((1, m_y), dtype=bool)])
-        loc = np.full(self.m_x, -1, dtype=np.intp)
-        loc[np.concatenate([part.x for part in parts])] = np.arange(window.shape[0] - 1)
-        la, lb = loc[self.xnbr[edges, 0]], loc[self.xnbr[edges, 1]]
-        both = window[la] & window[lb]
-        y, j = np.nonzero(both.T)
-        if not y.size:
-            return None
-        kinds = [inputs for inputs, _ in parts[-1].tables]
-        scans = _Scans(self)
-        supdiff = np.zeros(y.size)
-        if "xy" in kinds:
-            # each accepted pair's part, and its row in that part's tables
-            pos = np.cumsum(window.ravel()) - 1
-            pa, pb = pos[la[j] * m_y + y], pos[lb[j] * m_y + y]
-            offsets = np.cumsum([0] + [int(part.acc.sum()) for part in parts])
-            self.parts_supdiff(parts, "xy", offsets, pa, pb, edges[j], scans, supdiff)
-        if "x" in kinds:
-            # each edge's rows: their part, and their row in its x tables
-            hit = np.flatnonzero(both.any(axis=1))
-            offsets = np.cumsum([0] + [part.x.size for part in parts])
-            xrow = np.concatenate([part.xrow for part in parts])
-            per_edge = np.zeros(edges.size)
-            self.parts_supdiff(parts, "x", offsets, la[hit], lb[hit], edges[hit], scans,
-                               per_edge, hit, xrow)
-        scans.run()
-        if "x" in kinds:
-            supdiff = np.maximum(supdiff, per_edge[j])
-        allowed = self.allowed["x"][edges[j]]
-        bad = supdiff > allowed
-        if not bad.any():
-            return None
-        w = int(np.argmax(bad))
-        e, yw = int(edges[j[w]]), int(y[w])
-        a, b = self.xnbr[e]
-        return _continuity_failure(self.cover.sets[s], (self.xpts[a], self.ypts[yw]),
-                                   (self.xpts[b], self.ypts[yw]), supdiff[w], allowed[w])
-
-    def parts_supdiff(self, parts, inputs, offsets, pa, pb, edge, scans, into, at=None,
-                      rows=None):
-        """Add to `scans` the sup-distance of the pieces of `inputs` between
-        the entries pa and pb, each in the part it falls in (offsets: each
-        part's first entry), at its place in that part or at rows[entry]
-        when given, along the x edges `edge`; it goes into into[at] (default:
-        into itself, an entry per pair)."""
-        part_a = np.searchsorted(offsets, pa, side="right") - 1
-        part_b = np.searchsorted(offsets, pb, side="right") - 1
-        ia, ib = pa - offsets[part_a], pb - offsets[part_b]
-        if rows is not None:
-            ia, ib = rows[pa], rows[pb]
-        combo = part_a * len(parts) + part_b
-        for c in np.flatnonzero(np.bincount(combo)):
-            sel = np.flatnonzero(combo == c)
-            ka, kb = divmod(int(c), len(parts))
-            for (kind, leg_a), (_, leg_b) in zip(parts[ka].tables, parts[kb].tables):
-                if kind == inputs:
-                    scans.scan(leg_a, ia[sel], ib[sel], "x", edge[sel], into,
-                               sel if at is None else at[sel], leg_b)
 
 
 def usable_cpus() -> int:

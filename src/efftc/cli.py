@@ -6,8 +6,9 @@
     efftc list-builtins
 
 Exit codes: 0 all reports consistent and expectations met; 1 contradiction,
-refutation or expectation miss; 2 a scenario that cannot be loaded, or
-verification parameters no certification can run on; 3 a run that failed
+refutation or expectation miss; 2 a scenario that cannot be loaded,
+verification parameters no certification can run on, or a report directory
+or report file that cannot be read; 3 a run that failed
 (reported with the exception's type and message, and the index, op, and
 method or planner of the pipeline step that raised it); 4 an internal error,
 an exception none of these expects, with its traceback on stderr.
@@ -112,7 +113,11 @@ def _command(args) -> int:
         return 0
 
     if args.command == "table":
-        rows, missing = emit_table(args.dir)
+        try:
+            rows, missing = emit_table(args.dir)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read reports: {exc}", file=sys.stderr)
+            return 2
         if missing:
             print(f"missing scenario reports: {sorted(set(missing))}",
                   file=sys.stderr)

@@ -160,8 +160,9 @@ class Sphere(Space):
         self.diameter = np.pi
 
     def dist(self, p, q):
-        p, q = np.asarray(p, float), np.asarray(q, float)
-        chord = np.linalg.norm(p - q, axis=-1)
+        d = np.asarray(p, float) - np.asarray(q, float)
+        # np.linalg.norm(d, axis=-1) as it computes it, without its call overhead
+        chord = np.sqrt(np.add.reduce(d * d, axis=-1))
         return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
 
     def geodesic(self, p, q, n):

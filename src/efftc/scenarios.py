@@ -780,20 +780,44 @@ TABLE_ROWS = [
      "stage": 1, "reference": 2},
 ]
 
+# the keys emit_table reads of each entry of a stored report's "reports"
+_REPORT_KEYS = frozenset({"kind", "stage", "lower", "upper"})
+
+
+def _readable_report(r) -> bool:
+    """An entry emit_table can read: its keys, with integer or null bounds."""
+    return (isinstance(r, dict) and _REPORT_KEYS <= r.keys()
+            and all(r[k] is None or type(r[k]) is int for k in ("lower", "upper")))
+
+
 def emit_table(report_dir: str):
     """Assemble the desk-scale sphere table from stored scenario reports.
 
     Returns (rows, missing); each row gets a match flag
-    lower <= reference value <= upper.
+    lower <= reference value <= upper.  JSON files that are not scenario
+    reports (no "scenario" key) are skipped; a file that is not JSON, or a
+    scenario report whose reports the table cannot read, raises ValueError
+    naming the file.
     """
     loaded = {}
     for fname in sorted(os.listdir(report_dir)):
         if not fname.endswith(".json"):
             continue
-        with open(os.path.join(report_dir, fname), "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if "scenario" in data:
-            loaded[data["scenario"]] = data
+        path = os.path.join(report_dir, fname)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+        if not isinstance(data, dict) or "scenario" not in data:
+            continue
+        reports = data.get("reports")
+        if not (isinstance(data["scenario"], str) and isinstance(reports, list)
+                and all(_readable_report(r) for r in reports)):
+            raise ValueError(f"{path} is not a scenario report: it needs a scenario name "
+                             f"and a list of reports, each with {sorted(_REPORT_KEYS)}, "
+                             "the bounds integers or null")
+        loaded[data["scenario"]] = data
     rows = []
     missing = []
     for row_spec in TABLE_ROWS:

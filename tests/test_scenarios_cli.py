@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import itertools
 import json
@@ -135,6 +136,28 @@ def test_cli_exit_codes(tmp_path):
     p = tmp_path / "doomed.json"
     p.write_text(json.dumps(spec))
     assert main(["run", str(p), "--out", str(tmp_path / "d.json")]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"scenario": "s1-flip"}',
+    '{"scenario": "s1-flip", "reports": {"kind": "tc"}}',
+    '{"scenario": "s1-flip", "reports": [{"kind": "tc", "stage": 2}]}',
+    '{"scenario": ["s1-flip"], "reports": []}',
+    '{"scenario": "s1-flip", "reports": [{"kind": "tc", "stage": 2, "lower": "1", "upper": 1}]}',
+], ids=["not-json", "no-reports", "reports-not-a-list", "report-without-bounds",
+        "unhashable-scenario", "bound-not-an-integer"])
+def test_table_of_malformed_reports_exits_2_naming_the_file(tmp_path, capsys, text):
+    (tmp_path / "s1-flip.json").write_text(run_scenario("s1-flip").to_json())
+    bad = tmp_path / "a.json"
+    bad.write_text(text)
+    assert main(["table", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    # JSON that is not a scenario report is skipped, as before
+    bad.write_text('{"note": "not a report"}')
+    assert main(["table", str(tmp_path)]) == 1         # the S^2 rows are missing
+    assert main(["table", str(tmp_path / "absent")]) == 2
 
 
 def test_cli_grid_override(tmp_path):
@@ -551,7 +574,9 @@ def scenario_documents(draw):
         for step in parent:
             node = node[step]
         if draw(st.booleans()):
-            node[key] = draw(st.sampled_from(_MUTANTS))
+            # a copy: a later mutation may land inside this one, and must
+            # change neither _MUTANTS nor a mutant into its own child
+            node[key] = copy.deepcopy(draw(st.sampled_from(_MUTANTS)))
         else:
             del node[key]
     return doc

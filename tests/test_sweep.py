@@ -68,9 +68,10 @@ def with_jump(cover, jump, end_error=None, piece=None):
     jump(s, X, Y), and its last leg's end by end_error(s, X, Y), each leg
     then one piece of both inputs: a discontinuous jump breaks continuity
     and nothing else.  With
-    piece=(s, leg, k), the jump shifts instead the interior samples of
-    piece k of that leg of set s alone, by jump(s, *rows) of the piece's own
-    input rows, and the set keeps its pieces."""
+    piece=(s, leg, k), the jump shifts instead the samples of piece k of
+    that leg of set s alone that are interior to the leg (all but the leg's
+    first and last), by jump(s, *rows) of the piece's own input rows, and
+    the set keeps its pieces."""
     def wrap(s, cs):
         def legs(X, Y, m):
             out = [np.array(leg) for leg in cs.build_legs(X, Y, m)]
@@ -85,10 +86,11 @@ def with_jump(cover, jump, end_error=None, piece=None):
         if s != target:
             return cs
         old = cs.pieces[leg][k]
+        lo, hi = int(k == 0), -1 if k == len(cs.pieces[leg]) - 1 else None
 
         def build(*args):
             out = np.array(old.build(*args))
-            out[:, 1:-1] += jump(s, *args[:-1])[:, None, :]
+            out[:, lo:hi] += jump(s, *args[:-1])[:, None, :]
             return out
 
         pieces = [list(p) for p in cs.pieces]
@@ -330,19 +332,28 @@ SPACES = {
     "sphere": (Sphere(2), lambda a: planners.farber_sphere_cover(a)),
     "torus": (FlatTorus(2), lambda a: planners.torus_cut_cover(a)),
 }
+# pieces of a single input in those covers, as with_jump's piece=(s, leg, k):
+# U2's arcs of y, and farber U3's arc of x (X -> N) and of y (S -> Y) on S^2
+SINGLE_INPUT_PIECES = {
+    "circle": [(1, 0, 1), (1, 0, 2)],
+    "sphere": [(1, 0, 1), (2, 0, 0), (2, 0, 3)],
+    "torus": [],
+}
 
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(kind=st.sampled_from(sorted(SPACES)), grid=st.integers(6, 14),
        chunk_rows=st.integers(1, 40), modulus=st.floats(0.5, 12.0),
-       seed=st.integers(0, 2**16), bad_ends=st.booleans())
+       seed=st.integers(0, 2**16), bad_ends=st.booleans(), data=st.data())
 def test_sweep_matches_oracle_on_random_jumps(kind, grid, chunk_rows, modulus,
-                                              seed, bad_ends):
+                                              seed, bad_ends, data):
     # per set, jumps along x gated by y and along y gated by x, at random
-    # cuts; optional endpoint errors of varying size; and a chunk size that
-    # splits the grid anywhere
+    # cuts, and optional endpoint errors of varying size; or a jump inside
+    # one piece of a single input, across a random cut of that input; and a
+    # chunk size that splits the grid anywhere
     space, make = SPACES[kind]
+    piece = data.draw(st.sampled_from([None] + SINGLE_INPUT_PIECES[kind]), label="piece")
     rng = np.random.default_rng(seed)
     d = space.point_dim
     cuts = rng.normal(size=(3, 4, d)), rng.uniform(-0.6, 0.6, size=(3, 4))
@@ -359,8 +370,16 @@ def test_sweep_matches_oracle_on_random_jumps(kind, grid, chunk_rows, modulus,
     def end_error(s, X, Y):
         return np.outer(side(s, 3, X) & side(s, 0, Y), sizes[s, 0]) * 1e-2
 
-    cover = with_jump(make(trivial_space_action(space)), jump,
-                      end_error if bad_ends else None)
+    def piece_jump(s, P):
+        # long enough to fail where L h is close to the diameter, which the
+        # unjumped cover on S^2 needs at the finer grids
+        return np.outer(side(s, 0, P), 4.0 * sizes[s, 0])
+
+    if piece is None:
+        cover = with_jump(make(trivial_space_action(space)), jump,
+                          end_error if bad_ends else None)
+    else:
+        cover = with_jump(make(trivial_space_action(space)), piece_jump, piece=piece)
     m_y = len(space.grid(grid))
     assert_matches_oracle(cover, grid, budget=chunk_rows * m_y * 8,
                           modulus=modulus, samples=8)
