@@ -132,7 +132,8 @@ def circle_flip_quotient(action: SpaceAction) -> QuotientModel:
 
 class Hemisphere(Space):
     """Quotient model of the codimension-1 involution on S^2: the closed
-    upper hemisphere {x0 >= 0} with the orbit metric."""
+    upper hemisphere {x0 >= 0} with the orbit metric.  Its covers build
+    their legs directly, so it has no geodesics."""
 
     def __init__(self):
         self.point_dim = 3
@@ -147,9 +148,6 @@ class Hemisphere(Space):
     def dist(self, p, q):
         return np.minimum(self._sphere.dist(p, q),
                           self._sphere.dist(p, self._flip(q)))
-
-    def geodesic(self, p, q, n):
-        raise NotImplementedError("hemisphere cover sections are built directly")
 
     def grid(self, resolution):
         pts = self._sphere.grid(resolution)

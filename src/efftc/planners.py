@@ -243,7 +243,7 @@ def _pairing_field(Y):
     return V
 
 
-def _stereo_field(Y, tol=1e-12):
+def _stereo_field(Y):
     """Tangent field on an even sphere vanishing only at the south pole -e0.
 
     Pullback of a constant field under stereographic projection from -e0.

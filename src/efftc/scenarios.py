@@ -37,10 +37,6 @@ DEFAULT_PARAMS = {"grid": 32, "epsilon": 0.05, "delta": 1e-6,
                   "modulus": 10.0, "samples": 64}
 
 
-def default_seed() -> int:
-    return sampling_seed()
-
-
 def check_params(params: dict) -> None:
     """Reject verification parameters no certification can run on: a grid,
     epsilon or modulus that is not positive, a negative delta, or fewer
@@ -496,7 +492,7 @@ def run_scenario_obj(scenario: Scenario, overrides=None) -> ScenarioResult:
     params = dict(DEFAULT_PARAMS)
     params.update(overrides or {})
     check_params(params)
-    params.setdefault("seed", default_seed())
+    params.setdefault("seed", sampling_seed())
     verify_params = {k: params[k] for k in DEFAULT_PARAMS}
     bundle = build_bundle(scenario)
     free = bundle.group_action.is_free() if bundle.group_action else None

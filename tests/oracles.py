@@ -18,8 +18,9 @@ an arc piece, the legs of the sphere covers built whole on every pair
 chains of arcs of the hemisphere and geodesic cat covers joined by
 `slerp_chain` (before they were given as pieces), the whole legs of the
 point, circle, arc and torus-cut covers and of the covers transferred from
-a quotient (before every set was given as pieces), and the Python-set
-neighbour loop of the sphere grids.  `leg_pieces` turns a test's whole-leg
+a quotient (before every set was given as pieces), the Python-set
+neighbour loop of the sphere grids, the point-by-point neighbour loops and
+wedge grid of the other spaces, and the wedge geodesics built row by row.  `leg_pieces` turns a test's whole-leg
 builder into the pieces a cover set is made from.  `sphere_action_kind`
 tells the catalog sphere actions apart by sampling, as the package did
 before the two-stage involution cover chose its branch by freeness.
@@ -47,7 +48,9 @@ from efftc.models import Hemisphere
 from efftc.pathspace import (
     ARC_SLACK,
     Arc,
+    Circle,
     FlatTorus,
+    WedgeCircles,
     leg_residuals,
     trivial_space_action,
     wrapped_lines,
@@ -797,6 +800,92 @@ def neighbor_pairs_by_sets(sphere, resolution) -> np.ndarray:
                 k1 = int(np.round(k2 * nl / nxt)) % nl
                 pairs.add(tuple(sorted((base + k1, base2 + k2))))
     return np.array(sorted(pairs), dtype=np.intp)
+
+
+def neighbor_pairs_by_loops(space, resolution) -> np.ndarray:
+    """The neighbour edges of a circle, arc, flat torus or wedge grid,
+    collected point by point as the package did before its rules became
+    array expressions: the circle's ring (k, k + 1 mod r), the arc's path,
+    the torus lattice through `unravel_index` by point and then by axis,
+    and each wedge branch as a ring through the basepoint (resolution >= 2:
+    at 1 this loop emitted a self-loop and an index outside the grid)."""
+    if isinstance(space, Circle):
+        r = resolution + (resolution % 2)
+        return np.array([(k, (k + 1) % r) for k in range(r)], dtype=np.intp)
+    if isinstance(space, Arc):
+        return np.array([(k, k + 1) for k in range(resolution)], dtype=np.intp)
+    if isinstance(space, FlatTorus):
+        m = space._side(resolution)
+        shape = (m,) * space.n
+        pairs = []
+        for flat in range(m ** space.n):
+            coords = np.unravel_index(flat, shape)
+            for axis in range(space.n):
+                nxt = list(coords)
+                nxt[axis] = (nxt[axis] + 1) % m
+                pairs.append((flat, int(np.ravel_multi_index(nxt, shape))))
+        return np.array(pairs, dtype=np.intp)
+    if isinstance(space, WedgeCircles):
+        pairs = []
+        per = resolution - 1
+        for b in range(space.branches):
+            start = 1 + b * per
+            pairs.append((0, start))
+            for k in range(per - 1):
+                pairs.append((start + k, start + k + 1))
+            pairs.append((start + per - 1, 0))
+        return np.array(pairs, dtype=np.intp)
+    raise TypeError(f"no loop rule for {space.name}")
+
+
+def wedge_grid_by_points(space, resolution) -> np.ndarray:
+    """The wedge grid appended point by point: the basepoint, then the
+    angles 2 pi k / resolution of each branch."""
+    pts = [np.array([0.0, 0.0])]
+    for b in range(space.branches):
+        for k in range(1, resolution):
+            pts.append(np.array([float(b), 2 * np.pi * k / resolution]))
+    return np.stack(pts, axis=0)
+
+
+def wedge_geodesics_by_rows(space, p, q, n) -> np.ndarray:
+    """Wedge geodesics of broadcast (M, 2) endpoints, row by row and, across
+    branches, sample by sample: the form `WedgeCircles` computed them in
+    before they were batched."""
+    p, q = np.broadcast_arrays(space.canonical(np.atleast_2d(p)),
+                               space.canonical(np.atleast_2d(q)))
+    t = np.linspace(0.0, 1.0, n)
+    out = np.zeros((p.shape[0], n, 2))
+    for i in range(p.shape[0]):
+        out[i] = _wedge_geodesic_one(space, p[i], q[i], t)
+    return out
+
+
+def _wedge_geodesic_one(space, p, q, t):
+    n = len(t)
+    if p[0] == q[0]:
+        delta = np.mod(q[1] - p[1] + np.pi, 2 * np.pi) - np.pi
+        if delta == -np.pi:
+            delta = np.pi
+        ang = np.mod(p[1] + t * delta, 2 * np.pi)
+        return space.canonical(np.stack([np.full(n, p[0]), ang], axis=-1))
+    # through the basepoint: down branch p the short way, then up branch q
+    d1 = float(space._base_dist(np.array(p[1])))
+    d2 = float(space._base_dist(np.array(q[1])))
+    total = d1 + d2
+    pts = np.zeros((n, 2))
+    for k, tk in enumerate(t):
+        s = tk * total
+        if s <= d1 and total > 0:
+            ang = p[1] - s if p[1] <= np.pi else p[1] + s
+            pts[k] = [p[0], np.mod(ang, 2 * np.pi)]
+        else:
+            u = s - d1
+            ang = u if q[1] <= np.pi else -u
+            pts[k] = [q[0], np.mod(ang, 2 * np.pi)]
+    pts[0] = p
+    pts[-1] = q
+    return space.canonical(pts)
 
 
 # ------------------------------------------------------ group-action oracles

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efftc.errors import GeodesicDegeneracyError
 from efftc.models import (
+    Hemisphere,
     circle_antipodal_quotient,
     circle_flip_quotient,
     sphere_antipodal,
@@ -16,7 +18,10 @@ from efftc.models import (
 from efftc.pathspace import (
     ENDPOINT_TOL,
     JOINT_TOL,
+    Arc,
+    Circle,
     FlatTorus,
+    PointSpace,
     Sphere,
     WedgeCircles,
     leg_residuals,
@@ -400,3 +405,101 @@ def test_neighbor_pairs_match_set_loop():
             expected = neighbor_pairs_by_sets(sphere, grid)
             assert got.dtype == expected.dtype and got.flags.c_contiguous
             assert np.array_equal(got, expected), (n, grid)
+
+
+# one space of every kind and shape the package builds, the hemisphere too
+EVERY_SPACE = [PointSpace(), Sphere(1), Sphere(2), FlatTorus(1), FlatTorus(2),
+               FlatTorus(3), Circle(2 * np.pi), Circle(1.5), Arc(1.0), Arc(np.pi),
+               WedgeCircles(1), WedgeCircles(2), WedgeCircles(3), Hemisphere()]
+
+
+def _name(space):
+    return space.name
+
+
+@pytest.mark.parametrize("space", EVERY_SPACE, ids=_name)
+def test_neighbor_indices_lie_in_the_grid_without_self_loops(space):
+    # resolution 1 included: a wedge branch then holds no grid point
+    for grid in range(1, 13):
+        n = len(space.grid(grid))
+        nbr = space.grid_neighbor_pairs(grid)
+        assert nbr.dtype == np.intp and nbr.ndim == 2 and nbr.shape[1] == 2
+        assert ((0 <= nbr) & (nbr < n)).all(), grid
+        assert (nbr[:, 0] != nbr[:, 1]).all(), grid
+
+
+# the sphere rules are checked against their set loop above
+@pytest.mark.parametrize("space", [s for s in EVERY_SPACE if not isinstance(s, Sphere)],
+                         ids=_name)
+def test_neighbor_rules_and_grids_match_the_former_loops(space):
+    from oracles import neighbor_pairs_by_loops, wedge_grid_by_points
+    for grid in range(2, 41):
+        got = space.grid_neighbor_pairs(grid)
+        if isinstance(space, (PointSpace, Hemisphere)):
+            expected = np.zeros((0, 2), dtype=np.intp)
+        else:
+            expected = neighbor_pairs_by_loops(space, grid)
+        assert got.dtype == expected.dtype and got.flags.c_contiguous, grid
+        assert got.shape == expected.shape and np.array_equal(got, expected), grid
+        if isinstance(space, WedgeCircles):
+            pts, expected = space.grid(grid), wedge_grid_by_points(space, grid)
+            assert pts.dtype == expected.dtype and np.array_equal(pts, expected), grid
+
+
+@pytest.mark.parametrize("space", [s for s in EVERY_SPACE if not isinstance(s, Hemisphere)],
+                         ids=_name)
+def test_geodesic_shapes_points_one_way_for_every_space(space):
+    # two points give (n, d); anything else is broadcast to (M, n, d), and
+    # every row is the geodesic of its own two points, bit for bit
+    rng = np.random.default_rng(7)
+    P, Q = space.random_points(rng, 6), space.random_points(rng, 6)
+    n, d = 9, space.point_dim
+    one = space.geodesic(P[0], Q[0], n)
+    assert one.shape == (n, d) and one.dtype == np.float64
+    rows, fan_q, fan_p = (space.geodesic(P, Q, n), space.geodesic(P[0], Q, n),
+                          space.geodesic(P, Q[0], n))
+    assert rows.shape == fan_q.shape == fan_p.shape == (6, n, d)
+    assert np.array_equal(rows[0], one)
+    for i in range(6):
+        assert np.array_equal(rows[i], space.geodesic(P[i], Q[i], n))
+        assert np.array_equal(fan_q[i], space.geodesic(P[0], Q[i], n))
+        assert np.array_equal(fan_p[i], space.geodesic(P[i], Q[0], n))
+
+
+def test_hemisphere_has_no_geodesics():
+    p = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(NotImplementedError):
+        Hemisphere().geodesic(p, p, 4)
+
+
+# angles that tie: the basepoint, the antipode of the basepoint, both ends
+# of [0, 2 pi), angles out of range, and grid angles
+_WEDGE_ANGLES = st.one_of(
+    st.sampled_from([0.0, np.pi, 2 * np.pi, -np.pi, 3 * np.pi, np.pi / 2,
+                     3 * np.pi / 2, 2 * np.pi / 3, 4 * np.pi / 3, -2 * np.pi]),
+    st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False))
+_WEDGE_ROWS = st.lists(st.tuples(st.integers(0, 2), _WEDGE_ANGLES, st.integers(0, 2),
+                                 _WEDGE_ANGLES, st.sampled_from(["free", "antipode", "mirror", "equal"])),
+                       min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_WEDGE_ROWS, n=st.integers(1, 40))
+def test_wedge_geodesics_match_the_row_loop(rows, n):
+    from oracles import wedge_geodesics_by_rows
+    space = WedgeCircles(3)
+    P = np.array([(b, a) for b, a, _, _, _ in rows], dtype=float)
+    Q = np.array([(c, z) for _, _, c, z, _ in rows], dtype=float)
+    for i, (_, _, _, _, how) in enumerate(rows):
+        if how == "antipode":       # the same branch, half a turn on
+            Q[i] = P[i, 0], P[i, 1] + np.pi
+        elif how == "mirror":       # the next branch, as far from the basepoint
+            Q[i] = (P[i, 0] + 1) % 3, 2 * np.pi - P[i, 1]
+        elif how == "equal":
+            Q[i] = P[i]
+    got = space.geodesic(P, Q, n)
+    expected = wedge_geodesics_by_rows(space, P, Q, n)
+    assert got.shape == expected.shape and np.array_equal(got, expected)
+    assert np.array_equal(space.geodesic(P[0], Q[0], n), expected[0])
+    assert np.array_equal(space.geodesic(P[0], Q, n),
+                          wedge_geodesics_by_rows(space, P[0], Q, n))

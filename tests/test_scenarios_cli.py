@@ -167,6 +167,16 @@ def test_cli_grid_override(tmp_path):
     assert json.loads(out.read_text())["params"]["grid"] == 8
 
 
+@pytest.mark.parametrize("name", ["wedge-z2", "wedge-z3"])
+def test_wedge_at_grid_1_writes_a_report(tmp_path, capsys, name):
+    # a one-point wedge grid has no neighbour edge; it used to have (0, 1)
+    # and (0, 0), and the run exited 4 on an IndexError
+    out = tmp_path / "w.json"
+    assert main(["run", name, "--grid", "1", "--out", str(out)]) in (0, 1)
+    assert json.loads(out.read_text())["params"]["grid"] == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_table_assembly(tmp_path):
     for name in ("s1-antipodal", "s1-flip"):
         res = run_scenario(name)

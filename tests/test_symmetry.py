@@ -358,13 +358,20 @@ def test_diagonal_slice_intersection_identity_z3():
             assert inter == frozenset(expected)
 
 
-def test_diagonal_rejects_slice_simplices_outside_the_product(monkeypatch):
+def test_diagonal_slices_are_chains_of_the_product():
     # the antipodal hexagon map is not order-monotone: without the
     # subdivision, the slice of edge (2, 3) is ((0, 3), (5, 2)), which is not
-    # a chain of the staircase product
-    monkeypatch.setattr(symmetry, "_monotone_on_simplices", lambda action, g: True)
-    with pytest.raises(RegularityError):
-        saturated_diagonal(hexagon_antipodal())
+    # a chain of the staircase product.  The subdivision loop is what rules
+    # such a slice out: every slice simplex of the result is a chain
+    act = hexagon_antipodal()
+    assert not symmetry._monotone_on_simplices(act, 1)
+    diag = saturated_diagonal(act)
+    assert diag.subdivisions == 1
+    rank = {v: i for i, v in enumerate(diag.base.complex.vertices)}
+    for g in diag.elements:
+        for simplex in diag.slices[g]:
+            for (ga, a), (gb, b) in zip(simplex, simplex[1:]):
+                assert rank[ga] < rank[gb] and rank[a] < rank[b], simplex
 
 
 def test_diagonal_free_component_count():
