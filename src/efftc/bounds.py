@@ -544,26 +544,23 @@ def usable_cpus() -> int:
 STOP_GRACE = 2.0
 
 
-def first_failure(jobs, workers: int | None = None):
+def first_failure(jobs):
     """The first failure of the zero-argument jobs.
 
     A job returns None or a failure, and the first failure in job order
-    wins and stops the run.  Jobs run in min(workers, len(jobs)) forked
-    children, usable_cpus() by default, and serially in this process when
-    that is one.  Covers hold closures, which cannot be pickled, so the jobs
-    reach the children by fork inheritance: child k runs jobs k, k + w, ...
-    and pickles each result, or the exception a job raised, into a pipe of
-    its own.  The caller reads the pipes in job order, so the outcome is
-    exactly that of the serial loop.  At the first failure, the first
-    exception or the last result, every child still running is stopped
-    (_stop) and reaped: no child outlives the call.  A job's exception is
-    raised here with its type and message (its traceback in the child as
-    the cause); a child that dies before its result raises
-    BrokenProcessPool.
+    wins and stops the run.  Jobs run in min(usable_cpus(), len(jobs))
+    forked children, and serially in this process when that is one.  Covers
+    hold closures, which cannot be pickled, so the jobs reach the children
+    by fork inheritance: child k runs jobs k, k + w, ... and pickles each
+    result, or the exception a job raised, into a pipe of its own.  The
+    caller reads the pipes in job order, so the outcome is exactly that of
+    the serial loop.  At the first failure, the first exception or the last
+    result, every child still running is stopped (_stop) and reaped: no
+    child outlives the call.  A job's exception is raised here with its
+    type and message (its traceback in the child as the cause); a child
+    that dies before its result raises BrokenProcessPool.
     """
-    if workers is None:
-        workers = usable_cpus()
-    workers = min(workers, len(jobs))
+    workers = min(usable_cpus(), len(jobs))
     if workers <= 1 or not hasattr(os, "fork"):
         return _first(job() for job in jobs)
     children = []

@@ -49,7 +49,7 @@ def sphere_codim1(n: int) -> SpaceAction:
                        [lambda p: p, _linear_map(g)])
 
 
-def sphere_rotation(n: int = 2) -> SpaceAction:
+def sphere_rotation(n: int) -> SpaceAction:
     """Half-turn rotation about the first axis (orientation preserving)."""
     space = Sphere(n)
     g = -np.eye(n + 1)

@@ -298,7 +298,7 @@ FIELD_EXCLUSION = 0.45
 ARC_EXCLUSION = 0.12
 
 
-def farber_sphere_cover(action: SpaceAction, name: str = "farber") -> PlannerCover:
+def farber_sphere_cover(action: SpaceAction) -> PlannerCover:
     """Stage-1 cover of S^n x S^n: 2 sets for odd n, 3 for even n."""
     space = action.space
     n = space.n
@@ -337,11 +337,10 @@ def farber_sphere_cover(action: SpaceAction, name: str = "farber") -> PlannerCov
         sets.append(CoverSet("U2", 1, margin_u2,
                              pieces=(_arc_then_half(space, _stereo_field),)))
         sets.append(CoverSet("U3", 1, margin_u3, pieces=(u3,)))
-    return PlannerCover(action=action, sets=sets, stage=1, name=name)
+    return PlannerCover(action=action, sets=sets, stage=1, name="farber")
 
 
-def involution_two_stage_cover(action: SpaceAction,
-                               name: str = "involution2") -> PlannerCover:
+def involution_two_stage_cover(action: SpaceAction) -> PlannerCover:
     """Two-set stage-2 cover for the antipodal or codimension-1 involution.
 
     The free antipodal case uses the one-jump planner
@@ -368,11 +367,10 @@ def involution_two_stage_cover(action: SpaceAction,
     return PlannerCover(action=action,
                         sets=[CoverSet("U1", 2, margin_u1, pieces=u1),
                               CoverSet("U2", 2, margin_u2, pieces=u2)],
-                        stage=2, name=name)
+                        stage=2, name="involution2")
 
 
-def involution_three_stage_planner(action: SpaceAction,
-                                   name: str = "involution3") -> PlannerCover:
+def involution_three_stage_planner(action: SpaceAction) -> PlannerCover:
     """Single global stage-3 planner through the pole of the upper hemisphere."""
     space, north = action.space, _north(action.space)
     # const x | fold(x) -> N | N -> fold(y) | const y
@@ -381,7 +379,7 @@ def involution_three_stage_planner(action: SpaceAction,
               (_const_piece("y"),))
     return PlannerCover(action=action,
                         sets=[CoverSet("U", 3, _everywhere, pieces=pieces)],
-                        stage=3, name=name)
+                        stage=3, name="involution3")
 
 
 def adversarial_sphere_cover(action: SpaceAction, honest_membership: bool = False,
@@ -431,15 +429,15 @@ def adversarial_sphere_cover(action: SpaceAction, honest_membership: bool = Fals
                         stage=1, name=name)
 
 
-def point_cover(action: SpaceAction, name: str = "point") -> PlannerCover:
+def point_cover(action: SpaceAction) -> PlannerCover:
     return PlannerCover(action=action,
                         sets=[CoverSet("U", 1, _everywhere, ((_const_piece("x"),),))],
-                        stage=1, name=name)
+                        stage=1, name="point")
 
 
 # -------------------------------------------------- circle / torus covers
 
-def circle_cover(action: SpaceAction, name: str = "circle") -> PlannerCover:
+def circle_cover(action: SpaceAction) -> PlannerCover:
     """Two-set stage-1 planner on a circle: shortest arc + oriented arc."""
     space = action.space
     length = space.length
@@ -459,32 +457,33 @@ def circle_cover(action: SpaceAction, name: str = "circle") -> PlannerCover:
     return PlannerCover(action=action,
                         sets=[CoverSet("U1", 1, margin_u1, shortest),
                               CoverSet("U2", 1, margin_u2, ((Piece("xy", oriented),),))],
-                        stage=1, name=name)
+                        stage=1, name="circle")
 
 
-def arc_cover(action: SpaceAction, name: str = "arc") -> PlannerCover:
+def arc_cover(action: SpaceAction) -> PlannerCover:
     """Single-set stage-1 planner on a contractible arc (claimed bound 0)."""
     geodesic = ((Piece("xy", action.space.geodesic),),)
     return PlannerCover(action=action, sets=[CoverSet("U", 1, _everywhere, geodesic)],
-                        stage=1, name=name)
+                        stage=1, name="arc")
 
 
-def hemisphere_cover(action: SpaceAction, name: str = "hemisphere") -> PlannerCover:
+def hemisphere_cover(action: SpaceAction) -> PlannerCover:
     """Single-set stage-1 planner on the closed upper hemisphere: route
     through the pole (claimed bound 0; the quotient disk is contractible)."""
     space, north = action.space, _north(action.space)
     # X -> N -> Y: the first arc moves with x, the second with y
     legs = ((_arc_piece(space, "x", _same, north), _arc_piece(space, "y", north, _same)),)
     return PlannerCover(action=action, sets=[CoverSet("U", 1, _everywhere, pieces=legs)],
-                        stage=1, name=name)
+                        stage=1, name="hemisphere")
 
 
-def hemisphere_cat_cover(action: SpaceAction, name: str = "hemisphere-cat") -> PlannerCover:
+def hemisphere_cat_cover(action: SpaceAction) -> PlannerCover:
     """Single-set based cover of the hemisphere disk from the pole."""
     space, north = action.space, _north(action.space)
     legs = ((_arc_piece(space, "y", north, _same),),)
     return PlannerCover(action=action, sets=[CoverSet("U", 1, _everywhere, pieces=legs)],
-                        stage=1, kind="cat", basepoint=north, name=name)
+                        stage=1, kind="cat", basepoint=north,
+                        name="hemisphere-cat")
 
 
 TORUS_CUTS = ((0.5, 0.5), (1.0 / 6.0, 5.0 / 6.0), (5.0 / 6.0, 1.0 / 6.0))
@@ -495,7 +494,7 @@ def _circ_dist(vals, cut):
     return np.minimum(d, 1.0 - d)
 
 
-def torus_cut_cover(action: SpaceAction, name: str = "torus-cut") -> PlannerCover:
+def torus_cut_cover(action: SpaceAction) -> PlannerCover:
     """Stage-1 cover of T^2 x T^2 by three branch-cut sets (claimed bound 2)."""
     space = action.space
     sets = []
@@ -515,7 +514,7 @@ def torus_cut_cover(action: SpaceAction, name: str = "torus-cut") -> PlannerCove
             return pts
 
         sets.append(CoverSet(f"V{idx}", 1, margin, ((Piece("xy", lines),),)))
-    return PlannerCover(action=action, sets=sets, stage=1, name=name)
+    return PlannerCover(action=action, sets=sets, stage=1, name="torus-cut")
 
 
 # ------------------------------------------------------ cover transfer
@@ -538,11 +537,6 @@ def _by_blocks(total, block):
             out = np.empty((total,) + part.shape[1:])
         out[rows] = part
     return out
-
-
-def _projected_margin(model: QuotientModel, qset: CoverSet):
-    """The margin of quotient set qset at the projected pairs."""
-    return lambda X, Y: qset.margin(model.project(X), model.project(Y))
 
 
 def _section_piece(model: QuotientModel, piece: Piece) -> Piece:
@@ -577,18 +571,28 @@ def _check_strict_section(model: QuotientModel):
         raise ValueError(f"section check failed: residual {residual:.2e}")
 
 
-def cover_from_strict_section(model: QuotientModel, quotient_cover: PlannerCover,
-                              name: str = "strict-section") -> PlannerCover:
+def _transferred_sets(model: QuotientModel, quotient_cover: PlannerCover,
+                      stage: int, legs) -> list[CoverSet]:
+    """One stage-`stage` set per set qset of a stage-1 cover of X/G: the
+    margin of qset at the projected pairs, and the pieces legs(qset)."""
+    if quotient_cover.stage != 1:
+        raise ValueError("quotient cover must be stage 1")
+
+    def margin(qset):
+        return lambda X, Y: qset.margin(model.project(X), model.project(Y))
+
+    return [CoverSet(qset.name, stage, margin(qset), legs(qset))
+            for qset in quotient_cover.sets]
+
+
+def cover_from_strict_section(model: QuotientModel,
+                              quotient_cover: PlannerCover) -> PlannerCover:
     """Stage-3 cover of X x X from a stage-1 cover of X/G and a strict
     section (on a wedge of copies of a space: onto the identity copy)."""
     _check_strict_section(model)
-    if quotient_cover.stage != 1:
-        raise ValueError("quotient cover must be stage 1")
-    sets = [CoverSet(qset.name, 3, _projected_margin(model, qset),
-                     ((_const_piece("x"),), _section_leg(model, qset),
-                      (_const_piece("y"),)))
-            for qset in quotient_cover.sets]
-    return PlannerCover(action=model.action, sets=sets, stage=3, name=name)
+    sets = _transferred_sets(model, quotient_cover, 3, lambda qset: (
+        (_const_piece("x"),), _section_leg(model, qset), (_const_piece("y"),)))
+    return PlannerCover(action=model.action, sets=sets, stage=3, name="strict-section")
 
 
 def _lift_piece(model: QuotientModel, qset: CoverSet) -> Piece:
@@ -614,18 +618,14 @@ def _lift_piece(model: QuotientModel, qset: CoverSet) -> Piece:
     return Piece("xy", build)
 
 
-def cover_from_covering_lift(model: QuotientModel, quotient_cover: PlannerCover,
-                             name: str = "covering-lift") -> PlannerCover:
+def cover_from_covering_lift(model: QuotientModel,
+                             quotient_cover: PlannerCover) -> PlannerCover:
     """Stage-2 cover of X x X for a free action, by unique path lifting."""
-    action = model.action
-    if not action.is_geometrically_free():
+    if not model.action.is_geometrically_free():
         raise ValueError("covering-lift transfer needs a free action")
-    if quotient_cover.stage != 1:
-        raise ValueError("quotient cover must be stage 1")
-    sets = [CoverSet(qset.name, 2, _projected_margin(model, qset),
-                     ((_lift_piece(model, qset),), (_const_piece("y"),)))
-            for qset in quotient_cover.sets]
-    return PlannerCover(action=action, sets=sets, stage=2, name=name)
+    sets = _transferred_sets(model, quotient_cover, 2, lambda qset: (
+        (_lift_piece(model, qset),), (_const_piece("y"),)))
+    return PlannerCover(action=model.action, sets=sets, stage=2, name="covering-lift")
 
 
 def _end_piece(leg):
@@ -645,7 +645,7 @@ def _end_piece(leg):
     return Piece(last.inputs, build)
 
 
-def embed_cover(cover: PlannerCover, name: str | None = None) -> PlannerCover:
+def embed_cover(cover: PlannerCover) -> PlannerCover:
     """Stage k -> k+1 embedding: append the constant leg at the endpoint,
     as a piece (_end_piece)."""
     sets = [CoverSet(cs.name, cs.stage + 1, cs.margin,
@@ -653,47 +653,38 @@ def embed_cover(cover: PlannerCover, name: str | None = None) -> PlannerCover:
             for cs in cover.sets]
     return PlannerCover(action=cover.action, sets=sets, stage=cover.stage + 1,
                         kind=cover.kind, basepoint=cover.basepoint,
-                        name=name or (cover.name + "+embed"))
+                        name=cover.name + "+embed")
 
 
 # ------------------------------------------------------------- cat covers
 
 def cat_cover_from_strict_section(model: QuotientModel,
                                   quotient_cat_cover: PlannerCover,
-                                  basepoint,
-                                  name: str = "cat-strict-section") -> PlannerCover:
+                                  basepoint) -> PlannerCover:
     """Stage-2 based cover of X from a based cover of X/G (strict section)."""
     _check_strict_section(model)
-    sets = [CoverSet(qset.name, 2, _projected_margin(model, qset),
-                     (_section_leg(model, qset), (_const_piece("y"),)))
-            for qset in quotient_cat_cover.sets]
+    sets = _transferred_sets(model, quotient_cat_cover, 2, lambda qset: (
+        _section_leg(model, qset), (_const_piece("y"),)))
     return PlannerCover(action=model.action, sets=sets, stage=2, kind="cat",
-                        basepoint=np.asarray(basepoint, float), name=name)
+                        basepoint=np.asarray(basepoint, float),
+                        name="cat-strict-section")
 
 
-def cat_cover_covering_lift(action: SpaceAction, basepoint, centers,
-                            radius: float,
-                            name: str = "cat-covering-lift") -> PlannerCover:
+def cat_cover_covering_lift(action: SpaceAction, basepoint,
+                            radius: float) -> PlannerCover:
     """Stage-2 based cover of X for a free action via unique path lifting.
 
-    Each set is the geodesic ball around a point of the basepoint orbit; the
-    lift of the projected contraction is realized exactly by the deck
-    transformation carrying the center to the basepoint.
+    Set Bg is the geodesic ball of `radius` around g·b, for each group
+    element g and the basepoint b; the lift of the projected contraction is
+    realized exactly by the deck move g^-1, which carries that center to b.
     """
     if not action.is_geometrically_free():
         raise ValueError("covering-lift cat cover needs a free action")
-    space = action.space
+    space, group = action.space, action.group
     basepoint = np.asarray(basepoint, float)
     sets = []
-    for i, center in enumerate(centers):
-        center = np.asarray(center, float)
-        deck = None
-        for g in range(action.group.order):
-            if float(space.dist(action.act(g, center), basepoint)) <= 1e-9:
-                deck = g
-                break
-        if deck is None:
-            raise ValueError("cover centers must lie in the basepoint orbit")
+    for g in range(group.order):
+        center, deck = np.asarray(action.act(g, basepoint), float), group.inv(g)
 
         def margin(X, Y, center=center):
             return radius - space.dist(np.broadcast_to(center, Y.shape), Y)
@@ -708,14 +699,13 @@ def cat_cover_covering_lift(action: SpaceAction, basepoint, centers,
 
             return _by_blocks(Y.shape[0], block)
 
-        sets.append(CoverSet(f"B{i}", 2, margin,
+        sets.append(CoverSet(f"B{g}", 2, margin,
                              ((Piece("y", moved_arcs),), (_const_piece("y"),))))
     return PlannerCover(action=action, sets=sets, stage=2, kind="cat",
-                        basepoint=basepoint, name=name)
+                        basepoint=basepoint, name="cat-covering-lift")
 
 
-def cat_geodesic_cover(action: SpaceAction, basepoint,
-                       name: str = "cat-geodesic") -> PlannerCover:
+def cat_geodesic_cover(action: SpaceAction, basepoint) -> PlannerCover:
     """Stage-1 based cover of a sphere: cat(S^n) = 1 with two sets.
 
     Both sets keep a structural clearance from their degenerate antipode so
@@ -745,7 +735,7 @@ def cat_geodesic_cover(action: SpaceAction, basepoint,
     return PlannerCover(action=action,
                         sets=[CoverSet("A1", 1, margin_a1, pieces=(a1,)),
                               CoverSet("A2", 1, margin_a2, pieces=(a2,))],
-                        stage=1, kind="cat", basepoint=basepoint, name=name)
+                        stage=1, kind="cat", basepoint=basepoint, name="cat-geodesic")
 
 
 def restrict_to_cat(cover: PlannerCover, basepoint) -> PlannerCover:

@@ -125,7 +125,11 @@ class Scenario:
                 raise ValueError(f"unknown pipeline step: op {op!r}, "
                                  f"method {method!r}")
             if method is None:
-                _check_planner(_name(step.get("planner"), "planner"), kind, self.action)
+                planner = _name(step.get("planner"), "planner")
+                _check_planner(planner, kind, self.action)
+                if op == "upper" and _PLANNERS[planner][1] == "cat":
+                    raise ValueError(f"planner {planner!r} builds a based (cat) "
+                                     "cover: an upper step takes tc planners only")
             elements = step.get("elements")
             if elements is not None and not (isinstance(elements, list) and elements
                                              and all(map(_is_int, elements))):
@@ -259,40 +263,25 @@ def build_bundle(scenario: Scenario) -> Bundle:
 
 # ------------------------------------------------------- planner registry
 
-# quotient-space class -> tc cover of the quotient, on its trivial action
-_QUOTIENT_TC_COVERS = {
-    Circle: lambda q: P.circle_cover(q),
-    Arc: lambda q: P.arc_cover(q),
-    M.Hemisphere: lambda q: P.hemisphere_cover(q),
-    FlatTorus: lambda q: P.torus_cut_cover(q),
-}
-
-# quotient-space class -> cat cover of the quotient, on its trivial action
-_QUOTIENT_CAT_COVERS = {
-    Circle: lambda q: P.circle_cover(q),
-    Arc: lambda q: P.arc_cover(q),
-    M.Hemisphere: lambda q: P.hemisphere_cat_cover(q),
+# quotient-space class -> its covers by invariant, each on the quotient's
+# trivial action (the torus quotient has no strict section to carry a cat
+# cover back)
+_QUOTIENT_COVERS = {
+    Circle: {"tc": P.circle_cover, "cat": P.circle_cover},
+    Arc: {"tc": P.arc_cover, "cat": P.arc_cover},
+    M.Hemisphere: {"tc": P.hemisphere_cover, "cat": P.hemisphere_cat_cover},
+    FlatTorus: {"tc": P.torus_cut_cover},
 }
 
 
-def _quotient_cover(covers, bundle: Bundle):
+def _quotient_cover(bundle: Bundle, invariant: str):
+    """The `invariant` ("tc" or "cat") cover of the bundle's quotient."""
     model = bundle.quotient_model
     if model is None:
         raise ValueError(f"no quotient model of {bundle.scenario.action} "
                          f"on {bundle.space_action.space.name}")
     q = model.quotient_space
-    return covers[type(q)](trivial_space_action(q))
-
-
-def _tc_quotient_cover(bundle: Bundle):
-    return _quotient_cover(_QUOTIENT_TC_COVERS, bundle)
-
-
-def _cat_covering_lift(bundle: Bundle):
-    act = bundle.space_action
-    centers = [act.act(g, bundle.basepoint) for g in range(act.group.order)]
-    return P.cat_cover_covering_lift(act, bundle.basepoint, centers,
-                                     _BASEPOINTS[type(act.space)][1])
+    return _QUOTIENT_COVERS[type(q)][invariant](trivial_space_action(q))
 
 
 # the (space kind, action) pairs a planner runs on
@@ -305,32 +294,39 @@ _FREE = frozenset({("sphere", "antipodal"), ("torus", "torus-halfturn")})
 _TRIVIAL = frozenset(pair for pair in _SPACE_ACTIONS if pair[1] == "trivial")
 _TORI = frozenset(pair for pair in _SPACE_ACTIONS if pair[0] == "torus")
 
-# planner name -> (its domain, the cover it builds from a Bundle); a
-# scenario whose cover step names a planner outside its domain does not load
+
+# the strict-section transfer of the quotient's tc cover, which is also the
+# wedge planner
+_STRICT_SECTION = (_SECTIONS, "tc", lambda b: P.cover_from_strict_section(
+    b.quotient_model, _quotient_cover(b, "tc")))
+
+# planner name -> (its domain, the kind of cover it builds, the cover from a
+# Bundle); a scenario whose cover step names a planner outside its domain,
+# or a based ("cat") planner in an upper step, does not load
 _PLANNERS = {
-    "farber": (_SPHERES, lambda b: P.farber_sphere_cover(b.space_action)),
-    "involution2": (_INVOLUTIONS,
+    "farber": (_SPHERES, "tc", lambda b: P.farber_sphere_cover(b.space_action)),
+    "involution2": (_INVOLUTIONS, "tc",
                     lambda b: P.involution_two_stage_cover(b.space_action)),
-    "involution3": (_CODIM1,
+    "involution3": (_CODIM1, "tc",
                     lambda b: P.involution_three_stage_planner(b.space_action)),
-    "strict-section": (_SECTIONS, lambda b: P.cover_from_strict_section(
-        b.quotient_model, _tc_quotient_cover(b))),
-    "covering-lift": (_FREE, lambda b: P.cover_from_covering_lift(
-        b.quotient_model, _tc_quotient_cover(b))),
-    "wedge": (_SECTIONS, lambda b: P.cover_from_strict_section(
-        b.quotient_model, _tc_quotient_cover(b), name="wedge")),
-    "torus-cut": (_TORI, lambda b: P.torus_cut_cover(b.space_action)),
-    "point": (_EVERY, lambda b: P.point_cover(b.space_action)),
-    "adversarial": (_SPHERES, lambda b: P.adversarial_sphere_cover(b.space_action)),
-    "cat-strict-section": (_SECTIONS, lambda b: P.cat_cover_from_strict_section(
-        b.quotient_model, _quotient_cover(_QUOTIENT_CAT_COVERS, b), b.basepoint)),
-    "cat-covering-lift": (_FREE | _TRIVIAL, _cat_covering_lift),
-    "cat-geodesic": (_SPHERES,
+    "strict-section": _STRICT_SECTION,
+    "covering-lift": (_FREE, "tc", lambda b: P.cover_from_covering_lift(
+        b.quotient_model, _quotient_cover(b, "tc"))),
+    "wedge": _STRICT_SECTION,
+    "torus-cut": (_TORI, "tc", lambda b: P.torus_cut_cover(b.space_action)),
+    "point": (_EVERY, "tc", lambda b: P.point_cover(b.space_action)),
+    "adversarial": (_SPHERES, "tc",
+                    lambda b: P.adversarial_sphere_cover(b.space_action)),
+    "cat-strict-section": (_SECTIONS, "cat", lambda b: P.cat_cover_from_strict_section(
+        b.quotient_model, _quotient_cover(b, "cat"), b.basepoint)),
+    "cat-covering-lift": (_FREE | _TRIVIAL, "cat", lambda b: P.cat_cover_covering_lift(
+        b.space_action, b.basepoint, _BASEPOINTS[type(b.space_action.space)][1])),
+    "cat-geodesic": (_SPHERES, "cat",
                      lambda b: P.cat_geodesic_cover(b.space_action, b.basepoint)),
-    "cat-torus-cut": (_TORI, lambda b: P.restrict_to_cat(
+    "cat-torus-cut": (_TORI, "cat", lambda b: P.restrict_to_cat(
         P.torus_cut_cover(b.space_action), b.basepoint)),
-    "cat-point": (_EVERY, lambda b: P.restrict_to_cat(P.point_cover(b.space_action),
-                                                      b.basepoint)),
+    "cat-point": (_EVERY, "cat", lambda b: P.restrict_to_cat(
+        P.point_cover(b.space_action), b.basepoint)),
 }
 
 
@@ -347,7 +343,7 @@ def _check_planner(name, kind, action) -> None:
 def build_planner(name: str, bundle: Bundle):
     scenario = bundle.scenario
     _check_planner(name, scenario.space.get("kind"), scenario.action)
-    return _PLANNERS[name][1](bundle)
+    return _PLANNERS[name][2](bundle)
 
 
 # ---------------------------------------------------------- pipeline steps

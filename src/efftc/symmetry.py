@@ -26,33 +26,21 @@ MAX_GROUP_ORDER = 64
 class FiniteGroup:
     """A finite group given by its multiplication table (index 0 = identity)."""
 
-    def __init__(self, table: list[list[int]], names: list[str] | None = None):
-        n = len(table)
+    def __init__(self, table: list[list[int]]):
         self.table = [list(row) for row in table]
-        self.names = list(names) if names else [f"g{i}" for i in range(n)]
         self._validate()
-        self.inverse = [0] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == 0:
-                    self.inverse[a] = b
+        self.inverse = [row.index(0) for row in self.table]
 
     def _validate(self) -> None:
         n = self.order
-        seen_identity = all(self.table[0][b] == b and self.table[b][0] == b
-                            for b in range(n))
-        if not seen_identity:
+        if any(self.table[0][b] != b or self.table[b][0] != b for b in range(n)):
             raise ValueError("index 0 is not an identity element")
-        for a in range(n):
-            if sorted(self.table[a]) != list(range(n)):
-                raise ValueError("table rows must be permutations")
-            if not any(self.table[a][b] == 0 for b in range(n)):
-                raise ValueError(f"element {a} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise ValueError("table is not associative")
+        if any(sorted(row) != list(range(n)) for row in self.table):
+            raise ValueError("table rows must be permutations")
+        # entry (a, b, c): (ab)c against a(bc)
+        t = np.array(self.table, dtype=np.intp).reshape(n, n)
+        if (t[t] != t[:, t]).any():
+            raise ValueError("table is not associative")
 
     @property
     def order(self) -> int:
@@ -66,12 +54,12 @@ class FiniteGroup:
 
     @classmethod
     def trivial(cls) -> "FiniteGroup":
-        return cls([[0]], names=["e"])
+        return cls([[0]])
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
-        return cls(table, names=[f"r{i}" if i else "e" for i in range(n)])
+        return cls(table)
 
     def is_subgroup(self, indices) -> bool:
         s = set(indices)
@@ -121,8 +109,7 @@ class FiniteGroup:
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def group_from_permutations(generators: list[list[int]],
-                            names: list[str] | None = None
+def group_from_permutations(generators: list[list[int]]
                             ) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     """Close generator permutations into a group; returns (group, permutations).
 
@@ -155,7 +142,7 @@ def group_from_permutations(generators: list[list[int]],
         for b in range(n):
             composed = tuple(perms[a][perms[b][i]] for i in range(degree))
             table[a][b] = index[composed]
-    group = FiniteGroup(table, names=names)
+    group = FiniteGroup(table)
     return group, perms
 
 
@@ -267,17 +254,24 @@ def trivial_action(K: SimplicialComplex) -> GroupAction:
 def action_from_generator_perms(K: SimplicialComplex,
                                 generator_maps: list[dict]) -> GroupAction:
     """Close generator vertex maps into a full group action."""
-    verts, where = K.vertices, K.vertex_index
-    gen_perms = [[where[vm[v]] for v in verts] for vm in generator_maps]
-    group, perms = group_from_permutations(gen_perms)
+    where = K.vertex_index
+    return _closed_action(K, [[where[vm[v]] for v in K.vertices]
+                              for vm in generator_maps])
+
+
+def _closed_action(K: SimplicialComplex, generators: list[list[int]]) -> GroupAction:
+    """The action of the group that generator index permutations close into
+    (group_from_permutations: ValueError for a list that is not one)."""
+    group, perms = group_from_permutations(generators)
     return GroupAction._from_perm(
-        group, K, np.array(perms, dtype=np.intp).reshape(len(perms), len(verts)))
+        group, K, np.array(perms, dtype=np.intp).reshape(len(perms), len(K.vertices)))
 
 
 def read_action_text(K: SimplicialComplex, path) -> GroupAction:
     """Parse the generator-per-line action format "g<i>: p(0) p(1) ...".
 
-    Vertex ids must be the integers 0..n-1 in identifier order.
+    Vertex ids must be the integers 0..n-1 in identifier order, and each
+    line a permutation of them (ValueError otherwise).
     """
     gens = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -289,13 +283,12 @@ def read_action_text(K: SimplicialComplex, path) -> GroupAction:
                 raise ValueError(f"bad action line {line!r}")
             _, perm = line.split(":", 1)
             images = [int(p) for p in perm.split()]
-            verts = list(K.vertices)
-            if len(images) != len(verts):
+            if len(images) != len(K.vertices):
                 raise ValueError("permutation length does not match vertex count")
-            gens.append({verts[i]: verts[images[i]] for i in range(len(verts))})
+            gens.append(images)
     if not gens:
         raise ValueError("no generators in action file")
-    return action_from_generator_perms(K, gens)
+    return _closed_action(K, gens)
 
 
 def write_action_text(action: GroupAction, path) -> None:
@@ -337,6 +330,18 @@ def _setwise_implies_pointwise(action: GroupAction, elements) -> bool:
     return True
 
 
+def _repaired(action: GroupAction, test, error: str):
+    """(the action subdivided until test(action) is not None, the number of
+    subdivisions, that value): at most two subdivisions, after which a
+    RegularityError with the message `error`."""
+    current, subdivisions = action, 0
+    while (value := test(current)) is None:
+        if subdivisions == 2:
+            raise RegularityError(error)
+        current, subdivisions = current.subdivided(), subdivisions + 1
+    return current, subdivisions, value
+
+
 def fixed_subcomplex(action: GroupAction, subgroup) -> SimplicialComplex:
     """The subcomplex modelling the fixed point set of a subgroup.
 
@@ -350,14 +355,10 @@ def fixed_subcomplex(action: GroupAction, subgroup) -> SimplicialComplex:
         raise ValueError("element set is not a subgroup")
     key = tuple(subgroup)
     if key not in action._fixed:
-        current = action
-        for subdivisions in range(3):
-            if _setwise_implies_pointwise(current, subgroup):
-                action._fixed[key] = pointwise_fixed_subcomplex(current, subgroup)
-                break
-            if subdivisions == 2:
-                raise RegularityError("fixed subcomplex irregular after two subdivisions")
-            current = current.subdivided()
+        current, _, _ = _repaired(
+            action, lambda a: _setwise_implies_pointwise(a, subgroup) or None,
+            "fixed subcomplex irregular after two subdivisions")
+        action._fixed[key] = pointwise_fixed_subcomplex(current, subgroup)
     return action._fixed[key]
 
 
@@ -389,24 +390,18 @@ def quotient_complex(action: GroupAction):
     Regular actions quotient directly; otherwise the action is subdivided
     (at most twice) first.  Irregularity after that is an explicit failure.
     """
-    current = action
-    for subdivisions in range(3):
-        images = _orbit_images(current)
-        if images is not None:
-            verts = current.complex.vertices
-            # deterministic quotient vertex labels: minimal orbit member
-            orbit = current.perm.min(axis=0)
-            vmap = dict(zip(verts, map(verts.__getitem__, orbit.tolist())))
-            # the images are closed under faces, a simplex of X/G each;
-            # orbit id ranks keep their rows increasing and sorted
-            ids = np.unique(orbit)
-            Q = SimplicialComplex.from_rows([verts[i] for i in ids.tolist()],
-                                            [np.searchsorted(ids, level) for level in images])
-            return Q, vmap, current
-        if subdivisions == 2:
-            break
-        current = current.subdivided()
-    raise RegularityError("quotient irregular after two subdivisions")
+    current, _, images = _repaired(action, _orbit_images,
+                                   "quotient irregular after two subdivisions")
+    verts = current.complex.vertices
+    # deterministic quotient vertex labels: minimal orbit member
+    orbit = current.perm.min(axis=0)
+    vmap = dict(zip(verts, map(verts.__getitem__, orbit.tolist())))
+    # the images are closed under faces, a simplex of X/G each; orbit id
+    # ranks keep their rows increasing and sorted
+    ids = np.unique(orbit)
+    Q = SimplicialComplex.from_rows([verts[i] for i in ids.tolist()],
+                                    [np.searchsorted(ids, level) for level in images])
+    return Q, vmap, current
 
 
 def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
@@ -501,15 +496,11 @@ def saturated_diagonal(action: GroupAction, elements=None) -> SaturatedDiagonal:
                and 0 <= g < order for g in elements):
         raise ValueError(f"elements must be group elements 0..{order - 1}, got {elements!r}")
     elements = sorted(set(int(g) for g in elements))
-    current = action
-    subdivisions = 0
     # the slice simplex of σ pairs its vertices v with g(v) in the order of
     # g(v); it is a chain of the product when that order is the order of v
-    while not all(_monotone_on_simplices(current, g) for g in elements):
-        if subdivisions >= 2:
-            raise RegularityError("slices not simplicial after two subdivisions")
-        current = current.subdivided()
-        subdivisions += 1
+    current, subdivisions, _ = _repaired(
+        action, lambda a: all(_monotone_on_simplices(a, g) for g in elements) or None,
+        "slices not simplicial after two subdivisions")
     verts, rows_by_dim = current.complex.vertices, current.index.rows
     # every slice simplex as a row of vertex codes g(v) n_0 + v; the union is
     # closed under faces, and its unique rows come out in lexicographic order

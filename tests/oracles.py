@@ -60,7 +60,9 @@ from efftc.planners import (
     Piece,
     PlannerCover,
     TORUS_CUTS,
+    _by_blocks,
     _const_legs,
+    _const_piece,
     _fold,
     _guard_arc,
     _pairing_field,
@@ -1058,3 +1060,62 @@ def orbit_map_pullback_by_maps(action):
                 vec[i] = rep.coeffs[q]
             pullbacks.append(Cochain(d, vec))
     return Q, base, pullbacks
+
+
+def validate_table_by_loops(table) -> None:
+    """FiniteGroup's former table check, verbatim but for taking the table:
+    the identity, rows that are permutations, an inverse per element, and
+    associativity by the triple loop; ValueError naming the first failure."""
+    n = len(table)
+    seen_identity = all(table[0][b] == b and table[b][0] == b for b in range(n))
+    if not seen_identity:
+        raise ValueError("index 0 is not an identity element")
+    for a in range(n):
+        if sorted(table[a]) != list(range(n)):
+            raise ValueError("table rows must be permutations")
+        if not any(table[a][b] == 0 for b in range(n)):
+            raise ValueError(f"element {a} has no inverse")
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise ValueError("table is not associative")
+
+
+def former_cat_cover_covering_lift(action, basepoint, centers, radius: float,
+                                   name: str = "cat-covering-lift") -> PlannerCover:
+    """cat_cover_covering_lift as it was when it took its centers: each
+    set's deck move found by searching the group for the element that
+    carries the center to the basepoint."""
+    if not action.is_geometrically_free():
+        raise ValueError("covering-lift cat cover needs a free action")
+    space = action.space
+    basepoint = np.asarray(basepoint, float)
+    sets = []
+    for i, center in enumerate(centers):
+        center = np.asarray(center, float)
+        deck = None
+        for g in range(action.group.order):
+            if float(space.dist(action.act(g, center), basepoint)) <= 1e-9:
+                deck = g
+                break
+        if deck is None:
+            raise ValueError("cover centers must lie in the basepoint orbit")
+
+        def margin(X, Y, center=center):
+            return radius - space.dist(np.broadcast_to(center, Y.shape), Y)
+
+        def moved_arcs(Y, m, center=center, deck=deck):
+            # the arcs center -> y, carried to the basepoint by the deck move
+            def block(rows):
+                Yb = Y[rows]
+                arc = space.geodesic(np.broadcast_to(center, Yb.shape), Yb, m)
+                flat = arc.reshape(-1, arc.shape[-1])
+                return action.act(deck, flat).reshape(arc.shape)
+
+            return _by_blocks(Y.shape[0], block)
+
+        sets.append(CoverSet(f"B{i}", 2, margin,
+                             ((Piece("y", moved_arcs),), (_const_piece("y"),))))
+    return PlannerCover(action=action, sets=sets, stage=2, kind="cat",
+                        basepoint=basepoint, name=name)

@@ -127,9 +127,10 @@ def test_first_failure_takes_job_order(monkeypatch):
         return {"job": i} if i >= 3 else None
 
     jobs = [lambda i=i: job(i) for i in range(6)]
-    for workers in (1, 2):
-        assert first_failure(jobs, workers) == {"job": 3}
-        assert first_failure(jobs[:3], workers) is None
+    for cpus in (1, 2):
+        monkeypatch.setattr(bounds, "usable_cpus", lambda n=cpus: n)
+        assert first_failure(jobs) == {"job": 3}
+        assert first_failure(jobs[:3]) is None
 
 
 def test_first_failure_defaults_to_usable_cpus(monkeypatch):
@@ -144,12 +145,18 @@ def test_first_failure_defaults_to_usable_cpus(monkeypatch):
     assert 1 <= bounds.usable_cpus() <= (os.cpu_count() or 1)
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """first_failure runs its jobs in two forked children."""
+    monkeypatch.setattr(bounds, "usable_cpus", lambda: 2)
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="worker processes are started by fork")
-def test_first_failure_reports_a_dead_worker():
+def test_first_failure_reports_a_dead_worker(two_cpus):
     from concurrent.futures.process import BrokenProcessPool
     with pytest.raises(BrokenProcessPool):
-        first_failure([lambda: None, lambda: os._exit(1)], workers=2)
+        first_failure([lambda: None, lambda: os._exit(1)])
 
 
 forked = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -173,7 +180,7 @@ class TwoArgumentError(Exception):
     GeodesicDegeneracyError("antipodal endpoints have no unique arc"),
     ValueError("no such row"),
 ])
-def test_a_jobs_exception_reaches_the_caller(error):
+def test_a_jobs_exception_reaches_the_caller(error, two_cpus):
     parent = os.getpid()
 
     def boom():
@@ -182,7 +189,7 @@ def test_a_jobs_exception_reaches_the_caller(error):
         raise error
 
     with pytest.raises(type(error)) as raised:
-        first_failure([lambda: None, boom, lambda: None], workers=2)
+        first_failure([lambda: None, boom, lambda: None])
     assert type(raised.value) is type(error)
     assert str(raised.value) == str(error)
     assert "raise error" in str(raised.value.__cause__)
@@ -194,13 +201,13 @@ def test_a_jobs_exception_reaches_the_caller(error):
     lambda: TwoArgumentError("lift", "row 3"),
     lambda: ValueError("lift at row 3", lambda: None),
 ], ids=["not-rebuilt", "not-pickled"])
-def test_an_exception_that_cannot_be_pickled_keeps_its_type_name(make):
+def test_an_exception_that_cannot_be_pickled_keeps_its_type_name(make, two_cpus):
     def boom():
         raise make()
 
     name = type(make()).__name__
     with pytest.raises(RuntimeError, match=f"^{name}: "):
-        first_failure([lambda: None, boom], workers=2)
+        first_failure([lambda: None, boom])
     assert_no_child_left()
 
 
@@ -220,13 +227,13 @@ def test_first_failure_leaves_no_child(monkeypatch):
 
     start = time.monotonic()
     with pytest.raises(GeodesicDegeneracyError):
-        first_failure([boom, lambda: time.sleep(60)], workers=2)
+        first_failure([boom, lambda: time.sleep(60)])
     assert time.monotonic() - start < 30.0
     assert_no_child_left()
 
 
 @forked
-def test_a_stopped_job_writes_what_its_finally_blocks_write(tmp_path):
+def test_a_stopped_job_writes_what_its_finally_blocks_write(tmp_path, two_cpus):
     # job 1 is stopped mid-loop when job 0 fails; its finally block (a
     # tracer's spool line) still writes its whole line, 600 kB long
     started, spool = tmp_path / "started", tmp_path / "spool.jsonl"
@@ -245,7 +252,7 @@ def test_a_stopped_job_writes_what_its_finally_blocks_write(tmp_path):
             with open(spool, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps({"rows": list(range(100_000))}) + "\n")
 
-    assert first_failure([fails, loops], workers=2) == {"reason": "first"}
+    assert first_failure([fails, loops]) == {"reason": "first"}
     lines = spool.read_text(encoding="utf-8").split("\n")
     assert lines[1:] == [""]
     assert json.loads(lines[0]) == {"rows": list(range(100_000))}

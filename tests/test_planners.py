@@ -43,7 +43,10 @@ from efftc.planners import (
     torus_cut_cover,
 )
 
-from oracles import leg_pieces, residuals_of_legs
+from efftc import scenarios
+from efftc.scenarios import Scenario, build_bundle
+
+from oracles import former_cat_cover_covering_lift, leg_pieces, residuals_of_legs
 
 
 def assert_valid(cover, legs, x, y):
@@ -210,7 +213,7 @@ def test_wedge_planner_bounds():
     for branches in (2, 3):
         model = wedge_quotient(wedge_swap(branches))
         base = circle_cover(trivial_space_action(Circle(2 * np.pi)))
-        cover = cover_from_strict_section(model, base, name="wedge")
+        cover = cover_from_strict_section(model, base)
         assert cover.claimed_bound == 1
         assert cover.stage == 3
         x = np.array([0.0, 1.2])
@@ -251,7 +254,7 @@ def test_cat_geodesic_cover():
 def test_cat_covering_lift_antipodal_sphere():
     act = sphere_antipodal(2)
     base = np.array([1.0, 0.0, 0.0])
-    cover = cat_cover_covering_lift(act, base, [base, -base], np.pi / 2 + 0.3)
+    cover = cat_cover_covering_lift(act, base, np.pi / 2 + 0.3)
     assert cover.claimed_bound == 1
     y = -base
     name, legs = plan_and_validate(cover, base, y)
@@ -259,11 +262,41 @@ def test_cat_covering_lift_antipodal_sphere():
     assert np.allclose(legs[0][0], base)
 
 
-def test_cat_covering_lift_needs_orbit_centers():
-    act = sphere_antipodal(2)
-    base = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        cat_cover_covering_lift(act, base, [np.array([0.0, 1.0, 0.0])], 2.0)
+_LIFT_SPACES = {"point": [{"kind": "point"}], "torus": [{"kind": "torus", "n": 2}],
+                "sphere": [{"kind": "sphere", "n": n} for n in (1, 2)]}
+
+
+@pytest.mark.parametrize("space, action", [
+    pytest.param(space, action, id=f"{space['kind']}{space.get('n', '')}-{action}")
+    for kind, action in sorted(scenarios._PLANNERS["cat-covering-lift"][0])
+    for space in _LIFT_SPACES[kind]])
+def test_cat_covering_lift_reads_centres_and_deck_moves_off_the_group(space, action):
+    # set g is centred at g·b with deck move g^-1, which carries the centre
+    # to b; its margins and legs are the former search-built cover's, bit
+    # for bit, and every leg starts at b
+    bundle = build_bundle(Scenario(id="t", space=space, action=action))
+    act, base = bundle.space_action, bundle.basepoint
+    radius = scenarios._BASEPOINTS[type(act.space)][1]
+    for g in range(act.group.order):
+        centre = act.act(g, base)
+        assert float(act.space.dist(act.act(act.group.inv(g), centre), base)) <= 1e-9
+    cover = cat_cover_covering_lift(act, base, radius)
+    former = former_cat_cover_covering_lift(
+        act, base, [act.act(g, base) for g in range(act.group.order)], radius)
+    assert [cs.name for cs in cover.sets] == [cs.name for cs in former.sets]
+    grid = act.space.grid(7)
+    for cs, old in zip(cover.sets, former.sets):
+        margin = cs.margin(np.broadcast_to(base, grid.shape), grid)
+        assert np.array_equal(margin, old.margin(np.broadcast_to(base, grid.shape), grid))
+        # the legs on the pairs the set accepts
+        Y = grid[margin >= 0.05]
+        X = np.broadcast_to(base, Y.shape)
+        assert len(Y)
+        legs, old_legs = cs.build_legs(X, Y, 9), old.build_legs(X, Y, 9)
+        assert len(legs) == len(old_legs) == 2
+        for leg, old_leg in zip(legs, old_legs):
+            assert np.array_equal(leg, old_leg)
+        assert np.max(act.space.dist(legs[0][:, 0], X)) <= 1e-9
 
 
 def test_cat_strict_section_flip():

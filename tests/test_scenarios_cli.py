@@ -389,6 +389,56 @@ def test_scenario_run_failures(capsys, tmp_path, fields, error):
         f"error: scenario run failed: {error}")
 
 
+@pytest.mark.parametrize("line, images", [("g1: 2 -2 0", [2, -2, 0]),
+                                          ("g1: 1 2 7", [1, 2, 7])],
+                         ids=["negative-index", "index-out-of-range"])
+def test_an_action_file_line_must_be_a_permutation(capsys, tmp_path, line, images):
+    # a line's images used to be read through Python indexing: -2 wrapped to
+    # the reflection swapping 0 and 2 (exit 0), and 7 raised IndexError (exit 4)
+    (tmp_path / "triangle.cx").write_text("0 1\n1 2\n0 2\n")
+    (tmp_path / "triangle.act").write_text(line + "\n")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_POINT, "complex": str(tmp_path / "triangle.cx"),
+                                "simplicial_action": str(tmp_path / "triangle.act"),
+                                "pipeline": [{"op": "lower", "method": "zero-divisor"}]}))
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: scenario run failed: ValueError: not a permutation: {images}\n")
+
+
+@pytest.mark.parametrize("action, planner", [("trivial", "cat-geodesic"),
+                                             ("codim1-involution", "cat-strict-section")])
+def test_an_upper_step_takes_no_based_planner(capsys, tmp_path, action, planner):
+    # these used to run and report the based cover's bound as a tc bound:
+    # tc^{G,1} upper 1 on S^2, whose TC is 2, and tc^{G,2} upper 0 where
+    # s2-involution certifies that stage as exactly 1; as a cat-upper step
+    # the planner still runs
+    doc = {"id": "t", "space": {"kind": "sphere", "n": 2}, "action": action,
+           "pipeline": [{"op": "upper", "planner": planner}]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--grid", "4", "--samples", "8"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot load scenario: planner {planner!r} builds a based (cat) "
+        "cover: an upper step takes tc planners only\n")
+    doc["pipeline"][0]["op"] = "cat-upper"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--grid", "4", "--samples", "8"]) in (0, 1)
+
+
+def test_the_planner_table_gives_the_kind_of_cover_each_planner_builds():
+    for name, (domain, kind, _) in sorted(scenarios._PLANNERS.items()):
+        for space_kind, action in sorted(domain):
+            space = {"kind": space_kind}
+            if space_kind in _SIZES:
+                key, sizes = _SIZES[space_kind]
+                space[key] = sizes[-1]
+            bundle = build_bundle(Scenario(id="t", space=space, action=action))
+            if name == "covering-lift" and bundle.quotient_model is None:
+                continue
+            assert build_planner(name, bundle).kind == kind, (name, space, action)
+
+
 def test_cat_upper_restricts_a_tc_cover(monkeypatch):
     from efftc import bounds
 
@@ -444,7 +494,7 @@ def test_readme_lists_the_scenario_names():
             pairs |= {(k, a) for k, a in scenarios._SPACE_ACTIONS
                       if kind in (None, k) and (not actions or a in actions)}
         domains.update(dict.fromkeys(_names(heads), pairs))
-    assert domains == {name: domain for name, (domain, _) in scenarios._PLANNERS.items()}
+    assert domains == {name: domain for name, (domain, *_) in scenarios._PLANNERS.items()}
 
     actions = {(kinds[0], a) for kinds, names in
                _bullets(_readme_part("Actions, by space kind", "Builtin complexes"))
@@ -631,14 +681,14 @@ def test_malformed_documents_exit_with_a_code_never_a_traceback(doc):
 def test_every_planner_runs_exactly_on_its_domain():
     # each (space, action) pair, at both sizes where the space has one, with
     # each planner as an upper and a cat-upper step: a planner outside its
-    # domain is a load error naming it, the space kind and the action; inside
-    # it the run ends with a verdict, apart from the one pair whose quotient
-    # model does not exist
+    # domain is a load error naming it, the space kind and the action, and so
+    # is a based (cat) planner in an upper step; otherwise the run ends with
+    # a verdict, apart from the one pair whose quotient model does not exist
     spaces = [({"kind": kind} if kind not in _SIZES else
                {"kind": kind, _SIZES[kind][0]: size}, action)
               for kind, action in sorted(scenarios._SPACE_ACTIONS)
               for size in _SIZES.get(kind, (None, [None]))[1]]
-    codes = {}
+    codes, based_runs = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "doc.json"
         for (space, action), planner, op in itertools.product(
@@ -652,12 +702,19 @@ def test_every_planner_runs_exactly_on_its_domain():
             run = (kind, space.get("n", space.get("branches")), action, planner, op)
             codes[run] = code
             outside = (kind, action) not in scenarios._PLANNERS[planner][0]
-            assert (code == 2) == outside, run
+            based = op == "upper" and scenarios._PLANNERS[planner][1] == "cat"
+            assert (code == 2) == (outside or based), run
             if outside:
                 assert err.getvalue() == (
                     f"error: cannot load scenario: planner {planner!r} does not "
                     f"run on a {kind} space with action {action!r}\n"), run
+            elif based:
+                based_runs.append(run)
+                assert err.getvalue() == (
+                    f"error: cannot load scenario: planner {planner!r} builds a "
+                    "based (cat) cover: an upper step takes tc planners only\n"), run
     assert len(codes) == 420
+    assert len(based_runs) == 40
     assert set(codes.values()) <= {0, 1, 2, 3}
     assert sorted(run for run, code in codes.items() if code == 3) == [
         ("sphere", 2, "antipodal", "covering-lift", "cat-upper"),

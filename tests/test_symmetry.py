@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efftc import symmetry
 from efftc.complexes import build_complex, cohomology, f2_cd, from_simplex_set
@@ -21,7 +22,7 @@ from efftc.symmetry import (
     write_action_text,
 )
 
-from oracles import oracle_betti, subgroups_by_generator_subsets
+from oracles import oracle_betti, subgroups_by_generator_subsets, validate_table_by_loops
 
 
 def hexagon():
@@ -113,6 +114,63 @@ def _catalog_groups():
         if bundle.group_action is not None:
             groups.append(bundle.group_action.group)
     return groups
+
+
+def _table_check(table):
+    """(accepted, message) of FiniteGroup on a table."""
+    try:
+        FiniteGroup(table)
+    except ValueError as exc:
+        return False, str(exc)
+    return True, None
+
+
+def _loop_check(table):
+    try:
+        validate_table_by_loops(table)
+    except ValueError as exc:
+        return False, str(exc)
+    return True, None
+
+
+@st.composite
+def group_tables(draw):
+    """The table of a cyclic, dihedral or elementary abelian group, as is,
+    with two entries swapped, or relabelled so that 0 is not the identity."""
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "elementary"]))
+    if kind == "cyclic":
+        G = FiniteGroup.cyclic(draw(st.integers(1, 12)))
+    elif kind == "dihedral":
+        G = _dihedral(draw(st.integers(3, 6)))
+    else:
+        G = _elementary_abelian(draw(st.integers(1, 3)))
+    table = [list(row) for row in G.table]
+    n = len(table)
+    change = draw(st.sampled_from(["valid", "swapped", "identity"]))
+    if change == "swapped":
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        (a, b), (c, d) = draw(cells), draw(cells)
+        table[a][b], table[c][d] = table[c][d], table[a][b]
+    elif change == "identity" and n > 1:
+        # relabel by a permutation that moves 0
+        sigma = draw(st.permutations(range(n)).filter(lambda p: p[0] != 0))
+        relabelled = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                relabelled[sigma[a]][sigma[b]] = sigma[table[a][b]]
+        table = relabelled
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_tables())
+def test_table_check_matches_the_former_loops(table):
+    # accept/reject and the message agree with the former triple loop, and
+    # each element's inverse is the b with ab = 0
+    assert _table_check(table) == _loop_check(table)
+    if _table_check(table)[0]:
+        G = FiniteGroup(table)
+        assert [G.mul(a, G.inv(a)) for a in range(G.order)] == [0] * G.order
 
 
 def test_subgroups_match_generator_subset_closures():
