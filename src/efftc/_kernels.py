@@ -18,6 +18,27 @@ import numpy as np
 # apart and share cache sets (on x86-64, 4096-row blocks slerped 5k-30k
 # arcs 1.2-2.7x slower than 4104-row blocks)
 BLOCK_ROWS = 4104
+# numpy adds a row of fewer terms than this one term after another, and a
+# longer one pairwise, in 8 partial sums
+PAIRWISE_TERMS = 8
+
+
+def coord_dot(a, b):
+    """The sum over the last axis of a * b, bit-identical to
+    np.add.reduce(a * b, axis=-1).  Below PAIRWISE_TERMS coordinates it is
+    taken a column at a time, in order, which is how numpy adds each row,
+    but in whole-array passes instead of one short reduction per row (d * d
+    of 7,480 rows of 3 coordinates: 3.1 against 19 ns a row, on an x86-64
+    Xeon with numpy 2.4); from PAIRWISE_TERMS on it is that reduction.  a
+    and b broadcast as a * b does, on an equal last axis."""
+    if a.shape[-1] >= PAIRWISE_TERMS:
+        return np.add.reduce(a * b, axis=-1)
+    total = a[..., 0] * b[..., 0]
+    # the reduction starts from +0.0, which makes a sum of -0.0 terms +0.0
+    total += 0.0
+    for c in range(1, a.shape[-1]):
+        total += a[..., c] * b[..., c]
+    return total
 
 
 def slerp_into(P, Q, out):
@@ -25,7 +46,7 @@ def slerp_into(P, Q, out):
     P = np.ascontiguousarray(P, dtype=np.float64)
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     m, n = out.shape[0], out.shape[1]
-    theta = np.arccos(np.clip((P * Q).sum(axis=1), -1.0, 1.0))
+    theta = np.arccos(np.clip(coord_dot(P, Q), -1.0, 1.0))
     s = np.sin(theta)
     arc = s >= 1e-9
     step = theta / max(n - 1.0, 1.0)

@@ -33,7 +33,7 @@ from .complexes import (
 )
 from .f2 import F2Matrix
 from .errors import ContradictionError
-from .pathspace import ARC_MAX_SAMPLES, ENDPOINT_TOL, Sphere, leg_residuals
+from .pathspace import ARC_MAX_SAMPLES, ENDPOINT_TOL, Sphere, residual_terms
 from .planners import PlannerCover, piece_samples
 from .symmetry import (
     GroupAction,
@@ -260,6 +260,18 @@ class _Rows:
             return self.xrow[w]
         return self.ycol[c] if inputs == "y" else np.zeros(len(w), dtype=np.intp)
 
+    def at(self, inputs, grain):
+        """The rows of the table of a piece of `inputs` for the rows of a
+        grain that holds those inputs: the accepted pairs ("xy", in the
+        order of row), the x rows that accept a pair ("x"), the columns
+        that do ("y") or one row ("")."""
+        if grain == "xy":
+            return self.row(inputs)
+        if inputs == grain:
+            return slice(None)
+        size = {"x": self.xrow, "y": self.ycol}[grain].max() + 1
+        return np.zeros(size, dtype=np.intp)
+
 
 def _positions(mask):
     """Each entry's rank among the True entries of mask, -1 where False."""
@@ -405,34 +417,57 @@ class _Sweep:
 
     def validation(self, cs, sec, rows, X, Y):
         """The first orbit-joint, then endpoint, failure of the accepted
-        pairs `rows` (of X, Y) of set cs, or None."""
-        at = {inputs: sec.row(inputs) for inputs in {inputs for inputs, _ in sec.tables}}
+        pairs `rows` (of X, Y) of set cs, or None.  Each residual
+        (residual_terms) is computed once at the grain of its operands, the
+        union of their inputs (X counts as "x", Y as "y"), and read in pair
+        order through _Rows.row: per accepted x row, per accepted column,
+        once, or per pair.  The bad pairs, the first of them and the
+        largest residual are those of every pair computed alone."""
+        def kind(op):
+            return op if isinstance(op, str) else sec.tables[op[0]][0]
 
-        def sample(t, j):
-            # j is 0 or -1: an arc table's P or Q, bit-equal to those samples
-            # (P C-ordered, as the samples are)
-            inputs, table = sec.tables[t]
+        def operand(op, grain):
+            # a grid input, or sample j (0 or -1) of table t: an arc
+            # table's P or Q, bit-equal to those samples (P C-ordered, as
+            # the samples are)
+            if op == "x":
+                return X[rows] if grain == "xy" else self.xpts[sec.x[sec.xrow >= 0]]
+            if op == "y":
+                return Y[rows] if grain == "xy" else self.ypts[sec.ycol >= 0]
+            (inputs, table), j = sec.tables[op[0]], op[1]
+            at = sec.at(inputs, grain)
             if not isinstance(table, _Arcs):
-                return table[:, j][at[inputs]]
-            return table.Q[at[inputs]] if j else np.ascontiguousarray(table.P[at[inputs]])
+                return table[:, j][at]
+            return table.Q[at] if j else np.ascontiguousarray(table.P[at])
+
+        def residual(measure, a, b):
+            # (the residual's grain, its value on each row of the grain)
+            grain = "".join(sorted(set(kind(a) + kind(b))))
+            return grain, measure(operand(a, grain), operand(b, grain))
+
+        def first_bad(*grained):
+            # the first pair at which any of the (grain, bad) masks is set
+            bad = np.zeros(rows.size, dtype=bool)
+            for grain, mask in grained:
+                bad |= mask[sec.row(grain)]
+            r = rows[int(np.argmax(bad))]
+            return [X[r].tolist(), Y[r].tolist()]
 
         firsts = [t for t, first in enumerate(sec.starts) if first]
         lasts = [t - 1 for t in firsts[1:]] + [len(sec.tables) - 1]
-        joints, (res0, res1) = leg_residuals(
-            self.action, [sample(t, 0) for t in firsts],
-            [sample(t, -1) for t in lasts], X[rows], Y[rows])
-        for joint in joints:
+        joints, ends = residual_terms(self.action, [(t, 0) for t in firsts],
+                                      [(t, -1) for t in lasts], "x", "y")
+        for term in joints:
+            grain, joint = residual(*term)
             bad = joint > self.delta
             if bad.any():
-                r = rows[int(np.argmax(bad))]
-                return _failure("validation", set=cs.name,
-                                pair=[X[r].tolist(), Y[r].tolist()],
+                return _failure("validation", set=cs.name, pair=first_bad((grain, bad)),
                                 joint_residual=float(joint.max()))
-        bad = (res0 > ENDPOINT_TOL) | (res1 > ENDPOINT_TOL)
-        if bad.any():
-            r = rows[int(np.argmax(bad))]
+        (g0, res0), (g1, res1) = (residual(*term) for term in ends)
+        bad0, bad1 = res0 > ENDPOINT_TOL, res1 > ENDPOINT_TOL
+        if bad0.any() or bad1.any():
             return _failure("validation", set=cs.name,
-                            pair=[X[r].tolist(), Y[r].tolist()],
+                            pair=first_bad((g0, bad0), (g1, bad1)),
                             endpoint_residual=float(max(res0.max(), res1.max())))
         return None
 

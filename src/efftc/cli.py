@@ -7,8 +7,10 @@
 
 Exit codes: 0 all reports consistent and expectations met; 1 contradiction,
 refutation or expectation miss; 2 a scenario that cannot be loaded,
-verification parameters no certification can run on, or a report directory
-or report file that cannot be read; 3 a run that failed
+verification parameters no certification can run on, an --out or --csv
+path that cannot be written (a directory, or in a directory that does not
+exist; checked before the run), or a report directory or report file that
+cannot be read; 3 a run that failed
 (reported with the exception's type and message, and the index, op, and
 method or planner of the pipeline step that raised it); 4 an internal error,
 an exception none of these expects, with its traceback on stderr.
@@ -16,7 +18,9 @@ an exception none of these expects, with its traceback on stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import traceback
 
@@ -84,6 +88,13 @@ def _command(args) -> int:
             print(f"error: cannot load scenario: {exc}", file=sys.stderr)
             return 2
         try:
+            for path in (args.out, args.csv):
+                if path:
+                    _check_writable(path)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
+        try:
             result = run_scenario(scenario, overrides)
         except ContradictionError as exc:
             print(f"contradiction: {exc}", file=sys.stderr)
@@ -129,6 +140,16 @@ def _command(args) -> int:
         return 0 if all(r["match"] for r in rows) else 1
 
     return 2
+
+
+def _check_writable(path):
+    """Raise OSError when `path` cannot take a report file: it is a
+    directory, or its directory does not exist."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", parent)
 
 
 if __name__ == "__main__":

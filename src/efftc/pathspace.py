@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from ._kernels import slerp_batch
+from ._kernels import coord_dot, slerp_batch
 from .errors import GeodesicDegeneracyError
 from .symmetry import FiniteGroup
 
@@ -179,8 +179,8 @@ class Sphere(Space):
 
     def dist(self, p, q):
         d = np.asarray(p, float) - np.asarray(q, float)
-        # np.linalg.norm(d, axis=-1) as it computes it, without its call overhead
-        chord = np.sqrt(np.add.reduce(d * d, axis=-1))
+        # np.linalg.norm(d, axis=-1), bit for bit (coord_dot)
+        chord = np.sqrt(coord_dot(d, d))
         return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
 
     def _geodesics(self, P, Q, n):
@@ -189,7 +189,8 @@ class Sphere(Space):
         return slerp_batch(P, Q, n)
 
     def supdiff(self, a, b):
-        chord2 = ((a - b) ** 2).sum(axis=-1).max(axis=-1)
+        d = a - b
+        chord2 = coord_dot(d, d).max(axis=-1)
         return 2.0 * np.arcsin(np.clip(np.sqrt(chord2) / 2.0, 0.0, 1.0))
 
     def supdiff_pairs(self, leg, ia, ib, other=None):
@@ -202,14 +203,9 @@ class Sphere(Space):
         chord2 = np.empty(ia.shape[0])
         for lo in range(0, ia.shape[0], EDGE_CHUNK):
             hi = lo + EDGE_CHUNK
-            sq = leg[ia[lo:hi]]
-            sq -= other[ib[lo:hi]]
-            sq *= sq
-            # coordinates added in order, bit-identical to supdiff's sum
-            total = sq[..., 0]
-            for c in range(1, sq.shape[-1]):
-                total = total + sq[..., c]
-            chord2[lo:hi] = total.max(axis=-1)
+            d = leg[ia[lo:hi]]
+            d -= other[ib[lo:hi]]
+            chord2[lo:hi] = coord_dot(d, d).max(axis=-1)
         return 2.0 * np.arcsin(np.clip(np.sqrt(chord2) / 2.0, 0.0, 1.0))
 
     @staticmethod
@@ -230,7 +226,7 @@ class Sphere(Space):
         - A near-antipodal arc has NaN frames: arc_bound gives no bound."""
         P, Q = np.asarray(P, float), np.asarray(Q, float)
         d = P.shape[1]
-        theta = np.arccos(np.clip((P * Q).sum(axis=1), -1.0, 1.0))
+        theta = np.arccos(np.clip(coord_dot(P, Q), -1.0, 1.0))
         sin = np.sin(theta)
         flat = sin < ARC_MIN_SIN
         short = flat & (theta < np.pi / 2)
@@ -238,7 +234,8 @@ class Sphere(Space):
         frames[:d] = P.T
         r = frames[-1]
         r[:] = 0.0
-        r[short] = 2.0 * np.linalg.norm(Q[short] - P[short], axis=1) + theta[short] ** 2
+        chord = Q[short] - P[short]
+        r[short] = 2.0 * np.sqrt(coord_dot(chord, chord)) + theta[short] ** 2
         theta[flat] = np.where(short[flat], 0.0, np.nan)
         frames[-2] = theta
         sin[flat] = np.where(short[flat], np.inf, np.nan)    # U = 0, or NaN
@@ -378,7 +375,7 @@ class FlatTorus(Space):
 
     def dist(self, p, q):
         rep = self._min_rep(np.asarray(q, float) - np.asarray(p, float))
-        return np.linalg.norm(rep, axis=-1)
+        return np.sqrt(coord_dot(rep, rep))
 
     def _geodesics(self, P, Q, n):
         pts = wrapped_lines(P, self._min_rep(Q - P), n, 1.0)
@@ -581,9 +578,10 @@ class SpaceAction:
     def orbit_dist(self, p, q):
         """min over g of dist(g p, q); broadcasts over leading axes."""
         p, q = np.asarray(p, float), np.asarray(q, float)
-        stack = np.stack([self.space.dist(self.act(g, p), q)
-                          for g in range(self.group.order)], axis=0)
-        return stack.min(axis=0)
+        best = np.asarray(self.space.dist(self.act(0, p), q))
+        for g in range(1, self.group.order):
+            np.minimum(best, self.space.dist(self.act(g, p), q), out=best)
+        return best[()]
 
     def is_geometrically_free(self) -> bool:
         """Grid test for freeness: an action with a fixed point moves some
@@ -605,19 +603,28 @@ def trivial_space_action(space: Space) -> SpaceAction:
     return SpaceAction(space, FiniteGroup.trivial(), [lambda p: p], check=False)
 
 
+def residual_terms(action: SpaceAction, starts, ends, X, Y):
+    """The residuals of broken paths as (measure, a, b) terms, each
+    measure(a, b): the orbit distance across each of the k - 1 joints
+    (ends[i], starts[i + 1]), then the distances of the first start from X
+    and of the last end from Y.  The operands are passed through as given,
+    so that a caller may name them and resolve them to arrays itself."""
+    joints = [(action.orbit_dist, ends[i], starts[i + 1]) for i in range(len(starts) - 1)]
+    return joints, [(action.space.dist, starts[0], X), (action.space.dist, ends[-1], Y)]
+
+
 def leg_residuals(action: SpaceAction, starts, ends, X, Y):
     """The residuals of M broken paths, given by the first and the last
     sample of each of their k legs (starts and ends, k arrays of (M, d)):
     the orbit distance across each joint, (k - 1, M), and the distances of
-    the first start from X and of the last end from Y, (2, M).  A broken
-    path is valid when every joint lies within the joint tolerance and both
-    ends within ENDPOINT_TOL."""
-    joints = np.zeros((len(starts) - 1, len(X)))
-    for i in range(len(starts) - 1):
-        joints[i] = action.orbit_dist(ends[i], starts[i + 1])
-    endpoints = np.stack([action.space.dist(starts[0], X),
-                          action.space.dist(ends[-1], Y)])
-    return joints, endpoints
+    the first start from X and of the last end from Y, (2, M)
+    (residual_terms).  A broken path is valid when every joint lies within
+    the joint tolerance and both ends within ENDPOINT_TOL."""
+    joints, ends = residual_terms(action, starts, ends, X, Y)
+    residuals = np.zeros((len(joints), len(X)))
+    for i, (measure, a, b) in enumerate(joints):
+        residuals[i] = measure(a, b)
+    return residuals, np.stack([measure(a, b) for measure, a, b in ends])
 
 
 class QuotientModel:

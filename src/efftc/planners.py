@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from ._kernels import slerp_batch
+from ._kernels import coord_dot, slerp_batch
 from .errors import GeodesicDegeneracyError, LiftError
 from .pathspace import (
     ENDPOINT_TOL,
@@ -250,7 +250,7 @@ def _stereo_field(Y):
     """
     s = 1.0 + Y[:, 0]
     u = Y[:, 1:] / s[:, None]
-    norm2 = 1.0 + np.sum(u * u, axis=1)
+    norm2 = 1.0 + coord_dot(u, u)
     c = np.zeros_like(u)
     c[:, 0] = 1.0
     uc = u[:, 0]
@@ -262,9 +262,8 @@ def _stereo_field(Y):
 
 def _tangent_unit(Y, V):
     """Project V to the tangent space at Y and normalize."""
-    W = V - np.sum(V * Y, axis=1, keepdims=True) * Y
-    norms = np.linalg.norm(W, axis=1, keepdims=True)
-    return W / norms
+    W = V - coord_dot(V, Y)[:, None] * Y
+    return W / np.sqrt(coord_dot(W, W))[:, None]
 
 
 def _fold(X):

@@ -28,6 +28,9 @@ The group-action oracles are the tuple-and-dict forms of what `symmetry`
 now does on integer tables: they apply vertex maps simplex by simplex, and
 look simplices up in sets and dicts built from a complex's tuple view,
 never through `SimplicialComplex.index` or `contains`.
+The coordinate-sum oracles are the reductions that `_kernels.coord_dot`
+replaced: `np.add.reduce` over the last axis, and the orbit distance as
+the minimum over a stack of one distance array per group element.
 The elimination and subdivision oracles are the forms that `f2` and
 `complexes` replaced: the F2 row reduction that reads one pivot column per
 numpy step, and the subdivision that enumerates the chains of every maximal
@@ -450,6 +453,26 @@ def residuals_of_legs(action, legs, X, Y):
     """leg_residuals of the broken paths whose legs are (M, n_i, d) arrays."""
     return leg_residuals(action, [leg[:, 0] for leg in legs],
                          [leg[:, -1] for leg in legs], X, Y)
+
+
+def reduce_coord_dot(a, b):
+    """The sum over the last axis of a * b by one numpy reduction."""
+    return np.add.reduce(a * b, axis=-1)
+
+
+def reduce_sphere_dist(p, q):
+    """Sphere.dist with its chord summed by reduce_coord_dot."""
+    d = np.asarray(p, float) - np.asarray(q, float)
+    chord = np.sqrt(reduce_coord_dot(d, d))
+    return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
+
+
+def stacked_orbit_dist(action, p, q):
+    """SpaceAction.orbit_dist as the minimum over a (|G|, ...) stack."""
+    p, q = np.asarray(p, float), np.asarray(q, float)
+    stack = np.stack([action.space.dist(action.act(g, p), q)
+                      for g in range(action.group.order)], axis=0)
+    return stack.min(axis=0)
 
 
 def angle_arc_bound(F, ia, F2, ib):

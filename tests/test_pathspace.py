@@ -503,3 +503,98 @@ def test_wedge_geodesics_match_the_row_loop(rows, n):
     assert np.array_equal(space.geodesic(P[0], Q[0], n), expected[0])
     assert np.array_equal(space.geodesic(P[0], Q, n),
                           wedge_geodesics_by_rows(space, P[0], Q, n))
+
+
+def _magnitudes(rng, shape):
+    """Values of either sign across magnitudes 1e-8 to 1e8, zeros of
+    either sign among them."""
+    sign = rng.choice([-1.0, 1.0], size=shape)
+    return sign * np.where(rng.random(shape) < 0.1, 0.0, 10.0 ** rng.uniform(-8, 8, size=shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 7), layout=st.sampled_from(["rows", "legs", "against-one", "point"]),
+       relation=st.sampled_from(["random", "identical", "antipodal"]),
+       m=st.integers(1, 40), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_coordinate_sums_equal_the_reduction(d, layout, relation, m, n, seed):
+    # coord_dot adds the columns in order: bit-identical to one add.reduce
+    # per row below 8 coordinates, on rows (M, d), legs (M, n, d), rows
+    # against one row (1, d), and single points, with identical and
+    # antipodal pairs among them
+    from efftc._kernels import coord_dot
+    from oracles import reduce_coord_dot
+
+    rng = np.random.default_rng(seed)
+    shape = {"rows": (m, d), "legs": (m, n, d), "against-one": (m, d), "point": (d,)}[layout]
+    P = _magnitudes(rng, shape)
+    Q = {"random": _magnitudes(rng, (1, d) if layout == "against-one" else shape),
+         "identical": P.copy(), "antipodal": -P}[relation]
+    if layout == "against-one" and relation != "random":
+        Q = Q[:1]
+    D = P - Q
+    for a, b in ((D, D), (P, Q), (Q, P)):
+        got, want = coord_dot(a, b), reduce_coord_dot(a, b)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if layout == "rows":
+        assert coord_dot(P, Q).tobytes() == (P * Q).sum(axis=1).tobytes()
+
+
+def test_coordinate_sums_fall_back_to_the_reduction_from_8_coordinates():
+    # numpy adds 8 or more terms pairwise: there the column order differs
+    # (5 against 4 here) and coord_dot is the reduction itself
+    from efftc._kernels import PAIRWISE_TERMS, coord_dot
+    from oracles import reduce_coord_dot
+
+    assert PAIRWISE_TERMS == 8
+    a = np.array([[1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    ones = np.ones_like(a)
+    in_order = a[:, 0].copy()
+    for c in range(1, a.shape[1]):
+        in_order += a[:, c]
+    assert in_order[0] == 5.0 and reduce_coord_dot(a, ones)[0] == 4.0
+    assert coord_dot(a, ones).tobytes() == reduce_coord_dot(a, ones).tobytes()
+    rng = np.random.default_rng(8)
+    for d in (8, 9, 16):
+        A, B = rng.normal(size=(50, 3, d)), rng.normal(size=(1, d))
+        assert coord_dot(A, B).tobytes() == reduce_coord_dot(A, B).tobytes()
+
+
+def test_sphere_dist_keeps_its_shapes_and_values():
+    # single 1-D points give a numpy scalar, rows against a point broadcast,
+    # and every value is that of the chord summed by one reduction
+    from oracles import reduce_sphere_dist
+
+    s = Sphere(2)
+    p, q = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
+    got = s.dist(p, q)
+    assert isinstance(got, np.float64) and got == reduce_sphere_dist(p, q)
+    assert got == pytest.approx(np.pi / 2)
+    assert s.dist(p, p) == 0.0 and s.dist(p, -p) == np.pi
+    rows = s.random_points(np.random.default_rng(3), 100)
+    for a, b in ((rows, p), (p, rows), (rows, rows[::-1]), (rows[:, None], rows[None])):
+        got = s.dist(a, b)
+        assert got.tobytes() == reduce_sphere_dist(a, b).tobytes()
+    assert s.dist(rows[:, None], rows[None]).shape == (100, 100)
+
+
+def test_orbit_dist_is_the_minimum_over_the_group_nans_included():
+    # a running minimum over the group, bit for bit the minimum of the
+    # stacked distances, a NaN of any element included
+    from efftc.pathspace import SpaceAction
+    from efftc.symmetry import FiniteGroup
+    from oracles import stacked_orbit_dist
+
+    s = Sphere(2)
+    maps = [lambda p: p, lambda p: -p,
+            lambda p: p * [1.0, -1.0, 1.0],
+            lambda p: np.where(p[..., :1] > 0.5, np.nan, p * [-1.0, 1.0, -1.0])]
+    action = SpaceAction(s, FiniteGroup.cyclic(4), maps, check=False)
+    rng = np.random.default_rng(4)
+    P, Q = s.random_points(rng, 300), s.random_points(rng, 300)
+    P[::37] = np.nan
+    for p, q in ((P, Q), (P[0], Q), (P[5], Q[5]), (P[:, None], Q[None, :50])):
+        got, want = action.orbit_dist(p, q), stacked_orbit_dist(action, p, q)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.isnan(action.orbit_dist(P, Q)).sum() > 300 // 37

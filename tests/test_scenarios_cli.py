@@ -353,6 +353,26 @@ def test_boundary_parameters_still_run(tmp_path):
                  "--out", str(tmp_path / "p.json")]) == 0
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+@pytest.mark.parametrize("where, message", [
+    (".", "[Errno 21] Is a directory: '{tmp}'"),
+    ("missing/r.json", "[Errno 2] no such directory: '{tmp}/missing'"),
+], ids=["directory", "missing-directory"])
+def test_a_report_path_that_cannot_be_written_is_a_load_error(monkeypatch, capsys,
+                                                               tmp_path, flag, where,
+                                                               message):
+    # checked before the run: the run used to finish, then exit 4 with an
+    # IsADirectoryError or FileNotFoundError traceback
+    runs = []
+    monkeypatch.setattr("efftc.cli.run_scenario", lambda *args: runs.append(args))
+    path = tmp_path if where == "." else tmp_path / where
+    assert main(["run", "point", flag, str(path)]) == 2
+    expected = "error: cannot write report: " + message.format(tmp=tmp_path) + "\n"
+    assert capsys.readouterr() == ("", expected)
+    assert runs == []
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("expected, message", [
     ([{"invariant": "tc"}], "an expectation asserts nothing: {'invariant': 'tc'}"),
     ([{"invariant": "tc", "stage": 2}],

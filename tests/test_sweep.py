@@ -476,3 +476,94 @@ def test_one_sampling_call_per_set_block_pass_and_sample_count():
             assert len(set(keys)) == len(keys), planner
             if planner != "cat-strict-section":     # whose arcs all clear
                 assert keys and sum(call[2] for call in calls) > len(calls), planner
+
+
+def _grain_cover(action, pieces, margin):
+    """A test set of `pieces` and `margin` (set 0), then involution3's one
+    global set, which covers every pair and validates everywhere."""
+    (three,) = planners.involution_three_stage_planner(action).sets
+    return PlannerCover(action=action, stage=3, name="grain",
+                        sets=[CoverSet("T", 3, margin, pieces), three])
+
+
+def _moved(build, sample, shift):
+    """A piece builder: `build` with sample `sample` of every row moved by
+    shift(rows) (the rows of the piece's own inputs)."""
+    def moved(*args):
+        out = np.array(build(*args))
+        out[:, sample] += shift(*args[:-1])
+        return out
+    return moved
+
+
+def test_residuals_computed_per_grain_fail_as_per_pair():
+    # a validation failure of each grain: a joint of x alone, an endpoint of
+    # y alone, a joint of two constant pieces, a joint of both inputs, and
+    # endpoints of x and of y in one mask.  The test set accepts pairs with
+    # y away from x, so along the first x rows the first failing column is
+    # not the first of the failing columns (the first row rejects it): the
+    # first failing pair in pair order is not the grain's first.  Every
+    # failure dict is the oracle's, on 1 and 2 CPUs, in whole chunks and in
+    # chunks of 20 rows
+    action = models.sphere_codim1(2)
+    space = action.space
+    north, south = np.eye(3)[0], -np.eye(3)[0]
+    west, off_west = np.eye(3)[1], np.array([0.0, 1.0, 1e-3]) / np.hypot(1.0, 1e-3)
+
+    def away(X, Y):
+        return space.dist(Y, X) - 0.6
+
+    def y_bad(Y):
+        return (Y[:, 1] > 0.05)[:, None] * (1e-3 * (1.0 + Y[:, 2:]))
+
+    def x_bad(X):
+        return (X[:, :1] < 0.2) * (1e-3 * (1.0 + X[:, 1:2]))
+
+    def xy_bad(X, Y):
+        return ((X[:, 1] * Y[:, 2]) > 0.3)[:, None] * (1e-3 * (1.0 + Y[:, :1]))
+
+    def slerp(P, Q):
+        return lambda *args: _kernels.slerp_batch(P(*args[:-1]), Q(*args[:-1]), args[-1])
+
+    fold_arcs = (planners._arc_piece(space, "x", planners._fold, north),
+                 planners._arc_piece(space, "y", north, planners._fold))
+    const_y = Piece("y", _const_legs_copy)
+    cases = {
+        "x joint": ("joint_residual", (
+            (Piece("x", _moved(_const_legs_copy, -1, x_bad)),), fold_arcs, (const_y,))),
+        "y endpoint": ("endpoint_residual", (
+            (planners._arc_piece(space, "x", planners._same, north),
+             planners._arc_piece(space, "", north, west),
+             planners._arc_piece(space, "", west, south),
+             Piece("y", _moved(slerp(lambda Y: np.broadcast_to(south, Y.shape),
+                                     planners._same), -1, y_bad))),)),
+        "constant joint": ("joint_residual", (
+            (planners._arc_piece(space, "x", planners._same, north),
+             planners._arc_piece(space, "", north, west)),
+            (planners._arc_piece(space, "", off_west, south),
+             planners._arc_piece(space, "y", south, planners._same)))),
+        "xy joint": ("joint_residual", (
+            (Piece("xy", _moved(slerp(lambda X, Y: X, lambda X, Y: Y), -1, xy_bad)),),
+            (const_y,))),
+        "x and y endpoints": ("endpoint_residual", (
+            (Piece("x", _moved(_const_legs_copy, 0, x_bad)),), fold_arcs,
+            (Piece("y", _moved(_const_legs_copy, -1, y_bad)),))),
+    }
+    pts = space.grid(16)
+    for case, (residual, pieces) in cases.items():
+        margin = (lambda X, Y: space.dist(Y, -X) - 0.12) if case == "xy joint" else away
+        cover = _grain_cover(action, pieces, margin)
+        for budget in (bounds.SAMPLE_BUDGET, 20 * len(pts) * 64):
+            cert = assert_matches_oracle(cover, 16, budget=budget)
+            assert cert.failure["reason"] == "validation", (case, cert)
+            assert cert.failure["set"] == "T" and residual in cert.failure, (case, cert)
+        if case in ("y endpoint", "x and y endpoints"):
+            # the first failing column is rejected in the first row
+            (x, y) = cert.failure["pair"]
+            first_bad = pts[np.flatnonzero(pts[:, 1] > 0.05)[0]]
+            assert x == pts[0].tolist() and y != first_bad.tolist(), case
+
+
+def _const_legs_copy(points, n):
+    """Constant legs at the rows of points, as a writable array."""
+    return np.array(planners._const_legs(points, n))
