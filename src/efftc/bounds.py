@@ -17,7 +17,7 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .complexes import (
 )
 from .f2 import F2Matrix
 from .errors import ContradictionError
-from .pathspace import ARC_MAX_SAMPLES, ENDPOINT_TOL, Sphere, residual_terms
-from .planners import PlannerCover, piece_samples
+from .pathspace import ENDPOINT_TOL, residual_terms
+from .planners import DEFAULT_PARAMS, PlannerCover, piece_samples
 from .symmetry import (
     GroupAction,
     fixed_subcomplex,
@@ -66,10 +66,13 @@ class Certification:
 SAMPLE_BUDGET = 2_000_000
 
 
-def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
-                 delta: float = 1e-6, modulus: float = 10.0,
-                 samples: int = 64) -> Certification:
-    """Certify or refute a planner cover on the deterministic grid.
+def verify_cover(cover: PlannerCover, grid: int = DEFAULT_PARAMS["grid"],
+                 epsilon: float = DEFAULT_PARAMS["epsilon"],
+                 delta: float = DEFAULT_PARAMS["delta"],
+                 modulus: float = DEFAULT_PARAMS["modulus"],
+                 samples: int = DEFAULT_PARAMS["samples"]) -> Certification:
+    """Certify or refute a planner cover on the deterministic grid, by
+    default at planners.DEFAULT_PARAMS.
 
     Pairs (x, y) are swept in blocks of x rows, in grid order, and every
     accepted (pair, set) is evaluated once.  Each block checks coverage,
@@ -89,14 +92,18 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
     so verdicts and failures are those of the legs `build_legs` returns.
 
     No edge is scanned that an a-priori bound clears (_Scans.scan): none
-    where L h reaches the space's diameter, and no arc piece on a sphere
-    where the bound from the two arcs' endpoints (Sphere.arc_bound) is at
-    most the edge's chord threshold (Sphere.arc_threshold, computed once
-    per edge).  Arc pieces are held as their endpoints and column-major
-    frames, and sampled only on the edges left to scan: for each set on
-    each block, the y edges, then the x edges, are cleared, and the rows
-    each pass leaves of every arc table are sampled in one call per
-    (sampler, n) before that pass is scanned.
+    where L h reaches the space's diameter, and no piece with ends where
+    the bound from the frames the space gives of its ends (Space.frames,
+    Space.frame_bound) is at most the edge's threshold
+    (Space.frame_threshold, computed once per edge).  Such pieces are held
+    as their ends and column-major frames, and sampled only on the edges
+    left to scan: for each set on each block, the y edges, then the x
+    edges, are cleared, and the rows each pass leaves of every frame table
+    are sampled in one call per (sampler, n) before that pass is scanned.
+    On a sphere an arc piece has a frame, and so has a constant leg, an
+    arc of length 0 (planners._const_piece): one is scanned only where
+    L h does not clear the chord of its edge, so only where L is about 1
+    or less.
 
     A refutation names one failure.  The x rows are cut into chunks of
     `chunk_rows` rows, and the failure is the first of the first chunk
@@ -132,10 +139,11 @@ def verify_cover(cover: PlannerCover, grid: int = 32, epsilon: float = 0.05,
 
 
 @dataclass(eq=False)
-class _Arcs:
-    """An arc piece on its rows, held as the arcs' frames (Sphere.arc_frames:
-    one (2d + 2, rows) array, P, U, theta and r as rows) and ends Q instead
-    of their n samples each, with the piece's sampler (Piece.sample)."""
+class _Frames:
+    """A piece with ends on its rows, held as the frames the space gives
+    of them (Space.frames; on a sphere one (2d + 2, rows) array, P, U,
+    theta and r as rows) and ends Q instead of their n samples each, with
+    the piece's sampler (Piece.sample)."""
 
     frames: np.ndarray
     Q: np.ndarray
@@ -158,13 +166,12 @@ class _Scans:
     one block.
 
     `scan` clears at once what an a-priori bound clears, and keeps the
-    rest; `run` samples the rows of every arc table that a kept entry
+    rest; `run` samples the rows of every frame table that a kept entry
     reads, one sampling call per (sampler, n) for the whole pass (_draw),
     then scans them all."""
 
     def __init__(self, sweep):
-        self.space, self.allowed = sweep.space, sweep.allowed
-        self.chord = sweep.chord
+        self.sweep, self.space, self.allowed = sweep, sweep.space, sweep.allowed
         self.kept = []          # (table, ia, other, ib, into, at)
 
     def scan(self, table, ia, ib, axis, edge, into, at=None, other=None):
@@ -174,16 +181,16 @@ class _Scans:
         into into[at] (default: into itself, an entry per pair).
 
         An edge an a-priori bound clears is not scanned, and reads 0: one
-        with L h >= the space's diameter, and, for an arc table, one whose
-        chord bound (Sphere.arc_bound) is at most the edge's chord threshold
-        (Sphere.arc_threshold).  A cleared edge cannot fail, and the largest
+        with L h >= the space's diameter, and, for a frame table, one whose
+        bound (Space.frame_bound) is at most the edge's threshold
+        (Space.frame_threshold).  A cleared edge cannot fail, and the largest
         distance of a failing edge is not a cleared piece's, so verdicts and
         failure dicts are those of the full scan."""
         other = table if other is None else other
         keep = self.allowed[axis][edge] < self.space.diameter
-        if isinstance(table, _Arcs):
-            bound = self.space.arc_bound(table.frames, ia, other.frames, ib)
-            keep &= ~(bound <= self.chord[axis][edge])
+        if isinstance(table, _Frames):
+            bound = self.space.frame_bound(table.frames, ia, other.frames, ib)
+            keep &= ~(bound <= self.sweep.threshold[axis][edge])
         keep = np.flatnonzero(keep)
         if keep.size:
             self.kept.append((table, ia[keep], other, ib[keep], into,
@@ -191,24 +198,24 @@ class _Scans:
 
     def run(self):
         """Max the supdiff of every kept entry into its place into[at]."""
-        wanted = {}             # arc table -> the row arrays read of it
+        wanted = {}             # frame table -> the row arrays read of it
         for table, ia, other, ib, _, _ in self.kept:
             for t, rows in ((table, ia), (other, ib)):
-                if isinstance(t, _Arcs):
+                if isinstance(t, _Frames):
                     wanted.setdefault(t, []).append(rows)
         drawn = _draw({t: np.unique(np.concatenate(rows)) for t, rows in wanted.items()})
         for table, ia, other, ib, into, at in self.kept:
-            if isinstance(table, _Arcs):
+            if isinstance(table, _Frames):
                 rows, table = drawn[table]
                 ia = np.searchsorted(rows, ia)
-            if isinstance(other, _Arcs):
+            if isinstance(other, _Frames):
                 rows, other = drawn[other]
                 ib = np.searchsorted(rows, ib)
             into[at] = np.maximum(into[at], self.space.supdiff_pairs(table, ia, ib, other))
 
 
 def _draw(wanted):
-    """The samples of arc tables on their rows, {table: rows} -> {table:
+    """The samples of frame tables on their rows, {table: rows} -> {table:
     (rows, samples)}, drawn in one call per (sampler, n): bit-identical to
     table.samples(rows), as every sampler is row-independent."""
     groups = {}
@@ -228,8 +235,8 @@ def _draw(wanted):
 class _Rows:
     """Grid rows x with their acceptance (len(x), m_y) in one cover set and
     that set's leg pieces on them: `tables` holds (inputs, table) per piece
-    in leg order, the table the piece's samples or, for an arc piece on a
-    sphere, its _Arcs; `starts` marks the first piece of each leg.  A
+    in leg order, the table the piece's samples or, for a piece the space
+    gives frames of, its _Frames; `starts` marks the first piece of each leg.  A
     piece of both inputs has a row per accepted pair, in row-major order; a
     piece of x a row per x row that accepts a pair (`xrow` maps the rows
     to them, -1 for none), a piece of y a row per column that does (`ycol`),
@@ -301,16 +308,12 @@ class _Sweep:
         self.xpts, self.xnbr, self.ypts, self.ynbr = xpts, xnbr, ypts, ynbr
         self.epsilon, self.delta, self.modulus = epsilon, delta, modulus
         self.samples = samples
-        self.arcs = isinstance(self.space, Sphere)
         m_x, m_y = self.m_x, self.m_y = len(xpts), len(ypts)
         self.chunk_rows = max(1, SAMPLE_BUDGET // (m_y * samples))
         self.ydist = self.space.dist(ypts[ynbr[:, 0]], ypts[ynbr[:, 1]])
         self.xdist = self.space.dist(xpts[xnbr[:, 0]], xpts[xnbr[:, 1]])
-        # L h on each edge along y and along x, and the chord threshold of
-        # arc pieces on a sphere (_Scans.scan)
+        # L h on each edge along y and along x
         self.allowed = {"y": modulus * self.ydist, "x": modulus * self.xdist}
-        self.chord = {axis: self.space.arc_threshold(allowed)
-                      for axis, allowed in self.allowed.items()} if self.arcs else {}
         # the edge (a, b) is checked by the block holding max(a, b); row x
         # stays in the halo while x < boundary <= reach[x]
         self.closer = xnbr.max(axis=1)
@@ -363,10 +366,18 @@ class _Sweep:
                 return None if any(failed[:index]) else self.rows_failure(c0, c1, {}, c0)
         return None
 
+    @cached_property
+    def threshold(self):
+        """The frame threshold of each edge along y and along x
+        (_Scans.scan), worked out when a frame table first needs it."""
+        return {axis: self.space.frame_threshold(allowed)
+                for axis, allowed in self.allowed.items()}
+
     def sections(self, s, x, flat, X, Y):
         """_Rows of set s on the x rows `x`, where `flat` accepts the pairs
         (X, Y) (x-major).  Each piece is built on just the inputs it
-        depends on."""
+        depends on; a piece with ends is held as its frames where the space
+        gives them (_Frames), and is otherwise built whole."""
         sec = _Rows(x, flat.reshape(x.size, self.m_y))
         rows = np.flatnonzero(flat)
         inputs = {"xy": (X[rows], Y[rows]),
@@ -375,12 +386,12 @@ class _Sweep:
         for leg in self.cover.sets[s].pieces:
             n = piece_samples(self.samples, len(leg))
             for i, piece in enumerate(leg):
-                rows = inputs[piece.inputs]
-                if piece.ends is not None and self.arcs and n <= ARC_MAX_SAMPLES:
+                rows, frames = inputs[piece.inputs], None
+                if piece.ends is not None:
                     P, Q = piece.endpoints(*rows)
-                    table = _Arcs(self.space.arc_frames(P, Q), Q, n, piece.sample)
-                else:
-                    table = piece.on(*rows, n)
+                    frames = self.space.frames(P, Q, n)
+                table = (piece.on(*rows, n) if frames is None
+                         else _Frames(frames, Q, n, piece.sample))
                 sec.tables.append((piece.inputs, table))
                 sec.starts.append(i == 0)
         return sec
@@ -427,7 +438,7 @@ class _Sweep:
             return op if isinstance(op, str) else sec.tables[op[0]][0]
 
         def operand(op, grain):
-            # a grid input, or sample j (0 or -1) of table t: an arc
+            # a grid input, or sample j (0 or -1) of table t: a frame
             # table's P or Q, bit-equal to those samples (P C-ordered, as
             # the samples are)
             if op == "x":
@@ -436,7 +447,7 @@ class _Sweep:
                 return Y[rows] if grain == "xy" else self.ypts[sec.ycol >= 0]
             (inputs, table), j = sec.tables[op[0]], op[1]
             at = sec.at(inputs, grain)
-            if not isinstance(table, _Arcs):
+            if not isinstance(table, _Frames):
                 return table[:, j][at]
             return table.Q[at] if j else np.ascontiguousarray(table.P[at])
 
@@ -479,7 +490,8 @@ class _Sweep:
         both inputs is scanned per entry, one of the axis's own input once
         per edge (it has the same rows on all the edge's entries), the
         others not at all; with more than one part, the scans are grouped
-        by the parts of the two ends.  _Scans samples their arcs together."""
+        by the parts of the two ends.  _Scans samples their frame tables
+        together."""
         if not edge.size:
             return None
         n = len(parts)

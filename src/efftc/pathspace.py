@@ -30,19 +30,19 @@ ISOMETRY_TOL = 1e-9
 EDGE_CHUNK = 256
 # below this sin(theta), a near-antipodal arc gets NaN frames, so that no
 # bound clears an edge of it, and a short one counts as a point within a
-# radius (Sphere.arc_frames); well above slerp_into's 1e-9 lerp cutoff
+# radius (Sphere.frames); well above slerp_into's 1e-9 lerp cutoff
 ARC_MIN_SIN = 1e-3
-# the error budget of Sphere.arc_bound, once as a chord and once as an angle.
-# An arc edge whose chord bound c (arc_bound) has 2 arcsin(min(1, (c + S) / 2))
+# the error budget of Sphere.frame_bound, once as a chord and once as an angle.
+# An arc edge whose chord bound c (frame_bound) has 2 arcsin(min(1, (c + S) / 2))
 # + S <= L h, S = ARC_SLACK, cannot fail.  The sweep compares in chord space
 # instead, with no arcsin per edge: for L h < pi (the diameter clears the
 # rest), arcsin is increasing on [0, 1], so the rule holds exactly when
 #     c <= 2 sin((L h - S) / 2) - S,
-# and never when L h < S (the right side is then negative).  Sphere.arc_threshold
+# and never when L h < S (the right side is then negative).  Sphere.frame_threshold
 # computes the right side once per edge and subtracts ARC_CHORD_MARGIN.  The
 # margin covers the rounding of that side (a subtraction, a halving, sin
 # within an ulp, a doubling and a subtraction: a few ulps of 2, under 1e-15)
-# and the rounding in which arc_bound's chord differs from a chord summed
+# and the rounding in which frame_bound's chord differs from a chord summed
 # in another order (a few ulps of c < 8, under 1e-14).  Past the margin,
 # c <= threshold implies the angle rule with room to spare: arcsin has a
 # slope of at least 1, so the angle falls short of L h by at least the
@@ -69,7 +69,9 @@ class Space:
     A space states its geometry once: `dist`, the batched geodesics
     `_geodesics`, `grid` and its neighbour rule `grid_neighbor_pairs`.
     `geodesic` shapes the points for every space, and `supdiff_pairs`
-    scans any space through `dist`.
+    scans any space through `dist`.  A space that can bound the distance
+    between two pieces from their ends alone gives `frames`, and with them
+    `frame_bound` and `frame_threshold` (Sphere).
     """
 
     name = "space"
@@ -104,6 +106,12 @@ class Space:
     def random_points(self, rng, m):
         raise NotImplementedError
 
+    def frames(self, P, Q, n):
+        """The frames of the pieces of n samples with ends P and Q, from
+        which frame_bound bounds their distances, or None: no bound is
+        known here, and each piece is built whole."""
+        return None
+
     def supdiff(self, a, b):
         """Max over the sample axis of dist(a, b); a, b shaped (..., n, d)."""
         return self.dist(a, b).max(axis=-1)
@@ -111,22 +119,12 @@ class Space:
     def supdiff_pairs(self, leg, ia, ib, other=None):
         """supdiff(leg[ia], other[ib]) without materializing the gathers;
         `other` defaults to `leg`."""
-        leg, other = _moving_samples(leg, other)
+        other = leg if other is None else other
         out = np.empty(ia.shape[0])
         for lo in range(0, ia.shape[0], EDGE_CHUNK):
             hi = lo + EDGE_CHUNK
             out[lo:hi] = self.supdiff(leg[ia[lo:hi]], other[ib[lo:hi]])
         return out
-
-
-def _moving_samples(leg, other):
-    """Both leg arrays, cut to their first sample when neither moves along
-    the sample axis (zero stride: every sample is the same point), which
-    leaves every sup over samples bit-identical."""
-    other = leg if other is None else other
-    if leg.strides[1] == 0 and other.strides[1] == 0:
-        return leg[:, :1], other[:, :1]
-    return leg, other
 
 
 def wrapped_lines(p, rep, n, period):
@@ -188,33 +186,27 @@ class Sphere(Space):
             raise GeodesicDegeneracyError("antipodal endpoints have no unique arc")
         return slerp_batch(P, Q, n)
 
-    def supdiff(self, a, b):
-        d = a - b
-        chord2 = coord_dot(d, d).max(axis=-1)
-        return 2.0 * np.arcsin(np.clip(np.sqrt(chord2) / 2.0, 0.0, 1.0))
-
     def supdiff_pairs(self, leg, ia, ib, other=None):
         """Space.supdiff_pairs, bit for bit, without the temporaries of its
         gathers and subtraction.  It is kept for the sphere alone because it
         was measured: over three serial `sphere-refute` passes (one CPU,
         under cProfile), the base scan took 0.055 s and this one 0.020 s,
         a saving of about 2 % of the passes."""
-        leg, other = _moving_samples(leg, other)
         chord2 = np.empty(ia.shape[0])
         for lo in range(0, ia.shape[0], EDGE_CHUNK):
             hi = lo + EDGE_CHUNK
             d = leg[ia[lo:hi]]
-            d -= other[ib[lo:hi]]
+            d -= (leg if other is None else other)[ib[lo:hi]]
             chord2[lo:hi] = coord_dot(d, d).max(axis=-1)
         return 2.0 * np.arcsin(np.clip(np.sqrt(chord2) / 2.0, 0.0, 1.0))
 
     @staticmethod
-    def arc_frames(P, Q):
-        """The frames of the arcs slerp_into draws from the rows of P to
-        those of Q, column-major: one (2d + 2, rows) array whose rows are
-        the coordinates of P, then of U, then theta, then r, such that every
-        sample lies within r (and ARC_SLACK) of cos(t theta) P + sin(t theta) U
-        at its t.
+    def frames(P, Q, n):
+        """The frames of the arcs of n samples slerp_into draws from the
+        rows of P to those of Q, column-major: one (2d + 2, rows) array
+        whose rows are the coordinates of P, then of U, then theta, then r,
+        such that every sample lies within r (and ARC_SLACK) of
+        cos(t theta) P + sin(t theta) U at its t; None above ARC_MAX_SAMPLES.
 
         - Where sin(theta) >= ARC_MIN_SIN, U = (Q - cos(theta) P) / sin(theta)
           with theta computed as slerp_into computes it, and r = 0: the
@@ -223,7 +215,12 @@ class Sphere(Space):
           start P, U = 0 and theta = 0, within r = 2 |Q - P| + theta^2: its
           lerp samples lie within |Q - P| + |Q - P|^2 / 8 of P, its
           recurrence samples within (1 - cos theta) + |Q - cos(theta) P|.
-        - A near-antipodal arc has NaN frames: arc_bound gives no bound."""
+        - A near-antipodal arc has NaN frames: frame_bound gives no bound.
+
+        A constant piece (Q = P) is a short arc of length 0: P, U = 0,
+        theta = 0 and r about 0."""
+        if n > ARC_MAX_SAMPLES:
+            return None
         P, Q = np.asarray(P, float), np.asarray(Q, float)
         d = P.shape[1]
         theta = np.arccos(np.clip(coord_dot(P, Q), -1.0, 1.0))
@@ -245,9 +242,9 @@ class Sphere(Space):
         return frames
 
     @staticmethod
-    def arc_bound(F, ia, F2, ib):
+    def frame_bound(F, ia, F2, ib):
         """An upper bound of the chord between the sampled arcs with frames
-        F[:, ia] and F2[:, ib] (arc_frames), entry by entry; NaN where a
+        F[:, ia] and F2[:, ib] (frames), entry by entry; NaN where a
         frame is.  Each frame row is gathered as a column of its own, so no
         (entries, 2d + 2) array is made.
 
@@ -261,8 +258,8 @@ class Sphere(Space):
         of the sampled legs against their curves (below 3e-13 at 64 samples
         and 1e-10 at ARC_MAX_SAMPLES, measured with sin(theta) down to
         ARC_MIN_SIN), the cancellation in U (about eps / sin(theta) <= 1e-12)
-        and the rounding of the scan's chord; arc_threshold takes it off the
-        threshold."""
+        and the rounding of the scan's chord; frame_threshold takes it off
+        the threshold."""
         moved = F.shape[0] - 2
         chord = F[0].take(ia)
         chord -= F2[0].take(ib)
@@ -281,9 +278,9 @@ class Sphere(Space):
         return chord
 
     @staticmethod
-    def arc_threshold(allowed):
+    def frame_threshold(allowed):
         """The chord threshold of each edge that may move by `allowed` =
-        L h < pi: an arc_bound at most this clears the edge.  It is
+        L h < pi: a frame_bound at most this clears the edge.  It is
         2 sin((L h - ARC_SLACK) / 2) - ARC_SLACK less ARC_CHORD_MARGIN, the
         angle rule 2 arcsin(min(1, (c + ARC_SLACK) / 2)) + ARC_SLACK <= L h
         solved for c (the argument is next to ARC_SLACK)."""

@@ -41,6 +41,13 @@ from .pathspace import (
 )
 
 
+# the verification parameters by default: bounds.verify_cover, plan and the
+# scenario runner read them here (bounds imports this module, so the table
+# cannot live there)
+DEFAULT_PARAMS = {"grid": 32, "epsilon": 0.05, "delta": 1e-6,
+                  "modulus": 10.0, "samples": 64}
+
+
 @dataclass(frozen=True)
 class Piece:
     """A stretch of a leg as a function of the inputs it names: "x", "y",
@@ -49,14 +56,16 @@ class Piece:
     build(X, Y, n) or build(n).  It returns (rows, n, d) samples, a single
     row for a constant piece.
 
-    A piece that is a great-circle arc gives `ends` instead: from the same
-    input rows, its endpoints (P, Q), each (rows, d), after checking that
-    the arcs are unique.  Its `build` is then `sample(P, Q, n)` between
+    A piece that is drawn between two ends gives `ends` instead: from the
+    same input rows, its endpoints (P, Q), each (rows, d), after checking
+    that they are valid.  Its `build` is then `sample(P, Q, n)` between
     them, slerp_batch by default, and the certification sweep may bound the
-    arc from its endpoints alone.  A `sample` of its own must draw
-    slerp_batch's arc on every row where sin(theta) >= ARC_MIN_SIN (the
-    rows Sphere.arc_frames gives a frame), and keep P and Q as its first
-    and last samples up to the signs of zeros."""
+    piece from its ends alone where the space gives frames of them
+    (Space.frames).  On a sphere, a `sample` of its own must draw
+    slerp_batch's arc on every row where sin(theta) >= ARC_MIN_SIN, keep
+    its samples within the radius r of P on the short rows (Sphere.frames),
+    and keep P and Q as its first and last samples up to the signs of
+    zeros.  A constant leg is such a piece with Q = P (_const_piece)."""
 
     inputs: str
     build: object = None
@@ -150,7 +159,8 @@ class PlannerCover:
     def claimed_bound(self) -> int:
         return len(self.sets) - 1
 
-    def plan(self, x, y, epsilon: float = 0.05, n: int = 64):
+    def plan(self, x, y, epsilon: float = DEFAULT_PARAMS["epsilon"],
+             n: int = DEFAULT_PARAMS["samples"]):
         """(set name, legs) of the lowest-index set accepting (x, y): its
         section as a list of (n_i, d) leg arrays.  Raises ValueError when
         no set accepts the pair, or when the legs do not make a broken path
@@ -176,6 +186,11 @@ class PlannerCover:
 def _const_legs(points, n):
     """Constant legs as a read-only view: every sample is the row's point."""
     return np.broadcast_to(points[:, None, :], (points.shape[0], n, points.shape[1]))
+
+
+def _const_sample(P, Q, n):
+    """The constant legs at P, as a piece's sampler."""
+    return _const_legs(P, n)
 
 
 def _guard_arc(space, P, Q):
@@ -212,8 +227,11 @@ def _north(space):
 
 
 def _const_piece(inputs):
-    """The constant leg at x or at y, as a piece."""
-    return Piece(inputs, _const_legs)
+    """The constant leg at x or at y, as a piece with both ends at the
+    input: on a sphere its frame is an arc of length 0.  Its sampler is a
+    module function, so that the sweep samples every constant leg of a
+    pass in one call per sample count."""
+    return Piece(inputs, ends=lambda rows: (rows, rows), sample=_const_sample)
 
 
 def _geodesic_piece(space, start=_same):

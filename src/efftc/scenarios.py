@@ -31,10 +31,9 @@ from .pathspace import (
     sampling_seed,
     trivial_space_action,
 )
+from .planners import DEFAULT_PARAMS
 from .symmetry import read_action_text, trivial_action
 
-DEFAULT_PARAMS = {"grid": 32, "epsilon": 0.05, "delta": 1e-6,
-                  "modulus": 10.0, "samples": 64}
 
 
 def check_params(params: dict) -> None:

@@ -477,7 +477,7 @@ def stacked_orbit_dist(action, p, q):
 
 def angle_arc_bound(F, ia, F2, ib):
     """The endpoint bound of the arcs with (column-major) frames F[:, ia]
-    and F2[:, ib] as an angle, the former Sphere.arc_bound: gathered as
+    and F2[:, ib] as an angle, Sphere.frame_bound in its former form: gathered as
     whole (entries, 2d + 2) rows, the chord summed by einsum, then
     2 arcsin(min(1, (chord + ARC_SLACK) / 2)).  An edge it clears has
     angle + ARC_SLACK <= L h."""

@@ -2,8 +2,8 @@
 
 An arc piece on a sphere is held by the sweep as its endpoints and frames
 (P, U, theta), and an edge is scanned only when neither the space's
-diameter nor `Sphere.arc_bound` clears it: a chord bound, compared with the
-edge's chord threshold `Sphere.arc_threshold`.  The bound must hold for the
+diameter nor `Sphere.frame_bound` clears it: a chord bound, compared with the
+edge's chord threshold `Sphere.frame_threshold`.  The bound must hold for the
 sampled legs the pieces build, the threshold must clear no edge that the
 angle rule (`oracles.angle_arc_bound` + ARC_SLACK <= L h) keeps, and every
 verdict and failure dict must stay the chunk-order oracle's, which builds
@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from efftc import bounds, planners
 from efftc._kernels import slerp_batch
 from efftc.pathspace import (
+    ARC_MAX_SAMPLES,
     ARC_MIN_SIN,
     ARC_SLACK,
     FlatTorus,
@@ -59,7 +60,7 @@ def arc_pairs(sphere, d, theta, theta2, move, stretch, seed, rows=16):
     rng = np.random.default_rng(seed)
     P, Q = arcs(rng, d, theta, rows)
     if stretch:
-        U = sphere.arc_frames(P, Q)[d:2 * d].T
+        U = sphere.frames(P, Q, 64)[d:2 * d].T
         if not np.all(np.isclose(np.linalg.norm(U, axis=1), 1.0)):
             _, W = arcs(rng, d, np.pi / 2, rows)
             U = unit(W - (W * P).sum(axis=1, keepdims=True) * P)
@@ -92,9 +93,9 @@ def test_scanned_arcs_stay_within_the_endpoint_bound(n, d, theta, theta2, move,
     legs, legs2 = slerp_batch(P, Q, n), slerp_batch(P2, Q2, n)
     idx = np.arange(len(P))
     scanned = sphere.supdiff_pairs(legs, idx, idx, legs2)
-    frames, frames2 = sphere.arc_frames(P, Q), sphere.arc_frames(P2, Q2)
+    frames, frames2 = sphere.frames(P, Q, n), sphere.frames(P2, Q2, n)
     assert frames.flags.c_contiguous and frames.shape == (2 * d + 2, len(P))
-    bound = as_angle(sphere.arc_bound(frames, idx, frames2, idx))
+    bound = as_angle(sphere.frame_bound(frames, idx, frames2, idx))
     # below the threshold, a short arc is its start within a radius, and a
     # near-antipodal one has NaN frames
     for F, A, B in ((frames, P, Q), (frames2, P2, Q2)):
@@ -143,9 +144,9 @@ def test_edges_the_chord_threshold_clears_cannot_fail(n, limit, d, theta, theta2
     sphere = Sphere(d - 1)
     P, Q, P2, Q2 = arc_pairs(sphere, d, theta, theta2, move, stretch, seed)
     idx = np.arange(len(P))
-    frames, frames2 = sphere.arc_frames(P, Q), sphere.arc_frames(P2, Q2)
+    frames, frames2 = sphere.frames(P, Q, 64), sphere.frames(P2, Q2, 64)
     allowed = limits(limit, angle_arc_bound(frames, idx, frames2, idx))
-    cleared = sphere.arc_bound(frames, idx, frames2, idx) <= sphere.arc_threshold(allowed)
+    cleared = sphere.frame_bound(frames, idx, frames2, idx) <= sphere.frame_threshold(allowed)
     scanned = sphere.supdiff_pairs(slerp_batch(P, Q, n), idx, idx, slerp_batch(P2, Q2, n))
     assert np.all(scanned[cleared] <= allowed[cleared]), (scanned, allowed, cleared)
     nan_frames = np.isnan(frames).any(axis=0) | np.isnan(frames2).any(axis=0)
@@ -160,10 +161,10 @@ def test_the_chord_threshold_clears_only_what_the_angle_rule_clears(limit, d, th
     sphere = Sphere(d - 1)
     P, Q, P2, Q2 = arc_pairs(sphere, d, theta, theta2, move, stretch, seed)
     idx = np.arange(len(P))
-    frames, frames2 = sphere.arc_frames(P, Q), sphere.arc_frames(P2, Q2)
+    frames, frames2 = sphere.frames(P, Q, 64), sphere.frames(P2, Q2, 64)
     former = angle_arc_bound(frames, idx, frames2, idx)
     allowed = limits(limit, former)
-    cleared = sphere.arc_bound(frames, idx, frames2, idx) <= sphere.arc_threshold(allowed)
+    cleared = sphere.frame_bound(frames, idx, frames2, idx) <= sphere.frame_threshold(allowed)
     assert np.all(former[cleared] + ARC_SLACK <= allowed[cleared]), (former, allowed)
 
 
@@ -180,16 +181,16 @@ def test_the_chord_threshold_clears_what_the_angle_rule_clears_on_grid_edges():
         for x in pts[::7]:
             keep = sphere.dist(pts, -x) > 1e-3
             P, Q = np.broadcast_to(x, pts[keep].shape), pts[keep]
-            frames = sphere.arc_frames(P, Q)
+            frames = sphere.frames(P, Q, 64)
             pos = np.cumsum(keep) - 1
             on = keep[a] & keep[b]
             ia, ib = pos[a[on]], pos[b[on]]
             former = angle_arc_bound(frames, ia, frames, ib)
-            chord = sphere.arc_bound(frames, ia, frames, ib)
+            chord = sphere.frame_bound(frames, ia, frames, ib)
             for modulus in (1.0, 2.0, 3.0, 10.0):
                 allowed = modulus * h[on]
                 old = former + ARC_SLACK <= allowed
-                new = chord <= sphere.arc_threshold(allowed)
+                new = chord <= sphere.frame_threshold(allowed)
                 assert not np.any(new & ~old)
                 assert np.all(new[old & (former + ARC_SLACK + 1e-10 <= allowed)])
 
@@ -204,8 +205,8 @@ def test_the_bound_is_tight_on_grid_arcs():
     P, Q = np.broadcast_to(x, pts.shape), pts
     keep = sphere.dist(Q, -P) > 0.2
     a, b = nbr[keep[nbr[:, 0]] & keep[nbr[:, 1]]].T
-    frames = sphere.arc_frames(P, Q)
-    bound = as_angle(sphere.arc_bound(frames, a, frames, b))
+    frames = sphere.frames(P, Q, 64)
+    bound = as_angle(sphere.frame_bound(frames, a, frames, b))
     legs = slerp_batch(P, Q, 64)
     scanned = sphere.supdiff_pairs(legs, a, b)
     given = ~np.isnan(bound)
@@ -258,14 +259,14 @@ def test_refutations_of_arc_covers_match_the_oracle():
     assert axes == {("farber", "y"), ("involution2", "y"), ("through-south", "x")}, axes
 
 
-def count_scanned(cover, legs_of=None, **params):
+def count_scanned(cover, legs=None, **params):
     """(certification, edges given to Sphere.supdiff_pairs) on one CPU;
-    with `legs_of`, only the edges of legs of that many samples."""
+    with `legs`, only the edges of the leg arrays for which legs(leg)."""
     seen = []
     scan = Sphere.supdiff_pairs
 
     def counted(self, leg, ia, ib, other=None):
-        if legs_of is None or leg.shape[1] == legs_of:
+        if legs is None or legs(leg):
             seen.append(len(ia))
         return scan(self, leg, ia, ib, other)
 
@@ -280,12 +281,28 @@ def test_few_farber_edges_reach_the_scan():
     # without the endpoint bound are scanned with it
     cover = build_planner("farber", build_bundle(BUILTINS["s2-involution"]))
     cert, scanned = count_scanned(cover, grid=16, modulus=10.0)
-    with mock.patch.object(Sphere, "arc_bound",
+    with mock.patch.object(Sphere, "frame_bound",
                            staticmethod(lambda F, ia, F2, ib: np.full(len(ia), np.nan))):
         unbounded, every = count_scanned(cover, grid=16, modulus=10.0)
     assert cert == unbounded and cert.certified
     assert every > 100_000
     assert scanned < 0.05 * every, (scanned, every)
+
+
+def test_constant_legs_are_cleared_by_their_frames():
+    # a constant leg on a sphere is an arc of length 0, whose frame bound
+    # is the chord of its edge: at L = 10 that clears every edge, so no
+    # constant (zero-stride) leg of an S^2 catalog cover at grid 32 reaches
+    # the scan.  involution2 used to pass 84,421 such entries of 90,285
+    s2_covers = [(name, step["planner"]) for name, scenario in BUILTINS.items()
+                 if name.startswith("s2-")
+                 for step in scenario.pipeline if "planner" in step]
+    assert len(s2_covers) == 9
+    for name, planner in s2_covers:
+        cover = build_planner(planner, build_bundle(BUILTINS[name]))
+        cert, scanned = count_scanned(cover, lambda leg: leg.strides[1] == 0,
+                                      grid=32, modulus=10.0)
+        assert cert.certified and scanned == 0, (name, planner, scanned)
 
 
 def test_vacuous_edges_are_not_scanned():
@@ -339,7 +356,8 @@ def test_arc_pieces_with_many_samples_are_scanned_from_samples():
     # endpoint bound is not used, and the verdict is the oracle's.  The
     # arcs of involution3 are two to a leg: ARC_MAX_SAMPLES + 1 samples each
     cover = build_planner("involution3", build_bundle(BUILTINS["s2-involution"]))
-    params = dict(grid=8, modulus=3.0, samples=2 * bounds.ARC_MAX_SAMPLES + 2)
-    cert, scanned = count_scanned(cover, bounds.ARC_MAX_SAMPLES + 1, **params)
+    params = dict(grid=8, modulus=3.0, samples=2 * ARC_MAX_SAMPLES + 2)
+    cert, scanned = count_scanned(
+        cover, lambda leg: leg.shape[1] == ARC_MAX_SAMPLES + 1, **params)
     assert scanned > 0
     assert cert == assert_matches_oracle(cover, **params)

@@ -304,7 +304,8 @@ def test_rowspace_python_fallback():
 
 
 def test_chunked_sup_scans_match_full_gather():
-    # an edge count that is not a multiple of the scan chunk
+    # an edge count that is not a multiple of the scan chunk; the reference
+    # is Space.supdiff (dist, then the max over samples) on every space
     from efftc.pathspace import EDGE_CHUNK
     rng = np.random.default_rng(11)
     edges = 3 * EDGE_CHUNK + 17
@@ -317,8 +318,9 @@ def test_chunked_sup_scans_match_full_gather():
 
 
 def test_sup_scans_on_constant_views_match_copies():
-    # a constant leg pair is compared on its first sample only; the result
-    # must equal the full scan of contiguous copies, bit for bit
+    # constant legs are read-only zero-stride views, which the sweep scans
+    # where L is too small for their frames to clear an edge; the scan
+    # must equal that of contiguous copies, bit for bit
     from efftc.planners import _const_legs
     rng = np.random.default_rng(12)
     for space in (Sphere(2), FlatTorus(2)):

@@ -51,6 +51,13 @@ CATALOG_COVERS = [
     ("wedge-z2", "cat-strict-section", 32),
     ("wedge-z3", "wedge", 32),
 ]
+# covers with constant legs, at L = 0.9: a constant leg's frame clears no
+# edge there, so its samples are scanned, and each cover fails on them
+LOW_MODULUS_COVERS = [
+    ("s2-involution", "involution2", 16),
+    ("s2-involution", "involution3", 16),
+    ("s2-antipodal", "cat-covering-lift", 16),
+]
 
 
 def assert_matches_oracle(cover, grid, budget=bounds.SAMPLE_BUDGET, **params):
@@ -123,6 +130,11 @@ def test_sweep_matches_oracle_on_catalog_and_embedded_covers():
             for cpus in (1, 2):
                 got = catalog_certification(scenario, planner, grid, embedded, cpus)
                 assert got == expected, (scenario, planner, embedded, cpus, got)
+    for scenario, planner, grid in LOW_MODULUS_COVERS:
+        cover = build_planner(planner, build_bundle(BUILTINS[scenario]))
+        for c in (cover, embed_cover(cover)):
+            expected = assert_matches_oracle(c, grid, modulus=0.9)
+            assert expected.failure["reason"] == "continuity", (scenario, planner)
 
 
 def test_sweep_matches_oracle_on_adversarial_covers():
@@ -386,7 +398,7 @@ def test_sweep_matches_oracle_on_random_jumps(kind, grid, chunk_rows, modulus,
 
 
 def arc_tables(cover, rows=6, grid=16):
-    """The arc tables (bounds._Arcs) the sweep builds for each set of
+    """The frame tables (bounds._Frames) the sweep builds for each set of
     `cover` on its first `rows` x rows of the grid."""
     space = cover.action.space
     pts, nbr = space.grid(grid), space.grid_neighbor_pairs(grid)
@@ -398,7 +410,7 @@ def arc_tables(cover, rows=6, grid=16):
         flat = cs.margin(X, Y) >= 0.05
         if flat.any():
             sec = sweep.sections(s, np.arange(rows), flat, X, Y)
-            tables += [t for _, t in sec.tables if isinstance(t, bounds._Arcs)]
+            tables += [t for _, t in sec.tables if isinstance(t, bounds._Frames)]
     return tables
 
 
