@@ -6,11 +6,12 @@
     efftc list-builtins
 
 Exit codes: 0 all reports consistent and expectations met; 1 contradiction,
-refutation or expectation miss; 2 a scenario that cannot be loaded,
-verification parameters no certification can run on, an --out or --csv
-path that cannot be written (a directory, or in a directory that does not
-exist; checked before the run), or a report directory or report file that
-cannot be read; 3 a run that failed
+refutation or expectation miss; 2 a scenario that cannot be loaded (among
+them one with a key nothing reads in its space, a pipeline step or an
+expectation), verification parameters no certification can run on, an
+--out or --csv path that cannot be written (a directory, or in a directory
+that does not exist; checked before the run), or a report directory or
+report file that cannot be read; 3 a run that failed
 (reported with the exception's type and message, and the index, op, and
 method or planner of the pipeline step that raised it); 4 an internal error,
 an exception none of these expects, with its traceback on stderr.

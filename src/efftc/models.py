@@ -1,11 +1,17 @@
 """Catalog of standard spaces, actions and quotient models.
 
 Geometric and simplicial realizations of the named scenario actions live
-here; scenario files address them by name.  Simplicial vertex labelings are
-chosen so that the slice graphs of the frequently used actions are already
-order-monotone (interleaving v and gv), which keeps saturated-diagonal
-products small; the hexagon keeps its natural ring labels and exercises the
-subdivision path instead.
+here; scenario files address them by name.  A quotient model is a record
+of the orbit map's model (pathspace.QuotientModel): the quotient space, the
+projection, and a strict section or a preimage map where one exists.
+Every map that changes the first coordinate alone, an action's or a
+model's, is written with pathspace.on_first; the linear involutions of the
+sphere keep their matrix products, whose zeros can differ from it in sign.
+
+Simplicial vertex labelings are chosen so that the slice graphs of the
+frequently used actions are already order-monotone (interleaving v and
+gv), which keeps saturated-diagonal products small; the hexagon keeps its
+natural ring labels and exercises the subdivision path instead.
 """
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ from .pathspace import (
     SpaceAction,
     Sphere,
     WedgeCircles,
+    on_first,
     trivial_space_action,
 )
 from .symmetry import FiniteGroup, GroupAction, action_from_generator_perms, trivial_action
@@ -40,44 +47,35 @@ def sphere_antipodal(n: int) -> SpaceAction:
                        [lambda p: p, lambda p: -p])
 
 
+def _sphere_involution(n: int, sign: float) -> SpaceAction:
+    """The involution of S^n by the matrix sign * diag(-1, 1, ..., 1), as a
+    matrix product (_linear_map); its off-diagonal zeros carry the sign."""
+    g = sign * np.diag([-1.0] + [1.0] * n)
+    return SpaceAction(Sphere(n), FiniteGroup.cyclic(2), [lambda p: p, _linear_map(g)])
+
+
 def sphere_codim1(n: int) -> SpaceAction:
     """The codimension-1 linear involution: negate the first coordinate."""
-    space = Sphere(n)
-    g = np.eye(n + 1)
-    g[0, 0] = -1.0
-    return SpaceAction(space, FiniteGroup.cyclic(2),
-                       [lambda p: p, _linear_map(g)])
+    return _sphere_involution(n, 1.0)
 
 
 def sphere_rotation(n: int) -> SpaceAction:
     """Half-turn rotation about the first axis (orientation preserving)."""
-    space = Sphere(n)
-    g = -np.eye(n + 1)
-    g[0, 0] = 1.0
-    return SpaceAction(space, FiniteGroup.cyclic(2),
-                       [lambda p: p, _linear_map(g)])
+    return _sphere_involution(n, -1.0)
 
 
 def torus_halfturn() -> SpaceAction:
-    space = FlatTorus(2)
-
-    def half(p):
-        out = np.array(p, dtype=float, copy=True)
-        out[..., 0] = np.mod(out[..., 0] + 0.5, 1.0)
-        return out
-
-    return SpaceAction(space, FiniteGroup.cyclic(2), [lambda p: p, half])
+    """The half turn of the first circle factor of T^2, free."""
+    half = on_first(lambda s: np.mod(s + 0.5, 1.0))
+    return SpaceAction(FlatTorus(2), FiniteGroup.cyclic(2), [lambda p: p, half])
 
 
 def wedge_swap(branches: int) -> SpaceAction:
     space = WedgeCircles(branches)
 
     def shift(k):
-        def act(p):
-            out = np.array(p, dtype=float, copy=True)
-            out[..., 0] = np.mod(out[..., 0] + k, branches)
-            return space.canonical(out)
-        return act
+        move = on_first(lambda b: np.mod(b + k, branches))
+        return lambda p: space.canonical(move(p))
 
     return SpaceAction(space, FiniteGroup.cyclic(branches),
                        [shift(k) for k in range(branches)])
@@ -140,10 +138,9 @@ class Hemisphere(Space):
         self.name = "hemisphere"
         self._sphere = Sphere(2)
 
-    def _flip(self, p):
-        out = np.array(p, dtype=float, copy=True)
-        out[..., 0] = -out[..., 0]
-        return out
+    _flip = staticmethod(on_first(np.negative))
+    # the point of each orbit in the hemisphere: the orbit map
+    fold = staticmethod(on_first(np.abs))
 
     def dist(self, p, q):
         return np.minimum(self._sphere.dist(p, q),
@@ -157,39 +154,20 @@ class Hemisphere(Space):
         return np.zeros((0, 2), dtype=np.intp)
 
     def random_points(self, rng, m):
-        pts = self._sphere.random_points(rng, m)
-        pts[:, 0] = np.abs(pts[:, 0])
-        return pts
+        return self.fold(self._sphere.random_points(rng, m))
 
 
 def sphere2_codim1_quotient(action: SpaceAction) -> QuotientModel:
-    quotient = Hemisphere()
-
-    def project(p):
-        out = np.array(p, dtype=float, copy=True)
-        out[..., 0] = np.abs(out[..., 0])
-        return out
-
-    def section(q):
-        return np.array(q, dtype=float, copy=True)
-
-    return QuotientModel(action, quotient, project, section=section)
+    """S^2 -> S^2/codim-1 involution, modelled as the closed upper
+    hemisphere: the projection folds x0 to |x0|, the section includes."""
+    return QuotientModel(action, Hemisphere(), Hemisphere.fold, section=np.copy)
 
 
 def torus_halfturn_quotient(action: SpaceAction) -> QuotientModel:
-    quotient = FlatTorus(2)
-
-    def project(p):
-        out = np.array(p, dtype=float, copy=True)
-        out[..., 0] = np.mod(2.0 * out[..., 0], 1.0)
-        return out
-
-    def any_preimage(q):
-        out = np.array(q, dtype=float, copy=True)
-        out[..., 0] = out[..., 0] / 2.0
-        return out
-
-    return QuotientModel(action, quotient, project, any_preimage=any_preimage)
+    """T^2 -> T^2/half turn, again a flat torus: the first coordinate
+    doubles."""
+    return QuotientModel(action, FlatTorus(2), on_first(lambda s: np.mod(2.0 * s, 1.0)),
+                         any_preimage=on_first(lambda s: s / 2.0))
 
 
 def wedge_quotient(action: SpaceAction) -> QuotientModel:

@@ -15,6 +15,7 @@ pairs (branch index, angle).
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,6 +128,30 @@ class Space:
         return out
 
 
+def no_arc(space, P, Q):
+    """The rows (P, Q) of a sphere model too near antipodal to have a
+    unique arc between them, by the space's own metric: a mask."""
+    return space.dist(P, Q) > np.pi - 1e-6
+
+
+def check_arcs(space, P, Q):
+    """GeodesicDegeneracyError unless every row (P, Q) has a unique arc
+    (no_arc)."""
+    if np.any(no_arc(space, P, Q)):
+        raise GeodesicDegeneracyError("antipodal endpoints have no unique arc")
+
+
+def on_first(f):
+    """The point map that returns a float copy of its points with f applied
+    to coordinate 0 (the rest unchanged)."""
+    def move(p):
+        out = np.array(p, dtype=float, copy=True)
+        out[..., 0] = f(out[..., 0])
+        return out
+
+    return move
+
+
 def wrapped_lines(p, rep, n, period):
     """Samples t = 0..1 of the lines p + t rep, taken mod period in place:
     (M, d), (M, d) -> (M, n, d), holding no array beyond the result."""
@@ -182,8 +207,7 @@ class Sphere(Space):
         return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
 
     def _geodesics(self, P, Q, n):
-        if np.any(self.dist(P, Q) > np.pi - 1e-6):
-            raise GeodesicDegeneracyError("antipodal endpoints have no unique arc")
+        check_arcs(self, P, Q)
         return slerp_batch(P, Q, n)
 
     def supdiff_pairs(self, leg, ia, ib, other=None):
@@ -624,38 +648,19 @@ def leg_residuals(action: SpaceAction, starts, ends, X, Y):
     return residuals, np.stack([measure(a, b) for measure, a, b in ends])
 
 
+@dataclass
 class QuotientModel:
-    """A concrete orbit-space model with projection and optional extras.
+    """A concrete model of the orbit map X -> X/G: `project` maps points of
+    the action's space to `quotient_space`; `section`, when given, is a
+    strict section of it; `any_preimage`, when given, a map to some
+    preimage, from which `lift_path` lifts through the covering.  Each map
+    takes float arrays of points."""
 
-    `section` (when not None) is a strict section of the orbit map;
-    `any_preimage` supports covering path lifts.
-    """
-
-    def __init__(self, action: SpaceAction, quotient_space: Space,
-                 project, section=None, any_preimage=None):
-        self.action = action
-        self.total_space = action.space
-        self.quotient_space = quotient_space
-        self._project = project
-        self._section = section
-        self._any_preimage = any_preimage
-
-    def project(self, p):
-        return self._project(np.asarray(p, dtype=float))
-
-    @property
-    def has_section(self) -> bool:
-        return self._section is not None
-
-    def section(self, q):
-        if self._section is None:
-            raise ValueError("quotient model has no strict section")
-        return self._section(np.asarray(q, dtype=float))
-
-    def any_preimage(self, q):
-        if self._any_preimage is None:
-            raise ValueError("quotient model does not support lifting")
-        return self._any_preimage(np.asarray(q, dtype=float))
+    action: SpaceAction
+    quotient_space: Space
+    project: object
+    section: object = None
+    any_preimage: object = None
 
     def check_section(self) -> float:
         """Max residual of q o s = id over the quotient grid at SECTION_GRID."""
@@ -664,27 +669,18 @@ class QuotientModel:
         return float(np.max(self.quotient_space.dist(back, grid)))
 
     def lift_path(self, quotient_points, start):
-        """Unique-path-lift through the covering, batched.
-
-        quotient_points: (M, N, dq); start: (M, d) with
-        project(start) = quotient_points[:, 0].  Greedy orbit-nearest
-        continuation; exactness is checked by the caller.
-        """
-        q = np.asarray(quotient_points, dtype=float)
-        start = np.asarray(start, dtype=float)
-        single = q.ndim == 2
-        if single:
-            q = q[None]
-            start = start[None]
-        m, n, _ = q.shape
-        out = np.zeros((m, n, self.total_space.point_dim))
+        """Unique-path-lift through the covering of M quotient paths
+        (M, N, dq) from their starts (M, d), project(start) =
+        quotient_points[:, 0]: greedy orbit-nearest continuation, whose
+        exactness the caller checks."""
+        space, order = self.action.space, self.action.group.order
+        m, n, _ = quotient_points.shape
+        out = np.zeros((m, n, space.point_dim))
         out[:, 0] = start
-        order = self.action.group.order
         for j in range(1, n):
-            base = self.any_preimage(q[:, j])
+            base = self.any_preimage(quotient_points[:, j])
             cands = np.stack([self.action.act(g, base) for g in range(order)])
-            dists = np.stack([self.total_space.dist(cands[g], out[:, j - 1])
-                              for g in range(order)])
+            dists = np.stack([space.dist(cands[g], out[:, j - 1]) for g in range(order)])
             best = np.argmin(dists, axis=0)
             out[:, j] = cands[best, np.arange(m)]
-        return out[0] if single else out
+        return out

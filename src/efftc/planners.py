@@ -30,13 +30,16 @@ from functools import partial
 import numpy as np
 
 from ._kernels import coord_dot, slerp_batch
-from .errors import GeodesicDegeneracyError, LiftError
+from .errors import LiftError
 from .pathspace import (
     ENDPOINT_TOL,
     JOINT_TOL,
     QuotientModel,
     SpaceAction,
+    check_arcs,
     leg_residuals,
+    no_arc,
+    on_first,
     wrapped_lines,
 )
 
@@ -193,11 +196,6 @@ def _const_sample(P, Q, n):
     return _const_legs(P, n)
 
 
-def _guard_arc(space, P, Q):
-    if np.any(space.dist(P, Q) > np.pi - 1e-6):
-        raise GeodesicDegeneracyError("antipodal endpoints have no unique arc")
-
-
 def _arc_then_half(space, field):
     """The pieces of one leg: the shortest arc from X to -Y (of both
     inputs), then the half circle -Y -> Y as two quarter arcs through the
@@ -247,7 +245,7 @@ def _arc_piece(space, inputs, start, end):
         shape = rows[0].shape if rows else (1, space.point_dim)
         P, Q = (e(*rows) if callable(e) else np.broadcast_to(e, shape)
                 for e in (start, end))
-        _guard_arc(space, P, Q)
+        check_arcs(space, P, Q)
         return P, Q
 
     return Piece(inputs, ends=ends)
@@ -284,10 +282,8 @@ def _tangent_unit(Y, V):
     return W / np.sqrt(coord_dot(W, W))[:, None]
 
 
-def _fold(X):
-    out = X.copy()
-    out[:, 0] = np.abs(out[:, 0])
-    return out
+# the point of the orbit of x in the upper hemisphere {x0 >= 0}
+_fold = on_first(np.abs)
 
 
 def _rotation_leg(X, n):
@@ -416,16 +412,13 @@ def adversarial_sphere_cover(action: SpaceAction, honest_membership: bool = Fals
             return space.dist(Y, -X)
         return np.full(X.shape[0], np.inf)
 
-    def no_arc(P, Q):
-        return space.dist(P, Q) > np.pi - 1e-6
-
     def half_circles(X, t):
         dirs = _tangent_unit(X, np.broadcast_to(w, X.shape).copy())
         return (np.cos(np.pi * t)[None, :, None] * X[:, None, :]
                 + np.sin(np.pi * t)[None, :, None] * dirs[:, None, :])
 
     def ends(X, Y):
-        bad = no_arc(X, Y)
+        bad = no_arc(space, X, Y)
         if not bad.any():
             return X, Y
         Q = Y.copy()
@@ -435,7 +428,7 @@ def adversarial_sphere_cover(action: SpaceAction, honest_membership: bool = Fals
     def arcs(P, Q, n):
         # every row's shortest arc in place; a tie-break row (whose end Q
         # is again no unique arc away) first gets the harmless target P
-        bad = no_arc(P, Q)
+        bad = no_arc(space, P, Q)
         out = slerp_batch(P, np.where(bad[:, None], P, Q), n)
         if bad.any():
             out[bad] = half_circles(P[bad], np.linspace(0.0, 1.0, n))
@@ -581,7 +574,7 @@ def _section_leg(model: QuotientModel, qset: CoverSet) -> tuple:
 
 def _check_strict_section(model: QuotientModel):
     """Raise ValueError unless the model has a strict section q o s = id."""
-    if not model.has_section:
+    if model.section is None:
         raise ValueError("strict-section transfer needs a strict section")
     residual = model.check_section()
     if residual > 1e-9:

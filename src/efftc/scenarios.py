@@ -71,11 +71,24 @@ def _asserts_something(exp) -> bool:
     return exp.get("invariant") in ("tc", "cat") and ("lower" in exp or "upper" in exp)
 
 
+def _known_keys(obj: dict, keys, what: str) -> None:
+    """ValueError naming the keys of `obj` outside `keys`: nothing reads them."""
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} in {what}")
+
+
 def _check_expectation(exp) -> None:
     """ValueError unless the expectation asserts something, with integer
-    bounds, at an integer stage or "inf"."""
+    bounds, at an integer stage or "inf", and has no key
+    _evaluate_expectation does not read."""
     if not _asserts_something(exp):
         raise ValueError(f"an expectation asserts nothing: {exp!r}")
+    # as _evaluate_expectation reads it: a criterion, else a cd bound, else
+    # an invariant's bounds
+    keys = next(([key] for key in ("criterion", "cd_bound") if key in exp),
+                ("invariant", "stage", "lower", "upper"))
+    _known_keys(exp, keys, f"the expectation {exp!r}")
     for key in ("lower", "upper"):
         if key in exp and not _is_int(exp[key]):
             raise ValueError(f"an expectation's {key} is not an integer: {exp!r}")
@@ -103,10 +116,13 @@ class Scenario:
         kind = _name(self.space.get("kind"), "the space kind")
         if (kind, _name(self.action, "the action")) not in _SPACE_ACTIONS:
             raise ValueError(f"no action {self.action!r} on space kind {kind!r}")
-        for key in _SPACE_SIZES.get(kind, ()):
-            if not _is_int(self.space.get(key)) or self.space[key] < 1:
-                raise ValueError(f"a {kind} space needs a positive integer {key!r}, "
-                                 f"got {self.space.get(key)!r}")
+        sizes = _SPACE_SIZES.get(kind, {})
+        _known_keys(self.space, {"kind", *sizes}, f"a {kind} space")
+        for key, value in sizes.items():
+            given = self.space.get(key, value)
+            if not (_is_int(given) and (given == value if value else given >= 1)):
+                want = f"{key!r} = {value}" if value else f"a positive integer {key!r}"
+                raise ValueError(f"a {kind} space needs {want}, got {given!r}")
         if _name(self.complex, "the complex") is not None:
             if not _is_file(self.complex, ".cx") and self.complex not in _COMPLEXES:
                 raise ValueError(f"unknown complex {self.complex!r}")
@@ -123,6 +139,9 @@ class Scenario:
             if (op, method) not in _STEPS:
                 raise ValueError(f"unknown pipeline step: op {op!r}, "
                                  f"method {method!r}")
+            _known_keys(step, {"op", "planner" if method is None else "method",
+                               *_STEP_OPTIONS.get((op, method), ())},
+                        f"the pipeline step {step!r}")
             if method is None:
                 planner = _name(step.get("planner"), "planner")
                 _check_planner(planner, kind, self.action)
@@ -198,8 +217,9 @@ _SPACE_ACTIONS = {
                               M.wedge_quotient),
 }
 
-# space kind -> the sizes its spec gives, each a positive integer
-_SPACE_SIZES = {"sphere": ("n",), "wedge": ("branches",)}
+# space kind -> {size: None, for a positive integer its spec must give, or
+# the one value the spec may give}
+_SPACE_SIZES = {"sphere": {"n": None}, "wedge": {"branches": None}, "torus": {"n": 2}}
 
 # space class -> (default basepoint, radius of the cat-covering-lift balls)
 _BASEPOINTS = {
@@ -411,6 +431,8 @@ _STEPS = {
     ("cat-lower", "orbit-nilpotency"): (True, _orbit_nilpotency),
     ("check", "cd-bound"): (True, _cd_bound),
 }
+# (op, method) -> the keys a step may give beside its op and method
+_STEP_OPTIONS = {("check", "cd-bound"): ("elements",)}
 
 
 # ------------------------------------------------------------ the runner

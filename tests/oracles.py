@@ -35,6 +35,12 @@ The elimination and subdivision oracles are the forms that `f2` and
 `complexes` replaced: the F2 row reduction that reads one pivot column per
 numpy step, and the subdivision that enumerates the chains of every maximal
 simplex through permutations of its vertices and closes them under faces.
+The first-coordinate oracles are the bodies that `pathspace.on_first`
+replaced, each written out as it was: the torus half turn, the wedge shift,
+the hemisphere flip, the hemisphere and torus projections, the torus
+preimage and the fold of the involution planner; the sphere involutions'
+matrices as they were built; the arc guard is planners' former
+`_guard_arc`, which `pathspace.check_arcs` replaced.
 """
 from __future__ import annotations
 
@@ -66,8 +72,6 @@ from efftc.planners import (
     _by_blocks,
     _const_legs,
     _const_piece,
-    _fold,
-    _guard_arc,
     _pairing_field,
     _rotation_leg,
     _stereo_field,
@@ -84,7 +88,7 @@ from efftc.complexes import (
     cup_length,
     from_simplex_set,
 )
-from efftc.errors import RegularityError
+from efftc.errors import GeodesicDegeneracyError, RegularityError
 from efftc.f2 import F2Matrix
 from efftc.scenarios import BUILTINS, build_bundle, build_planner
 from efftc.symmetry import GroupAction, product_complex, saturated_diagonal
@@ -634,21 +638,21 @@ def whole_chain_legs(cover) -> dict:
 
     def legs_a1(X, Y, m):
         base_t = np.broadcast_to(basepoint, Y.shape)
-        _guard_arc(space, base_t, Y)
+        former_guard_arc(space, base_t, Y)
         return [slerp_chain([(base_t, Y)], m)]
 
     def legs_a2(X, Y, m):
         base_t = np.broadcast_to(basepoint, Y.shape)
         anti_t = np.broadcast_to(-basepoint, Y.shape)
         w_t = np.broadcast_to(w_dir, Y.shape)
-        _guard_arc(space, anti_t, Y)
+        former_guard_arc(space, anti_t, Y)
         return [slerp_chain([(base_t, w_t), (w_t, anti_t), (anti_t, Y)], m)]
 
     return {"A1": legs_a1, "A2": legs_a2}
 
 
 def _whole_arc_then_half(space, X, Y, field_unit, m):
-    _guard_arc(space, X, -Y)
+    former_guard_arc(space, X, -Y)
     return slerp_chain([(X, -Y), (-Y, field_unit), (field_unit, Y)], m)
 
 
@@ -687,8 +691,8 @@ def whole_sphere_legs(planner, action) -> dict:
             north_t = np.broadcast_to(north, X.shape)
             south_t = np.broadcast_to(south, Y.shape)
             w_t = np.broadcast_to(w_dir, X.shape)
-            _guard_arc(space, X, north_t)
-            _guard_arc(space, south_t, Y)
+            former_guard_arc(space, X, north_t)
+            former_guard_arc(space, south_t, Y)
             return [slerp_chain([(X, north_t), (north_t, w_t),
                                  (w_t, south_t), (south_t, Y)], m)]
 
@@ -711,10 +715,10 @@ def whole_sphere_legs(planner, action) -> dict:
                 "U2": u2}
     if planner == "involution3":
         def u(X, Y, m):
-            fx, fy = _fold(X), _fold(Y)
+            fx, fy = former_fold(X), former_fold(Y)
             north_t = np.broadcast_to(north, X.shape)
-            _guard_arc(space, fx, north_t)
-            _guard_arc(space, north_t, fy)
+            former_guard_arc(space, fx, north_t)
+            former_guard_arc(space, north_t, fy)
             mid = slerp_chain([(fx, north_t), (north_t, fy)], m)
             return [_const_legs(X, m), mid, _const_legs(Y, m)]
 
@@ -1142,3 +1146,64 @@ def former_cat_cover_covering_lift(action, basepoint, centers, radius: float,
                              ((Piece("y", moved_arcs),), (_const_piece("y"),))))
     return PlannerCover(action=action, sets=sets, stage=2, kind="cat",
                         basepoint=basepoint, name=name)
+
+
+# ---------------------------------------------- first-coordinate maps, as written
+
+def former_guard_arc(space, P, Q):
+    if np.any(space.dist(P, Q) > np.pi - 1e-6):
+        raise GeodesicDegeneracyError("antipodal endpoints have no unique arc")
+
+
+def former_torus_half(p):
+    out = np.array(p, dtype=float, copy=True)
+    out[..., 0] = np.mod(out[..., 0] + 0.5, 1.0)
+    return out
+
+
+def former_wedge_shift(space, k):
+    def act(p):
+        out = np.array(p, dtype=float, copy=True)
+        out[..., 0] = np.mod(out[..., 0] + k, space.branches)
+        return space.canonical(out)
+    return act
+
+
+def former_hemisphere_flip(p):
+    out = np.array(p, dtype=float, copy=True)
+    out[..., 0] = -out[..., 0]
+    return out
+
+
+def former_hemisphere_project(p):
+    out = np.array(p, dtype=float, copy=True)
+    out[..., 0] = np.abs(out[..., 0])
+    return out
+
+
+def former_halfturn_project(p):
+    out = np.array(p, dtype=float, copy=True)
+    out[..., 0] = np.mod(2.0 * out[..., 0], 1.0)
+    return out
+
+
+def former_halfturn_preimage(q):
+    out = np.array(q, dtype=float, copy=True)
+    out[..., 0] = out[..., 0] / 2.0
+    return out
+
+
+def former_sphere_involution(n, first):
+    """p -> p g^T for g the identity of R^(n + 1) with g[0, 0] = first (the
+    codimension-1 involution at -1), or its negative (the half-turn
+    rotation at 1)."""
+    g = np.eye(n + 1) if first < 0 else -np.eye(n + 1)
+    g[0, 0] = first
+    return lambda p: p @ g.T
+
+
+def former_fold(X):
+    """The fold of (M, d) rows, the only shape it was given."""
+    out = X.copy()
+    out[:, 0] = np.abs(out[:, 0])
+    return out

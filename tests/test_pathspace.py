@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from efftc.models import (
     circle_flip_quotient,
     sphere_antipodal,
     sphere_codim1,
+    sphere2_codim1_quotient,
     sphere_rotation,
     torus_halfturn,
     torus_halfturn_quotient,
@@ -24,11 +27,33 @@ from efftc.pathspace import (
     PointSpace,
     Sphere,
     WedgeCircles,
+    check_arcs,
     leg_residuals,
+    no_arc,
 )
-from efftc.planners import CoverSet, PlannerCover, _const_legs, embed_cover
+from efftc.planners import (
+    CoverSet,
+    PlannerCover,
+    _arc_piece,
+    _const_legs,
+    _fold,
+    adversarial_sphere_cover,
+    embed_cover,
+)
 
-from oracles import leg_pieces, residuals_of_legs, slerp_chain
+from oracles import (
+    former_fold,
+    former_halfturn_preimage,
+    former_halfturn_project,
+    former_hemisphere_flip,
+    former_hemisphere_project,
+    former_sphere_involution,
+    former_torus_half,
+    former_wedge_shift,
+    leg_pieces,
+    residuals_of_legs,
+    slerp_chain,
+)
 
 
 def length(space, points):
@@ -225,8 +250,8 @@ def test_lift_path_round_trip_circle():
     act = sphere_antipodal(1)
     model = circle_antipodal_quotient(act)
     quotient = model.quotient_space
-    qpath = quotient.geodesic(np.array([0.2]), np.array([2.8]), 64)
-    start = model.any_preimage(qpath[0])
+    qpath = quotient.geodesic(np.array([[0.2]]), np.array([[2.8]]), 64)
+    start = model.any_preimage(qpath[:, 0])
     lifted = model.lift_path(qpath, start)
     assert np.max(quotient.dist(model.project(lifted), qpath)) < 1e-9
 
@@ -234,12 +259,12 @@ def test_lift_path_round_trip_circle():
 def test_lift_path_torus():
     act = torus_halfturn()
     model = torus_halfturn_quotient(act)
-    qpath = model.quotient_space.geodesic(np.array([0.1, 0.2]),
-                                          np.array([0.9, 0.8]), 64)
-    start = np.array([0.55, 0.2])
-    assert float(model.quotient_space.dist(model.project(start), qpath[0])) < 1e-12
+    qpath = model.quotient_space.geodesic(np.array([[0.1, 0.2]]),
+                                          np.array([[0.9, 0.8]]), 64)
+    start = np.array([[0.55, 0.2]])
+    assert float(model.quotient_space.dist(model.project(start), qpath[:, 0])[0]) < 1e-12
     lifted = model.lift_path(qpath, start)
-    assert np.allclose(lifted[0], start)
+    assert np.allclose(lifted[:, 0], start)
     assert np.max(model.quotient_space.dist(model.project(lifted), qpath)) < 1e-9
 
 
@@ -600,3 +625,109 @@ def test_orbit_dist_is_the_minimum_over_the_group_nans_included():
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert np.isnan(action.orbit_dist(P, Q)).sum() > 300 // 37
+
+
+def _first_coordinate_maps():
+    """(id, the map as the catalog writes it with on_first, its former
+    body, point dimension, coordinate values special to it)."""
+    torus_model = torus_halfturn_quotient(torus_halfturn())
+    maps = [("torus-half", torus_halfturn().point_maps[1], former_torus_half, 2, ()),
+            ("hemisphere-flip", Hemisphere()._flip, former_hemisphere_flip, 3, ()),
+            ("hemisphere-project", sphere2_codim1_quotient(sphere_codim1(2)).project,
+             former_hemisphere_project, 3, ()),
+            ("torus-project", torus_model.project, former_halfturn_project, 2, ()),
+            ("torus-preimage", torus_model.any_preimage, former_halfturn_preimage, 2, ())]
+    for branches in (2, 3):
+        action = wedge_swap(branches)
+        maps += [(f"wedge{branches}-shift{k}", action.point_maps[k],
+                  former_wedge_shift(action.space, k), 2, (branches - 1, 2 * np.pi))
+                 for k in range(branches)]
+    return maps
+
+
+def _coordinate_rows(d, extra):
+    """Every row of d coordinates from the values the maps treat apart:
+    signed zeros, NaN, the torus's 0.5 and 1.0, and `extra`."""
+    values = [0.0, -0.0, np.nan, 0.5, 1.0, -0.5, 0.75, 1.5, np.pi, *extra]
+    return np.array(list(itertools.product(values, repeat=d)))
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name, new, old, d, extra", _first_coordinate_maps(),
+                         ids=[m[0] for m in _first_coordinate_maps()])
+def test_first_coordinate_maps_match_their_former_bodies(name, new, old, d, extra):
+    # on (M, d) rows, (M, n, d) legs, single points and lists of points
+    rows = _coordinate_rows(d, extra)
+    legs = rows[:(len(rows) // 4) * 4].reshape(-1, 4, d)
+    inputs = [rows, legs, *rows[:40], rows[:5].tolist(), rows[7].tolist()]
+    for points in inputs:
+        assert _same_bytes(new(points), old(points)), (name, points)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_involutions_keep_their_matrices(n):
+    # a matrix product is not bit-equal to on_first(np.negative), so these
+    # stay products, of the same matrices, off-diagonal signed zeros included
+    rows = _coordinate_rows(n + 1, (-1.0,))
+    for make, first in ((sphere_codim1, -1.0), (sphere_rotation, 1.0)):
+        new, old = make(n).point_maps[1], former_sphere_involution(n, first)
+        assert _same_bytes(new(rows), old(rows))
+        assert _same_bytes(new(rows[:4].reshape(2, 2, n + 1)),
+                           old(rows[:4].reshape(2, 2, n + 1)))
+
+
+def test_the_fold_matches_its_former_body():
+    # the fold was only ever given (M, d) rows of a sphere model
+    for d in (2, 3, 4):
+        rows = _coordinate_rows(d, ())
+        assert _same_bytes(_fold(rows), former_fold(rows))
+        assert _same_bytes(_fold(rows[:1]), former_fold(rows[:1]))
+
+
+def _pairs_about_the_arc_limit():
+    """Pairs of S^2 points at angles about pi - 1e-6, on either side of it,
+    and two ordinary pairs."""
+    angles = np.pi - 1e-6 + np.array([-1e-7, -5e-8, 5e-8, 1e-7, 5e-7, -3.0, -1.0])
+    X = np.tile([1.0, 0.0, 0.0], (angles.size, 1))
+    Y = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=1)
+    return X, Y
+
+
+def test_one_rule_says_which_arcs_exist():
+    # the sphere's geodesics, the arc pieces and the adversarial tie-break
+    # all ask no_arc, on the space's own metric
+    space = Sphere(2)
+    X, Y = _pairs_about_the_arc_limit()
+    bad = no_arc(space, X, Y)
+    assert bad.tolist() == [False, False, True, True, True, False, False]
+    arc = _arc_piece(space, "xy", lambda X, Y: X, lambda X, Y: Y)
+    for rows in (slice(0, 2), slice(5, 7)):
+        check_arcs(space, X[rows], Y[rows])
+        space.geodesic(X[rows], Y[rows], 8)
+        arc.endpoints(X[rows], Y[rows])
+    for row in (2, 3, 4):
+        for call in (lambda: check_arcs(space, X[row:row + 1], Y[row:row + 1]),
+                     lambda: space.geodesic(X[row:row + 1], Y[row:row + 1], 8),
+                     lambda: arc.endpoints(X[row:row + 1], Y[row:row + 1])):
+            with pytest.raises(GeodesicDegeneracyError,
+                               match="antipodal endpoints have no unique arc"):
+                call()
+    (piece,), = adversarial_sphere_cover(sphere_codim1(2)).sets[0].pieces
+    _, Q = piece.endpoints(X, Y)
+    assert ((Q != Y).any(axis=1) == bad).all()
+
+
+def test_hemisphere_arcs_are_guarded_by_the_orbit_metric():
+    # a pair antipodal on S^2 whose orbits are not: no_arc reads the
+    # hemisphere's dist, so its arc piece accepts the pair
+    hemi = Hemisphere()
+    P, Q = np.array([[0.6, 0.8, 0.0]]), np.array([[-0.6, -0.8, 0.0]])
+    assert no_arc(Sphere(2), P, Q).all() and not no_arc(hemi, P, Q).any()
+    _arc_piece(hemi, "xy", lambda X, Y: X, lambda X, Y: Y).endpoints(P, Q)
+    equator = np.array([[0.0, 1.0, 0.0]]), np.array([[0.0, -1.0, 0.0]])
+    with pytest.raises(GeodesicDegeneracyError):
+        check_arcs(hemi, *equator)
+

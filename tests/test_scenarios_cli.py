@@ -318,12 +318,46 @@ def test_unknown_names_are_load_errors(capsys, tmp_path, fields):
     ({"pipeline": ["upper"]}, "a pipeline step is not a JSON object: 'upper'"),
     ({"pipeline": "upper"}, "the scenario's pipeline is not a JSON list"),
     ({"basepoint": "anything at all"}, "unknown scenario fields: ['basepoint']"),
-], ids=["space", "pipeline-step", "pipeline", "basepoint"])
+    # keys nothing reads: each of these used to load and run without them
+    ({"space": {"kind": "torus", "n": 5, "colour": "blue"}},
+     "unknown keys ['colour'] in a torus space"),
+    ({"space": {"kind": "torus", "n": 5}}, "a torus space needs 'n' = 2, got 5"),
+    ({"space": {"kind": "torus", "n": True}}, "a torus space needs 'n' = 2, got True"),
+    ({"space": {"kind": "sphere", "n": 2, "radius": 7}},
+     "unknown keys ['radius'] in a sphere space"),
+    ({"space": {"kind": "point", "n": 1}}, "unknown keys ['n'] in a point space"),
+    ({"space": {"kind": "wedge", "branches": 2, "n": 1}, "action": "wedge-swap"},
+     "unknown keys ['n'] in a wedge space"),
+    ({"pipeline": [{"op": "upper", "planner": "point", "grid": 3}]},
+     "unknown keys ['grid'] in the pipeline step "
+     "{'op': 'upper', 'planner': 'point', 'grid': 3}"),
+    ({"pipeline": [{"op": "lower", "method": "zero-divisor", "elements": [0]}]},
+     "unknown keys ['elements'] in the pipeline step "
+     "{'op': 'lower', 'method': 'zero-divisor', 'elements': [0]}"),
+    ({"pipeline": [{"op": "lower", "method": "zero-divisor", "planner": "point"}]},
+     "unknown keys ['planner'] in the pipeline step "
+     "{'op': 'lower', 'method': 'zero-divisor', 'planner': 'point'}"),
+    ({"expected": [{"invariant": "tc", "upper": 0, "stgae": 1}]},
+     "unknown keys ['stgae'] in the expectation "
+     "{'invariant': 'tc', 'upper': 0, 'stgae': 1}"),
+    ({"expected": [{"criterion": "positive", "cd_bound": True}]},
+     "unknown keys ['cd_bound'] in the expectation "
+     "{'criterion': 'positive', 'cd_bound': True}"),
+], ids=["space", "pipeline-step", "pipeline", "basepoint", "torus-key", "torus-n",
+        "torus-n-bool", "sphere-key", "point-key", "wedge-key", "cover-step-key",
+        "elements-off-cd-bound", "method-step-planner", "expectation-key",
+        "criterion-and-cd-bound"])
 def test_malformed_scenarios_are_load_errors(capsys, tmp_path, fields, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_POINT, **fields}))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: cannot load scenario: {message}\n"
+
+
+@pytest.mark.parametrize("space", [{"kind": "torus"}, {"kind": "torus", "n": 2}])
+def test_a_torus_space_may_state_its_dimension(space):
+    # the builtins and the benchmark's generated scenarios write n = 2
+    assert Scenario.from_dict({**_POINT, "space": space}).space == space
 
 
 @pytest.mark.parametrize("args, message", [
