@@ -23,33 +23,16 @@ from .f2 import F2Matrix, F2RowSpace
 class SimplicialComplex:
     """A downward-closed family of simplices over totally ordered vertices.
 
-    Built from lists of increasing vertex tuples, one sorted list per
-    degree, or by `from_rows` from the vertices and the rows of vertex
-    indices.  `simplices_by_dim` and `vertex_index` are built on first use.
+    The complex on `vertices` (in identifier order) whose d-simplices are
+    the rows of `rows[d]`: increasing vertex indices, rows sorted
+    lexicographically, closed under faces, no degree empty.
+    `simplices_by_dim` and `vertex_index` are views built on first use.
     """
 
-    def __init__(self, simplices_by_dim: list[list[tuple]]):
-        vertices = tuple(s[0] for s in simplices_by_dim[0]) if simplices_by_dim else ()
-        where = {v: i for i, v in enumerate(vertices)}
-        rows = [np.fromiter((where[v] for s in level for v in s), dtype=np.intp,
-                            count=len(level) * (d + 1)).reshape(len(level), d + 1)
-                for d, level in enumerate(simplices_by_dim)]
-        self._setup(vertices, rows)
-        self.simplices_by_dim, self.vertex_index = simplices_by_dim, where
-
-    @classmethod
-    def from_rows(cls, vertices, rows: list[np.ndarray]) -> "SimplicialComplex":
-        """The complex on `vertices` (in identifier order) whose d-simplices
-        are the rows of `rows[d]`: increasing vertex indices, rows sorted
-        lexicographically, closed under faces, no degree empty."""
-        K = cls.__new__(cls)
-        K._setup(tuple(vertices), rows)
-        return K
-
-    def _setup(self, vertices: tuple, rows: list[np.ndarray]) -> None:
-        self.vertices = vertices
+    def __init__(self, vertices, rows: list[np.ndarray]):
+        self.vertices = tuple(vertices)
         self.rows = rows
-        self.simplex_index = SimplexIndex(rows, len(vertices))
+        self.simplex_index = SimplexIndex(rows, len(self.vertices))
         self._cup_faces: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._faces: dict[int, np.ndarray] = {}
         self._coboundary_spaces: dict[int, F2RowSpace] = {}
@@ -82,17 +65,15 @@ class SimplicialComplex:
     def total_simplices(self) -> int:
         return sum(len(level) for level in self.rows)
 
-    @cached_property
-    def _tuple_index(self) -> list[dict]:
-        """{simplex tuple: its index} per degree, built on the first lookup."""
-        return [dict(zip(level, range(len(level)))) for level in self.simplices_by_dim]
-
     def _find(self, simplex: tuple) -> int:
-        simplex = tuple(simplex)
-        d = len(simplex) - 1
-        if not 0 <= d <= self.dimension:
+        """The simplex's index among those of its degree, or -1 where a
+        vertex is foreign or there is no such simplex (`SimplexIndex.find`
+        finds no row whose vertices do not increase)."""
+        where = self.vertex_index
+        row = [where.get(v, -1) for v in simplex]
+        if not row or min(row) < 0:
             return -1
-        return self._tuple_index[d].get(simplex, -1)
+        return int(self.simplex_index.find(len(row) - 1, row))
 
     def index(self, simplex: tuple) -> int:
         i = self._find(simplex)
@@ -139,11 +120,14 @@ class SimplexIndex:
                               self.find(d - 1, level[:, :-1]) * n_vertices + level[:, -1])
 
     def find(self, d: int, rows: np.ndarray) -> np.ndarray:
-        """Index among the d-simplices of each row of d + 1 increasing vertex
-        indices, or -1 where the row is not a simplex.
+        """Index among the d-simplices of each row of d + 1 vertex indices,
+        or -1 where the row is not a simplex.
 
         The rows are looked up one vertex at a time: a row whose front face
         is no simplex (index -1) gets a negative key, which matches none.
+        A key pairs a front face with a vertex above its vertices, so a row
+        of indices in range(n_vertices) that do not increase matches none
+        either.
         """
         rows = np.asarray(rows, dtype=np.intp)
         if d >= len(self.rows):
@@ -182,49 +166,28 @@ class CohomologySummary:
     cd: int
 
 
-def _closure(simplices) -> set[tuple]:
-    out: set[tuple] = set()
-    stack = [tuple(s) for s in simplices]
-    while stack:
-        s = stack.pop()
-        if s in out:
-            continue
-        out.add(s)
-        if len(s) > 1:
-            for i in range(len(s)):
-                stack.append(s[:i] + s[i + 1:])
-    return out
+def build_complex(simplices) -> SimplicialComplex:
+    """Downward closure of the given simplices.
 
-
-def from_simplex_set(simplices) -> SimplicialComplex:
-    """Build a complex from an arbitrary downward-closed-or-not simplex set."""
-    closed = _closure(simplices)
-    if not closed:
-        return SimplicialComplex([])
-    maxdim = max(len(s) for s in closed) - 1
-    by_dim: list[list[tuple]] = [[] for _ in range(maxdim + 1)]
-    for s in closed:
-        by_dim[len(s) - 1].append(s)
-    for level in by_dim:
-        level.sort()
-    return SimplicialComplex(by_dim)
-
-
-def build_complex(maximal_simplices) -> SimplicialComplex:
-    """Downward closure of the given maximal simplices.
-
-    Vertices inside one simplex must be distinct; each simplex is stored
-    sorted by the global identifier order.
+    Vertices inside one simplex must be distinct.  The vertex ids are
+    sorted, each simplex becomes a tuple of increasing vertex indices, and
+    its faces are the `combinations` of that tuple.
     """
-    normalized = []
-    for s in maximal_simplices:
-        s = list(s)
+    simplices = [list(s) for s in simplices]
+    for s in simplices:
         if not s:
             raise ValueError("empty simplex")
         if len(set(s)) != len(s):
             raise ValueError(f"duplicate vertex within simplex {s}")
-        normalized.append(tuple(sorted(s)))
-    return from_simplex_set(normalized)
+    vertices = sorted({v for s in simplices for v in s})
+    where = {v: i for i, v in enumerate(vertices)}
+    levels: list[set[tuple]] = [set() for _ in range(max(map(len, simplices), default=0))]
+    for s in {tuple(sorted(where[v] for v in s)) for s in simplices}:
+        for k in range(1, len(s) + 1):
+            levels[k - 1].update(combinations(s, k))
+    return SimplicialComplex(vertices, [
+        np.array(sorted(level), dtype=np.intp).reshape(len(level), d + 1)
+        for d, level in enumerate(levels)])
 
 
 def _faces(K: SimplicialComplex, d: int) -> np.ndarray:
@@ -492,7 +455,7 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     proper face of it, read off the face tables.
     """
     if K.is_empty():
-        return SimplicialComplex([])
+        return SimplicialComplex((), [])
     counts = [K.n_simplices(d) for d in range(K.dimension + 1)]
     offsets = np.cumsum([0] + counts)
     faces = {(d, e): _face_table(K, d, e) + offsets[e]
@@ -513,7 +476,7 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
             grown[e].append(np.column_stack(
                 [below.ravel(), np.repeat(chain, below.shape[1], axis=0)]))
         chains = [np.concatenate(g) for g in grown]
-    return SimplicialComplex.from_rows(
+    return SimplicialComplex(
         [(d, s) for d, level in enumerate(K.simplices_by_dim) for s in level], rows)
 
 
@@ -527,21 +490,6 @@ def _maximal_simplices(K: SimplicialComplex) -> list[tuple]:
         level = K.simplices(d)
         maximal.extend(level[i] for i in np.flatnonzero(~is_face))
     return maximal
-
-
-def cone(K: SimplicialComplex, apex) -> SimplicialComplex:
-    """Join of K with one new vertex."""
-    if any(apex in s for s in K.all_simplices()):
-        raise ValueError("apex already a vertex of the complex")
-    simplices = [tuple(sorted(s + (apex,))) for s in K.all_simplices()]
-    simplices.append((apex,))
-    return from_simplex_set(simplices)
-
-
-def disjoint_union(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
-    relabel_k = [tuple((0, v) for v in s) for s in K.all_simplices()]
-    relabel_l = [tuple((1, v) for v in s) for s in L.all_simplices()]
-    return from_simplex_set(relabel_k + relabel_l)
 
 
 def write_complex_text(K: SimplicialComplex, path) -> None:

@@ -110,7 +110,8 @@ class Scenario:
     expected: list = field(default_factory=list)
 
     def __post_init__(self):
-        _name(self.id, "the scenario's id")
+        if not isinstance(self.id, str):
+            raise ValueError(f"the scenario's id must be a name, got {self.id!r}")
         if not isinstance(self.space, dict):
             raise ValueError("the scenario's space is not a JSON object")
         kind = _name(self.space.get("kind"), "the space kind")

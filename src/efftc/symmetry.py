@@ -15,8 +15,9 @@ import numpy as np
 
 from .complexes import (
     SimplicialComplex,
+    _maximal_simplices,
     barycentric_subdivision,
-    from_simplex_set,
+    build_complex,
 )
 from .errors import GroupClosureError, RegularityError
 
@@ -149,45 +150,30 @@ def group_from_permutations(generators: list[list[int]]
 class GroupAction:
     """A finite group realized as simplicial automorphisms of a complex.
 
-    The action is held as integer tables over `index = K.simplex_index`:
-    `perm[g, i]` is the index of g·vᵢ and `tables[d][g, i]` the index of
-    g·σᵢ among the d-simplices.  `vertex_maps` gives the same action as one
-    {vertex: image} dict per element.
+    The action is the table `perm`, `perm[g, i]` the index of g·vᵢ, and
+    the tables it induces over `index = K.simplex_index`: `tables[d][g, i]`
+    is the index of g·σᵢ among the d-simplices.  `vertex_maps` is a view,
+    one {vertex: image} dict per element.
     """
 
-    def __init__(self, group: FiniteGroup, complex: SimplicialComplex,
-                 vertex_maps: list[dict]):
-        verts, where = complex.vertices, complex.vertex_index
-        # a map whose keys are not the vertices gets a row that is no permutation
-        rows = [[where.get(vm[v], -1) for v in verts] if vm.keys() == where.keys()
-                else [-1] * len(verts) for vm in vertex_maps]
-        self._setup(group, complex,
-                    np.array(rows, dtype=np.intp).reshape(len(rows), len(verts)),
-                    vertex_maps)
-
-    @classmethod
-    def _from_perm(cls, group: FiniteGroup, complex: SimplicialComplex,
-                   perm: np.ndarray) -> "GroupAction":
-        action = cls.__new__(cls)
-        action._setup(group, complex, perm, None)
-        return action
-
-    def _setup(self, group, complex, perm, vertex_maps) -> None:
+    def __init__(self, group: FiniteGroup, complex: SimplicialComplex, perm: np.ndarray):
         self.group = group
         self.complex = complex
         self.index = complex.simplex_index
         self.perm = perm
-        self._vertex_maps = vertex_maps
         self._subdivided: GroupAction | None = None
         self._fixed: dict[tuple, SimplicialComplex] = {}
         self._validate()
 
     def _validate(self) -> None:
-        """Check that the maps are a simplicial action, building the tables
+        """Check that the table is a simplicial action, building the tables
         on the way; raise ValueError naming the first failure."""
-        n, identity = self.group.order, np.arange(self.perm.shape[1])
+        n, identity = self.group.order, np.arange(len(self.complex.vertices))
         if self.perm.shape[0] != n:
             raise ValueError("one vertex map per group element required")
+        if self.perm.shape[1:] != identity.shape:
+            raise ValueError(f"one image per vertex required, got a table of shape "
+                             f"{self.perm.shape}")
         moved = np.flatnonzero((np.sort(self.perm, axis=1) != identity).any(axis=1))
         if moved.size:
             raise ValueError(f"element {moved[0]}: not a vertex permutation")
@@ -207,13 +193,10 @@ class GroupAction:
             if (self.perm[a][self.perm] != self.perm[mul[a]]).any():
                 raise ValueError("vertex maps are not a homomorphism")
 
-    @property
+    @cached_property
     def vertex_maps(self) -> list[dict]:
-        if self._vertex_maps is None:
-            verts = self.complex.vertices
-            self._vertex_maps = [dict(zip(verts, map(verts.__getitem__, row)))
-                                 for row in self.perm.tolist()]
-        return self._vertex_maps
+        verts = self.complex.vertices
+        return [dict(zip(verts, map(verts.__getitem__, row))) for row in self.perm.tolist()]
 
     def apply(self, g: int, simplex: tuple) -> tuple:
         vm = self.vertex_maps[g]
@@ -221,10 +204,6 @@ class GroupAction:
 
     def apply_vertex(self, g: int, v):
         return self.vertex_maps[g][v]
-
-    def vertex_orbit(self, v) -> frozenset:
-        verts = self.complex.vertices
-        return frozenset(verts[j] for j in self.perm[:, self.complex.vertex_index[v]])
 
     def is_free(self) -> bool:
         """No nontrivial element fixes any simplex setwise (hence no point)."""
@@ -242,13 +221,12 @@ class GroupAction:
             offsets = np.cumsum([0] + [t.shape[1] for t in self.tables])
             perm = np.hstack([np.zeros((self.group.order, 0), dtype=np.intp)]
                              + [t + o for t, o in zip(self.tables, offsets)])
-            self._subdivided = GroupAction._from_perm(self.group, K2, perm)
+            self._subdivided = GroupAction(self.group, K2, perm)
         return self._subdivided
 
 
 def trivial_action(K: SimplicialComplex) -> GroupAction:
-    return GroupAction._from_perm(FiniteGroup.trivial(), K,
-                                  np.arange(len(K.vertices))[None, :])
+    return GroupAction(FiniteGroup.trivial(), K, np.arange(len(K.vertices))[None, :])
 
 
 def action_from_generator_perms(K: SimplicialComplex,
@@ -263,7 +241,7 @@ def _closed_action(K: SimplicialComplex, generators: list[list[int]]) -> GroupAc
     """The action of the group that generator index permutations close into
     (group_from_permutations: ValueError for a list that is not one)."""
     group, perms = group_from_permutations(generators)
-    return GroupAction._from_perm(
+    return GroupAction(
         group, K, np.array(perms, dtype=np.intp).reshape(len(perms), len(K.vertices)))
 
 
@@ -316,7 +294,7 @@ def pointwise_fixed_subcomplex(action: GroupAction, elements) -> SimplicialCompl
             break
         levels.append(relabel[kept])
     verts = action.complex.vertices
-    return SimplicialComplex.from_rows(
+    return SimplicialComplex(
         [verts[i] for i in np.flatnonzero(fixed).tolist()], levels)
 
 
@@ -399,8 +377,8 @@ def quotient_complex(action: GroupAction):
     # the images are closed under faces, a simplex of X/G each; orbit id
     # ranks keep their rows increasing and sorted
     ids = np.unique(orbit)
-    Q = SimplicialComplex.from_rows([verts[i] for i in ids.tolist()],
-                                    [np.searchsorted(ids, level) for level in images])
+    Q = SimplicialComplex([verts[i] for i in ids.tolist()],
+                          [np.searchsorted(ids, level) for level in images])
     return Q, vmap, current
 
 
@@ -412,7 +390,6 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
     """
     if K.is_empty() or L.is_empty():
         raise ValueError("product of empty complex")
-    from .complexes import _maximal_simplices
     simplices: set[tuple] = set()
 
     def shuffles(sigma: tuple, tau: tuple):
@@ -434,14 +411,7 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
         for tau in _maximal_simplices(L):
             for top in shuffles(sigma, tau):
                 simplices.add(top)
-    return from_simplex_set(simplices)
-
-
-def product_projections(product: SimplicialComplex):
-    """The two simplicial projections of a staircase product, as vertex maps."""
-    first = {v: v[0] for v in product.vertices}
-    second = {v: v[1] for v in product.vertices}
-    return first, second
+    return build_complex(simplices)
 
 
 @dataclass
@@ -466,9 +436,6 @@ class SaturatedDiagonal:
         return {g: frozenset(tuple((verts[image[v]], verts[v]) for v in row)
                              for rows in self.base.index.rows for row in rows.tolist())
                 for g, image in zip(self.elements, self.base.perm[self.elements].tolist())}
-
-    def slice_complex(self, g: int) -> SimplicialComplex:
-        return from_simplex_set(self.slices[g])
 
 
 def _monotone_on_simplices(action: GroupAction, g: int) -> bool:
@@ -510,7 +477,7 @@ def saturated_diagonal(action: GroupAction, elements=None) -> SaturatedDiagonal:
     levels = [np.searchsorted(ranks, np.unique(c.reshape(-1, c.shape[2]), axis=0))
               for c in codes if c.size]
     pairs = np.stack(np.divmod(ranks, n0), axis=1)
-    union = SimplicialComplex.from_rows(
+    union = SimplicialComplex(
         [(verts[a], verts[b]) for a, b in pairs.tolist()], levels)
     return SaturatedDiagonal(base=current, elements=elements, pairs=pairs,
                              union_complex=union, subdivisions=subdivisions)

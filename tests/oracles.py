@@ -27,7 +27,10 @@ before the two-stage involution cover chose its branch by freeness.
 The group-action oracles are the tuple-and-dict forms of what `symmetry`
 now does on integer tables: they apply vertex maps simplex by simplex, and
 look simplices up in sets and dicts built from a complex's tuple view,
-never through `SimplicialComplex.index` or `contains`.
+never through `SimplicialComplex.index` or `contains`.  `complex_of`
+spells a set of simplex tuples as the rows the one `SimplicialComplex`
+constructor takes, and `perm_of_maps` spells vertex-map dicts as the table
+the one `GroupAction` constructor takes.
 The coordinate-sum oracles are the reductions that `_kernels.coord_dot`
 replaced: `np.add.reduce` over the last axis, and the orbit distance as
 the minimum over a stack of one distance array per group element.
@@ -86,7 +89,6 @@ from efftc.complexes import (
     coboundary_space,
     cohomology,
     cup_length,
-    from_simplex_set,
 )
 from efftc.errors import GeodesicDegeneracyError, RegularityError
 from efftc.f2 import F2Matrix
@@ -196,6 +198,28 @@ def simplices_by_dim(simplex_set) -> list[list[tuple]]:
     return by_dim
 
 
+def complex_of(simplex_set) -> SimplicialComplex:
+    """The complex whose simplices are the given increasing tuples, closed
+    under faces: its vertices the 0-simplices, its rows each degree's
+    tuples sorted and spelled in vertex positions through a dict."""
+    by_dim = simplices_by_dim(simplex_set)
+    vertices = [s[0] for s in by_dim[0]] if by_dim else []
+    where = {v: i for i, v in enumerate(vertices)}
+    return SimplicialComplex(vertices, [
+        np.array([[where[v] for v in s] for s in level], dtype=np.intp).reshape(len(level), d + 1)
+        for d, level in enumerate(by_dim)])
+
+
+def perm_of_maps(K, vertex_maps) -> np.ndarray:
+    """The permutation table of {vertex: image} dicts over K's vertex
+    indices, -1 for an image that is no vertex; a dict whose keys are not
+    the vertices gets a row of -1, which is no permutation."""
+    where = {v: i for i, v in enumerate(K.vertices)}
+    rows = [[where.get(vm[v], -1) for v in K.vertices] if vm.keys() == where.keys()
+            else [-1] * len(K.vertices) for vm in vertex_maps]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), len(K.vertices))
+
+
 def oracle_coboundary(by_dim, d) -> np.ndarray:
     """Dense coboundary matrix C^d -> C^{d+1} built from scratch."""
     rows = by_dim[d + 1] if d + 1 < len(by_dim) else []
@@ -241,7 +265,7 @@ def subdivision_by_chains(K) -> SimplicialComplex:
     closed under faces."""
     chains = {tuple(sorted((i, tuple(sorted(perm[:i + 1]))) for i in range(len(perm))))
               for sigma in maximal_by_subsets(K) for perm in permutations(sigma)}
-    return SimplicialComplex(simplices_by_dim(closure_of(chains)))
+    return complex_of(closure_of(chains))
 
 
 def oracle_cd(maximal) -> int:
@@ -966,11 +990,11 @@ def subdivided_by_maps(action):
     K2 = subdivision_by_chains(action.complex)
     maps = [{bary: (bary[0], apply_by_map(action, g, bary[1])) for bary in K2.vertices}
             for g in range(action.group.order)]
-    return GroupAction(action.group, K2, maps)
+    return GroupAction(action.group, K2, perm_of_maps(K2, maps))
 
 
 def pointwise_fixed_by_maps(action, elements):
-    return from_simplex_set(
+    return complex_of(
         [s for s in action.complex.all_simplices()
          if all(action.vertex_maps[g][v] == v for g in elements for v in s)])
 
@@ -1027,7 +1051,7 @@ def quotient_by_maps(action):
             vmap = {v: label[orbit_of[v]] for v in current.complex.vertices}
             simplices = {tuple(sorted(vmap[v] for v in s))
                          for s in current.complex.all_simplices()}
-            return from_simplex_set(simplices), vmap, current
+            return complex_of(closure_of(simplices)), vmap, current
         if subdivisions == 2:
             break
         current = subdivided_by_maps(current)
@@ -1062,7 +1086,7 @@ def saturated_diagonal_by_maps(action, elements=None):
                 raise RegularityError(f"slice simplex {pair} missing from product")
             pairs.add(pair)
         slices[g] = frozenset(pairs)
-    union = from_simplex_set(set().union(*slices.values()))
+    union = complex_of(closure_of(set().union(*slices.values())))
     return slices, union, subdivisions, current
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efftc import bounds, scenarios
-from efftc.complexes import SimplicialComplex, build_complex
+from efftc.complexes import build_complex
 from efftc.errors import RegularityError
 from efftc.symmetry import (
     FiniteGroup,
@@ -50,7 +50,7 @@ def assert_looks_up_like_tuples(K):
     built from its tuple view; `index` finds every simplex at its position,
     and unsorted tuples, foreign vertices and non-simplices are not found,
     as with the former {simplex: index} dicts."""
-    rebuilt = SimplicialComplex(K.simplices_by_dim)
+    rebuilt = oracles.complex_of(set(K.all_simplices()))
     assert K == rebuilt
     for got, want in zip(K.simplex_index._keys, rebuilt.simplex_index._keys):
         assert np.array_equal(got, want)
@@ -85,8 +85,9 @@ def assert_matches_oracles(action):
         assert all(action.apply(g, s) == oracles.apply_by_map(action, g, s)
                    for s in K.all_simplices())
     assert action.is_free() == oracles.is_free_by_maps(action)
-    assert all(action.vertex_orbit(v) == oracles.vertex_orbit_by_maps(action, v)
-               for v in K.vertices)
+    # the orbit ids the quotient labels vertices with: least orbit members
+    assert [K.vertices[i] for i in action.perm.min(axis=0)] == [
+        min(oracles.vertex_orbit_by_maps(action, v)) for v in K.vertices]
     assert (_orbit_images(action) is not None) == oracles.quotient_regular_by_maps(action)
     _same_action(action.subdivided(), oracles.subdivided_by_maps(action))
     assert_looks_up_like_tuples(action.subdivided().complex)
@@ -262,8 +263,17 @@ def test_rejections_match_the_oracle(group, maps):
     with pytest.raises(ValueError) as want:
         oracles.validate_by_maps(group, K, maps)
     with pytest.raises(ValueError) as got:
-        GroupAction(group, K, maps)
+        GroupAction(group, K, oracles.perm_of_maps(K, maps))
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("perm", [np.arange(4)[None, :], np.arange(2)[None, :]],
+                         ids=["wide", "narrow"])
+def test_a_table_without_one_image_per_vertex_is_rejected(perm):
+    # a wide table used to be accepted and a narrow one to end in an IndexError
+    with pytest.raises(ValueError, match=r"one image per vertex required, got a table "
+                                         r"of shape \(1, [24]\)"):
+        GroupAction(FiniteGroup.trivial(), _triangle_path(), perm)
 
 
 @settings(max_examples=80, deadline=None)
@@ -294,7 +304,7 @@ def test_random_maps_are_accepted_or_rejected_like_the_oracle(data):
     except ValueError as exc:
         want = str(exc)
     try:
-        GroupAction(group, K, maps)
+        GroupAction(group, K, oracles.perm_of_maps(K, maps))
         got = None
     except ValueError as exc:
         got = str(exc)

@@ -14,10 +14,8 @@ from efftc.complexes import (
     coboundary_space,
     cohomology,
     cohomology_ring,
-    cone,
     cup_length,
     cup_product,
-    disjoint_union,
     f2_cd,
     is_cocycle,
     read_complex_text,
@@ -26,6 +24,8 @@ from efftc.complexes import (
 from efftc.errors import DegreeError
 
 from oracles import (
+    closure_of,
+    complex_of,
     dense_rank_mod2,
     maximal_by_subsets,
     oracle_betti,
@@ -79,11 +79,79 @@ def test_build_rejects_duplicate_vertex():
         build_complex([[0, 0, 1]])
 
 
+def test_build_rejects_empty_simplex():
+    with pytest.raises(ValueError, match="empty simplex"):
+        build_complex([[0, 1], []])
+
+
 def test_closure_is_downward_closed():
     K = build_complex([[3, 1, 2]])
     assert K.contains((1, 2))
     assert K.contains((3,))
     assert K.contains((1, 2, 3))
+
+
+@st.composite
+def simplex_lists(draw):
+    """Simplices over int or tuple vertex ids, in any vertex order, with
+    repeats and faces of other simplices among them."""
+    ids = draw(st.sampled_from([lambda i: i, lambda i: (i % 3, i // 3)]))
+    n = draw(st.integers(1, 8))
+    simplices = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4,
+                                       unique=True), min_size=1, max_size=8))
+    simplices += [s[:draw(st.integers(1, len(s)))] for s in
+                  draw(st.lists(st.sampled_from(simplices), max_size=4))]
+    return [[ids(i) for i in s] for s in simplices]
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplex_lists())
+def test_build_complex_is_the_closure_of_its_simplices(simplices):
+    K = build_complex(simplices)
+    assert K == complex_of(closure_of(simplices))
+    assert build_complex(K.all_simplices()) == K
+
+
+@pytest.mark.parametrize("name", sorted(scenarios._COMPLEXES))
+def test_catalog_complexes_are_the_closure_of_their_simplices(name):
+    K = scenarios._COMPLEXES[name]()
+    maximal = _maximal_simplices(K)
+    assert K == build_complex(maximal) == complex_of(closure_of(maximal))
+
+
+def assert_looks_up_like_dicts(K):
+    """`index` and `contains` against {simplex: index} dicts of the tuple
+    view: every simplex, the empty tuple, a foreign vertex, unsorted
+    tuples, a repeated vertex and tuples longer than dimension + 1."""
+    dicts = [{s: i for i, s in enumerate(level)} for level in K.simplices_by_dim]
+
+    def by_dicts(probe):
+        return dicts[len(probe) - 1].get(probe, -1) if 0 < len(probe) <= len(dicts) else -1
+
+    probes = list(K.all_simplices()) + [(), ("foreign",)]
+    probes += [s[:-1] + ("foreign",) for s in K.all_simplices() if len(s) > 1][:5]
+    probes += [s[::-1] for s in K.all_simplices() if len(s) > 1][:5]
+    probes += [K.vertices[:K.dimension + 2], K.vertices[:1] * 2,
+               K.vertices[:1] * (K.dimension + 2)]
+    for probe in probes:
+        want = by_dicts(probe)
+        assert K.contains(probe) == (want >= 0)
+        if want >= 0:
+            assert K.index(probe) == want
+        else:
+            with pytest.raises(KeyError):
+                K.index(probe)
+
+
+@pytest.mark.parametrize("name", sorted(scenarios._COMPLEXES))
+def test_catalog_lookups_match_the_dicts(name):
+    assert_looks_up_like_dicts(scenarios._COMPLEXES[name]())
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplex_lists())
+def test_lookups_match_the_dicts(simplices):
+    assert_looks_up_like_dicts(build_complex(simplices))
 
 
 def test_coboundary_point_degree0_empty():
@@ -128,7 +196,7 @@ def test_torus_betti():
 
 
 def test_disjoint_circles_betti():
-    K = disjoint_union(build_complex(CIRCLE), build_complex(CIRCLE))
+    K = build_complex([[(c, v) for v in s] for c in (0, 1) for s in CIRCLE])
     assert cohomology(K).betti == (2, 2)
 
 
@@ -228,7 +296,7 @@ def test_cup_length_rejects_non_cocycle():
 
 def test_cone_is_acyclic():
     K = build_complex(torus_grid())
-    C = cone(K, (99, 99))
+    C = build_complex([s + ((99, 99),) for s in _maximal_simplices(K)])
     betti = cohomology(C).betti
     assert betti[0] == 1
     assert not any(betti[1:])
@@ -287,7 +355,7 @@ def test_torus_subdivision_matches_oracle(m, n):
 
 
 def test_empty_complex_exact_side():
-    K = SimplicialComplex([])
+    K = SimplicialComplex((), [])
     assert f2_cd(K) == cohomology(K).cd == -1
     assert _maximal_simplices(K) == []
     assert barycentric_subdivision(K).is_empty()

@@ -290,6 +290,14 @@ def test_cli_load_error_exit(capsys, tmp_path, text):
     assert capsys.readouterr().err.startswith("error: cannot load scenario: ")
 
 
+def test_a_scenario_path_that_is_a_directory_is_a_load_error(capsys, tmp_path):
+    # it used to end in an IsADirectoryError traceback and exit 4
+    assert main(["run", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot load scenario: [Errno 21] Is a directory")
+
+
 _POINT = {"id": "bad", "space": {"kind": "point"}, "action": "trivial",
           "complex": "point"}
 
@@ -315,6 +323,9 @@ def test_unknown_names_are_load_errors(capsys, tmp_path, fields):
 
 @pytest.mark.parametrize("fields, message", [
     ({"space": [1]}, "the scenario's space is not a JSON object"),
+    # a null id used to run and write a report that `efftc table` refused
+    ({"id": None}, "the scenario's id must be a name, got None"),
+    ({"id": 7}, "the scenario's id must be a name, got 7"),
     ({"pipeline": ["upper"]}, "a pipeline step is not a JSON object: 'upper'"),
     ({"pipeline": "upper"}, "the scenario's pipeline is not a JSON list"),
     ({"basepoint": "anything at all"}, "unknown scenario fields: ['basepoint']"),
@@ -343,10 +354,10 @@ def test_unknown_names_are_load_errors(capsys, tmp_path, fields):
     ({"expected": [{"criterion": "positive", "cd_bound": True}]},
      "unknown keys ['cd_bound'] in the expectation "
      "{'criterion': 'positive', 'cd_bound': True}"),
-], ids=["space", "pipeline-step", "pipeline", "basepoint", "torus-key", "torus-n",
-        "torus-n-bool", "sphere-key", "point-key", "wedge-key", "cover-step-key",
-        "elements-off-cd-bound", "method-step-planner", "expectation-key",
-        "criterion-and-cd-bound"])
+], ids=["space", "id-null", "id-number", "pipeline-step", "pipeline", "basepoint",
+        "torus-key", "torus-n", "torus-n-bool", "sphere-key", "point-key", "wedge-key",
+        "cover-step-key", "elements-off-cd-bound", "method-step-planner",
+        "expectation-key", "criterion-and-cd-bound"])
 def test_malformed_scenarios_are_load_errors(capsys, tmp_path, fields, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_POINT, **fields}))
