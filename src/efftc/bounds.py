@@ -22,7 +22,6 @@ from functools import cached_property, partial
 import numpy as np
 
 from .complexes import (
-    Cochain,
     coboundary_space,
     cohomology,
     cohomology_ring,
@@ -30,6 +29,8 @@ from .complexes import (
     cup_product,
     f2_cd,
     product_length,
+    pull_back,
+    simplex_images,
 )
 from .f2 import F2Matrix
 from .errors import ContradictionError
@@ -727,14 +728,9 @@ def effective_zero_divisors(action: GroupAction):
     K, T = diag.base.complex, diag.union_complex
     ring = cohomology_ring(K)
     n = len(ring.basis)
-
-    def pullbacks(coord: int) -> list[Cochain]:
-        # every basis class pulled back along the projection p_coord|T
-        index = {d: K.simplex_index.find(d, diag.pairs[T.rows[d]][..., coord])
-                 for d in set(ring.degrees.tolist())}
-        return [Cochain(c.degree, c.coeffs[index[c.degree]]) for c in ring.basis]
-
-    first, second = pullbacks(0), pullbacks(1)
+    # every basis class pulled back along each projection p_k|T
+    projections = (simplex_images(T, diag.pairs[:, k], K) for k in (0, 1))
+    first, second = ([pull_back(images, c) for c in ring.basis] for images in projections)
     kernel = [np.zeros((0, n * n), dtype=np.uint8)]
     for d in range(1, 2 * K.dimension + 1):
         pairs = [(i, j) for i in range(n) for j in range(n)
@@ -826,23 +822,13 @@ def cd_bound_check(action: GroupAction, elements=None) -> CdBoundReport:
 
 
 def orbit_map_pullback(action: GroupAction):
-    """The quotient complex, its cohomology pulled back along the orbit map."""
-    Q, _, base = quotient_complex(action)
-    summary = cohomology(Q)
-    K = base.complex
-    # Q's vertices are the orbits, in the order of their least members
-    orbit = base.perm.min(axis=0)
-    to_q = np.searchsorted(np.unique(orbit), orbit)
-    pullbacks: list[Cochain] = []
-    for d in range(1, min(Q.dimension, K.dimension) + 1):
-        # a simplex the orbit map collapses (not found in Q) pulls back to 0
-        image = Q.simplex_index.find(d, np.sort(to_q[base.index.rows[d]], axis=1))
-        hit = image >= 0
-        for rep in summary.representatives[d]:
-            vec = np.zeros(K.n_simplices(d), dtype=np.uint8)
-            vec[hit] = rep.coeffs[image[hit]]
-            pullbacks.append(Cochain(d, vec))
-    return Q, base, pullbacks
+    """(Q, base, pullbacks): the quotient complex, the base action and
+    H^+(Q)'s representatives pulled back along the orbit map, degree by
+    degree."""
+    Q, orbit_map, base = quotient_complex(action)
+    images = simplex_images(base.complex, orbit_map, Q)
+    return Q, base, [pull_back(images, rep)
+                     for level in cohomology(Q).representatives[1:] for rep in level]
 
 
 def orbit_nilpotency_lower_bound(action: GroupAction) -> int:

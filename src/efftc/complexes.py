@@ -26,18 +26,15 @@ class SimplicialComplex:
     The complex on `vertices` (in identifier order) whose d-simplices are
     the rows of `rows[d]`: increasing vertex indices, rows sorted
     lexicographically, closed under faces, no degree empty.
-    `simplices_by_dim` and `vertex_index` are views built on first use.
+    `simplices_by_dim` and `vertex_index` are views built on first use;
+    `cache` holds what `cached` builds on the complex.
     """
 
     def __init__(self, vertices, rows: list[np.ndarray]):
         self.vertices = tuple(vertices)
         self.rows = rows
         self.simplex_index = SimplexIndex(rows, len(self.vertices))
-        self._cup_faces: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._faces: dict[int, np.ndarray] = {}
-        self._coboundary_spaces: dict[int, F2RowSpace] = {}
-        self._cohomology = None
-        self._ring = None
+        self.cache: dict = {}
 
     @cached_property
     def simplices_by_dim(self) -> list[list[tuple]]:
@@ -140,6 +137,14 @@ class SimplexIndex:
         return found
 
 
+def cached(owner, key, build):
+    """owner.cache[key], made by build() on the first request: the one memo
+    of complexes and actions (callers do not mutate what it returns)."""
+    if key not in owner.cache:
+        owner.cache[key] = build()
+    return owner.cache[key]
+
+
 @dataclass
 class Cochain:
     """An F2 cochain: one bit per simplex of the given degree."""
@@ -169,7 +174,8 @@ class CohomologySummary:
 def build_complex(simplices) -> SimplicialComplex:
     """Downward closure of the given simplices.
 
-    Vertices inside one simplex must be distinct.  The vertex ids are
+    Vertices inside one simplex must be distinct, and the vertex ids must
+    have a common order (ValueError otherwise).  The vertex ids are
     sorted, each simplex becomes a tuple of increasing vertex indices, and
     its faces are the `combinations` of that tuple.
     """
@@ -179,7 +185,12 @@ def build_complex(simplices) -> SimplicialComplex:
             raise ValueError("empty simplex")
         if len(set(s)) != len(s):
             raise ValueError(f"duplicate vertex within simplex {s}")
-    vertices = sorted({v for s in simplices for v in s})
+    ids = {v for s in simplices for v in s}
+    try:
+        vertices = sorted(ids)
+    except TypeError as exc:
+        raise ValueError(f"vertex ids with no common order: "
+                         f"{', '.join(sorted(map(repr, ids)))}") from exc
     where = {v: i for i, v in enumerate(vertices)}
     levels: list[set[tuple]] = [set() for _ in range(max(map(len, simplices), default=0))]
     for s in {tuple(sorted(where[v] for v in s)) for s in simplices}:
@@ -193,9 +204,28 @@ def build_complex(simplices) -> SimplicialComplex:
 def _faces(K: SimplicialComplex, d: int) -> np.ndarray:
     """(n_d, d + 1) indices of the codimension-1 faces of each d-simplex
     (d >= 1)."""
-    if d not in K._faces:
-        K._faces[d] = _face_table(K, d, d - 1)
-    return K._faces[d]
+    return cached(K, ("faces", d), lambda: _face_table(K, d, d - 1))
+
+
+def simplex_images(K: SimplicialComplex, vertex_map: np.ndarray,
+                   L: SimplicialComplex) -> list[np.ndarray]:
+    """The simplicial map K -> L given by its vertex table over the simplices.
+
+    `vertex_map[i]` is the index among L's vertices of the image of K's
+    vertex i; a stack of tables, (m, n_0), maps m times.  Per degree d of
+    K: the index among L's d-simplices of each d-simplex's image, (n_d,) or
+    (m, n_d), or -1 where the image collapses (a repeated vertex, which
+    `SimplexIndex.find` finds no row for) or is no simplex of L.
+    """
+    return [L.simplex_index.find(d, np.sort(vertex_map[..., rows], axis=-1))
+            for d, rows in enumerate(K.rows)]
+
+
+def pull_back(images: list[np.ndarray], cochain: Cochain) -> Cochain:
+    """The cochain of L pulled back along a map with these `simplex_images`:
+    its coefficient on each simplex's image, and 0 where the image is -1."""
+    padded = np.append(cochain.coeffs, np.uint8(0))
+    return Cochain(cochain.degree, padded[images[cochain.degree]])
 
 
 def _face_table(K: SimplicialComplex, d: int, e: int) -> np.ndarray:
@@ -237,9 +267,7 @@ def is_cocycle(K: SimplicialComplex, c: Cochain) -> bool:
 
 def coboundary_space(K: SimplicialComplex, d: int) -> F2RowSpace:
     """Row space of im(delta_{d-1}) inside C^d (cached on K; do not mutate)."""
-    if d not in K._coboundary_spaces:
-        K._coboundary_spaces[d] = _coboundary_space(K, d)
-    return K._coboundary_spaces[d]
+    return cached(K, ("coboundary_space", d), lambda: _coboundary_space(K, d))
 
 
 def _coboundary_space(K: SimplicialComplex, d: int) -> F2RowSpace:
@@ -256,13 +284,12 @@ def cohomology(K: SimplicialComplex) -> CohomologySummary:
     """F2 Betti numbers, canonical cocycle representatives and cd.
 
     The empty complex reports cd = -1 so the saturated-diagonal bound
-    arithmetic stays total on empty fixed sets.
+    arithmetic stays total on empty fixed sets.  Cached on K.
     """
-    if K._cohomology is not None:
-        return K._cohomology
-    if K.is_empty():
-        return CohomologySummary(betti=(), representatives=[], cd=-1)
-    betti = []
+    return cached(K, "cohomology", lambda: _cohomology(K))
+
+
+def _cohomology(K: SimplicialComplex) -> CohomologySummary:
     reps: list[list[Cochain]] = []
     for d in range(K.dimension + 1):
         # Reduction mod coboundaries is a projection with kernel B, so v lies
@@ -271,14 +298,9 @@ def cohomology(K: SimplicialComplex) -> CohomologySummary:
         kernel = coboundary_matrix(K, d).kernel_basis()
         residues = coboundary_space(K, d).reduce_batch(kernel)
         kept = F2Matrix.from_dense(residues).independent_rows()
-        level = [Cochain(d, r) for r in residues[kept]]
-        betti.append(len(level))
-        reps.append(level)
-    nonzero = [d for d, b in enumerate(betti) if b > 0]
-    cd = max(nonzero) if nonzero else -1
-    summary = CohomologySummary(betti=tuple(betti), representatives=reps, cd=cd)
-    K._cohomology = summary
-    return summary
+        reps.append([Cochain(d, r) for r in residues[kept]])
+    return CohomologySummary(betti=tuple(map(len, reps)), representatives=reps,
+                             cd=f2_cd(K))
 
 
 def f2_cd(K: SimplicialComplex) -> int:
@@ -295,12 +317,10 @@ def f2_cd(K: SimplicialComplex) -> int:
 
 
 def _cup_faces(K: SimplicialComplex, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (p, q)
-    if key not in K._cup_faces:
-        index = K.simplex_index
-        rows = index.rows[p + q]
-        K._cup_faces[key] = (index.find(p, rows[:, :p + 1]), index.find(q, rows[:, p:]))
-    return K._cup_faces[key]
+    """(front p-face, back q-face) indices of each (p + q)-simplex."""
+    index, rows = K.simplex_index, K.rows[p + q]
+    return cached(K, ("cup_faces", p, q), lambda: (
+        index.find(p, rows[:, :p + 1]), index.find(q, rows[:, p:])))
 
 
 def cup_product(K: SimplicialComplex, a: Cochain, b: Cochain) -> Cochain:
@@ -374,9 +394,7 @@ class CohomologyRing:
 
 def cohomology_ring(K: SimplicialComplex) -> CohomologyRing:
     """The cohomology ring of K (cached on K)."""
-    if K._ring is None:
-        K._ring = CohomologyRing(K)
-    return K._ring
+    return cached(K, "ring", lambda: CohomologyRing(K))
 
 
 def _row_basis(rows: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from ._kernels import coord_dot, slerp_batch
 from .errors import GeodesicDegeneracyError
 from .symmetry import FiniteGroup
 
-JOINT_TOL = 1e-6
 ENDPOINT_TOL = 1e-6
 ISOMETRY_TOL = 1e-9
 # edges per gather in the sup-distance scans: keeps the (chunk, n, d)
@@ -640,7 +639,7 @@ def leg_residuals(action: SpaceAction, starts, ends, X, Y):
     the orbit distance across each joint, (k - 1, M), and the distances of
     the first start from X and of the last end from Y, (2, M)
     (residual_terms).  A broken path is valid when every joint lies within
-    the joint tolerance and both ends within ENDPOINT_TOL."""
+    the joint tolerance (delta) and both ends within ENDPOINT_TOL."""
     joints, ends = residual_terms(action, starts, ends, X, Y)
     residuals = np.zeros((len(joints), len(X)))
     for i, (measure, a, b) in enumerate(joints):

@@ -33,7 +33,6 @@ from ._kernels import coord_dot, slerp_batch
 from .errors import LiftError
 from .pathspace import (
     ENDPOINT_TOL,
-    JOINT_TOL,
     QuotientModel,
     SpaceAction,
     check_arcs,
@@ -44,9 +43,9 @@ from .pathspace import (
 )
 
 
-# the verification parameters by default: bounds.verify_cover, plan and the
-# scenario runner read them here (bounds imports this module, so the table
-# cannot live there)
+# the verification parameters by default: bounds.verify_cover, plan (delta
+# bounds its joint residuals) and the scenario runner read them here
+# (bounds imports this module, so the table cannot live there)
 DEFAULT_PARAMS = {"grid": 32, "epsilon": 0.05, "delta": 1e-6,
                   "modulus": 10.0, "samples": 64}
 
@@ -167,7 +166,8 @@ class PlannerCover:
         """(set name, legs) of the lowest-index set accepting (x, y): its
         section as a list of (n_i, d) leg arrays.  Raises ValueError when
         no set accepts the pair, or when the legs do not make a broken path
-        from x to y (leg_residuals against JOINT_TOL and ENDPOINT_TOL)."""
+        from x to y (leg_residuals against the default delta and
+        ENDPOINT_TOL)."""
         X = np.asarray(x, float)[None, :]
         Y = np.asarray(y, float)[None, :]
         for cs in self.sets:
@@ -175,7 +175,7 @@ class PlannerCover:
                 legs = [np.array(leg[0]) for leg in cs.build_legs(X, Y, n)]
                 joints, ends = leg_residuals(self.action, [leg[:1] for leg in legs],
                                              [leg[-1:] for leg in legs], X, Y)
-                if (joints > JOINT_TOL).any() or (ends > ENDPOINT_TOL).any():
+                if (joints > DEFAULT_PARAMS["delta"]).any() or (ends > ENDPOINT_TOL).any():
                     raise ValueError(
                         f"set {cs.name} gives no broken path from x to y: joint "
                         f"residuals {joints.ravel().tolist()}, endpoint residuals "

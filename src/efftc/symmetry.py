@@ -18,6 +18,8 @@ from .complexes import (
     _maximal_simplices,
     barycentric_subdivision,
     build_complex,
+    cached,
+    simplex_images,
 )
 from .errors import GroupClosureError, RegularityError
 
@@ -137,13 +139,10 @@ def group_from_permutations(generators: list[list[int]]
                 index[q] = len(perms)
                 perms.append(q)
                 queue.append(q)
-    n = len(perms)
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            composed = tuple(perms[a][perms[b][i]] for i in range(degree))
-            table[a][b] = index[composed]
-    group = FiniteGroup(table)
+    stack = np.array(perms, dtype=np.intp)
+    # stack[:, stack][a, b] is the permutation a after b
+    group = FiniteGroup([[index[q] for q in map(tuple, row)]
+                         for row in stack[:, stack].tolist()])
     return group, perms
 
 
@@ -152,8 +151,9 @@ class GroupAction:
 
     The action is the table `perm`, `perm[g, i]` the index of g·vᵢ, and
     the tables it induces over `index = K.simplex_index`: `tables[d][g, i]`
-    is the index of g·σᵢ among the d-simplices.  `vertex_maps` is a view,
-    one {vertex: image} dict per element.
+    is the index of g·σᵢ among the d-simplices (`simplex_images` of the
+    stacked tables).  `vertex_maps` is a view, one {vertex: image} dict per
+    element; `cache` holds what `cached` builds on the action.
     """
 
     def __init__(self, group: FiniteGroup, complex: SimplicialComplex, perm: np.ndarray):
@@ -161,8 +161,7 @@ class GroupAction:
         self.complex = complex
         self.index = complex.simplex_index
         self.perm = perm
-        self._subdivided: GroupAction | None = None
-        self._fixed: dict[tuple, SimplicialComplex] = {}
+        self.cache: dict = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -179,8 +178,7 @@ class GroupAction:
             raise ValueError(f"element {moved[0]}: not a vertex permutation")
         if (self.perm[0] != identity).any():
             raise ValueError("identity element must act as the identity map")
-        self.tables = [self.index.find(d, np.sort(self.perm[:, rows], axis=2))
-                       for d, rows in enumerate(self.index.rows)]
+        self.tables = simplex_images(self.complex, self.perm, self.complex)
         for g in range(n):
             for d, table in enumerate(self.tables):
                 lost = np.flatnonzero(table[g] < 0)
@@ -216,13 +214,12 @@ class GroupAction:
         (d, σᵢ) has index offset_d + i and g sends it to offset_d +
         tables[d][g, i].
         """
-        if self._subdivided is None:
-            K2 = barycentric_subdivision(self.complex)
+        def build():
             offsets = np.cumsum([0] + [t.shape[1] for t in self.tables])
             perm = np.hstack([np.zeros((self.group.order, 0), dtype=np.intp)]
                              + [t + o for t, o in zip(self.tables, offsets)])
-            self._subdivided = GroupAction(self.group, K2, perm)
-        return self._subdivided
+            return GroupAction(self.group, barycentric_subdivision(self.complex), perm)
+        return cached(self, "subdivided", build)
 
 
 def trivial_action(K: SimplicialComplex) -> GroupAction:
@@ -270,12 +267,10 @@ def read_action_text(K: SimplicialComplex, path) -> GroupAction:
 
 
 def write_action_text(action: GroupAction, path) -> None:
-    verts = list(action.complex.vertices)
-    vert_index = {v: i for i, v in enumerate(verts)}
+    """Every element but the identity as a generator line of its `perm` row."""
     lines = ["# generators, one per line"]
-    for g in range(1, action.group.order):
-        imgs = " ".join(str(vert_index[action.vertex_maps[g][v]]) for v in verts)
-        lines.append(f"g{g}: {imgs}")
+    lines += [f"g{g}: " + " ".join(map(str, row))
+              for g, row in enumerate(action.perm[1:].tolist(), start=1)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -331,13 +326,13 @@ def fixed_subcomplex(action: GroupAction, subgroup) -> SimplicialComplex:
     subgroup = sorted(set(subgroup))
     if not action.group.is_subgroup(subgroup):
         raise ValueError("element set is not a subgroup")
-    key = tuple(subgroup)
-    if key not in action._fixed:
+
+    def build():
         current, _, _ = _repaired(
             action, lambda a: _setwise_implies_pointwise(a, subgroup) or None,
             "fixed subcomplex irregular after two subdivisions")
-        action._fixed[key] = pointwise_fixed_subcomplex(current, subgroup)
-    return action._fixed[key]
+        return pointwise_fixed_subcomplex(current, subgroup)
+    return cached(action, ("fixed", tuple(subgroup)), build)
 
 
 def _orbit_images(action: GroupAction) -> list[np.ndarray] | None:
@@ -363,7 +358,9 @@ def _orbit_images(action: GroupAction) -> list[np.ndarray] | None:
 
 
 def quotient_complex(action: GroupAction):
-    """Quotient complex and vertex orbit map.
+    """(quotient complex Q, orbit map, base action): the orbit map is the
+    vertex table of the base onto Q, whose vertices are the orbits in the
+    order of their least members, each named by that member.
 
     Regular actions quotient directly; otherwise the action is subdivided
     (at most twice) first.  Irregularity after that is an explicit failure.
@@ -371,15 +368,15 @@ def quotient_complex(action: GroupAction):
     current, _, images = _repaired(action, _orbit_images,
                                    "quotient irregular after two subdivisions")
     verts = current.complex.vertices
-    # deterministic quotient vertex labels: minimal orbit member
     orbit = current.perm.min(axis=0)
-    vmap = dict(zip(verts, map(verts.__getitem__, orbit.tolist())))
-    # the images are closed under faces, a simplex of X/G each; orbit id
-    # ranks keep their rows increasing and sorted
     ids = np.unique(orbit)
+    # the images are closed under faces, a simplex of X/G each; orbit id
+    # ranks keep their rows increasing and sorted.  np.unique's
+    # return_inverse gives the same table, but under numpy 2.4 its first
+    # call adds about 0.3 MB to the process's peak RSS.
     Q = SimplicialComplex([verts[i] for i in ids.tolist()],
                           [np.searchsorted(ids, level) for level in images])
-    return Q, vmap, current
+    return Q, np.searchsorted(ids, orbit), current
 
 
 def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:

@@ -220,6 +220,27 @@ def perm_of_maps(K, vertex_maps) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(len(rows), len(K.vertices))
 
 
+def vertex_dict(K, table, L) -> dict:
+    """A vertex table K -> L spelled as the {vertex: image} dict."""
+    return {v: L.vertices[j] for v, j in zip(K.vertices, table.tolist())}
+
+
+def simplex_images_by_tuples(K, table, L) -> list[list[int]]:
+    """complexes.simplex_images of one vertex table, simplex by simplex:
+    each simplex's image tuple looked up among L's simplices of its degree,
+    -1 where two vertices meet or L has no such simplex."""
+    where = [{s: i for i, s in enumerate(level)} for level in L.simplices_by_dim]
+    out = []
+    for d, level in enumerate(K.simplices_by_dim):
+        images = []
+        for s in level:
+            image = tuple(sorted({L.vertices[table[K.vertex_index[v]]] for v in s}))
+            found = len(image) == d + 1 and d < len(where)
+            images.append(where[d].get(image, -1) if found else -1)
+        out.append(images)
+    return out
+
+
 def oracle_coboundary(by_dim, d) -> np.ndarray:
     """Dense coboundary matrix C^d -> C^{d+1} built from scratch."""
     rows = by_dim[d + 1] if d + 1 < len(by_dim) else []

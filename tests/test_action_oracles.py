@@ -105,6 +105,8 @@ def assert_matches_oracles(action):
 
     def quotient(make):
         Q, vmap, base = make(action)
+        if make is quotient_complex:
+            vmap = oracles.vertex_dict(base.complex, vmap, Q)
         return Q.simplices_by_dim, vmap, base.complex, base.vertex_maps
     assert (_outcome(lambda: quotient(quotient_complex))
             == _outcome(lambda: quotient(oracles.quotient_by_maps)))

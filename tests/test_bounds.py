@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from efftc import bounds, symmetry
+from efftc import bounds, complexes, symmetry
 from efftc.bounds import (
     BoundValue,
     cd_bound_check,
@@ -535,6 +535,33 @@ def test_cd_bound_reuses_the_fixed_sets_of_the_criterion(monkeypatch):
     assert len(nontrivial) == 15
     assert sorted(built) == nontrivial
     assert report.hypothesis_ok == first.hypothesis_ok
+
+
+def test_each_cached_result_is_built_once_per_object(monkeypatch):
+    # every keyed result on a complex or an action, counted per object
+    # across two rounds of the lower bounds: each is built on first request
+    builds, owners = {}, []
+    real = complexes.cached
+
+    def counting(owner, key, build):
+        def counted():
+            owners.append(owner)        # keeps ids from being reused
+            builds[id(owner), key] = builds.get((id(owner), key), 0) + 1
+            return build()
+        return real(owner, key, counted)
+
+    for module in (complexes, symmetry):
+        monkeypatch.setattr(module, "cached", counting)
+    act = _hexagon_dihedral()
+    for _ in range(2):
+        cd_positivity_criterion(act)
+        orbit_nilpotency_lower_bound(act)
+        zero_divisor_cup_length(act)
+        cd_bound_check(act)
+    assert set(builds.values()) == {1}
+    assert {key if isinstance(key, str) else key[0] for _, key in builds} == {
+        "faces", "cup_faces", "coboundary_space", "cohomology", "ring",
+        "subdivided", "fixed"}
 
 
 def _grid_torus_translations(a, b, steps, seed=0):

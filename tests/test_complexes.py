@@ -18,7 +18,9 @@ from efftc.complexes import (
     cup_product,
     f2_cd,
     is_cocycle,
+    pull_back,
     read_complex_text,
+    simplex_images,
     write_complex_text,
 )
 from efftc.errors import DegreeError
@@ -30,6 +32,7 @@ from oracles import (
     maximal_by_subsets,
     oracle_betti,
     oracle_cd,
+    simplex_images_by_tuples,
     subdivision_by_chains,
 )
 
@@ -84,6 +87,13 @@ def test_build_rejects_empty_simplex():
         build_complex([[0, 1], []])
 
 
+def test_build_rejects_ids_with_no_common_order():
+    # ids are sorted to index them: mixed ints and strings are a ValueError
+    # that names them, not the TypeError of the comparison
+    with pytest.raises(ValueError, match="no common order: 'a', 0"):
+        build_complex([[0, "a"]])
+
+
 def test_closure_is_downward_closed():
     K = build_complex([[3, 1, 2]])
     assert K.contains((1, 2))
@@ -110,6 +120,32 @@ def test_build_complex_is_the_closure_of_its_simplices(simplices):
     K = build_complex(simplices)
     assert K == complex_of(closure_of(simplices))
     assert build_complex(K.all_simplices()) == K
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplex_lists(), simplex_lists(), st.booleans(), st.data())
+def test_simplex_images_and_pull_back_match_a_tuple_loop(k_simplices, l_simplices,
+                                                          onto_itself, data):
+    # random vertex tables collapse simplices and miss L's simplices; a
+    # stack of tables maps like each of its rows
+    K = build_complex(k_simplices)
+    L = K if onto_itself else build_complex(l_simplices)
+    n, m = len(K.vertices), len(L.vertices)
+    tables = np.array(data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n,
+                                                  max_size=n), min_size=1, max_size=3)),
+                      dtype=np.intp)
+    stacked = simplex_images(K, tables, L)
+    for k, table in enumerate(tables):
+        want = simplex_images_by_tuples(K, table, L)
+        images = simplex_images(K, table, L)
+        assert [level.tolist() for level in images] == want
+        assert [level[k].tolist() for level in stacked] == want
+        for d in range(K.dimension + 1):
+            coeffs = data.draw(st.lists(st.integers(0, 1), min_size=L.n_simplices(d),
+                                        max_size=L.n_simplices(d)))
+            pulled = pull_back(images, Cochain(d, coeffs))
+            assert pulled.degree == d
+            assert pulled.coeffs.tolist() == [coeffs[j] if j >= 0 else 0 for j in want[d]]
 
 
 @pytest.mark.parametrize("name", sorted(scenarios._COMPLEXES))

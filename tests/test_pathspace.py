@@ -20,7 +20,6 @@ from efftc.models import (
 )
 from efftc.pathspace import (
     ENDPOINT_TOL,
-    JOINT_TOL,
     Arc,
     Circle,
     FlatTorus,
@@ -32,6 +31,7 @@ from efftc.pathspace import (
     no_arc,
 )
 from efftc.planners import (
+    DEFAULT_PARAMS,
     CoverSet,
     PlannerCover,
     _arc_piece,
@@ -153,7 +153,7 @@ def test_validate_detects_orbit_mismatch():
     # residual equals min over g of dist(g x, z), brute force over G
     expected = min(float(act.space.dist(act.act(g, x), z)) for g in (0, 1))
     assert joints.shape == (1, 1)
-    assert joints[0, 0] > JOINT_TOL
+    assert joints[0, 0] > DEFAULT_PARAMS["delta"]
     assert abs(joints[0, 0] - expected) < 1e-12
     assert expected > 0
 
@@ -194,7 +194,7 @@ def test_jump_planner_formula_on_generic_pair():
     leg2 = np.concatenate([s.geodesic(gx, gx, 4), s.geodesic(gx, y, 64)])
     legs = [_const_legs(x[None], 64), leg2[None]]
     joints, ends = residuals_of_legs(act, legs, x[None], y[None])
-    assert (joints <= JOINT_TOL).all() and (ends <= ENDPOINT_TOL).all()
+    assert (joints <= DEFAULT_PARAMS["delta"]).all() and (ends <= ENDPOINT_TOL).all()
 
 
 def test_embed_stage_preserves_endpoints_and_validity():
@@ -227,7 +227,7 @@ def test_project_to_orbit_constant():
     x = np.array([[1.0, 0.0]])
     legs = [_const_legs(x, 8), _const_legs(-x, 8)]
     joints, _ = residuals_of_legs(act, legs, x, -x)
-    assert (joints <= JOINT_TOL).all()
+    assert (joints <= DEFAULT_PARAMS["delta"]).all()
     q = np.concatenate([model.project(leg[0]) for leg in legs])
     assert np.allclose(q, q[0])
 
@@ -241,7 +241,7 @@ def test_project_to_orbit_rejects_invalid():
     z = np.array([[0.0, 1.0]])
     legs = [_const_legs(x, 8), _const_legs(z, 8)]
     joints, _ = residuals_of_legs(act, legs, x, z)
-    assert joints[0, 0] > JOINT_TOL
+    assert joints[0, 0] > DEFAULT_PARAMS["delta"]
     jump = model.quotient_space.dist(model.project(x), model.project(z))
     assert np.allclose(jump, joints[0])
 

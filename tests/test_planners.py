@@ -17,13 +17,13 @@ from efftc.models import (
 )
 from efftc.pathspace import (
     ENDPOINT_TOL,
-    JOINT_TOL,
     Arc,
     Circle,
     QuotientModel,
     trivial_space_action,
 )
 from efftc.planners import (
+    DEFAULT_PARAMS,
     CoverSet,
     PlannerCover,
     _const_legs,
@@ -53,7 +53,8 @@ def assert_valid(cover, legs, x, y):
     """The legs make a broken path from x to y, checked apart from plan."""
     joints, ends = residuals_of_legs(cover.action, [leg[None] for leg in legs],
                                      np.asarray(x, float)[None], np.asarray(y, float)[None])
-    assert (joints <= JOINT_TOL).all() and (ends <= ENDPOINT_TOL).all(), (joints, ends)
+    assert ((joints <= DEFAULT_PARAMS["delta"]).all()
+            and (ends <= ENDPOINT_TOL).all()), (joints, ends)
 
 
 def plan_and_validate(cover, x, y, epsilon=0.05):

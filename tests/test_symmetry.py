@@ -22,7 +22,12 @@ from efftc.symmetry import (
     write_action_text,
 )
 
-from oracles import oracle_betti, subgroups_by_generator_subsets, validate_table_by_loops
+from oracles import (
+    oracle_betti,
+    subgroups_by_generator_subsets,
+    validate_table_by_loops,
+    vertex_dict,
+)
 
 
 def hexagon():
@@ -274,13 +279,14 @@ def test_fixed_rejects_non_subgroup():
 
 def test_quotient_trivial_group_isomorphic():
     K = hexagon()
-    Q, vmap, _ = quotient_complex(trivial_action(K))
+    Q, _, _ = quotient_complex(trivial_action(K))
     assert cohomology(Q).betti == cohomology(K).betti
     assert Q.n_simplices(0) == 6
 
 
 def test_quotient_hexagon_antipodal_is_triangle():
-    Q, vmap, base = quotient_complex(hexagon_antipodal())
+    Q, orbit_map, base = quotient_complex(hexagon_antipodal())
+    vmap = vertex_dict(base.complex, orbit_map, Q)
     assert Q.n_simplices(0) == 3
     assert Q.n_simplices(1) == 3
     assert cohomology(Q).betti == (1, 1)
@@ -447,7 +453,8 @@ def test_diagonal_cd_bound_examples():
 
 def test_quotient_preimage_is_invariant():
     act = hexagon_antipodal()
-    Q, vmap, base = quotient_complex(act)
+    Q, orbit_map, base = quotient_complex(act)
+    vmap = vertex_dict(base.complex, orbit_map, Q)
     for q_simplex in Q.all_simplices():
         preimage = {s for s in base.complex.all_simplices()
                     if tuple(sorted({vmap[v] for v in s})) == q_simplex}
