@@ -111,8 +111,15 @@ def verify_cover(cover: PlannerCover, grid: int = DEFAULT_PARAMS["grid"],
     that has one, checked in this order: coverage of the chunk's pairs,
     read off the margins before any leg is built; then set by set, orbit
     joints, endpoints, continuity along y, and continuity along x on the
-    edges whose larger endpoint lies in the chunk.  A block smaller than
-    its chunk that fails is answered by checking its whole chunk again.
+    edges whose larger endpoint lies in the chunk.  A block that fails
+    does not check its chunk again: the chunk's later blocks check only
+    the phases that could still come first, and the least failure is the
+    chunk's (_Sweep.run).
+
+    With more blocks than CPUs (and more than one CPU), this process checks
+    the first block itself, cut to a quarter chunk, before it forks: a
+    refutation there is finished here and starts no child, and only a
+    passing first block hands the rest to first_failure.
     """
     action = cover.action
     space = action.space
@@ -130,7 +137,9 @@ def verify_cover(cover: PlannerCover, grid: int = DEFAULT_PARAMS["grid"],
         xnbr = ynbr
     sweep = _Sweep(cover, xpts, xnbr, ypts, ynbr, epsilon, delta, modulus,
                    samples, usable_cpus())
-    found = first_failure(sweep.jobs())
+    # the first in_caller blocks (none or one) in this process, then, if
+    # they pass, the rest in forked runs
+    found = sweep.run(0, sweep.in_caller, 0, bytearray(1)) or first_failure(sweep.jobs())
     if found:
         return Certification(certified=False, bound=None, params=params,
                              sets=len(cover.sets), stage=cover.stage,
@@ -288,6 +297,41 @@ def _positions(mask):
     return out
 
 
+def _cut(c0, c1, rows):
+    """The x rows [c0, c1) as near-equal blocks of at most `rows` rows."""
+    cuts = np.linspace(c0, c1, -(-(c1 - c0) // rows) + 1).round().astype(int).tolist()
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+# The order key of a failure within its chunk: coverage, then set by set
+# (s, 0, i) orbit joint i, (s, 1) endpoints, (s, 2) continuity along y and
+# (s, 3, column, x edge) continuity along x.  Coverage and y failures of
+# later blocks come later, and need no position.
+_COVERAGE = (-1,)
+
+
+def _due(phase, until):
+    """Whether a block after a failure keyed `until` checks `phase`: every
+    earlier phase, and until's own if it is a joint or the endpoints (whose
+    failure carries the chunk's largest residual) or x (whose later blocks
+    can hold a smaller column).  The phases due are a prefix of each
+    block's order."""
+    return until is None or phase < until or (phase == until and phase[1] < 2)
+
+
+def _least(found, more):
+    """The failure of a chunk from the (key, failure) of one block and of a
+    later one (or None): the least key; of the same joint or endpoints, the
+    earlier pair with the larger residual."""
+    if more is None or found[0] < more[0]:
+        return found
+    if more[0] < found[0]:
+        return more
+    failure = found[1]
+    name = next(k for k in failure if k.endswith("_residual"))
+    return found[0], {**failure, name: max(failure[name], more[1][name])}
+
+
 def _failure(reason, **detail):
     return {"reason": reason, **detail}
 
@@ -326,46 +370,65 @@ class _Sweep:
         most_open = int(np.cumsum(opened - closed).max())
         # the halo counts against the sample budget, down to a quarter
         # chunk; and there is a block for every CPU
-        rows = max(self.chunk_rows // 4, self.chunk_rows - most_open, 1)
+        quarter = max(1, self.chunk_rows // 4)
+        rows = max(quarter, self.chunk_rows - most_open)
         rows = min(rows, -(-m_x // cpus))
         self.cpus = cpus
-        self.blocks = []
-        for c0 in range(0, m_x, self.chunk_rows):
-            c1 = min(c0 + self.chunk_rows, m_x)
-            cuts = np.linspace(c0, c1, -(-(c1 - c0) // rows) + 1).round()
-            self.blocks += list(zip(cuts[:-1].astype(int).tolist(),
-                                    cuts[1:].astype(int).tolist()))
+        chunks = [(c0, min(c0 + self.chunk_rows, m_x))
+                  for c0 in range(0, m_x, self.chunk_rows)]
+        # with more blocks than CPUs (and more than one CPU), the caller
+        # checks the first block before forking (verify_cover); its chunk is
+        # then cut into quarter-chunk blocks (or the smaller blocks every
+        # CPU already gets), as the caller starts larger than a forked
+        # child would
+        blocks = sum(-(-(c1 - c0) // rows) for c0, c1 in chunks)
+        self.in_caller = int(blocks > cpus > 1)
+        first_rows = min(quarter, rows)
+        self.blocks = [block for i, (c0, c1) in enumerate(chunks)
+                       for block in _cut(c0, c1, first_rows if i < self.in_caller else rows)]
 
     def jobs(self):
-        """One job per CPU, each a contiguous run of blocks.  A run that
-        fails marks its flag (fork-shared), and the runs after it end at
-        their next block: first_failure would stop them, but meanwhile they
-        compete with the failing run's check of its whole chunk."""
-        count = max(1, min(self.cpus, len(self.blocks)))
-        cut = np.linspace(0, len(self.blocks), count + 1).round().astype(int)
+        """One job per CPU, each a contiguous run of the blocks the caller
+        leaves (from block in_caller on).  A run that fails marks its flag
+        (fork-shared), and the runs after it end at their next block:
+        first_failure would stop them, but meanwhile they compete with the
+        failing run's finish of its chunk."""
+        blocks = len(self.blocks) - self.in_caller
+        count = max(1, min(self.cpus, blocks))
+        cut = self.in_caller + np.linspace(0, blocks, count + 1).round().astype(int)
         failed = mmap.mmap(-1, count)
         return [partial(self.run, int(lo), int(hi), index, failed)
                 for index, (lo, hi) in enumerate(zip(cut[:-1], cut[1:]))]
 
     def run(self, first, last, index, failed):
         """Blocks [first, last): the first failure of the first chunk that
-        has one, else None."""
+        has one, else None.  A run that fails in a block finishes its chunk
+        there: it goes on through the chunk's later blocks, past `last` if
+        the chunk does, each checking only the phases due (_due) from the
+        same halo, and the chunk's failure is the least (_least).  A
+        coverage failure ends the chunk at once.  The chunk's blocks before
+        the failing one are not checked again: they passed, in this run or
+        in an earlier one, whose own failure would come first."""
         start = self.blocks[first][0]
         halo: dict[int, list[_Rows]] = {}     # set index -> blocks held
-        for b in range(first, last):
+        found = None                          # (order key, failure)
+        for b in range(first, len(self.blocks)):
             if any(failed[:index]):
                 return None
             x0, x1 = self.blocks[b]
-            found = self.rows_failure(x0, x1, halo, start)
-            if found:
-                failed[index] = 1
-                halo.clear()                  # free its legs for the chunk
-                c0 = x0 - x0 % self.chunk_rows
-                c1 = min(c0 + self.chunk_rows, self.m_x)
-                if (x0, x1) == (c0, c1):
-                    return found
-                return None if any(failed[:index]) else self.rows_failure(c0, c1, {}, c0)
-        return None
+            if found is None:
+                if b == last:
+                    return None
+                found = self.rows_failure(x0, x1, halo, start)
+                if found:
+                    failed[index] = 1
+            elif found[0] == _COVERAGE or x0 % self.chunk_rows == 0:
+                break
+            else:
+                for s in [s for s in halo if not _due((s, 3), found[0])]:
+                    del halo[s]               # free the legs no x check reads
+                found = _least(found, self.rows_failure(x0, x1, halo, start, found[0]))
+        return found and found[1]
 
     @cached_property
     def threshold(self):
@@ -397,10 +460,12 @@ class _Sweep:
                 sec.starts.append(i == 0)
         return sec
 
-    def rows_failure(self, x0, x1, halo, start):
+    def rows_failure(self, x0, x1, halo, start, until=None):
         """The first failure on the x rows [x0, x1), in the order of
-        verify_cover, or None.  `halo` holds, per set, the earlier rows of
-        a sweep from `start` that still have a neighbour ahead (advance)."""
+        verify_cover, as (order key, failure), or None; after a failure
+        keyed `until`, of the phases due (_due) only.  `halo` holds, per
+        set, the earlier rows of a sweep from `start` that still have a
+        neighbour ahead (advance)."""
         X = np.repeat(self.xpts[x0:x1], self.m_y, axis=0)
         Y = np.tile(self.ypts, (x1 - x0, 1))
         accepted = [cs.margin(X, Y) >= self.epsilon for cs in self.cover.sets]
@@ -409,14 +474,16 @@ class _Sweep:
             covered |= acc
         if not covered.all():
             r = int(np.argmax(~covered))
-            return _failure("coverage", pair=[X[r].tolist(), Y[r].tolist()])
+            return _COVERAGE, _failure("coverage", pair=[X[r].tolist(), Y[r].tolist()])
         a, b = self.ynbr.T
-        for s, (cs, acc) in enumerate(zip(self.cover.sets, accepted)):
+        for s, acc in enumerate(accepted):
+            if not _due((s, 0, 0), until):
+                return None
             if not acc.any():
                 continue
             sec = self.sections(s, np.arange(x0, x1), acc, X, Y)
-            found = self.validation(cs, sec, np.flatnonzero(acc), X, Y)
-            if found:
+            found = self.validation(s, sec, np.flatnonzero(acc), X, Y, until)
+            if found or not _due((s, 2), until):
                 return found
             # the y edges with both ends accepted, row by row
             w, e = np.divmod(np.flatnonzero(sec.acc[:, a] & sec.acc[:, b]), a.size)
@@ -427,9 +494,10 @@ class _Sweep:
             del sec
         return None
 
-    def validation(self, cs, sec, rows, X, Y):
+    def validation(self, s, sec, rows, X, Y, until=None):
         """The first orbit-joint, then endpoint, failure of the accepted
-        pairs `rows` (of X, Y) of set cs, or None.  Each residual
+        pairs `rows` (of X, Y) of set s, as (order key, failure), or None;
+        after a failure keyed `until`, of the phases due only.  Each residual
         (residual_terms) is computed once at the grain of its operands, the
         union of their inputs (X counts as "x", Y as "y"), and read in pair
         order through _Rows.row: per accepted x row, per accepted column,
@@ -469,30 +537,36 @@ class _Sweep:
         lasts = [t - 1 for t in firsts[1:]] + [len(sec.tables) - 1]
         joints, ends = residual_terms(self.action, [(t, 0) for t in firsts],
                                       [(t, -1) for t in lasts], "x", "y")
-        for term in joints:
+        name = self.cover.sets[s].name
+        for i, term in enumerate(joints):
+            if not _due((s, 0, i), until):
+                return None
             grain, joint = residual(*term)
             bad = joint > self.delta
             if bad.any():
-                return _failure("validation", set=cs.name, pair=first_bad((grain, bad)),
-                                joint_residual=float(joint.max()))
+                return (s, 0, i), _failure("validation", set=name,
+                                           pair=first_bad((grain, bad)),
+                                           joint_residual=float(joint.max()))
+        if not _due((s, 1), until):
+            return None
         (g0, res0), (g1, res1) = (residual(*term) for term in ends)
         bad0, bad1 = res0 > ENDPOINT_TOL, res1 > ENDPOINT_TOL
         if bad0.any() or bad1.any():
-            return _failure("validation", set=cs.name,
-                            pair=first_bad((g0, bad0), (g1, bad1)),
-                            endpoint_residual=float(max(res0.max(), res1.max())))
+            return (s, 1), _failure("validation", set=name,
+                                    pair=first_bad((g0, bad0), (g1, bad1)),
+                                    endpoint_residual=float(max(res0.max(), res1.max())))
         return None
 
     def continuity(self, s, axis, parts, wa, ca, wb, cb, edge):
         """The first continuity failure of set s along `axis` ("y" or "x"),
-        or None.  Entry i, in failure order, joins the pair at window row
-        wa[i], column ca[i] to (wb[i], cb[i]) across edge[i] of the axis;
-        the window is the rows of `parts`, one after another.  A piece of
-        both inputs is scanned per entry, one of the axis's own input once
-        per edge (it has the same rows on all the edge's entries), the
-        others not at all; with more than one part, the scans are grouped
-        by the parts of the two ends.  _Scans samples their frame tables
-        together."""
+        as (order key, failure), or None.  Entry i, in failure order, joins
+        the pair at window row wa[i], column ca[i] to (wb[i], cb[i]) across
+        edge[i] of the axis; the window is the rows of `parts`, one after
+        another.  A piece of both inputs is scanned per entry, one of the
+        axis's own input once per edge (it has the same rows on all the
+        edge's entries), the others not at all; with more than one part,
+        the scans are grouped by the parts of the two ends.  _Scans samples
+        their frame tables together."""
         if not edge.size:
             return None
         n = len(parts)
@@ -538,9 +612,11 @@ class _Sweep:
             return None
         i = int(np.argmax(bad))
         x = np.concatenate([part.x for part in parts])
-        return _continuity_failure(self.cover.sets[s], (self.xpts[x[wa[i]]], self.ypts[ca[i]]),
-                                   (self.xpts[x[wb[i]]], self.ypts[cb[i]]), supdiff[i],
-                                   allowed[i])
+        key = (s, 2) if axis == "y" else (s, 3, int(ca[i]), int(edge[i]))
+        return key, _continuity_failure(self.cover.sets[s],
+                                        (self.xpts[x[wa[i]]], self.ypts[ca[i]]),
+                                        (self.xpts[x[wb[i]]], self.ypts[cb[i]]),
+                                        supdiff[i], allowed[i])
 
     def advance(self, halo, s, start, sec):
         """x-continuity of set s on the edges block `sec` closes, from it and
@@ -597,7 +673,10 @@ def first_failure(jobs):
 
     A job returns None or a failure, and the first failure in job order
     wins and stops the run.  Jobs run in min(usable_cpus(), len(jobs))
-    forked children, and serially in this process when that is one.  Covers
+    forked children, and serially in this process when that is one.  (A
+    sweep with more blocks than CPUs reaches here only once verify_cover
+    has checked its first block in this process; a refutation found there
+    forks nothing.)  Covers
     hold closures, which cannot be pickled, so the jobs reach the children
     by fork inheritance: child k runs jobs k, k + w, ... and pickles each
     result, or the exception a job raised, into a pipe of its own.  The

@@ -349,6 +349,12 @@ def product_zero_divisor_cup_length(action) -> int:
     return cup_length(P, kernel) if kernel else 0
 
 
+# the CPU counts each sweep is checked at against chunk_order_verify_cover:
+# one run in the caller; the caller's first block, then forked runs; and
+# more runs than most test machines have CPUs
+CPU_COUNTS = (1, 2, 4)
+
+
 def chunk_order_verify_cover(cover, grid: int = 32, epsilon: float = 0.05,
                              delta: float = 1e-6, modulus: float = 10.0,
                              samples: int = 64,
@@ -635,6 +641,15 @@ def adversarial_cover_by_parts(action, honest_membership: bool = False):
         return [out]
 
     return _adversarial_claim(action, honest_membership, legs)
+
+
+@functools.lru_cache(maxsize=None)
+def adversarial_oracle(make, honest, grid):
+    """chunk_order_verify_cover of the former adversarial S^2 claim under
+    make(2) at `grid`, once per test run: the sweep's oracle test and the
+    fork test expect the same refutations."""
+    cover = former_adversarial_cover(make(2), honest_membership=honest)
+    return chunk_order_verify_cover(cover, grid=grid)
 
 
 def slerp_chain(waypoint_pairs, samples):

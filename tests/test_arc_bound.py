@@ -27,7 +27,7 @@ from efftc.pathspace import (
 from efftc.planners import CoverSet, PlannerCover
 from efftc.scenarios import BUILTINS, build_bundle, build_planner
 
-from oracles import angle_arc_bound, chunk_order_verify_cover
+from oracles import CPU_COUNTS, angle_arc_bound, chunk_order_verify_cover
 
 # arc angles the property test draws from: anywhere, at the frame
 # threshold, tiny, next to the antipodal guard, and zero (equal endpoints)
@@ -233,7 +233,7 @@ def through_the_south_pole(action):
 
 def assert_matches_oracle(cover, **params):
     expected = chunk_order_verify_cover(cover, **params)
-    for cpus in (1, 2):
+    for cpus in CPU_COUNTS:
         with mock.patch.object(bounds, "usable_cpus", lambda n=cpus: n):
             got = bounds.verify_cover(cover, **params)
         assert got == expected, (cover.name, params, cpus, got, expected)

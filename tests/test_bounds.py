@@ -33,7 +33,9 @@ from efftc.models import (
     point_trivial,
     sphere_antipodal,
     sphere_codim1,
+    sphere_rotation,
     sphere_swap_action,
+    sphere_trivial,
     torus43_halfturn_action,
     torus9_complex,
     torus_trivial,
@@ -53,7 +55,12 @@ from efftc.planners import (
 )
 from efftc.symmetry import action_from_generator_perms, trivial_action
 
-from oracles import leg_pieces, product_zero_divisor_cup_length, product_zero_divisors
+from oracles import (
+    adversarial_oracle,
+    leg_pieces,
+    product_zero_divisor_cup_length,
+    product_zero_divisors,
+)
 
 
 # ------------------------------------------------------------ verification
@@ -229,6 +236,37 @@ def test_first_failure_leaves_no_child(monkeypatch):
     with pytest.raises(GeodesicDegeneracyError):
         first_failure([boom, lambda: time.sleep(60)])
     assert time.monotonic() - start < 30.0
+    assert_no_child_left()
+
+
+@forked
+def test_a_refutation_in_the_first_chunk_starts_no_child(monkeypatch):
+    # on two CPUs with more blocks than CPUs the caller checks the first
+    # block itself: the sphere-refute claims fail there, and their chunk is
+    # finished in the caller with the oracle's failure dicts
+    fork_child = bounds._fork_child
+
+    def refuse(jobs):
+        raise AssertionError("a child was forked")
+
+    monkeypatch.setattr(bounds, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(bounds, "_fork_child", refuse)
+    for make in (sphere_antipodal, sphere_codim1, sphere_rotation, sphere_trivial):
+        for honest in (False, True):
+            cover = adversarial_sphere_cover(make(2), honest_membership=honest)
+            for grid in (24, 32, 40):
+                expected = adversarial_oracle(make, honest, grid)
+                assert verify_cover(cover, grid=grid) == expected, (make, honest, grid)
+    # a passing first block: the blocks after it are forked as before
+    forked_runs = []
+
+    def counted(jobs):
+        forked_runs.append(len(jobs))
+        return fork_child(jobs)
+
+    monkeypatch.setattr(bounds, "_fork_child", counted)
+    assert verify_cover(farber_sphere_cover(sphere_antipodal(2)), grid=24).certified
+    assert forked_runs == [1, 1]
     assert_no_child_left()
 
 

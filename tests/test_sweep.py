@@ -5,7 +5,8 @@ continuity along x from a halo of earlier rows, and reports the first
 failure of the first chunk of x rows that has one.  `chunk_order_verify_cover`
 (tests/oracles.py) checks the chunks one after another, each with legs of
 its own.  Their Certifications, failure dicts included, must be identical
-on one CPU and on two.
+at every CPU count of `CPU_COUNTS`: one run in the caller; the caller's
+first block, then forked runs; and more runs than CPUs.
 """
 
 import functools
@@ -23,10 +24,11 @@ from efftc.planners import CoverSet, Piece, PlannerCover, embed_cover
 from efftc.scenarios import BUILTINS, build_bundle, build_planner
 
 from oracles import (
+    CPU_COUNTS,
     adversarial_cover_by_parts,
+    adversarial_oracle,
     catalog_certification,
     chunk_order_verify_cover,
-    former_adversarial_cover,
     leg_pieces,
 )
 
@@ -62,7 +64,7 @@ LOW_MODULUS_COVERS = [
 
 def assert_matches_oracle(cover, grid, budget=bounds.SAMPLE_BUDGET, **params):
     expected = chunk_order_verify_cover(cover, grid=grid, budget=budget, **params)
-    for cpus in (1, 2):
+    for cpus in CPU_COUNTS:
         with mock.patch.object(bounds, "usable_cpus", lambda n=cpus: n), \
                 mock.patch.object(bounds, "SAMPLE_BUDGET", budget):
             got = verify_cover(cover, grid=grid, **params)
@@ -127,7 +129,7 @@ def test_sweep_matches_oracle_on_catalog_and_embedded_covers():
         for embedded, c in ((False, cover), (True, embed_cover(cover))):
             expected = chunk_order_verify_cover(c, grid=grid)
             assert expected.certified, (scenario, planner, embedded)
-            for cpus in (1, 2):
+            for cpus in CPU_COUNTS:
                 got = catalog_certification(scenario, planner, grid, embedded, cpus)
                 assert got == expected, (scenario, planner, embedded, cpus, got)
     for scenario, planner, grid in LOW_MODULUS_COVERS:
@@ -143,13 +145,11 @@ def test_sweep_matches_oracle_on_adversarial_covers():
     # every pair (grids 24, 32 and 40 are the sphere-refute claims)
     for make in (models.sphere_antipodal, models.sphere_codim1,
                  models.sphere_rotation, models.sphere_trivial):
-        action = make(2)
         for honest in (False, True):
-            former = former_adversarial_cover(action, honest_membership=honest)
             for grid in (16, 24, 32, 40):
-                expected = chunk_order_verify_cover(former, grid=grid)
+                expected = adversarial_oracle(make, honest, grid)
                 assert not expected.certified
-                for cpus in (1, 2):
+                for cpus in CPU_COUNTS:
                     got = adversarial_certification(make, honest, grid, cpus)
                     assert got == expected, (make, honest, grid, cpus, got, expected)
 
@@ -321,6 +321,79 @@ def test_sweep_reports_the_first_failure_of_the_whole_chunk():
 
     cert = assert_matches_oracle(with_jump(cover, jump, end_error), 32)
     assert cert.failure["reason"] == "validation" and cert.failure["set"] == "U1"
+
+
+# chunks of 40 rows of the 172-point S^2 grid: blocks of 20 rows on one CPU,
+# and on more the caller's first chunk in blocks of 10.  The grid's rings
+# (first coordinate) hold rows 0-3 (0.98), 4-9 (0.93), 10-17 (0.85), 18-27
+# (0.74) and 28-39 (0.60)
+FINISH_BUDGET = 40 * 172 * 64
+
+
+def _ring(X, lo, hi):
+    return (X[:, 0] > lo) & (X[:, 0] < hi)
+
+
+def with_three_legs(cover, joint_error):
+    """The cover with its first set's leg cut into three legs that share
+    their joint samples; leg k + 1 starts off by joint_error(k, X) along
+    the first axis, and the first leg jumps along y on the first ring."""
+    cs = cover.sets[0]
+
+    def legs(X, Y, m):
+        leg = cs.build_legs(X, Y, m)[0]
+        out = [np.array(leg[:, :22]), np.array(leg[:, 21:43]), np.array(leg[:, 42:])]
+        jump = _ring(X, 0.97, 1.0) & (Y[:, 0] > 0.0)
+        out[0][:, 1:-1] += jump[:, None, None] * [0.0, 3.0, 0.0]
+        for k in (0, 1):
+            out[k + 1][:, 0] += joint_error(k, X)[:, None] * [1.0, 0.0, 0.0]
+        return out
+
+    sets = [CoverSet(cs.name, cs.stage, cs.margin, leg_pieces(legs, 3)), *cover.sets[1:]]
+    return PlannerCover(action=cover.action, sets=sets, stage=cover.stage,
+                        name=cover.name + "+joints")
+
+
+def test_a_chunk_is_finished_block_by_block():
+    # the first block of the chunk fails along y (the first ring); later
+    # blocks fail earlier phases, and the chunk's failure is the least
+    farber = planners.farber_sphere_cover(trivial_space_action(Sphere(2)))
+    pts = farber.action.space.grid(16)
+    # joint 1 fails on the third ring and joint 0 on the fifth: joint 0
+    # wins, at its first pair, though a block before it failed joint 1
+    late_joint_0 = with_three_legs(farber, lambda k, X: 1e-3 * (
+        _ring(X, 0.8, 0.9) if k == 1 else _ring(X, 0.5, 0.7)))
+    cert = assert_matches_oracle(late_joint_0, 16, budget=FINISH_BUDGET)
+    assert cert.failure["reason"] == "validation"
+    assert cert.failure["pair"][0] == pts[28].tolist()
+    # joint 0 fails by 1e-3 on the third ring and by 2e-3 on the fifth, a
+    # third block on more than one CPU: the failure is at the first pair,
+    # with the largest residual of the chunk
+    largest_later = with_three_legs(farber, lambda k, X: (k == 0) * 1e-3 * (
+        _ring(X, 0.8, 0.9) + 2.0 * _ring(X, 0.5, 0.7)))
+    cert = assert_matches_oracle(largest_later, 16, budget=FINISH_BUDGET)
+    assert cert.failure["pair"][0] == pts[10].tolist()
+    assert abs(cert.failure["joint_residual"] - 2e-3) < 1e-8
+
+
+def test_a_later_block_holds_a_smaller_column_along_x():
+    # U1 jumps along x at the equator's columns from the second ring to the
+    # third (edges the block of rows 10-17 closes), and at the first columns
+    # from the fourth ring to the fifth (edges closed from row 28 on): the
+    # later block's failure has the smaller column, and wins
+    farber = planners.farber_sphere_cover(trivial_space_action(Sphere(2)))
+
+    def jump(s, X, Y):
+        equator = np.clip(1.5 * (0.6 - np.abs(Y[:, 0])), 0.0, 1.0)
+        north = np.clip(1.5 * (Y[:, 0] - 0.3), 0.0, 1.0)
+        step = (X[:, 0] < 0.9) * equator + (X[:, 0] < 0.7) * north
+        return (s == 0) * step[:, None] * [[0.0, 0.0, 3.0]]
+
+    cert = assert_matches_oracle(with_jump(farber, jump), 16, budget=FINISH_BUDGET)
+    pts = farber.action.space.grid(16)
+    assert cert.failure["reason"] == "continuity" and cert.failure["set"] == "U1"
+    assert cert.failure["pair"][1] == pts[0].tolist()
+    assert cert.failure["neighbor"][0] == pts[28].tolist()
 
 
 def test_sweep_with_more_runs_than_cpus():

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from efftc import symmetry
 from efftc.complexes import build_complex, cohomology, f2_cd
-from efftc.errors import GroupClosureError, RegularityError
+from efftc.errors import GroupClosureError
 from efftc.symmetry import (
     FiniteGroup,
-    GroupAction,
     action_from_generator_perms,
     fixed_subcomplex,
     group_from_permutations,
@@ -23,7 +22,6 @@ from efftc.symmetry import (
 )
 
 from oracles import (
-    oracle_betti,
     subgroups_by_generator_subsets,
     validate_table_by_loops,
     vertex_dict,
